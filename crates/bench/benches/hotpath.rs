@@ -12,38 +12,65 @@
 //! `hotpath` analyze pass keeps allocations out of these paths statically;
 //! these benches price what remains.
 
-use std::sync::Arc;
-
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 
 use terradir::routing::RouteChoice;
 use terradir::server::ServerState;
-use terradir::{Config, NodeMap, RouteCache};
+use terradir::{NodeMap, RouteCache, System};
+use terradir_bench::Scale;
 use terradir_bloom::{BloomParams, DigestBuilder};
-use terradir_namespace::{balanced_tree, NodeId, OwnerAssignment, ServerId};
-use terradir_workload::{seed::tags, seeded_rng};
+use terradir_namespace::{balanced_tree, NodeId, ServerId};
+use terradir_workload::{seed::tags, seeded_rng, QueryStream, StreamPlan};
 
-/// One bootstrapped server over a 511-node tree shared by 64 peers, plus
-/// the namespace size for target cycling.
-fn bootstrapped_server() -> (ServerState, usize) {
-    let ns = Arc::new(balanced_tree(2, 8));
-    let cfg = Arc::new(Config::paper_default(64).with_seed(7));
-    let mut rng = seeded_rng(7, tags::MAPPING);
-    let assignment = OwnerAssignment::uniform_random(&ns, 64, &mut rng);
-    let n = ns.len();
-    (ServerState::new(ServerId(0), ns, cfg, &assignment), n)
+/// Servers in the warmed fleet the route-step bench samples from.
+const WARM_SERVERS: u32 = 1024;
+
+/// A server cloned out of a warmed 1024-server run of the paper's
+/// adaptation stream (the `speed` bench's workload, 6 simulated seconds:
+/// uniform warm-up, then a Zipf-1.25 segment), plus targets drawn from the
+/// same stream that the server does not host. Taking the server with the
+/// fullest digest store gives the route decision its in-situ shape: a
+/// warm cache, replicas, and a digest scan over ~`digest_store_slots`
+/// peers. A freshly bootstrapped server, with an empty store and cache,
+/// prices a decision at a tenth of its in-situ cost.
+fn warmed_server() -> (ServerState, Vec<NodeId>) {
+    let scale = Scale::for_servers(WARM_SERVERS, 1.0);
+    let plan = StreamPlan::adaptation(1.25, 3.0, 1, 3.0);
+    let ns = scale.ts_namespace();
+    let n_nodes = ns.len();
+    let mut sys = System::new(ns, scale.config(7), plan.clone(), scale.rate(20_000.0));
+    sys.run_until(6.0);
+    let server = (0..WARM_SERVERS)
+        .map(ServerId)
+        .max_by_key(|&s| (sys.server(s).digest_store().len(), std::cmp::Reverse(s)))
+        .map(|s| sys.server(s).clone())
+        .unwrap();
+    let mut stream = QueryStream::new(plan, n_nodes, WARM_SERVERS, 7);
+    let targets: Vec<NodeId> = (0..4096)
+        .map(|_| stream.next_query(sys.now()).1)
+        .filter(|&t| !server.hosts(t))
+        .collect();
+    (server, targets)
 }
 
 fn bench_route_step(c: &mut Criterion) {
     let mut g = c.benchmark_group("route_step");
     g.throughput(Throughput::Elements(1));
-    g.bench_function("decide_511_nodes_64_servers", |b| {
-        let (mut server, n) = bootstrapped_server();
+    g.sample_size(20_000);
+    let (server, targets) = warmed_server();
+    println!(
+        "route_step: server {} with {} stored digests, {} cached pointers",
+        server.id().0,
+        server.digest_store().len(),
+        server.cache().len()
+    );
+    g.bench_function("decide_warmed_1024_servers", |b| {
+        let mut server = server.clone();
         let mut rng = seeded_rng(7, tags::PROTOCOL);
-        let mut target = 0u32;
+        let mut i = 0usize;
         b.iter(|| {
-            target = (target + 1) % n as u32;
-            let choice = server.peek_route(NodeId(black_box(target)), &mut rng);
+            i = (i + 1) % targets.len();
+            let choice = server.peek_route(black_box(targets[i]), &mut rng);
             black_box(matches!(choice, RouteChoice::Resolve))
         });
     });

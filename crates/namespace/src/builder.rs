@@ -35,6 +35,15 @@ use crate::tree::{Namespace, NodeId};
 pub fn balanced_tree(arity: u32, levels: u16) -> Namespace {
     assert!(arity >= 1, "arity must be at least 1");
     let mut ns = Namespace::new();
+    // Level `l` holds `arity^l` nodes, each with an `l + 1`-long root path:
+    // reserve the arena and the path table at their final size.
+    let (mut width, mut nodes, mut path_entries) = (1usize, 0usize, 0usize);
+    for l in 1..=usize::from(levels) {
+        width = width.saturating_mul(arity as usize);
+        nodes = nodes.saturating_add(width);
+        path_entries = path_entries.saturating_add(width.saturating_mul(l + 1));
+    }
+    ns.reserve_exact(nodes, path_entries);
     let mut frontier = vec![ns.root()];
     let segments: Vec<String> = (0..arity).map(|i| i.to_string()).collect();
     for _ in 0..levels {

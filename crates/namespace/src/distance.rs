@@ -6,37 +6,46 @@
 //! the unique tree path between two nodes:
 //!
 //! `d(a, b) = depth(a) + depth(b) − 2·depth(lca(a, b))`
+//!
+//! Both [`lca`] and [`distance`] run on the namespace's root-to-node path
+//! table in O(log depth); the route decision calls [`distance`] once per
+//! forwarding candidate, so this module is on the per-event hot path.
 
 use crate::tree::{Namespace, NodeId};
 
+/// Length of the common prefix of two root-to-node paths.
+///
+/// In a tree, two paths that agree at depth `d` agree at every depth above
+/// it (a node has one ancestor per level), so "the entries at index `i`
+/// match" is true up to the LCA's depth and false below it: a binary search
+/// over `i` finds the boundary in O(log depth).
+#[inline]
+fn common_prefix(pa: &[NodeId], pb: &[NodeId]) -> usize {
+    let (mut lo, mut hi) = (0, pa.len().min(pb.len()));
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if pa.get(mid) == pb.get(mid) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
+}
+
 /// Lowest common ancestor of `a` and `b`.
 ///
-/// Runs in O(depth) by first equalizing depths and then walking both parent
-/// chains in lockstep. TerraDir namespaces are shallow (≤ ~20 levels), so
-/// this is effectively constant time and needs no preprocessing.
-pub fn lca(ns: &Namespace, mut a: NodeId, mut b: NodeId) -> NodeId {
-    let mut da = ns.depth(a);
-    let mut db = ns.depth(b);
-    while da > db {
-        let Some(p) = ns.parent(a) else { break };
-        a = p;
-        da -= 1;
-    }
-    while db > da {
-        let Some(p) = ns.parent(b) else { break };
-        b = p;
-        db -= 1;
-    }
-    while a != b {
-        let (Some(pa), Some(pb)) = (ns.parent(a), ns.parent(b)) else {
-            // Both walks reached a root without meeting: only possible in a
-            // corrupt forest; converge on whatever `a` reached.
-            break;
-        };
-        a = pa;
-        b = pb;
-    }
-    a
+/// Binary-searches the common prefix of the two nodes' root-to-node paths
+/// in the namespace's path table: O(log depth) over two contiguous
+/// slices, instead of walking parent pointers.
+pub fn lca(ns: &Namespace, a: NodeId, b: NodeId) -> NodeId {
+    let pa = ns.root_path(a);
+    let k = common_prefix(pa, ns.root_path(b));
+    // Both paths start at the root, so `k ≥ 1`.
+    k.checked_sub(1)
+        .and_then(|i| pa.get(i))
+        .copied()
+        .unwrap_or_else(|| ns.root())
 }
 
 /// Namespace distance between two nodes (number of tree edges on the unique
@@ -49,9 +58,11 @@ pub fn lca(ns: &Namespace, mut a: NodeId, mut b: NodeId) -> NodeId {
 /// let b = ns.lookup_str("/0/1").unwrap();
 /// assert_eq!(distance(&ns, a, b), 3);
 /// ```
+#[inline]
 pub fn distance(ns: &Namespace, a: NodeId, b: NodeId) -> u32 {
-    let l = lca(ns, a, b);
-    (ns.depth(a) as u32 + ns.depth(b) as u32) - 2 * ns.depth(l) as u32
+    let (pa, pb) = (ns.root_path(a), ns.root_path(b));
+    // Path lengths are depth + 1 and the common prefix is depth(lca) + 1.
+    (pa.len() + pb.len() - 2 * common_prefix(pa, pb)) as u32
 }
 
 /// Whether `anc` is an ancestor of `node` or the node itself.
@@ -144,7 +155,102 @@ pub fn path_between(ns: &Namespace, a: NodeId, b: NodeId) -> Vec<NodeId> {
 )]
 mod tests {
     use super::*;
-    use crate::builder::balanced_tree;
+    use crate::builder::{balanced_tree, coda_like, CodaParams};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// Reference LCA: equalize depths, then walk both parent chains in
+    /// lockstep (the pre-path-table implementation).
+    fn lca_by_parent_walk(ns: &Namespace, mut a: NodeId, mut b: NodeId) -> NodeId {
+        while ns.depth(a) > ns.depth(b) {
+            a = ns.parent(a).unwrap();
+        }
+        while ns.depth(b) > ns.depth(a) {
+            b = ns.parent(b).unwrap();
+        }
+        while a != b {
+            a = ns.parent(a).unwrap();
+            b = ns.parent(b).unwrap();
+        }
+        a
+    }
+
+    fn distance_by_parent_walk(ns: &Namespace, a: NodeId, b: NodeId) -> u32 {
+        let l = lca_by_parent_walk(ns, a, b);
+        u32::from(ns.depth(a)) + u32::from(ns.depth(b)) - 2 * u32::from(ns.depth(l))
+    }
+
+    fn assert_matches_reference(ns: &Namespace, a: NodeId, b: NodeId) {
+        assert_eq!(lca(ns, a, b), lca_by_parent_walk(ns, a, b), "lca({a}, {b})");
+        assert_eq!(
+            distance(ns, a, b),
+            distance_by_parent_walk(ns, a, b),
+            "distance({a}, {b})"
+        );
+    }
+
+    fn tc_tree() -> Namespace {
+        let params = CodaParams {
+            nodes: 3000,
+            ..CodaParams::default()
+        };
+        coda_like(&params, &mut StdRng::seed_from_u64(42))
+    }
+
+    #[test]
+    fn path_table_matches_parent_walk_on_all_pairs_of_a_balanced_tree() {
+        let ns = balanced_tree(3, 4);
+        for a in ns.ids() {
+            assert_eq!(ns.root_path(a).len(), usize::from(ns.depth(a)) + 1);
+            assert_eq!(ns.root_path(a).last(), Some(&a));
+            for b in ns.ids() {
+                assert_matches_reference(&ns, a, b);
+            }
+        }
+    }
+
+    #[test]
+    fn path_table_matches_parent_walk_on_a_chain_deeper_than_64() {
+        // A 100-deep chain with a side branch at every level: pairs span
+        // every depth combination, including ancestor/descendant pairs.
+        let mut ns = Namespace::new();
+        let mut cur = ns.root();
+        for _ in 0..100 {
+            ns.add_child(cur, "side").unwrap();
+            cur = ns.add_child(cur, "next").unwrap();
+        }
+        assert_eq!(ns.max_depth(), 100);
+        for a in ns.ids() {
+            for b in ns.ids() {
+                assert_matches_reference(&ns, a, b);
+            }
+        }
+    }
+
+    #[test]
+    fn out_of_range_ids_read_as_the_root() {
+        let ns = balanced_tree(2, 3);
+        let bogus = NodeId(ns.len() as u32 + 5);
+        assert_eq!(ns.root_path(bogus), &[ns.root()]);
+        let leaf = ns.lookup_str("/1/1/1").unwrap();
+        assert_eq!(distance(&ns, bogus, leaf), 3);
+        assert_eq!(lca(&ns, leaf, bogus), ns.root());
+    }
+
+    proptest! {
+        #[test]
+        fn path_table_matches_parent_walk_on_a_coda_like_tree(
+            a in 0u32..3000,
+            b in 0u32..3000,
+        ) {
+            let ns = tc_tree();
+            let n = ns.len() as u32;
+            let (a, b) = (NodeId(a % n), NodeId(b % n));
+            prop_assert_eq!(lca(&ns, a, b), lca_by_parent_walk(&ns, a, b));
+            prop_assert_eq!(distance(&ns, a, b), distance_by_parent_walk(&ns, a, b));
+        }
+    }
 
     fn tiny() -> Namespace {
         // /a, /a/b, /a/c, /d

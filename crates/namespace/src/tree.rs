@@ -52,6 +52,13 @@ struct NodeInfo {
 pub struct Namespace {
     nodes: Vec<NodeInfo>,
     by_name: DetHashMap<NodeName, NodeId>,
+    /// Flattened root-to-node paths: node `i`'s path, root first and `i`
+    /// last, is `paths[path_off[i]..path_off[i + 1]]`. Ids are dense and
+    /// assigned in insertion order, so [`Namespace::add_child`] only
+    /// appends. [`crate::distance`] binary searches two of these for their
+    /// common prefix.
+    paths: Vec<NodeId>,
+    path_off: Vec<u32>,
 }
 
 impl Namespace {
@@ -83,7 +90,21 @@ impl Namespace {
                 depth: 0,
             }],
             by_name,
+            // xtask: allow(alloc): construction, runs once per namespace
+            paths: vec![NodeId(0)],
+            // xtask: allow(alloc): construction, runs once per namespace
+            path_off: vec![0, 1],
         }
+    }
+
+    /// Reserves room for `nodes` more nodes whose root-to-node paths hold
+    /// `path_entries` ids in total, so a builder that knows its final
+    /// shape grows the arena and the path table exactly once. A hint
+    /// only: a shape too large to reserve grows on demand instead.
+    pub(crate) fn reserve_exact(&mut self, nodes: usize, path_entries: usize) {
+        let _ = self.nodes.try_reserve_exact(nodes);
+        let _ = self.path_off.try_reserve_exact(nodes);
+        let _ = self.paths.try_reserve_exact(path_entries);
     }
 
     /// The root node id (always `NodeId(0)`).
@@ -134,6 +155,10 @@ impl Namespace {
             parent_info.children.push(id);
         }
         self.by_name.insert(name, id);
+        let parent_path = self.path_range(parent);
+        self.paths.extend_from_within(parent_path);
+        self.paths.push(id);
+        self.path_off.push(self.paths.len() as u32);
         Ok(id)
     }
 
@@ -212,6 +237,23 @@ impl Namespace {
         }
         out.extend_from_slice(&info.children);
         out
+    }
+
+    /// The range of `id`'s root-to-node path in `paths`; an out-of-range
+    /// id degrades to the root's, like [`Namespace::info`].
+    fn path_range(&self, id: NodeId) -> std::ops::Range<usize> {
+        let i = id.index();
+        match (self.path_off.get(i), self.path_off.get(i + 1)) {
+            (Some(&start), Some(&end)) => start as usize..end as usize,
+            _ => 0..1,
+        }
+    }
+
+    /// The path from the root down to `id`, both included: entry `d` is
+    /// `id`'s ancestor at depth `d`, so the slice is `depth(id) + 1` long.
+    #[inline]
+    pub(crate) fn root_path(&self, id: NodeId) -> &[NodeId] {
+        self.paths.get(self.path_range(id)).unwrap_or_default()
     }
 
     /// Whether the node has no children.

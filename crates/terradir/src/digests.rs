@@ -81,10 +81,22 @@ impl DigestStore {
     /// Whether a `(server, node)` digest hit is known to be wrong for the
     /// generation currently stored.
     pub fn is_denied(&self, server: ServerId, node: terradir_namespace::NodeId) -> bool {
-        match (self.denied.get(&(server, node)), self.entries.get(&server)) {
-            (Some(&gen), Some(e)) => e.digest.generation() == gen,
-            _ => false,
-        }
+        self.entries
+            .get(&server)
+            .is_some_and(|e| self.is_denied_at(server, node, e.digest.generation()))
+    }
+
+    /// [`DigestStore::is_denied`] for a caller already holding `server`'s
+    /// stored digest (from [`DigestStore::iter`]): passing its generation
+    /// saves the second store lookup, and an empty denial set costs none.
+    #[inline]
+    pub fn is_denied_at(
+        &self,
+        server: ServerId,
+        node: terradir_namespace::NodeId,
+        generation: u64,
+    ) -> bool {
+        !self.denied.is_empty() && self.denied.get(&(server, node)) == Some(&generation)
     }
 
     /// Number of stored digests.

@@ -32,7 +32,7 @@ use crate::storage::StoredObject;
 
 /// Per-server anti-entropy bookkeeping. Inert (empty, no digest, no
 /// allocations beyond the empty containers) while gossip is disabled.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct GossipState {
     /// The server's current windowed digest over hosted names and
     /// object-version keys. Built lazily at the first round.

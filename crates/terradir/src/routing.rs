@@ -66,6 +66,37 @@ pub enum HopKind {
     Digest,
 }
 
+/// Per-server scratch buffers for [`ServerState::decide_route`], kept
+/// across calls so a route decision allocates nothing of its own.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct RouteScratch {
+    /// Packed candidate keys (see [`pack`]), sorted per decision.
+    keys: Vec<u64>,
+    /// Servers whose digest claims the name under test.
+    hits: Vec<ServerId>,
+}
+
+/// Packs a forwarding candidate into one sortable key: distance in the
+/// high bits, then node id, then a kind bit that puts a context neighbor
+/// before a cache entry for the same node. Keys are unique per
+/// `(node, kind)`, so sorting them is sorting by `(distance, node id)`.
+/// Distances are at most twice the `u16` tree depth, far below 2^31.
+#[inline]
+fn pack(dist: u32, node: NodeId, kind: HopKind) -> u64 {
+    (u64::from(dist) << 33) | (u64::from(node.0) << 1) | u64::from(kind == HopKind::Cache)
+}
+
+/// Inverse of [`pack`]: `(distance, node, kind)`.
+#[inline]
+fn unpack(key: u64) -> (u32, NodeId, HopKind) {
+    let kind = if key & 1 == 1 {
+        HopKind::Cache
+    } else {
+        HopKind::Neighbor
+    };
+    ((key >> 33) as u32, NodeId((key >> 1) as u32), kind)
+}
+
 impl ServerState {
     /// Decides how to route a query for `target` from this server,
     /// preferring forwarding destinations outside `avoid` (the packet's
@@ -79,49 +110,79 @@ impl ServerState {
         if self.hosts(target) {
             return RouteChoice::Resolve;
         }
-        let ns = &self.ns;
+        // Detach the scratch buffers so the decision may mutate server
+        // state while it walks them (taking an empty Vec allocates nothing).
+        let mut scratch = std::mem::take(&mut self.route_scratch);
+        let choice = self.route_with(target, avoid, rng, &mut scratch);
+        self.route_scratch = scratch;
+        choice
+    }
 
-        // Classical candidates: context neighbors and cached pointers,
-        // excluding nodes we host (their contexts already contribute) —
-        // deterministically ordered by (distance, node id).
-        let mut candidates: Vec<(u32, NodeId, HopKind)> = Vec::new();
-        for &n in self.neighbor_maps.keys() {
-            if self.hosts(n) {
-                continue;
-            }
-            candidates.push((distance(ns, n, target), n, HopKind::Neighbor));
-        }
+    /// Whether a ranked key is a real forwarding candidate: context
+    /// neighbors and cached pointers, excluding nodes we host (their
+    /// contexts already contribute) and cache entries that duplicate a
+    /// context neighbor. Pure, so testing it lazily in rank order keeps
+    /// exactly the candidates an eager filter would, in the same order.
+    fn is_candidate(&self, node: NodeId, kind: HopKind) -> bool {
+        !self.hosts(node) && (kind == HopKind::Neighbor || !self.neighbor_maps.contains_key(&node))
+    }
+
+    fn route_with(
+        &mut self,
+        target: NodeId,
+        avoid: &[ServerId],
+        rng: &mut impl RngCore,
+        scratch: &mut RouteScratch,
+    ) -> RouteChoice {
+        // Rank first, filter lazily: one packed key per context neighbor
+        // and cache entry, sorted once, so the (distance, node id) order
+        // is ready before any exclusion lookup runs. The exclusions are
+        // then paid only for the candidates the decision actually reaches
+        // — usually just the head.
+        let keys = &mut scratch.keys;
+        keys.clear();
+        let ns = &self.ns;
+        keys.extend(
+            self.neighbor_maps
+                .keys()
+                .map(|&n| pack(distance(ns, n, target), n, HopKind::Neighbor)),
+        );
         if self.cfg.caching {
-            for (n, _) in self.cache.iter() {
-                if self.hosts(n) || self.neighbor_maps.contains_key(&n) {
-                    continue;
-                }
-                candidates.push((distance(ns, n, target), n, HopKind::Cache));
-            }
+            keys.extend(
+                self.cache
+                    .iter()
+                    .map(|(n, _)| pack(distance(ns, n, target), n, HopKind::Cache)),
+            );
         }
-        candidates.sort_unstable_by_key(|&(d, n, _)| (d, n));
-        let best = candidates.first().copied();
+        keys.sort_unstable();
+        let first = keys.iter().position(|&k| {
+            let (_, n, kind) = unpack(k);
+            self.is_candidate(n, kind)
+        });
+        let best_dist = first
+            .and_then(|i| keys.get(i))
+            .map_or(u32::MAX, |&k| unpack(k).0);
 
         // Digest shortcut: test the target and its ancestors (the provably
         // optimal generated-set members) in increasing-distance order, but
         // only at distances that would beat the classical candidate.
-        let mut digest_hit: Option<(u32, NodeId, ServerId)> = None;
+        let mut digest_hit: Option<(NodeId, ServerId)> = None;
         if self.cfg.digests && !self.digest_store.is_empty() {
-            let best_dist = best.as_ref().map_or(u32::MAX, |(d, _, _)| *d);
+            let hits = &mut scratch.hits;
             let mut budget = self.cfg.digest_test_budget;
             let mut chain = Some(target);
             let mut dist = 0u32;
-            'outer: while let Some(node) = chain {
+            while let Some(node) = chain {
                 if dist >= best_dist || budget == 0 {
                     break;
                 }
-                let name = ns.name(node).as_str();
+                let name = self.ns.name(node).as_str();
                 // Collect every hit for this name and pick one uniformly at
                 // random — the paper's replica-selection rule. (A
                 // deterministic tie-break such as "lowest server id" would
                 // funnel all shortcut traffic for a node onto one host and
                 // pin it at full load.)
-                let mut hits: Vec<ServerId> = Vec::new();
+                hits.clear();
                 for (srv, digest) in self.digest_store.iter() {
                     if budget == 0 {
                         break;
@@ -130,7 +191,13 @@ impl ServerState {
                     if srv == self.id {
                         continue;
                     }
-                    if !self.digest_store.is_denied(srv, node) && digest.test(name) {
+                    // Bloom test first: denials only matter on a hit, and
+                    // the generation comes from the digest in hand.
+                    if digest.test(name)
+                        && !self
+                            .digest_store
+                            .is_denied_at(srv, node, digest.generation())
+                    {
                         hits.push(srv);
                     }
                 }
@@ -149,18 +216,16 @@ impl ServerState {
                             .filter(|h| !avoid.contains(h))
                             .nth(pick)
                     };
-                    let Some(srv) = chosen else {
-                        break 'outer; // gen_range keeps pick in bounds
-                    };
-                    digest_hit = Some((dist, node, srv));
-                    break 'outer;
+                    // gen_range keeps pick in bounds, so `chosen` is set.
+                    digest_hit = chosen.map(|srv| (node, srv));
+                    break;
                 }
-                chain = ns.parent(node);
+                chain = self.ns.parent(node);
                 dist += 1;
             }
         }
 
-        if let Some((_, node, srv)) = digest_hit {
+        if let Some((node, srv)) = digest_hit {
             return RouteChoice::Forward {
                 via: node,
                 to: srv,
@@ -176,7 +241,11 @@ impl ServerState {
         // bouncing). The first all-avoided candidate is kept as a last
         // resort so the query never strands when every host was visited.
         let mut fallback: Option<(NodeId, HopKind, NodeMap)> = None;
-        for (_, via, kind) in candidates {
+        for &key in keys.iter().skip(first.unwrap_or(keys.len())) {
+            let (_, via, kind) = unpack(key);
+            if !self.is_candidate(via, kind) {
+                continue;
+            }
             // Candidates were enumerated from these same tables, so the
             // lookups can only miss on concurrent mutation (impossible
             // here); skipping is the safe degradation.
@@ -221,7 +290,8 @@ impl ServerState {
                     // Attribute the demand to a hosted node whose context
                     // gave us this neighbor (deterministic: smallest id).
                     let mut ctx: Option<NodeId> = None;
-                    for &h in &self.ns.neighbors(via) {
+                    let ns = &self.ns;
+                    for &h in ns.parent(via).iter().chain(ns.children(via)) {
                         if self.hosts(h) && ctx.is_none_or(|c| h < c) {
                             ctx = Some(h);
                         }

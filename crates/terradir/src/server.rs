@@ -166,7 +166,9 @@ pub enum ProtocolEvent {
 }
 
 /// One peer's complete protocol state.
-#[derive(Debug)]
+///
+/// `Clone` lets a bench or test snapshot a server out of a warmed run.
+#[derive(Debug, Clone)]
 pub struct ServerState {
     pub(crate) id: ServerId,
     pub(crate) ns: Arc<Namespace>,
@@ -235,6 +237,8 @@ pub struct ServerState {
     /// heterogeneity is off). Used only for deterministic tie-breaking
     /// in replication partner ranking — never consulted for timing.
     pub(crate) speeds: Arc<[f64]>,
+    /// Reusable buffers of the route decision (never read across calls).
+    pub(crate) route_scratch: crate::routing::RouteScratch,
 }
 
 /// Client-side state of one in-progress data fetch.
@@ -310,6 +314,7 @@ impl ServerState {
             gossip: crate::gossip::GossipState::default(),
             roles: None,
             speeds: Arc::new([]),
+            route_scratch: crate::routing::RouteScratch::default(),
             ns,
             cfg,
         }
@@ -1473,6 +1478,11 @@ impl ServerState {
     /// The decayed demand weight of a node.
     pub fn weight_of(&self, node: NodeId, now: f64) -> f64 {
         self.weights.value(node, now)
+    }
+
+    /// The stored peer digests this server tests for shortcuts.
+    pub fn digest_store(&self) -> &DigestStore {
+        &self.digest_store
     }
 
     /// Direct access to the rng-free route decision, exposed for the

@@ -34,6 +34,7 @@ use crate::lexer::{cfg_test_ranges, line_of, scrub};
 /// loop, the calendar, and tree lookups). DESIGN.md §16 documents the
 /// policy for extending this list.
 pub const HOT_PATH_FILES: &[&str] = &[
+    "crates/namespace/src/distance.rs",
     "crates/namespace/src/tree.rs",
     "crates/sim/src/calendar.rs",
     "crates/terradir/src/gossip.rs",

@@ -1,0 +1,167 @@
+// Integration surface: panicking on unexpected state is the correct failure mode here.
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    clippy::panic
+)]
+
+//! Golden summaries: one short small-fleet run of each benchmark shape
+//! (T_S adaptation, T_C Zipf, T_S storage + churn + gossip), pinned field
+//! for field.
+//!
+//! The route decision's speed work (rank-first candidate build, path-table
+//! distance, Bloom-first denial lookups) is equivalent by construction:
+//! it must not change a single forwarding choice or RNG draw. Any hop that
+//! moves shows up here as a changed counter or draw count. The pinned
+//! strings are `Summary::to_json()` with the allocation-ledger fields
+//! stripped (allocations are what the speed work is allowed to change),
+//! followed by the per-tag RNG draw ledger.
+//!
+//! A deliberate behaviour change (a new digest hash, say) re-pins these
+//! values in the same change and says why.
+
+use terradir_repro::namespace::{balanced_tree, coda_like, CodaParams, Namespace};
+use terradir_repro::protocol::{Config, GossipCulture, System};
+use terradir_repro::workload::{seed::tags, seeded_rng, StreamPlan};
+
+/// Runs `window` simulated seconds of injection, then drains for `drain`,
+/// and renders the summary (allocation fields stripped) plus the draw
+/// ledger.
+fn golden(
+    ns: Namespace,
+    cfg: Config,
+    plan: StreamPlan,
+    rate: f64,
+    window: f64,
+    drain: f64,
+) -> String {
+    let mut sys = System::new(ns, cfg, plan, rate);
+    sys.run_until(window);
+    sys.set_injection(false);
+    sys.run_until(window + drain);
+    let st = sys.stats();
+    let json = st.summary().to_json();
+    let (head, _alloc) = json
+        .split_once(",\"alloc_events\"")
+        .expect("summary ends with the allocation fields");
+    format!("{head}}} draws={:?}", st.rng_draws)
+}
+
+#[test]
+fn ts_adaptation_summary_is_pinned() {
+    // 64 servers × 8 nodes: the T_S tree of `ts-adapt-1024`, scaled down.
+    let ns = balanced_tree(2, 8);
+    let cfg = Config::paper_default(64).with_seed(1);
+    let plan = StreamPlan::adaptation(1.25, 2.0, 2, 2.0);
+    let got = golden(ns, cfg, plan, 800.0, 6.0, 6.0);
+    assert_eq!(got, TS_ADAPT, "a routed hop or RNG draw changed");
+}
+
+#[test]
+fn tc_zipf_summary_is_pinned() {
+    // 64 servers × ~20 nodes of the Coda-like T_C tree (`tc-zipf-256`).
+    let params = CodaParams {
+        nodes: 1280,
+        ..CodaParams::default()
+    };
+    let ns = coda_like(&params, &mut seeded_rng(42, tags::NAMESPACE));
+    let cfg = Config::paper_default(64).with_seed(2);
+    let got = golden(ns, cfg, StreamPlan::uzipf(1.0, 10.0), 1000.0, 5.0, 5.0);
+    assert_eq!(got, TC_ZIPF, "a routed hop or RNG draw changed");
+}
+
+#[test]
+fn ts_store_churn_summary_is_pinned() {
+    // `ts-store-churn-256`'s protocol stack on 32 servers: BCR plus quorum
+    // storage, churn, retries and taciturn gossip.
+    let servers = 32u32;
+    let window = 12.0;
+    let mut cfg = Config::paper_default(servers).with_seed(3);
+    cfg.retry.enabled = true;
+    cfg.storage.enabled = true;
+    cfg.storage.n_objects = 4 * servers;
+    cfg.storage.replication_factor = 3;
+    cfg.storage.quorum_reads = true;
+    cfg.storage.write_rate = 0.5 * f64::from(servers);
+    cfg.storage.read_rate = 0.5 * f64::from(servers);
+    cfg.storage.read_timeout = 1.0;
+    cfg.churn.enabled = true;
+    cfg.churn.start = 0.1 * window;
+    cfg.churn.stop = 0.8 * window;
+    cfg.churn.mean_uptime = 6.0;
+    cfg.churn.mean_downtime = 1.0;
+    cfg.gossip.enabled = true;
+    cfg.gossip.culture = GossipCulture::Taciturn;
+    cfg.gossip.interval = 0.5;
+    cfg.gossip.fanout = 3;
+    cfg.gossip.window = cfg.storage.n_objects;
+    let plan = StreamPlan::uzipf(1.0, window + 16.0);
+    let got = golden(balanced_tree(2, 7), cfg, plan, 200.0, window, 16.0);
+    assert_eq!(got, TS_STORE_CHURN, "a routed hop or RNG draw changed");
+}
+
+const TS_ADAPT: &str = concat!(
+    r#"{"injected":4690,"resolved":3694,"dropped":996,"#,
+    r#""drop_fraction":0.212367,"latency_mean_s":0.527985,"#,
+    r#""latency_p99_s":1.620000,"hops_mean":1.8032,"replicas_created":114,"#,
+    r#""replicas_deleted":0,"sessions_completed":78,"control_messages":990,"#,
+    r#""data_fetches_ok":0,"retries":0,"messages_lost":0,"churn_failures":0,"#,
+    r#""churn_recoveries":0,"dropped_shed":0,"dropped_partition":0,"#,
+    r#""messages_cut":0,"cuts_applied":0,"heals_applied":0,"#,
+    r#""flash_injected":0,"misroutes":4,"detour_hops":9,"lease_evictions":0,"#,
+    r#""reconcile_pushes":0,"objects_written":0,"objects_alive":0,"#,
+    r#""objects_lost":0,"object_puts":0,"object_reads":0,"reads_failed":0,"#,
+    r#""stale_reads":0,"repair_pushes":0,"bytes_on_wire":2040892,"#,
+    r#""gossip_bytes":0,"query_messages":11676,"sessions_aborted":43,"#,
+    r#""data_fetches_failed":0,"messages_to_dead":0,"attempts_lost_queue":0,"#,
+    r#""attempts_lost_ttl":0,"attempts_lost_stuck":0,"attempts_lost_dead":0,"#,
+    r#""attempts_lost_transport":0,"attempts_lost_shed":0,"#,
+    r#""attempts_lost_partition":0,"scenario_crashes":0,"tenant_count":0,"#,
+    r#""tenant_worst_availability":1.000000,"tenant_slo_misses":0,"#,
+    r#""rng_draws":40894} draws=[0, 957, 4691, 4690, 16360, 1530, 7976, 4690,"#,
+    r#" 0, 0, 0, 0]"#,
+);
+const TC_ZIPF: &str = concat!(
+    r#"{"injected":5043,"resolved":2310,"dropped":2733,"#,
+    r#""drop_fraction":0.541939,"latency_mean_s":0.500735,"#,
+    r#""latency_p99_s":1.450000,"hops_mean":1.4844,"replicas_created":40,"#,
+    r#""replicas_deleted":0,"sessions_completed":37,"control_messages":431,"#,
+    r#""data_fetches_ok":0,"retries":0,"messages_lost":0,"churn_failures":0,"#,
+    r#""churn_recoveries":0,"dropped_shed":0,"dropped_partition":0,"#,
+    r#""messages_cut":0,"cuts_applied":0,"heals_applied":0,"#,
+    r#""flash_injected":0,"misroutes":0,"detour_hops":0,"lease_evictions":0,"#,
+    r#""reconcile_pushes":0,"objects_written":0,"objects_alive":0,"#,
+    r#""objects_lost":0,"object_puts":0,"object_reads":0,"reads_failed":0,"#,
+    r#""stale_reads":0,"repair_pushes":0,"bytes_on_wire":2106564,"#,
+    r#""gossip_bytes":0,"query_messages":8408,"sessions_aborted":14,"#,
+    r#""data_fetches_failed":0,"messages_to_dead":0,"attempts_lost_queue":0,"#,
+    r#""attempts_lost_ttl":0,"attempts_lost_stuck":0,"attempts_lost_dead":0,"#,
+    r#""attempts_lost_transport":0,"attempts_lost_shed":0,"#,
+    r#""attempts_lost_partition":0,"scenario_crashes":0,"tenant_count":0,"#,
+    r#""tenant_worst_availability":1.000000,"tenant_slo_misses":0,"#,
+    r#""rng_draws":36270} draws=[0, 2495, 5044, 5043, 11149, 1279, 6217,"#,
+    r#" 5043, 0, 0, 0, 0]"#,
+);
+const TS_STORE_CHURN: &str = concat!(
+    r#"{"injected":2389,"resolved":2389,"dropped":0,"drop_fraction":0.000000,"#,
+    r#""latency_mean_s":0.368658,"latency_p99_s":3.360000,"hops_mean":1.2265,"#,
+    r#""replicas_created":19,"replicas_deleted":1,"sessions_completed":20,"#,
+    r#""control_messages":8465,"data_fetches_ok":0,"retries":366,"#,
+    r#""messages_lost":0,"churn_failures":35,"churn_recoveries":35,"#,
+    r#""dropped_shed":0,"dropped_partition":0,"messages_cut":0,"#,
+    r#""cuts_applied":0,"heals_applied":0,"flash_injected":0,"misroutes":28,"#,
+    r#""detour_hops":28,"lease_evictions":0,"reconcile_pushes":0,"#,
+    r#""objects_written":128,"objects_alive":124,"objects_lost":4,"#,
+    r#""object_puts":170,"object_reads":173,"reads_failed":15,"#,
+    r#""stale_reads":0,"repair_pushes":0,"bytes_on_wire":1531101,"#,
+    r#""gossip_bytes":492545,"query_messages":5909,"sessions_aborted":3,"#,
+    r#""data_fetches_failed":0,"messages_to_dead":447,"#,
+    r#""attempts_lost_queue":30,"attempts_lost_ttl":0,"#,
+    r#""attempts_lost_stuck":0,"attempts_lost_dead":336,"#,
+    r#""attempts_lost_transport":0,"attempts_lost_shed":0,"#,
+    r#""attempts_lost_partition":0,"scenario_crashes":0,"tenant_count":0,"#,
+    r#""tenant_worst_availability":1.000000,"tenant_slo_misses":0,"#,
+    r#""rng_draws":64528} draws=[0, 477, 2390, 2389, 17400, 254, 4675, 2389,"#,
+    r#" 0, 0, 0, 34554]"#,
+);
