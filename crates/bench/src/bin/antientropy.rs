@@ -27,12 +27,9 @@
 //!   top of stale ones — so the digest cultures must reconverge no
 //!   slower than chatty, at a fraction of the bytes.
 //! - **Durability arm**: mild churn with the write/read drivers off, so
-//!   object survival depends entirely on re-replication. The rotating
-//!   sweep (repair on, gossip off) is charged its honest wire cost —
-//!   per-(object, live replica) status probes plus pushes — and compared
-//!   against digest-driven repair (gossip taciturn, sweep off) at the
-//!   same cadence: the digest arm must lose no more objects at lower
-//!   repair wire cost.
+//!   object survival depends entirely on re-replication. Digest-driven
+//!   repair (gossip taciturn) must lose no more objects than no repair
+//!   at all; its repair wire cost is its gossip-byte counter.
 //!
 //! A replay arm proves a gossip-enabled run replays byte-identically
 //! from the seed, and an inertness arm proves every gossip knob is dead
@@ -58,7 +55,6 @@ struct Run {
     resolved: u64,
     objects_alive: u64,
     objects_lost: u64,
-    repair_pushes: u64,
     curve: Vec<f64>,
     ttr_heal: f64,
     ttr_recover: f64,
@@ -78,7 +74,6 @@ impl Run {
             .int("resolved", self.resolved)
             .int("objects_alive", self.objects_alive)
             .int("objects_lost", self.objects_lost)
-            .int("repair_pushes", self.repair_pushes)
             .num("ttr_heal", self.ttr_heal)
             .num("ttr_recover", self.ttr_recover)
             .raw("summary", &self.summary.to_json())
@@ -194,7 +189,6 @@ fn run_one(
         resolved: st.resolved,
         objects_alive: alive,
         objects_lost: lost,
-        repair_pushes: st.repair_pushes,
         curve,
         ttr_heal,
         ttr_recover,
@@ -423,15 +417,12 @@ fn main() {
         }
     }
 
-    // ---- Durability arm: rotating sweep vs digest-driven repair ------
-    let durability_cfg = |sweep: bool, digest: bool| {
+    // ---- Durability arm: no repair vs digest-driven repair -----------
+    let durability_cfg = |digest: bool| {
         let mut cfg = scale.config(args.seed);
         cfg.storage.enabled = true;
-        // Objects scale with the fleet (4 per server): the sweep's cost
-        // is O(objects) and gossip's is O(servers), so a fixed tiny
-        // object set would hand the sweep an unearned win at scale while
-        // a huge one would hand it to gossip — tying the two keeps the
-        // comparison about the mechanism.
+        // Objects scale with the fleet (4 per server), so the object
+        // load per gossip peer stays fixed across scales.
         cfg.storage.n_objects = scale.servers * 4;
         cfg.storage.replication_factor = 3;
         // Drivers off: survival must come from re-replication, not from
@@ -443,15 +434,11 @@ fn main() {
         cfg.churn.stop = dur * 0.8;
         cfg.churn.mean_uptime = dur * 0.3;
         cfg.churn.mean_downtime = dur * 0.08;
-        cfg.repair.enabled = sweep;
-        cfg.repair.interval = interval;
-        cfg.repair.batch = cfg.storage.n_objects * 2;
         if digest {
-            // Same cadence as the sweep, so the comparison isolates the
-            // mechanism, not the schedule. A wider fanout than the
-            // routing sweeps use: a wiped server re-fills only by
-            // soliciting a peer that holds its copies, so per-round
-            // neighborhood coverage is the repair latency knob.
+            // A wider fanout than the routing sweeps use: a wiped server
+            // re-fills only by soliciting a peer that holds its copies,
+            // so per-round neighborhood coverage is the repair latency
+            // knob.
             gossip_on(&mut cfg, GossipCulture::Taciturn, interval);
             cfg.gossip.fanout = 6;
         }
@@ -461,18 +448,12 @@ fn main() {
     // Same worst-case-retry-chain margin as the churn sweep: the replay
     // arms reuse this drain and their stats must settle, not be cut off.
     let dur_drain = dur + dur * 0.08 * 4.0 + 20.0;
-    let base = run_one(&scale, durability_cfg(false, false), dur, dur_drain, None);
-    let sweep = run_one(&scale, durability_cfg(true, false), dur, dur_drain, None);
-    let digest = run_one(&scale, durability_cfg(false, true), dur, dur_drain, None);
-    // Sweep and base share every fault draw (the sweep draws none), so
-    // the subtraction attributes exactly the probe + push traffic; the
-    // digest arm's repair cost is its gossip-byte counter directly.
-    let sweep_repair_bytes = sweep.bytes_on_wire.saturating_sub(base.bytes_on_wire);
+    let base = run_one(&scale, durability_cfg(false), dur, dur_drain, None);
+    let digest = run_one(&scale, durability_cfg(true), dur, dur_drain, None);
     let digest_repair_bytes = digest.gossip_bytes;
-    tsv_header(&["arm", "lost", "alive", "repair_bytes", "repair_pushes"]);
+    tsv_header(&["arm", "lost", "alive", "repair_bytes"]);
     for (label, run, bytes) in [
         ("none", &base, 0u64),
-        ("sweep", &sweep, sweep_repair_bytes),
         ("digest", &digest, digest_repair_bytes),
     ] {
         tsv_row(
@@ -481,15 +462,9 @@ fn main() {
                 run.objects_lost as f64,
                 run.objects_alive as f64,
                 bytes as f64,
-                run.repair_pushes as f64,
             ],
         );
     }
-    checks.check(
-        "sweep repairs: never worse than no repair",
-        sweep.objects_lost <= base.objects_lost,
-        format!("sweep lost {} vs {}", sweep.objects_lost, base.objects_lost),
-    );
     checks.check(
         "digest repairs: never worse than no repair",
         digest.objects_lost <= base.objects_lost,
@@ -497,24 +472,6 @@ fn main() {
             "digest lost {} vs {}",
             digest.objects_lost, base.objects_lost
         ),
-    );
-    checks.check(
-        "digest repair matches the sweep's durability",
-        digest.objects_lost <= sweep.objects_lost,
-        format!(
-            "digest lost {} vs sweep {}",
-            digest.objects_lost, sweep.objects_lost
-        ),
-    );
-    checks.check(
-        "digest repair undercuts the sweep's wire cost",
-        digest_repair_bytes < sweep_repair_bytes,
-        format!("digest {digest_repair_bytes} vs sweep {sweep_repair_bytes}"),
-    );
-    checks.check(
-        "digest arm keeps the sweep silent",
-        digest.repair_pushes == 0,
-        format!("{} sweep pushes", digest.repair_pushes),
     );
 
     // ---- Replay + inertness arms -------------------------------------
@@ -590,9 +547,7 @@ fn main() {
             "durability",
             JsonObj::new()
                 .obj("none", base.json())
-                .obj("sweep", sweep.json())
                 .obj("digest", digest.json())
-                .int("sweep_repair_bytes", sweep_repair_bytes)
                 .int("digest_repair_bytes", digest_repair_bytes),
         )
         .obj("replay", replay_a.json());

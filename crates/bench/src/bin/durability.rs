@@ -11,12 +11,12 @@
 //! the identical seed so arms differ only in the knob under test:
 //!
 //! - **Churn sweep** (objects-lost curve): churn intensity
-//!   {none, mild, heavy} × repair {off, on}, with the write driver off —
-//!   so durability must come from re-replication, not from writes
-//!   resurrecting lost objects. With repair off a recovered server's
-//!   store stays empty forever; an object survives only if some replica
-//!   never crashed. Repair on must dominate: never more objects lost,
-//!   strictly fewer wherever the baseline loses any.
+//!   {none, mild, heavy} × taciturn digest gossip {off, on}, with the
+//!   write driver off — so durability must come from re-replication,
+//!   not from writes resurrecting lost objects. With gossip off a
+//!   recovered server's store stays empty forever; an object survives
+//!   only if some replica never crashed. Gossip on must dominate: never
+//!   more objects lost, strictly fewer wherever the baseline loses any.
 //! - **Write-rate sweep** (stale-reads curve): write rate
 //!   {low, mid, high} × read policy {any-replica, quorum} across a
 //!   partition window. Churn cannot create stale copies here — a crash
@@ -32,15 +32,15 @@
 //!   its stale count while quorum completes those same reads.
 //!
 //! - **Replication-factor sweep**: rf {1, 2, 3} under mild churn with
-//!   repair on. More copies, more crash draws survived between repair
-//!   sweeps: objects lost must not increase with rf.
+//!   gossip on. More copies, more crash draws survived between gossip
+//!   repairs: objects lost must not increase with rf.
 //!
 //! A replay arm re-runs one storage-enabled configuration and compares
 //! the full `RunStats` debug rendering byte-for-byte, and a storage-off
 //! run asserts every storage counter stays zero (the subsystem is
 //! inert unless asked for).
 
-use terradir::{Config, CutWindow, Summary, System};
+use terradir::{Config, CutWindow, GossipCulture, Summary, System};
 use terradir_bench::{tsv_header, tsv_row, write_bench_json, Args, JsonObj, Scale, ShapeChecks};
 use terradir_workload::StreamPlan;
 
@@ -80,7 +80,7 @@ struct Run {
     object_reads: u64,
     reads_failed: u64,
     stale_reads: u64,
-    repair_pushes: u64,
+    gossip_bytes: u64,
     stats_debug: String,
     summary: Summary,
 }
@@ -94,13 +94,14 @@ impl Run {
             .int("object_reads", self.object_reads)
             .int("reads_failed", self.reads_failed)
             .int("stale_reads", self.stale_reads)
-            .int("repair_pushes", self.repair_pushes)
+            .int("gossip_bytes", self.gossip_bytes)
             .raw("summary", &self.summary.to_json())
     }
 }
 
 /// Builds the storage configuration for one run. `uptime_frac == 0`
-/// disables churn. `write_rate == 0` silences the write driver (the
+/// disables churn. `gossip` turns on taciturn digest gossip, the
+/// object-repair path. `write_rate == 0` silences the write driver (the
 /// churn sweep measures repair, not overwrite-resurrection). `cut`
 /// severs a quarter of the fleet over the middle of the run — the
 /// staleness generator for the write sweep, since only a partition
@@ -111,7 +112,7 @@ fn build_cfg(
     dur: f64,
     uptime_frac: f64,
     cut: bool,
-    repair: bool,
+    gossip: bool,
     quorum: bool,
     write_rate: f64,
 ) -> Config {
@@ -122,11 +123,16 @@ fn build_cfg(
     cfg.storage.read_rate = 40.0;
     // Short enough that reads issued near the end finalize in the drain.
     cfg.storage.read_timeout = (dur * 0.05).clamp(0.2, 2.0);
-    cfg.repair.enabled = repair;
-    // ~12 sweeps per run regardless of duration; a batch large enough
-    // to re-replicate the whole object set in one sweep at this scale.
-    cfg.repair.interval = (dur / 12.0).max(0.05);
-    cfg.repair.batch = cfg.storage.n_objects * 2;
+    if gossip {
+        // ~12 rounds per run regardless of duration. A wide fanout: a
+        // wiped server re-fills only by soliciting a peer that holds its
+        // copies. The window covers every object key.
+        cfg.gossip.enabled = true;
+        cfg.gossip.culture = GossipCulture::Taciturn;
+        cfg.gossip.interval = (dur / 12.0).max(0.05);
+        cfg.gossip.fanout = 6;
+        cfg.gossip.window = cfg.storage.n_objects.max(32);
+    }
     if uptime_frac > 0.0 {
         cfg.churn.enabled = true;
         cfg.churn.start = dur * 0.1;
@@ -166,7 +172,7 @@ fn run_one(scale: &Scale, cfg: Config, dur: f64) -> Run {
         object_reads: st.object_reads,
         reads_failed: st.reads_failed,
         stale_reads: st.stale_reads,
-        repair_pushes: st.repair_pushes,
+        gossip_bytes: st.gossip_bytes,
         stats_debug: format!("{st:?}"),
         summary: st.summary(),
     }
@@ -181,13 +187,13 @@ fn main() {
         scale.servers, dur, args.seed
     );
 
-    // ---- Churn sweep: objects lost vs churn, repair off vs on --------
+    // ---- Churn sweep: objects lost vs churn, gossip off vs on --------
     tsv_header(&[
         "arm",
         "lost",
         "alive",
         "written",
-        "repair_pushes",
+        "gossip_bytes",
         "reads_failed",
     ]);
     let mut lost_off = Vec::new();
@@ -196,62 +202,59 @@ fn main() {
     let mut checks = ShapeChecks::new();
     for level in CHURN_LEVELS {
         let mut per_level = JsonObj::new();
-        for repair in [false, true] {
+        for gossip in [false, true] {
             let cfg = build_cfg(
                 &scale,
                 args.seed,
                 dur,
                 level.uptime_frac,
                 false,
-                repair,
+                gossip,
                 true,
                 0.0,
             );
             let run = run_one(&scale, cfg, dur);
-            let label = format!(
-                "churn_{}_{}",
-                level.label,
-                if repair { "repair_on" } else { "repair_off" }
-            );
+            let arm = if gossip { "gossip_on" } else { "gossip_off" };
+            let label = format!("churn_{}_{arm}", level.label);
             tsv_row(
                 &label,
                 &[
                     run.objects_lost as f64,
                     run.objects_alive as f64,
                     run.objects_written as f64,
-                    run.repair_pushes as f64,
+                    run.gossip_bytes as f64,
                     run.reads_failed as f64,
                 ],
             );
-            if repair {
+            if gossip {
                 lost_on.push(run.objects_lost as f64);
             } else {
                 lost_off.push(run.objects_lost as f64);
                 checks.check(
-                    &format!("repair-off is silent ({})", level.label),
-                    run.repair_pushes == 0,
-                    format!("{} pushes with repair disabled", run.repair_pushes),
+                    &format!("gossip-off carries zero gossip bytes ({})", level.label),
+                    run.gossip_bytes == 0,
+                    format!("{} gossip bytes with gossip disabled", run.gossip_bytes),
                 );
             }
-            per_level = per_level.obj(if repair { "repair_on" } else { "repair_off" }, run.json());
+            per_level = per_level.obj(arm, run.json());
         }
         churn_json = churn_json.obj(level.label, per_level);
     }
     for (i, level) in CHURN_LEVELS.iter().enumerate() {
         let (off, on) = (lost_off[i], lost_on[i]);
         checks.check(
-            &format!("repair never loses more ({})", level.label),
+            &format!("gossip never loses more ({})", level.label),
             on <= off,
-            format!("repair-on lost {on}, repair-off lost {off}"),
+            format!("gossip-on lost {on}, gossip-off lost {off}"),
         );
         // Strict dominance wherever the baseline loses anything. At
         // degenerate smoke scales the baseline may lose nothing — then
         // the ≤ check above is the whole claim.
         if off > 0.0 {
             checks.check(
-                &format!("repair strictly dominates ({})", level.label),
+                &format!("gossip strictly dominates ({})", level.label),
                 on < off,
-                format!("baseline lost {off} but repair-on also lost {on}"),
+                format!("baseline lost {off} but gossip-on also lost {on}"),
             );
         }
     }
@@ -339,7 +342,7 @@ fn main() {
     );
 
     // ---- Replication-factor sweep: copies vs objects lost ------------
-    tsv_header(&["arm", "lost", "alive", "repair_pushes"]);
+    tsv_header(&["arm", "lost", "alive", "gossip_bytes"]);
     let mut lost_by_rf = Vec::new();
     let mut rf_json = JsonObj::new();
     for rf in [1u32, 2, 3] {
@@ -351,7 +354,7 @@ fn main() {
             &[
                 run.objects_lost as f64,
                 run.objects_alive as f64,
-                run.repair_pushes as f64,
+                run.gossip_bytes as f64,
             ],
         );
         lost_by_rf.push(run.objects_lost as f64);
@@ -394,7 +397,7 @@ fn main() {
             && off.object_reads == 0
             && off.reads_failed == 0
             && off.stale_reads == 0
-            && off.repair_pushes == 0,
+            && off.gossip_bytes == 0,
         format!("storage-off run recorded storage activity: {off:?}"),
     );
 
@@ -402,8 +405,8 @@ fn main() {
         .int("servers", u64::from(scale.servers))
         .int("seed", args.seed)
         .num("duration_s", dur)
-        .arr("objects_lost_repair_off", &lost_off)
-        .arr("objects_lost_repair_on", &lost_on)
+        .arr("objects_lost_gossip_off", &lost_off)
+        .arr("objects_lost_gossip_on", &lost_on)
         .arr("write_rates", &WRITE_RATES)
         .arr("stale_reads_any", &stale_any)
         .arr("stale_reads_quorum", &stale_quorum)

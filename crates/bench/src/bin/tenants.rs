@@ -30,8 +30,8 @@
 //! config at the same seed (zero extra RNG draws).
 
 use terradir::{
-    ChaosAction, Config, RunStats, ScenarioEvent, ServerClass, ServerId, System, TenantMap,
-    TenantSpec,
+    ChaosAction, Config, GossipCulture, RunStats, ScenarioEvent, ServerClass, ServerId, System,
+    TenantMap, TenantSpec,
 };
 use terradir_bench::{tsv_header, tsv_row, write_bench_json, Args, JsonObj, ShapeChecks};
 use terradir_workload::StreamPlan;
@@ -307,12 +307,19 @@ fn main() {
         cfg.storage.n_objects = scale.servers * 2;
         cfg.storage.replication_factor = 3;
         // Writes are the only way an object wiped on *every* holder can
-        // come back (repair cannot copy from nowhere), so the write
+        // come back (gossip cannot copy from nowhere), so the write
         // driver runs hot enough to resurrect the wave's total losses
         // inside the tail window.
         cfg.storage.write_rate = (scale.servers as f64).max(20.0);
         cfg.storage.read_rate = 0.0;
-        cfg.repair.enabled = true;
+        // Taciturn digest gossip re-fills the wave's wiped stores. A wide
+        // fanout: a wiped server re-fills only by soliciting a peer that
+        // holds its copies.
+        cfg.gossip.enabled = true;
+        cfg.gossip.culture = GossipCulture::Taciturn;
+        cfg.gossip.interval = 5.0;
+        cfg.gossip.fanout = 6;
+        cfg.gossip.window = cfg.storage.n_objects.max(32);
         cfg.scenario.events = vec![
             ScenarioEvent {
                 at: crash_at,

@@ -15,8 +15,8 @@
 //!
 //! The crate substitutes for the `tokio`-based node concurrency a
 //! production deployment would use (see DESIGN.md §5): OS threads and
-//! crossbeam channels exercise identical protocol code paths with real
-//! parallelism and nondeterministic message interleavings — which is
+//! `std::sync::mpsc` channels exercise identical protocol code paths with
+//! real parallelism and nondeterministic message interleavings — which is
 //! exactly what the soft-state design must tolerate.
 
 //! # Example

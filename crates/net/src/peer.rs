@@ -1,8 +1,8 @@
 //! The per-peer event loop.
 
+use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 

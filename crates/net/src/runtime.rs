@@ -2,11 +2,8 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
-
-use crossbeam::channel::{self};
-use parking_lot::Mutex;
 
 use terradir::{Config, NodeId, ProtocolEvent, ServerId, ServerState};
 use terradir_namespace::{Namespace, OwnerAssignment};
@@ -98,12 +95,12 @@ impl Runtime {
         let mut inboxes = Vec::with_capacity(n as usize);
         let mut receivers = Vec::with_capacity(n as usize);
         for _ in 0..n {
-            let (tx, rx) = channel::unbounded::<PeerCommand>();
+            let (tx, rx) = mpsc::channel::<PeerCommand>();
             inboxes.push(tx);
             receivers.push(rx);
         }
         let transport = Transport::new(inboxes, cfg.network_delay)?;
-        let (ev_tx, ev_rx) = channel::unbounded::<(ServerId, ProtocolEvent)>();
+        let (ev_tx, ev_rx) = mpsc::channel::<(ServerId, ProtocolEvent)>();
 
         let epoch = Instant::now();
         let mut handles = Vec::with_capacity(n as usize);
@@ -139,14 +136,14 @@ impl Runtime {
             .name("terradir-collector".into())
             .spawn(move || {
                 for (_, event) in ev_rx {
-                    let mut s = stats_c.lock();
+                    let mut s = lock(&stats_c);
                     match event {
                         ProtocolEvent::Resolved {
                             id, hops, children, ..
                         } => {
                             s.resolved += 1;
-                            resolved_c.lock().insert(id, hops);
-                            listings_c.lock().insert(id, children);
+                            lock(&resolved_c).insert(id, hops);
+                            lock(&listings_c).insert(id, children);
                         }
                         ProtocolEvent::DroppedTtl { .. } | ProtocolEvent::DroppedStuck { .. } => {
                             s.dropped += 1;
@@ -215,7 +212,7 @@ impl Runtime {
 
     /// Children returned by a resolved List query.
     pub fn children_of(&self, query: u64) -> Option<Vec<NodeId>> {
-        self.listings.lock().get(&query).cloned()
+        lock(&self.listings).get(&query).cloned()
     }
 
     /// Walks the subtree under `root` from `origin` by hierarchical
@@ -310,7 +307,7 @@ impl Runtime {
     pub fn wait_fetches(&self, n: u64, timeout: Duration) -> Result<(), NetError> {
         let deadline = Instant::now() + timeout;
         loop {
-            let s = self.stats.lock();
+            let s = lock(&self.stats);
             if s.data_fetches_ok + s.data_fetches_failed >= n {
                 return Ok(());
             }
@@ -324,7 +321,7 @@ impl Runtime {
 
     /// Snapshot of one peer's state counts.
     pub fn snapshot(&self, peer: ServerId) -> Result<PeerSnapshot, NetError> {
-        let (tx, rx) = channel::bounded(1);
+        let (tx, rx) = mpsc::channel();
         self.transport.command(peer, PeerCommand::Snapshot(tx))?;
         rx.recv_timeout(Duration::from_secs(5))
             .map_err(|_| NetError::Timeout)
@@ -332,12 +329,12 @@ impl Runtime {
 
     /// Current aggregated counters.
     pub fn stats(&self) -> LiveStats {
-        self.stats.lock().clone()
+        lock(&self.stats).clone()
     }
 
     /// Hops taken by a resolved query, if its result has arrived.
     pub fn hops_of(&self, query: u64) -> Option<u32> {
-        self.resolved_ids.lock().get(&query).copied()
+        lock(&self.resolved_ids).get(&query).copied()
     }
 
     /// Blocks until at least `n` queries have resolved or the deadline
@@ -345,7 +342,7 @@ impl Runtime {
     pub fn wait_resolved(&self, n: u64, timeout: Duration) -> Result<(), NetError> {
         let deadline = Instant::now() + timeout;
         loop {
-            if self.stats.lock().resolved >= n {
+            if lock(&self.stats).resolved >= n {
                 return Ok(());
             }
             if Instant::now() >= deadline {
@@ -367,6 +364,14 @@ impl Runtime {
             let _ = c.join();
         }
     }
+}
+
+/// Locks `m`, recovering the guard if a thread panicked while holding
+/// it. Every update under these locks is one counter bump or one map
+/// insert, so the data is valid at every step and stays readable after
+/// a collector panic.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 #[cfg(test)]

@@ -1,14 +1,13 @@
 //! The in-process network fabric.
 //!
-//! One unbounded crossbeam channel per peer plus an optional *delay stage*:
+//! One unbounded `std::sync::mpsc` channel per peer plus an optional *delay stage*:
 //! a dedicated thread holding messages in a time-ordered heap until their
 //! delivery deadline, modeling the paper's constant application-layer
 //! network time without blocking senders.
 
 use std::collections::BinaryHeap;
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::time::{Duration, Instant};
-
-use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender};
 
 use terradir::{Message, ServerId};
 
@@ -58,7 +57,7 @@ impl Transport {
                 delay_tx: None,
             });
         }
-        let (tx, rx): (Sender<Delayed>, Receiver<Delayed>) = channel::unbounded();
+        let (tx, rx): (Sender<Delayed>, Receiver<Delayed>) = mpsc::channel();
         let out = inboxes.clone();
         std::thread::Builder::new()
             .name("terradir-net-delay".into())
@@ -157,7 +156,7 @@ mod tests {
 
     #[test]
     fn immediate_delivery_without_delay() {
-        let (tx, rx) = channel::unbounded();
+        let (tx, rx) = mpsc::channel();
         let t = Transport::new(vec![tx], Duration::ZERO).unwrap();
         t.send(ServerId(0), query_msg(1), Duration::ZERO).unwrap();
         match rx.recv_timeout(Duration::from_secs(1)).unwrap() {
@@ -168,7 +167,7 @@ mod tests {
 
     #[test]
     fn delayed_delivery_waits_roughly_the_delay() {
-        let (tx, rx) = channel::unbounded();
+        let (tx, rx) = mpsc::channel();
         let t = Transport::new(vec![tx], Duration::from_millis(30)).unwrap();
         let start = Instant::now();
         t.send(ServerId(0), query_msg(2), Duration::from_millis(30))
@@ -179,7 +178,7 @@ mod tests {
 
     #[test]
     fn ordering_respects_deadlines_not_send_order() {
-        let (tx, rx) = channel::unbounded();
+        let (tx, rx) = mpsc::channel();
         let t = Transport::new(vec![tx], Duration::from_millis(1)).unwrap();
         t.send(ServerId(0), query_msg(1), Duration::from_millis(80))
             .unwrap();
@@ -194,7 +193,7 @@ mod tests {
 
     #[test]
     fn unknown_peer_is_an_error() {
-        let (tx, _rx) = channel::unbounded();
+        let (tx, _rx) = mpsc::channel();
         let t = Transport::new(vec![tx], Duration::ZERO).unwrap();
         assert!(matches!(
             t.send(ServerId(7), query_msg(1), Duration::ZERO),

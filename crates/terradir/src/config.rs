@@ -122,11 +122,6 @@ pub struct Config {
     /// payloads with last-writer-wins merge, quorum or any-replica
     /// reads, placed on a deterministic replica set (DESIGN.md §17).
     pub storage: StorageConfig,
-    /// Background storage repair: a calendar-driven sweep that detects
-    /// under-replicated objects after crash/churn/partition and pushes
-    /// the freshest surviving copy back onto the replica set
-    /// (DESIGN.md §17).
-    pub repair: RepairConfig,
     /// Generalized anti-entropy gossip: periodic digest exchanges with
     /// namespace-neighbor peers that repair both routing soft state and
     /// stored objects between the event-driven triggers (DESIGN.md §18).
@@ -399,34 +394,6 @@ impl Default for StorageConfig {
     }
 }
 
-/// Background storage repair (DESIGN.md §17): a calendar-driven sweep
-/// that walks the object space with a rotating cursor every `interval`
-/// seconds, finds objects with fewer live copies than the replication
-/// factor (crashes wipe stores; cuts and dead targets eat write
-/// propagation), and pushes the freshest surviving copy to every live
-/// replica-set member missing it — bounded by `batch` pushes per
-/// sweep. The default is inert and requires `storage.enabled`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RepairConfig {
-    /// Master switch for the repair sweep.
-    pub enabled: bool,
-    /// Seconds between repair sweeps.
-    pub interval: f64,
-    /// Maximum repair pushes per sweep (the cursor resumes where the
-    /// budget ran out, so coverage is fair across objects).
-    pub batch: u32,
-}
-
-impl Default for RepairConfig {
-    fn default() -> RepairConfig {
-        RepairConfig {
-            enabled: false,
-            interval: 5.0,
-            batch: 64,
-        }
-    }
-}
-
 /// How a server spends its per-round gossip budget (DESIGN.md §18).
 /// The names follow Cordelia's chatty/taciturn distinction between
 /// eager state push and digest-driven anti-entropy pull.
@@ -451,12 +418,12 @@ pub enum GossipCulture {
 /// Generalized anti-entropy gossip (DESIGN.md §18): every `interval`
 /// seconds each live server picks `fanout` namespace-neighbor owners
 /// (peer shuffle drawn from the `tags::FAULTS` stream) and exchanges
-/// state per its [`GossipCulture`]. The subsystem subsumes PR-style
-/// event-driven repair: routing soft state is purged against the
-/// shipped digest (`purge_disclaimed`), and stored objects are pulled
-/// via last-writer-wins merge, so staleness accruing *between*
-/// recover/heal triggers and repair-sweep cursor visits is bounded by
-/// the gossip interval. The default is inert: `enabled = false`
+/// state per its [`GossipCulture`]. It complements event-driven
+/// repair: routing soft state is purged against the shipped digest
+/// (`purge_disclaimed`), and stored objects are pulled via
+/// last-writer-wins merge, so staleness accruing *between*
+/// recover/heal triggers is bounded by the gossip interval. Taciturn
+/// gossip is the only path that re-replicates lost object copies. The default is inert: `enabled = false`
 /// schedules nothing and consumes zero RNG draws, so a disabled run is
 /// bitwise-identical to a build without the subsystem.
 #[derive(Debug, Clone, PartialEq)]
@@ -728,7 +695,6 @@ impl Config {
             leases: LeaseConfig::default(),
             reconcile: ReconcileConfig::default(),
             storage: StorageConfig::default(),
-            repair: RepairConfig::default(),
             gossip: GossipConfig::default(),
             roles: RoleConfig::default(),
             tenants: TenantConfig::default(),
@@ -908,17 +874,6 @@ impl Config {
             }
             if !self.storage.read_timeout.is_finite() || self.storage.read_timeout <= 0.0 {
                 return Err("storage.read_timeout must be positive".into());
-            }
-        }
-        if self.repair.enabled {
-            if !self.storage.enabled {
-                return Err("repair.enabled requires storage.enabled".into());
-            }
-            if !self.repair.interval.is_finite() || self.repair.interval <= 0.0 {
-                return Err("repair.interval must be positive".into());
-            }
-            if self.repair.batch == 0 {
-                return Err("repair.batch must be at least 1".into());
             }
         }
         if self.gossip.enabled {
@@ -1263,17 +1218,15 @@ mod tests {
     }
 
     #[test]
-    fn storage_and_repair_defaults_are_inert_and_valid() {
+    fn storage_defaults_are_inert_and_valid() {
         let c = Config::paper_default(4);
         assert_eq!(c.storage, StorageConfig::default());
         assert!(!c.storage.enabled);
-        assert_eq!(c.repair, RepairConfig::default());
-        assert!(!c.repair.enabled);
         assert_eq!(c.validate(), Ok(()));
     }
 
     #[test]
-    fn validate_catches_bad_storage_and_repair_values() {
+    fn validate_catches_bad_storage_values() {
         let mut c = Config::paper_default(4);
         c.storage.enabled = true;
         c.storage.n_objects = 0;
@@ -1294,21 +1247,9 @@ mod tests {
         c.storage.enabled = true;
         c.storage.read_timeout = 0.0;
         assert!(c.validate().is_err());
-        // Repair rides on storage: enabling it alone is an error.
-        let mut c = Config::paper_default(4);
-        c.repair.enabled = true;
-        assert!(c.validate().is_err());
-        c.storage.enabled = true;
-        assert_eq!(c.validate(), Ok(()));
-        c.repair.interval = 0.0;
-        assert!(c.validate().is_err());
-        c.repair.interval = 5.0;
-        c.repair.batch = 0;
-        assert!(c.validate().is_err());
         // Bounds are only enforced when the subsystem is enabled.
         let mut c = Config::paper_default(4);
         c.storage.n_objects = 0;
-        c.repair.batch = 0;
         assert_eq!(c.validate(), Ok(()));
         // Zero write/read rates are legal: a static, read-only store.
         let mut c = Config::paper_default(4);

@@ -1,7 +1,7 @@
 //! Generalized anti-entropy gossip (DESIGN.md §18).
 //!
-//! Event-driven repair — PR-style reconcile pushes on recover/heal, the
-//! rotating storage-repair cursor — only fires when its trigger does.
+//! Event-driven repair — reconcile pushes on recover/heal — only fires
+//! when its trigger does.
 //! Staleness that accrues *between* triggers (slow drift, lost NACKs,
 //! partitioned minorities) is repaired late or never. This module holds the
 //! per-server state for the periodic repair loop that closes the gap: every

@@ -388,7 +388,7 @@ pub fn check_pending_hygiene(
 /// Storage placement and version soundness (DESIGN.md §17): every
 /// object replica a server holds must (1) sit at a member of the
 /// object's replica set — placement is a pure function of the
-/// assignment, so a copy anywhere else means a write or repair push
+/// assignment, so a copy anywhere else means a write or gossip push
 /// went astray; (2) carry a version in `1..=committed[o]` — versions
 /// are assigned from the global per-object counter, so a copy above it
 /// was fabricated and one at 0 was never written. `committed` is the

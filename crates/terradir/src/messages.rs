@@ -300,16 +300,6 @@ pub enum Message {
         /// The replying server.
         from: ServerId,
     },
-    /// Background repair push (DESIGN.md §17): the repair sweep found
-    /// this replica missing `node`'s object (or holding an older
-    /// version) and re-replicates the freshest surviving copy. Merged
-    /// exactly like [`Message::PutObject`].
-    RepairPush {
-        /// The namespace node the object is keyed by.
-        node: NodeId,
-        /// The freshest surviving copy.
-        obj: crate::storage::StoredObject,
-    },
     /// Anti-entropy round opener (DESIGN.md §18; taciturn and hybrid
     /// cultures): the gossiping server ships its windowed digest over
     /// hosted names and stored-object versions to a namespace-neighbor
@@ -362,15 +352,6 @@ const PACKET_FIXED_BYTES: u64 = 48;
 const OBJECT_BYTES: u64 = 16;
 /// Modeled bytes of a node id (or server id) on the wire.
 const ID_BYTES: u64 = 4;
-/// Modeled cost of one repair-sweep status probe round-trip: a
-/// header-plus-id request and a header-plus-object reply. The rotating
-/// repair sweep charges this per (object, live replica) inspection — the
-/// simulation reads the copies directly, but a real sweep would have to
-/// ask, and the anti-entropy frontier (DESIGN.md §18) compares the
-/// sweep's wire cost against digest-driven repair honestly only if that
-/// traffic is on the books.
-pub const PROBE_BYTES: u64 = 2 * HEADER_BYTES + ID_BYTES + OBJECT_BYTES;
-
 /// Modeled bytes of a node map: a length prefix plus one id per entry.
 fn map_bytes(map: &NodeMap) -> u64 {
     ID_BYTES + ID_BYTES * map.len() as u64
@@ -462,7 +443,7 @@ impl Message {
             }
             Message::NotHosting { .. } | Message::HostDown { .. } => ID_BYTES + ID_BYTES,
             Message::Misroute { digest, .. } => ID_BYTES + ID_BYTES + digest.byte_size() as u64,
-            Message::PutObject { .. } | Message::RepairPush { .. } => ID_BYTES + OBJECT_BYTES,
+            Message::PutObject { .. } => ID_BYTES + OBJECT_BYTES,
             Message::GetObject { .. } => 8 + ID_BYTES + ID_BYTES,
             Message::ObjectReply { obj, .. } => {
                 8 + ID_BYTES + ID_BYTES + obj.map_or(0, |_| OBJECT_BYTES)
@@ -511,15 +492,14 @@ impl Message {
             | Message::GossipDigest { from, .. }
             | Message::GossipPush { from, .. }
             | Message::GossipReply { from, .. } => Some(*from),
-            // Storage writes/probes/repairs are scheduled by the
+            // Storage writes and read probes are scheduled by the
             // substrate on the origin's behalf (like `MapUpdate`), so
             // they carry no proof-of-life sender field.
             Message::MapUpdate { .. }
             | Message::NotHosting { .. }
             | Message::HostDown { .. }
             | Message::PutObject { .. }
-            | Message::GetObject { .. }
-            | Message::RepairPush { .. } => None,
+            | Message::GetObject { .. } => None,
         }
     }
 }
@@ -611,11 +591,6 @@ mod tests {
             from: ServerId(2)
         }
         .is_control());
-        assert!(Message::RepairPush {
-            node: NodeId(1),
-            obj
-        }
-        .is_control());
     }
 
     #[test]
@@ -651,8 +626,8 @@ mod tests {
         };
         assert_eq!(mr.sender(), Some(ServerId(5)));
         assert!(mr.is_control());
-        // Storage writes/probes/repairs are substrate-scheduled, so
-        // none of them is proof-of-life; only the replica's reply is.
+        // Storage writes and read probes are substrate-scheduled, so
+        // neither is proof-of-life; only the replica's reply is.
         let obj = crate::storage::StoredObject {
             version: 2,
             writer: ServerId(1),
@@ -671,14 +646,6 @@ mod tests {
                 id: 1,
                 node: NodeId(1),
                 reply_to: ServerId(0)
-            }
-            .sender(),
-            None
-        );
-        assert_eq!(
-            Message::RepairPush {
-                node: NodeId(1),
-                obj
             }
             .sender(),
             None

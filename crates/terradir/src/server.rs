@@ -215,8 +215,8 @@ pub struct ServerState {
     /// Replicated object store (DESIGN.md §17): this server's copy of
     /// every stored object whose replica set includes it. Soft state —
     /// a crash wipes it (`reset_soft_state`), which is exactly what
-    /// makes durability under churn non-trivial; the repair sweep
-    /// re-replicates from surviving copies.
+    /// makes durability under churn non-trivial; taciturn gossip
+    /// re-replicates from surviving copies (DESIGN.md §18).
     pub(crate) store: DetHashMap<NodeId, crate::storage::StoredObject>,
     /// In-progress data fetches initiated at this server.
     pub(crate) pending_fetches: DetHashMap<u64, FetchState>,
@@ -555,7 +555,7 @@ impl ServerState {
             Message::HostDown { host } => {
                 self.mark_host_dead(now, host, out);
             }
-            Message::PutObject { node, obj } | Message::RepairPush { node, obj } => {
+            Message::PutObject { node, obj } => {
                 self.merge_object(node, obj);
             }
             Message::GetObject { id, node, reply_to } => {
@@ -618,13 +618,13 @@ impl ServerState {
 
     /// Installs `obj` for `node` under the last-writer-wins merge
     /// (DESIGN.md §17): a fresher local copy survives, an older or
-    /// missing one is replaced. Write propagation and repair pushes are
+    /// missing one is replaced. Write propagation and gossip pushes are
     /// deliberately indistinguishable here — both are just evidence of
     /// the object's latest version.
     pub(crate) fn merge_object(&mut self, node: NodeId, obj: crate::storage::StoredObject) {
         // Role admission (DESIGN.md §19): a non-owner never stores
-        // object copies for regions it does not admit. Writes, repair,
-        // and gossip pushes all funnel through here, so this one check
+        // object copies for regions it does not admit. Writes and
+        // gossip pushes all funnel through here, so this one check
         // covers every object receive path. Owners are authoritative
         // and exempt.
         if !self.owned.contains_key(&node) && !self.admits_node(node) {
@@ -1449,7 +1449,7 @@ impl ServerState {
         self.negative.clear();
         // The object store is soft state too: a crash loses this
         // server's copies (DESIGN.md §17). Durability comes from the
-        // surviving replicas plus the repair sweep, not from any
+        // surviving replicas plus gossip repair, not from any
         // per-server persistence.
         self.store.clear();
         // A reset is a change the gossip window cannot express: break

@@ -156,11 +156,9 @@ pub struct RunStats {
     /// committed when the read was issued (the staleness cost of
     /// any-replica reads; quorum reads shrink it).
     pub stale_reads: u64,
-    /// Copies re-replicated by the background repair sweep.
-    pub repair_pushes: u64,
     /// Modeled bytes of every remote message send, from the
     /// per-`Message` byte-cost model (DESIGN.md §18): queries, control
-    /// traffic, storage propagation, repair-sweep probes, and gossip.
+    /// traffic, storage propagation, and gossip.
     /// Local hand-offs and substrate-synthesized feedback cost nothing.
     pub bytes_on_wire: u64,
     /// The subset of `bytes_on_wire` spent by the anti-entropy gossip
@@ -282,7 +280,6 @@ impl RunStats {
             object_reads: 0,
             reads_failed: 0,
             stale_reads: 0,
-            repair_pushes: 0,
             bytes_on_wire: 0,
             gossip_bytes: 0,
             tenant_injected: Vec::new(),
@@ -572,8 +569,6 @@ pub struct Summary {
     pub reads_failed: u64,
     /// Object reads that returned a stale version.
     pub stale_reads: u64,
-    /// Copies re-replicated by the background repair sweep.
-    pub repair_pushes: u64,
     /// Modeled bytes of every remote message send (DESIGN.md §18).
     pub bytes_on_wire: u64,
     /// The gossip subsystem's share of `bytes_on_wire`.
@@ -638,15 +633,15 @@ impl Summary {
                 "\"objects_alive\":{},\"objects_lost\":{},",
                 "\"object_puts\":{},\"object_reads\":{},",
                 "\"reads_failed\":{},\"stale_reads\":{},",
-                "\"repair_pushes\":{},\"bytes_on_wire\":{},",
-                "\"gossip_bytes\":{},\"query_messages\":{},",
-                "\"sessions_aborted\":{},\"data_fetches_failed\":{},",
-                "\"messages_to_dead\":{},\"attempts_lost_queue\":{},",
-                "\"attempts_lost_ttl\":{},\"attempts_lost_stuck\":{},",
-                "\"attempts_lost_dead\":{},\"attempts_lost_transport\":{},",
-                "\"attempts_lost_shed\":{},\"attempts_lost_partition\":{},",
-                "\"scenario_crashes\":{},\"tenant_count\":{},",
-                "\"tenant_worst_availability\":{:.6},\"tenant_slo_misses\":{},",
+                "\"bytes_on_wire\":{},\"gossip_bytes\":{},",
+                "\"query_messages\":{},\"sessions_aborted\":{},",
+                "\"data_fetches_failed\":{},\"messages_to_dead\":{},",
+                "\"attempts_lost_queue\":{},\"attempts_lost_ttl\":{},",
+                "\"attempts_lost_stuck\":{},\"attempts_lost_dead\":{},",
+                "\"attempts_lost_transport\":{},\"attempts_lost_shed\":{},",
+                "\"attempts_lost_partition\":{},\"scenario_crashes\":{},",
+                "\"tenant_count\":{},\"tenant_worst_availability\":{:.6},",
+                "\"tenant_slo_misses\":{},",
                 "\"rng_draws\":{},",
                 "\"alloc_events\":{},\"alloc_bytes\":{}}}"
             ),
@@ -683,7 +678,6 @@ impl Summary {
             self.object_reads,
             self.reads_failed,
             self.stale_reads,
-            self.repair_pushes,
             self.bytes_on_wire,
             self.gossip_bytes,
             self.query_messages,
@@ -745,7 +739,6 @@ impl RunStats {
             object_reads: self.object_reads,
             reads_failed: self.reads_failed,
             stale_reads: self.stale_reads,
-            repair_pushes: self.repair_pushes,
             bytes_on_wire: self.bytes_on_wire,
             gossip_bytes: self.gossip_bytes,
             query_messages: self.query_messages,
@@ -978,7 +971,6 @@ mod tests {
         s.object_reads = 29;
         s.reads_failed = 2;
         s.stale_reads = 3;
-        s.repair_pushes = 17;
         let json = s.summary().to_json();
         assert!(json.contains("\"objects_written\":64"));
         assert!(json.contains("\"objects_alive\":60"));
@@ -987,7 +979,6 @@ mod tests {
         assert!(json.contains("\"object_reads\":29"));
         assert!(json.contains("\"reads_failed\":2"));
         assert!(json.contains("\"stale_reads\":3"));
-        assert!(json.contains("\"repair_pushes\":17"));
         assert_eq!(json.matches('"').count() % 2, 0);
     }
 

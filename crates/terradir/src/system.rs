@@ -68,9 +68,6 @@ enum Event {
     /// Storage read driver: issue the next replicated read (quorum or
     /// any-replica per `storage.quorum_reads`).
     StoreGet,
-    /// Background repair sweep: re-replicate under-replicated objects
-    /// from their freshest live copy (DESIGN.md §17).
-    StoreRepair,
     /// Read-timeout for an outstanding replicated read: finalize with
     /// whatever replies arrived. A no-op if the quorum already closed it.
     StoreReadDone { id: u64 },
@@ -197,8 +194,6 @@ pub struct System {
     /// Reusable replica-set scratch buffer (keeps the storage drivers
     /// allocation-free on the event path).
     store_targets: Vec<ServerId>,
-    /// Rotating cursor for the bounded background repair sweep.
-    repair_cursor: u32,
     /// Reusable object-payload scratch for gossip pushes and pull replies.
     gossip_objects: Vec<(NodeId, crate::storage::StoredObject)>,
     /// Reusable changed-node snapshot for the hybrid culture's eager push
@@ -416,9 +411,6 @@ impl System {
                 let gap = exp_draw(&mut rng_faults, 1.0 / cfg.storage.read_rate);
                 engine.schedule(gap, Event::StoreGet);
             }
-            if cfg.repair.enabled {
-                engine.schedule(cfg.repair.interval, Event::StoreRepair);
-            }
         }
         // Anti-entropy arms only when enabled (DESIGN.md §18); the arming
         // itself draws no randomness, so gossip-off runs stay
@@ -489,7 +481,6 @@ impl System {
             reads: crate::det::DetHashMap::default(),
             next_read_id: 0,
             store_targets,
-            repair_cursor: 0,
             gossip_objects: Vec::new(),
             gossip_changed: Vec::new(),
             gossip_key_buf: String::new(),
@@ -1189,106 +1180,6 @@ impl System {
         }
     }
 
-    /// Background repair sweep (DESIGN.md §17): walks objects from a
-    /// rotating cursor and, for each, pushes the freshest *live* copy to
-    /// live replica-set members whose copy is missing or older — at most
-    /// `repair.batch` pushes per sweep. The sweep itself draws no
-    /// randomness (the cursor is deterministic) and allocates nothing;
-    /// like reconcile pushes, repair pushes travel at flat delay with a
-    /// real sender so cuts and crashes lose them honestly. An object
-    /// with no live copy is skipped: repair heals under-replication, it
-    /// cannot resurrect data — only a later write can.
-    fn store_repair(&mut self) {
-        self.engine
-            .schedule_in(self.shared.cfg.repair.interval, Event::StoreRepair);
-        let n = self.committed.len();
-        if n == 0 {
-            return;
-        }
-        let budget = self.shared.cfg.repair.batch;
-        let mut pushes = 0u32;
-        let mut targets = std::mem::take(&mut self.store_targets);
-        let mut idx = self.repair_cursor as usize % n;
-        for _ in 0..n {
-            if pushes >= budget {
-                break;
-            }
-            let o = idx;
-            idx = (idx + 1) % n;
-            let node = NodeId(o as u32);
-            crate::storage::replica_targets(
-                node,
-                &self.shared.ns,
-                &self.shared.assignment,
-                &self.shared.cfg.storage,
-                self.shared.roles.as_deref(),
-                &mut targets,
-            );
-            let mut freshest: Option<(ServerId, crate::storage::StoredObject)> = None;
-            for &t in &targets {
-                if self.is_failed(t) {
-                    continue;
-                }
-                // A real sweep learns each live member's copy by probing
-                // it; charge that round-trip so sweep-vs-digest wire
-                // comparisons are honest (DESIGN.md §18 — counters only,
-                // the simulation reads state directly and behavior is
-                // unchanged).
-                self.stats.bytes_on_wire += crate::messages::PROBE_BYTES;
-                let Some(obj) = self
-                    .ctxs
-                    .get(t.index())
-                    .and_then(|c| c.server.stored_object(node))
-                else {
-                    continue;
-                };
-                let better = match freshest {
-                    Some((_, b)) => crate::storage::lww_merge(b, obj) != b,
-                    None => true,
-                };
-                if better {
-                    freshest = Some((t, obj));
-                }
-            }
-            let Some((holder, best)) = freshest else {
-                continue;
-            };
-            for &t in &targets {
-                if pushes >= budget {
-                    break;
-                }
-                if t == holder || self.is_failed(t) {
-                    continue;
-                }
-                let stale = match self
-                    .ctxs
-                    .get(t.index())
-                    .and_then(|c| c.server.stored_object(node))
-                {
-                    Some(have) => crate::storage::lww_merge(have, best) != have,
-                    None => true,
-                };
-                if stale {
-                    pushes += 1;
-                    self.stats.repair_pushes += 1;
-                    self.stats.control_messages += 1;
-                    let msg = Message::RepairPush { node, obj: best };
-                    self.charge_wire(&msg);
-                    self.engine.schedule_in(
-                        self.shared.cfg.network_delay,
-                        Event::Deliver {
-                            to: t,
-                            from: Some(holder),
-                            msg,
-                        },
-                    );
-                }
-            }
-        }
-        self.repair_cursor = idx as u32;
-        self.store_targets = targets;
-    }
-
     /// One anti-entropy round (DESIGN.md §18): reschedules itself, then
     /// has every live server contact up to `gossip.fanout`
     /// namespace-neighbor owners — sorted, deduplicated, shuffled from
@@ -1981,7 +1872,6 @@ impl System {
             Event::FlashInject { epoch } => self.flash_inject(epoch),
             Event::StorePut => self.store_put(),
             Event::StoreGet => self.store_get(),
-            Event::StoreRepair => self.store_repair(),
             Event::StoreReadDone { id } => self.finish_read(id),
             Event::GossipRound => self.gossip_round(),
             // xtask: region(dispatch): begin — periodic sweeps: maintenance/sampling step every server's context
@@ -2963,7 +2853,6 @@ mod tests {
         assert_eq!(st.object_reads, 0);
         assert_eq!(st.reads_failed, 0);
         assert_eq!(st.stale_reads, 0);
-        assert_eq!(st.repair_pushes, 0);
         assert!(sys.servers().all(|s| s.stored_object_count() == 0));
     }
 
@@ -2971,7 +2860,8 @@ mod tests {
     fn storage_enabled_writes_reads_and_audits_clean() {
         let mut sys = small_system(|c| {
             c.storage.enabled = true;
-            c.repair.enabled = true;
+            c.gossip.enabled = true;
+            c.gossip.culture = GossipCulture::Taciturn;
         });
         sys.run_until(15.0);
         let (alive, lost) = sys.measure_durability();
@@ -2994,7 +2884,8 @@ mod tests {
     fn storage_accounting_is_exact_under_churn() {
         let mut sys = small_system(|c| {
             c.storage.enabled = true;
-            c.repair.enabled = true;
+            c.gossip.enabled = true;
+            c.gossip.culture = GossipCulture::Taciturn;
             c.churn.enabled = true;
             c.churn.mean_uptime = 4.0;
             c.churn.mean_downtime = 2.0;
@@ -3007,30 +2898,12 @@ mod tests {
     }
 
     #[test]
-    fn repair_restores_copies_only_when_enabled() {
-        let run = |repair: bool| {
-            let mut sys = small_system(|c| {
-                c.storage.enabled = true;
-                c.repair.enabled = repair;
-            });
-            sys.run_until(2.0);
-            // Crash+recover wipes server 1's store; the next repair
-            // sweep (every repair.interval) must re-replicate onto it.
-            sys.fail_server(ServerId(1));
-            sys.recover_server(ServerId(1));
-            sys.run_until(12.0);
-            sys.stats().repair_pushes
-        };
-        assert!(run(true) > 0, "enabled repair must push copies");
-        assert_eq!(run(false), 0, "disabled repair must stay silent");
-    }
-
-    #[test]
     fn storage_runs_replay_byte_identically() {
         let run = || {
             let mut sys = small_system(|c| {
                 c.storage.enabled = true;
-                c.repair.enabled = true;
+                c.gossip.enabled = true;
+                c.gossip.culture = GossipCulture::Taciturn;
                 c.churn.enabled = true;
                 c.churn.mean_uptime = 5.0;
                 c.churn.mean_downtime = 2.0;
@@ -3103,15 +2976,13 @@ mod tests {
     }
 
     #[test]
-    fn gossip_digests_repair_objects_without_the_sweep() {
-        // Crash+recover wipes server 1's object store. With the rotating
-        // repair sweep off, only the digest exchange can restore its
-        // copies: the rejoined server's fresh snapshot digest disclaims
-        // every object key, so peers pull-reply the versions it is a
-        // member of.
+    fn gossip_digests_repair_objects() {
+        // Crash+recover wipes server 1's object store. The digest
+        // exchange restores its copies: the rejoined server's fresh
+        // snapshot digest disclaims every object key, so peers
+        // pull-reply the versions it is a member of.
         let mut sys = small_system(|c| {
             c.storage.enabled = true;
-            c.repair.enabled = false;
             c.gossip.enabled = true;
             c.gossip.culture = GossipCulture::Taciturn;
             c.gossip.interval = 0.5;
@@ -3126,7 +2997,6 @@ mod tests {
         assert_eq!(wiped, 0, "recovery must wipe the store");
         sys.run_until(12.0);
         let st = sys.stats();
-        assert_eq!(st.repair_pushes, 0, "sweep must stay off");
         assert!(st.gossip_bytes > 0, "digest rounds must run");
         let restored = sys
             .servers()
@@ -3201,8 +3071,8 @@ mod tests {
         let mut sys = small_system(|c| {
             c.roles.enabled = true;
             c.storage.enabled = true;
-            c.repair.enabled = true;
             c.gossip.enabled = true;
+            c.gossip.culture = GossipCulture::Taciturn;
         });
         sys.run_until(20.0);
         assert!(sys.audit().is_empty(), "{:?}", sys.audit());

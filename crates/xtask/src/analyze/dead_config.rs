@@ -35,7 +35,6 @@ pub const CONFIG_STRUCTS: &[&str] = &[
     "LeaseConfig",
     "ReconcileConfig",
     "StorageConfig",
-    "RepairConfig",
     "GossipConfig",
     "RoleConfig",
     "TenantConfig",

@@ -112,7 +112,7 @@ const TS_ADAPT: &str = concat!(
     r#""flash_injected":0,"misroutes":4,"detour_hops":9,"lease_evictions":0,"#,
     r#""reconcile_pushes":0,"objects_written":0,"objects_alive":0,"#,
     r#""objects_lost":0,"object_puts":0,"object_reads":0,"reads_failed":0,"#,
-    r#""stale_reads":0,"repair_pushes":0,"bytes_on_wire":2040892,"#,
+    r#""stale_reads":0,"bytes_on_wire":2040892,"#,
     r#""gossip_bytes":0,"query_messages":11676,"sessions_aborted":43,"#,
     r#""data_fetches_failed":0,"messages_to_dead":0,"attempts_lost_queue":0,"#,
     r#""attempts_lost_ttl":0,"attempts_lost_stuck":0,"attempts_lost_dead":0,"#,
@@ -133,7 +133,7 @@ const TC_ZIPF: &str = concat!(
     r#""flash_injected":0,"misroutes":0,"detour_hops":0,"lease_evictions":0,"#,
     r#""reconcile_pushes":0,"objects_written":0,"objects_alive":0,"#,
     r#""objects_lost":0,"object_puts":0,"object_reads":0,"reads_failed":0,"#,
-    r#""stale_reads":0,"repair_pushes":0,"bytes_on_wire":2106564,"#,
+    r#""stale_reads":0,"bytes_on_wire":2106564,"#,
     r#""gossip_bytes":0,"query_messages":8408,"sessions_aborted":14,"#,
     r#""data_fetches_failed":0,"messages_to_dead":0,"attempts_lost_queue":0,"#,
     r#""attempts_lost_ttl":0,"attempts_lost_stuck":0,"attempts_lost_dead":0,"#,
@@ -154,7 +154,7 @@ const TS_STORE_CHURN: &str = concat!(
     r#""detour_hops":28,"lease_evictions":0,"reconcile_pushes":0,"#,
     r#""objects_written":128,"objects_alive":124,"objects_lost":4,"#,
     r#""object_puts":170,"object_reads":173,"reads_failed":15,"#,
-    r#""stale_reads":0,"repair_pushes":0,"bytes_on_wire":1531101,"#,
+    r#""stale_reads":0,"bytes_on_wire":1531101,"#,
     r#""gossip_bytes":492545,"query_messages":5909,"sessions_aborted":3,"#,
     r#""data_fetches_failed":0,"messages_to_dead":447,"#,
     r#""attempts_lost_queue":30,"attempts_lost_ttl":0,"#,

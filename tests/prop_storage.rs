@@ -11,12 +11,12 @@
 //! commutative, associative, deterministic) so replicas converge
 //! regardless of delivery order, and the durability accounting must be
 //! exact — `objects_written == objects_alive + objects_lost` at every
-//! scan — under randomized churn with repair on or off.
+//! scan — under randomized churn with gossip repair on or off.
 
 use proptest::prelude::*;
 
 use terradir_repro::namespace::{balanced_tree, ServerId};
-use terradir_repro::protocol::{lww_merge, Config, StoredObject, System};
+use terradir_repro::protocol::{lww_merge, Config, GossipCulture, StoredObject, System};
 use terradir_repro::workload::StreamPlan;
 
 fn arb_bool() -> impl Strategy<Value = bool> {
@@ -60,11 +60,12 @@ proptest! {
     }
 }
 
-fn storage_cfg(seed: u64, repair: bool, quorum: bool, mean_uptime: f64) -> Config {
+fn storage_cfg(seed: u64, gossip: bool, quorum: bool, mean_uptime: f64) -> Config {
     let mut cfg = Config::paper_default(8).with_seed(seed);
     cfg.storage.enabled = true;
     cfg.storage.quorum_reads = quorum;
-    cfg.repair.enabled = repair;
+    cfg.gossip.enabled = gossip;
+    cfg.gossip.culture = GossipCulture::Taciturn;
     cfg.churn.enabled = true;
     cfg.churn.mean_uptime = mean_uptime;
     cfg.churn.mean_downtime = 2.0;
@@ -77,17 +78,17 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// The durability identity is exact at every scan — mid-run, at the
-    /// end, and after draining — whether or not repair runs, and the
+    /// end, and after draining — whether or not gossip repair runs, and the
     /// storage auditors stay clean throughout.
     #[test]
     fn durability_accounting_is_exact_under_churn(
         seed in 0u64..500,
-        repair in arb_bool(),
+        gossip in arb_bool(),
         quorum in arb_bool(),
         mean_uptime in 3.0f64..12.0,
     ) {
         let ns = balanced_tree(2, 5);
-        let cfg = storage_cfg(seed, repair, quorum, mean_uptime);
+        let cfg = storage_cfg(seed, gossip, quorum, mean_uptime);
         let mut sys = System::new(ns, cfg, StreamPlan::unif(25.0), 30.0);
         let written = sys.stats().objects_written;
         prop_assert!(written > 0, "storage enabled must pre-seed objects");

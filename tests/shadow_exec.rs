@@ -28,7 +28,6 @@ fn run(shadow: Option<u64>) -> String {
     // gossip's two-phase round needs gossip (and storage for the richer
     // peer pools); churn makes liveness vary between sweeps.
     cfg.storage.enabled = true;
-    cfg.repair.enabled = true;
     cfg.gossip.enabled = true;
     cfg.gossip.culture = GossipCulture::Hybrid;
     cfg.gossip.interval = 0.5;
@@ -62,7 +61,6 @@ fn shadow_permutation_survives_mid_run_toggling() {
         let ns = balanced_tree(2, 7);
         let mut cfg = Config::paper_default(256).with_seed(42);
         cfg.storage.enabled = true;
-        cfg.repair.enabled = true;
         cfg.gossip.enabled = true;
         cfg.gossip.culture = GossipCulture::Hybrid;
         cfg.gossip.interval = 0.5;
