@@ -7,8 +7,9 @@
 )]
 
 //! Golden summaries: one short small-fleet run of each benchmark shape
-//! (T_S adaptation, T_C Zipf, T_S storage + churn + gossip), pinned field
-//! for field.
+//! (T_S adaptation, T_C Zipf, T_S storage + churn + gossip), plus one run
+//! with every optional subsystem on (roles, tenants, leases, reconcile,
+//! faults, heterogeneous speeds), pinned field for field.
 //!
 //! The route decision's speed work (rank-first candidate build, path-table
 //! distance, Bloom-first denial lookups) is equivalent by construction:
@@ -22,7 +23,7 @@
 //! values in the same change and says why.
 
 use terradir_repro::namespace::{balanced_tree, coda_like, CodaParams, Namespace};
-use terradir_repro::protocol::{Config, GossipCulture, System};
+use terradir_repro::protocol::{Config, GossipCulture, System, TenantSpec};
 use terradir_repro::workload::{seed::tags, seeded_rng, StreamPlan};
 
 /// Runs `window` simulated seconds of injection, then drains for `drain`,
@@ -101,6 +102,59 @@ fn ts_store_churn_summary_is_pinned() {
     assert_eq!(got, TS_STORE_CHURN, "a routed hop or RNG draw changed");
 }
 
+#[test]
+fn subsystem_coverage_summary_is_pinned() {
+    // The subsystems none of the benchmark shapes turns on, all at once
+    // on a small fleet: roles and tenants, leases with use-refresh and
+    // misroute NACKs, warm-rejoin reconcile, retries under transport loss
+    // and jitter with churn, quorum storage, taciturn gossip and a
+    // heterogeneous fleet. Every fixed protocol parameter is on some path
+    // this run takes.
+    let servers = 32u32;
+    let window = 12.0;
+    let mut cfg = Config::paper_default(servers).with_seed(4);
+    cfg.speed_spread = 2.0;
+    cfg.roles.enabled = true;
+    cfg.tenants.enabled = true;
+    cfg.tenants.specs = vec![
+        TenantSpec {
+            weight: 3.0,
+            zipf_theta: 1.0,
+            slo_availability: 0.99,
+        },
+        TenantSpec {
+            weight: 1.0,
+            zipf_theta: 0.0,
+            slo_availability: 0.95,
+        },
+    ];
+    cfg.leases.enabled = true;
+    cfg.leases.ttl = 3.0;
+    cfg.leases.misroute = true;
+    cfg.reconcile.enabled = true;
+    cfg.retry.enabled = true;
+    cfg.faults.loss_prob = 0.02;
+    cfg.faults.jitter = 0.01;
+    cfg.churn.enabled = true;
+    cfg.churn.start = 0.1 * window;
+    cfg.churn.stop = 0.8 * window;
+    cfg.churn.mean_uptime = 8.0;
+    cfg.churn.mean_downtime = 1.0;
+    cfg.storage.enabled = true;
+    cfg.storage.n_objects = 2 * servers;
+    cfg.storage.replication_factor = 3;
+    cfg.storage.write_rate = 0.5 * f64::from(servers);
+    cfg.storage.read_rate = 0.5 * f64::from(servers);
+    cfg.storage.read_timeout = 1.0;
+    cfg.gossip.enabled = true;
+    cfg.gossip.culture = GossipCulture::Taciturn;
+    cfg.gossip.interval = 0.5;
+    cfg.validate().expect("coverage config must be valid");
+    let plan = StreamPlan::uzipf(1.0, window + 16.0);
+    let got = golden(balanced_tree(2, 7), cfg, plan, 300.0, window, 16.0);
+    assert_eq!(got, SUBSYSTEMS, "a routed hop or RNG draw changed");
+}
+
 const TS_ADAPT: &str = concat!(
     r#"{"injected":4690,"resolved":3694,"dropped":996,"#,
     r#""drop_fraction":0.212367,"latency_mean_s":0.527985,"#,
@@ -164,4 +218,28 @@ const TS_STORE_CHURN: &str = concat!(
     r#""tenant_worst_availability":1.000000,"tenant_slo_misses":0,"#,
     r#""rng_draws":64528} draws=[0, 477, 2390, 2389, 17400, 254, 4675, 2389,"#,
     r#" 0, 0, 0, 34554]"#,
+);
+const SUBSYSTEMS: &str = concat!(
+    r#"{"injected":3636,"resolved":3440,"dropped":196,"#,
+    r#""drop_fraction":0.053905,"latency_mean_s":1.427087,"#,
+    r#""latency_p99_s":8.290000,"hops_mean":1.1747,"#,
+    r#""replicas_created":141,"replicas_deleted":106,"#,
+    r#""sessions_completed":76,"control_messages":10784,"#,
+    r#""data_fetches_ok":0,"retries":2827,"messages_lost":225,"#,
+    r#""churn_failures":32,"churn_recoveries":32,"dropped_shed":0,"#,
+    r#""dropped_partition":0,"messages_cut":0,"cuts_applied":0,"#,
+    r#""heals_applied":0,"flash_injected":0,"misroutes":31,"#,
+    r#""detour_hops":23,"lease_evictions":1149,"reconcile_pushes":1914,"#,
+    r#""objects_written":64,"objects_alive":63,"objects_lost":1,"#,
+    r#""object_puts":196,"object_reads":186,"reads_failed":5,"#,
+    r#""stale_reads":0,"bytes_on_wire":2298259,"gossip_bytes":460847,"#,
+    r#""query_messages":10445,"sessions_aborted":34,"#,
+    r#""data_fetches_failed":0,"messages_to_dead":613,"#,
+    r#""attempts_lost_queue":2272,"attempts_lost_ttl":0,"#,
+    r#""attempts_lost_stuck":0,"attempts_lost_dead":502,"#,
+    r#""attempts_lost_transport":203,"attempts_lost_shed":0,"#,
+    r#""attempts_lost_partition":0,"scenario_crashes":0,"tenant_count":2,"#,
+    r#""tenant_worst_availability":0.939361,"tenant_slo_misses":2,"#,
+    r#""rng_draws":106640} draws=[0, 477, 3637, 7272, 25526, 506, 7540,"#,
+    r#" 3636, 0, 32, 0, 58014]"#,
 );
