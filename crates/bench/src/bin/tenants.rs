@@ -131,7 +131,7 @@ fn main() {
     // Capped at a quarter of aggregate capacity so smoke-scale fleets
     // (where six servers is most of the fleet) see the same *relative*
     // stress as the full-scale run.
-    let per_server = 1.0 / scale.config(args.seed).mean_service;
+    let per_server = 1.0 / terradir::config::MEAN_SERVICE;
     let surge = (6.0 * per_server).min(0.25 * f64::from(scale.servers) * per_server);
     let crowd_mult = 1.0 + (surge / rate).max(1.0);
     let iso_cfg = |crowd: bool| {

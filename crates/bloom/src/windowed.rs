@@ -217,12 +217,6 @@ impl WindowedDigest {
         )
     }
 
-    /// Number of entries [`Self::delta_since`] would yield, or `None` on
-    /// fallback.
-    pub fn delta_len_since(&self, since: u64) -> Option<usize> {
-        self.delta_since(since).map(Iterator::count)
-    }
-
     /// Wire size of the full snapshot in bytes (filter, generation tag,
     /// floor tag).
     pub fn byte_size(&self) -> usize {

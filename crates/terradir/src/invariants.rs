@@ -21,7 +21,7 @@ use crate::det::DetHashSet;
 
 use terradir_namespace::{Namespace, ServerId};
 
-use crate::config::Config;
+use crate::config;
 use crate::map::NodeMap;
 use crate::messages::QueryPacket;
 use crate::server::ServerState;
@@ -33,15 +33,11 @@ use crate::server::ServerState;
 ///
 /// 1. the sender does not host the target (hosting implies `Resolve`, so a
 ///    forward from a hosting server means routing skipped a resolution);
-/// 2. `hops` never exceeds `ttl_hops` (the drop check ran before emission);
+/// 2. `hops` never exceeds `TTL_HOPS` (the drop check ran before emission);
 /// 3. the hop bookkeeping is stamped: `intended_via` names the node being
 ///    routed toward and `prev_hop` names the sender (the stale-entry
 ///    correction path in §3.5 depends on both).
-pub fn check_incremental_progress(
-    cfg: &Config,
-    sender: &ServerState,
-    packet: &QueryPacket,
-) -> Vec<String> {
+pub fn check_incremental_progress(sender: &ServerState, packet: &QueryPacket) -> Vec<String> {
     let mut v = Vec::new();
     if sender.hosts(packet.target) {
         v.push(format!(
@@ -49,10 +45,12 @@ pub fn check_incremental_progress(
             sender.id.0, packet.id, packet.target
         ));
     }
-    if packet.hops > cfg.ttl_hops {
+    if packet.hops > config::TTL_HOPS {
         v.push(format!(
-            "query {} in flight with hops {} > ttl_hops {}",
-            packet.id, packet.hops, cfg.ttl_hops
+            "query {} in flight with hops {} > TTL_HOPS {}",
+            packet.id,
+            packet.hops,
+            config::TTL_HOPS
         ));
     }
     if packet.intended_via.is_none() {
@@ -112,7 +110,7 @@ pub fn check_map_bounds(server: &ServerState) -> Vec<String> {
 }
 
 /// Replica budget (paper §3.5): soft-state replicas never exceed
-/// `R_fact · |owned|` (as computed by [`Config::replica_cap`]), and the
+/// `R_fact · |owned|` (as computed by [`config::Config::replica_cap`]), and the
 /// replica set stays disjoint from the owned set — a server must not
 /// count a node it owns as a replica.
 pub fn check_replica_budget(server: &ServerState) -> Vec<String> {
@@ -526,6 +524,7 @@ mod tests {
 
     use super::*;
     use crate::cache::RouteCache;
+    use crate::config::Config;
     use crate::meta::Meta;
     use crate::records::NodeRecord;
 
@@ -793,12 +792,11 @@ mod tests {
     #[test]
     fn forward_contract_violations_are_caught() {
         let (ns, s) = fixture();
-        let cfg = Config::paper_default(4);
         let target = non_hosted(&ns, &s);
         let mut p = QueryPacket::new(7, ServerId(1), target, 0.0);
-        p.hops = cfg.ttl_hops + 1;
+        p.hops = config::TTL_HOPS + 1;
         // No intended_via, wrong prev_hop, TTL blown: three violations.
-        let v = check_incremental_progress(&cfg, &s, &p);
+        let v = check_incremental_progress(&s, &p);
         assert_eq!(v.len(), 3, "{v:?}");
 
         // A well-formed forward passes.
@@ -806,7 +804,7 @@ mod tests {
         ok.hops = 3;
         ok.intended_via = Some(target);
         ok.prev_hop = Some(s.id);
-        assert!(check_incremental_progress(&cfg, &s, &ok).is_empty());
+        assert!(check_incremental_progress(&s, &ok).is_empty());
 
         // Forwarding a query whose target the sender hosts is flagged.
         let hosted = s.owned_ids().next().unwrap();
@@ -814,7 +812,7 @@ mod tests {
         bad.hops = 1;
         bad.intended_via = Some(hosted);
         bad.prev_hop = Some(s.id);
-        let v = check_incremental_progress(&cfg, &s, &bad);
+        let v = check_incremental_progress(&s, &bad);
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(v[0].contains("hosts the target"), "{v:?}");
     }

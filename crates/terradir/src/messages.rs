@@ -49,7 +49,7 @@ pub struct QueryPacket {
     pub hops: u32,
     /// Path propagation: `(node, map)` pairs accumulated along the route,
     /// merged into every visited server's cache and cached wholesale at the
-    /// origin on completion. Bounded by `Config::path_cap`.
+    /// origin on completion. Bounded by [`crate::config::PATH_CAP`].
     pub path: Vec<(NodeId, NodeMap)>,
     /// The forwarding server's effective load (piggybacked profiling input
     /// for partner selection).

@@ -40,10 +40,10 @@ pub struct NodeRecord {
     /// Last time this record's map was back-propagated (rate limit).
     pub backprop_at: f64,
     /// Soft-state lease stamp (DESIGN.md §14): last time fresh evidence
-    /// for this record arrived (installation, an absorbed payload, or —
-    /// with `leases.refresh_on_use` — a resolution at this host). The
-    /// lazy sweep evicts *replica* records whose stamp is older than
-    /// `leases.ttl`; owned records are authoritative and exempt.
+    /// for this record arrived (installation, an absorbed payload, or a
+    /// resolution at this host). The lazy sweep evicts *replica* records
+    /// whose stamp is older than `leases.ttl`; owned records are
+    /// authoritative and exempt.
     pub lease_at: f64,
 }
 

@@ -64,7 +64,7 @@ pub fn lww_merge(a: StoredObject, b: StoredObject) -> StoredObject {
 }
 
 /// Computes the replica set for `node` into `out` (cleared first):
-/// the owner, then — with `subtree_affinity` — the deduplicated owners
+/// the owner, then the deduplicated owners
 /// of the node's namespace neighbors (parent, then children in tree
 /// order), then consecutive server ids from the owner as filler,
 /// truncated to `replication_factor` distinct servers (capped at the
@@ -91,18 +91,16 @@ pub fn replica_targets(
     let admitted = |s: ServerId| roles.is_none_or(|r| r.admits(s, node));
     let owner = assignment.owner(node);
     out.push(owner);
-    if cfg.subtree_affinity {
-        let parent = ns.parent(node);
-        let children = ns.children(node);
-        let neighbors = parent.iter().copied().chain(children.iter().copied());
-        for nb in neighbors {
-            if out.len() == want {
-                break;
-            }
-            let host = assignment.owner(nb);
-            if admitted(host) && !out.contains(&host) {
-                out.push(host);
-            }
+    let parent = ns.parent(node);
+    let children = ns.children(node);
+    let neighbors = parent.iter().copied().chain(children.iter().copied());
+    for nb in neighbors {
+        if out.len() == want {
+            break;
+        }
+        let host = assignment.owner(nb);
+        if admitted(host) && !out.contains(&host) {
+            out.push(host);
         }
     }
     let mut k = 1;
@@ -190,7 +188,6 @@ mod tests {
         let assignment = OwnerAssignment::from_owner_vec(owners, ns.len() as u32);
         let cfg = StorageConfig {
             replication_factor: 3,
-            subtree_affinity: true,
             ..StorageConfig::default()
         };
         let node = NodeId(1); // has a parent and two children
@@ -201,14 +198,6 @@ mod tests {
         assert_eq!(out[1], assignment.owner(parent));
         let first_child = ns.children(node)[0];
         assert_eq!(out[2], assignment.owner(first_child));
-
-        // Without affinity the filler is consecutive server ids.
-        let plain = StorageConfig {
-            subtree_affinity: false,
-            ..cfg
-        };
-        replica_targets(node, &ns, &assignment, &plain, None, &mut out);
-        assert_eq!(out[1], ServerId(assignment.owner(node).0 + 1));
     }
 
     #[test]

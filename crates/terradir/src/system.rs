@@ -16,7 +16,7 @@ use terradir_workload::{
     ledger_add, tagged_rng, ExpService, PoissonArrivals, QueryStream, StreamPlan, TaggedRng,
 };
 
-use crate::config::{ChaosAction, Config, GossipCulture};
+use crate::config::{self, ChaosAction, Config, GossipCulture};
 use crate::context::{StatefulContext, StatelessContext};
 use crate::map::NodeMap;
 use crate::messages::{Message, QueryPacket};
@@ -274,15 +274,13 @@ impl System {
         let (mut speeds, speed_draws) = Self::draw_speeds(&cfg);
         ledger_add(&mut setup_draws, tags::SPEEDS, speed_draws);
         // Relays run faster hardware: scale their drawn speed by
-        // `relay_speed_factor` (no extra RNG; deliberately breaks the
+        // `RELAY_SPEED_FACTOR` (no extra RNG; deliberately breaks the
         // mean-1 normalization — the fleet's aggregate capacity grows
         // with its relay count, DESIGN.md §19).
         if let Some(r) = &roles {
-            if cfg.roles.relay_speed_factor != 1.0 {
-                for (i, sp) in speeds.iter_mut().enumerate() {
-                    if r.class_of(ServerId(i as u32)) == crate::config::ServerClass::Relay {
-                        *sp *= cfg.roles.relay_speed_factor;
-                    }
+            for (i, sp) in speeds.iter_mut().enumerate() {
+                if r.class_of(ServerId(i as u32)) == crate::config::ServerClass::Relay {
+                    *sp *= config::RELAY_SPEED_FACTOR;
                 }
             }
         }
@@ -374,7 +372,7 @@ impl System {
         let mut rng_arrivals = tagged_rng(cfg.seed, tags::ARRIVALS);
         let first = arrivals.next_gap(&mut rng_arrivals);
         engine.schedule(first, Event::Inject);
-        engine.schedule(cfg.load_window, Event::Maintain);
+        engine.schedule(config::LOAD_WINDOW, Event::Maintain);
         engine.schedule(1.0, Event::Sample);
         let mut rng_faults = tagged_rng(cfg.seed, tags::FAULTS);
         if cfg.churn.enabled {
@@ -456,7 +454,7 @@ impl System {
             minority: vec![false; n],
             flash: None,
             flash_epoch: 0,
-            service: ExpService::new(cfg.mean_service),
+            service: ExpService::new(config::MEAN_SERVICE),
             rng_service: tagged_rng(cfg.seed, tags::SERVICE),
             rng_protocol: tagged_rng(cfg.seed, tags::PROTOCOL),
             rng_arrivals,
@@ -848,7 +846,7 @@ impl System {
     }
 
     /// Bounded anti-entropy push (DESIGN.md §14): the server re-advertises
-    /// up to `reconcile.batch` of its owned records to at most
+    /// up to [`config::RECONCILE_BATCH`] of its owned records to at most
     /// `reconcile.fanout` namespace-neighbor owners, chosen from the fault
     /// RNG so runs replay bit-identically. Inert unless
     /// `reconcile.enabled` (and then draws no fault randomness at all, so
@@ -883,7 +881,7 @@ impl System {
         // xtask: allow(alloc): reconcile push, fires only on heal/rejoin
         let mut nodes: Vec<NodeId> = server.owned_ids().collect();
         nodes.sort_unstable();
-        nodes.truncate(self.shared.cfg.reconcile.batch as usize);
+        nodes.truncate(config::RECONCILE_BATCH as usize);
         // Each push advertises only the authoritative fact the pusher can
         // vouch for — "I host this node", a singleton map. Forwarding its
         // full host map would propagate exactly the stale third-party
@@ -1836,8 +1834,7 @@ impl System {
                 ..
             } = o
             {
-                let violations =
-                    crate::invariants::check_incremental_progress(&self.shared.cfg, sender, p);
+                let violations = crate::invariants::check_incremental_progress(sender, p);
                 debug_assert!(
                     violations.is_empty(),
                     "forward invariants violated: {violations:#?}"
@@ -1911,7 +1908,7 @@ impl System {
                 self.maint_bufs = bufs;
                 self.perm_buf = order;
                 self.engine
-                    .schedule_in(self.shared.cfg.load_window, Event::Maintain);
+                    .schedule_in(config::LOAD_WINDOW, Event::Maintain);
             }
             Event::Sample => {
                 let now = self.engine.now();
@@ -2086,8 +2083,8 @@ impl System {
                 // The sender observes the failed send exactly as it would
                 // a dead host (PR 2's negative-caching path). The far
                 // side is unreachable, not dead: entries clear via
-                // proof-of-life after the heal or expire at dead_ttl.
-                if self.shared.cfg.negative_caching_active() && !self.is_failed(sender) {
+                // proof-of-life after the heal or expire at `DEAD_TTL`.
+                if self.shared.cfg.retry.enabled && !self.is_failed(sender) {
                     self.engine.schedule_in(
                         self.shared.cfg.network_delay,
                         Event::Deliver {
@@ -2134,7 +2131,7 @@ impl System {
             // Negative-caching feedback: the live sender — whatever the
             // message kind — learns the host is unreachable and purges it
             // from its soft state (DESIGN.md §12).
-            if self.shared.cfg.negative_caching_active() {
+            if self.shared.cfg.retry.enabled {
                 if let Some(sender) = from {
                     if !self.is_failed(sender) {
                         self.engine.schedule_in(
@@ -2195,7 +2192,7 @@ impl System {
             // (badness −1): a result is a query one delivery away from
             // resolving. If nothing queued is strictly worse than the
             // arrival, the arrival itself is shed.
-            let ttl = i64::from(self.shared.cfg.ttl_hops);
+            let ttl = i64::from(config::TTL_HOPS);
             let badness = |m: &Message| match m {
                 Message::Query(p) => ttl - i64::from(p.hops),
                 _ => -1,
@@ -2253,7 +2250,7 @@ impl System {
             // Result delivery and control traffic are lightweight: the
             // paper's service time models routing steps, not the direct
             // response to the querier.
-            _ => d *= self.shared.cfg.control_service_factor,
+            _ => d *= config::CONTROL_SERVICE_FACTOR,
         }
         ctx.server.record_busy(now, d);
         ctx.util.record_busy(now, d);
@@ -2565,11 +2562,6 @@ impl System {
         self.pending.len()
     }
 
-    /// For tests: total queued messages across all servers.
-    pub fn queued_messages(&self) -> usize {
-        self.ctxs.iter().map(|c| c.queue.len()).sum()
-    }
-
     /// For tests: owner of a node per the assignment.
     pub fn owner_of(&self, node: NodeId) -> ServerId {
         self.shared.assignment.owner(node)
@@ -2835,7 +2827,7 @@ mod tests {
         let cfg = Config::paper_default(8);
         assert!(on > 0, "enabled rejoin must push advertisements");
         assert!(
-            on <= u64::from(cfg.reconcile.fanout) * u64::from(cfg.reconcile.batch),
+            on <= u64::from(cfg.reconcile.fanout) * u64::from(config::RECONCILE_BATCH),
             "pushes {on} exceed fanout × batch bound"
         );
         assert_eq!(run(false), 0, "disabled reconcile must stay silent");

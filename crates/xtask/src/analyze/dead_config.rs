@@ -10,7 +10,7 @@
 //!
 //! Like the conservation pass, "read" tolerates one transitive level
 //! through `config.rs` itself: a field consumed only inside an accessor
-//! (e.g. `negative_caching` behind `negative_caching_active()`) counts
+//! (e.g. `misroute` behind `misroute_active()`) counts
 //! when behavior code calls that accessor.
 //!
 //! The match is token-level (a same-named field of an unrelated struct

@@ -200,11 +200,6 @@ pub fn check_struct_docs(config_src: &str, design_md: &str, name: &str) -> Vec<V
     out
 }
 
-/// Variant names of `pub enum Message { … }`.
-pub fn message_variants(messages_src: &str) -> Vec<String> {
-    enum_variants(messages_src, "Message")
-}
-
 /// Variant names of any `enum <name> { … }`, public or private (the
 /// exhaustiveness pass audits the simulator's private `Event` enum too).
 /// The match requires an identifier boundary on both sides of `name`, so
@@ -275,79 +270,6 @@ pub fn enum_variants(src: &str, name: &str) -> Vec<String> {
         i += 1;
     }
     variants
-}
-
-/// Every `DropKind` variant must be named in the drop-taxonomy test
-/// (`tests/partitions.rs::drop_taxonomy_is_fully_accounted`) — a drop
-/// class missing from that test is a drop class that could silently
-/// fall out of the accounting identity `resolved + dropped == injected`.
-pub fn check_drop_kind_accounting(stats_src: &str, test_src: &str) -> Vec<Violation> {
-    let variants = enum_variants(stats_src, "DropKind");
-    let mut out = Vec::new();
-    if variants.is_empty() {
-        out.push(Violation {
-            file: "crates/terradir/src/stats.rs".into(),
-            line: 1,
-            what: "auditor found no `pub enum DropKind` variants (parser drift?)".into(),
-        });
-        return out;
-    }
-    let scrubbed = scrub(test_src);
-    for v in &variants {
-        let pat = format!("DropKind::{v}");
-        let named = scrubbed.match_indices(&pat).any(|(pos, _)| {
-            // Token boundary, so `DropKind::Ttl` is not satisfied by a
-            // hypothetical `DropKind::TtlExceeded`.
-            !scrubbed
-                .as_bytes()
-                .get(pos + pat.len())
-                .is_some_and(|b| b.is_ascii_alphanumeric() || *b == b'_')
-        });
-        if !named {
-            out.push(Violation {
-                file: "tests/partitions.rs".into(),
-                line: 1,
-                what: format!("DropKind::{v} is never named in the drop-taxonomy test"),
-            });
-        }
-    }
-    out
-}
-
-/// Every `Message` variant must be matched somewhere in `server.rs` —
-/// an unhandled variant means a protocol message that silently vanishes
-/// (soft state hides the bug: the system still "works", just worse).
-pub fn check_message_handlers(messages_src: &str, server_src: &str) -> Vec<Violation> {
-    let variants = message_variants(messages_src);
-    let mut out = Vec::new();
-    if variants.is_empty() {
-        out.push(Violation {
-            file: "crates/terradir/src/messages.rs".into(),
-            line: 1,
-            what: "auditor found no `pub enum Message` variants (parser drift?)".into(),
-        });
-        return out;
-    }
-    let scrubbed = scrub(server_src);
-    for v in &variants {
-        let pat = format!("Message::{v}");
-        let handled = scrubbed.match_indices(&pat).any(|(pos, _)| {
-            // Require a token boundary after the variant name, so
-            // `Message::Query` is not satisfied by `Message::QueryResult`.
-            !scrubbed
-                .as_bytes()
-                .get(pos + pat.len())
-                .is_some_and(|b| b.is_ascii_alphanumeric() || *b == b'_')
-        });
-        if !handled {
-            out.push(Violation {
-                file: "crates/terradir/src/server.rs".into(),
-                line: 1,
-                what: format!("Message::{v} is never matched in server.rs handlers"),
-            });
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -498,93 +420,12 @@ pub struct Config {
         assert!(check_struct_docs(src, "a", "Config").is_empty());
     }
 
-    // ---- message handlers ----------------------------------------------
-
-    const MESSAGES: &str = r"
-pub enum Message {
-    Query(u32),
-    QueryResult { id: u64 },
-    LoadProbe { from: u32 },
-}
-";
-
-    #[test]
-    fn all_variants_handled_passes() {
-        let server = "match m { Message::Query(_) => {} Message::QueryResult { .. } => {} Message::LoadProbe { .. } => {} }";
-        assert!(check_message_handlers(MESSAGES, server).is_empty());
-    }
-
-    #[test]
-    fn unhandled_variant_is_caught() {
-        let server =
-            "match m { Message::Query(_) => {} Message::QueryResult { .. } => {} _ => {} }";
-        let vs = check_message_handlers(MESSAGES, server);
-        assert_eq!(vs.len(), 1);
-        assert!(vs[0].what.contains("LoadProbe"));
-    }
-
-    #[test]
-    fn prefix_variant_names_are_not_confused() {
-        // `Message::Query` handled must not satisfy `QueryResult`, and
-        // vice versa: `QueryResult` alone must not satisfy `Query`.
-        let server = "match m { Message::QueryResult { .. } => {} _ => {} }";
-        let vs = check_message_handlers(MESSAGES, server);
-        let names: Vec<&str> = vs.iter().map(|v| v.what.as_str()).collect();
-        assert!(names.iter().any(|w| w.contains("Message::Query is")));
-        assert!(names.iter().any(|w| w.contains("Message::LoadProbe")));
-        assert_eq!(vs.len(), 2);
-    }
-
-    #[test]
-    fn variant_parser_reads_real_shape() {
-        let vs = message_variants(MESSAGES);
-        assert_eq!(vs, vec!["Query", "QueryResult", "LoadProbe"]);
-    }
-
-    // ---- drop-kind accounting -------------------------------------------
-
-    const STATS: &str = r"
-pub enum DropKind {
-    Queue,
-    Ttl,
-    Shed,
-}
-";
+    // ---- enum variants ---------------------------------------------------
 
     #[test]
     fn enum_variants_respects_identifier_boundaries() {
         let src = "pub enum DropKindSet { Decoy }\npub enum DropKind { Queue, Ttl }\n";
         assert_eq!(enum_variants(src, "DropKind"), vec!["Queue", "Ttl"]);
         assert_eq!(enum_variants(src, "DropKindSet"), vec!["Decoy"]);
-    }
-
-    #[test]
-    fn fully_named_taxonomy_passes() {
-        let test = "let ks = [DropKind::Queue, DropKind::Ttl, DropKind::Shed];";
-        assert!(check_drop_kind_accounting(STATS, test).is_empty());
-    }
-
-    #[test]
-    fn missing_taxonomy_variant_is_caught() {
-        let test = "let ks = [DropKind::Queue, DropKind::Ttl];";
-        let vs = check_drop_kind_accounting(STATS, test);
-        assert_eq!(vs.len(), 1);
-        assert!(vs[0].what.contains("DropKind::Shed"));
-    }
-
-    #[test]
-    fn taxonomy_prefix_names_are_not_confused() {
-        // `DropKind::TtlExceeded` must not satisfy `DropKind::Ttl`.
-        let test = "[DropKind::Queue, DropKind::TtlExceeded, DropKind::Shed]";
-        let vs = check_drop_kind_accounting(STATS, test);
-        assert_eq!(vs.len(), 1);
-        assert!(vs[0].what.contains("DropKind::Ttl is"));
-    }
-
-    #[test]
-    fn drop_kind_parser_drift_is_loud_not_silent() {
-        let vs = check_drop_kind_accounting("pub enum Drops { A }", "DropKind::A");
-        assert_eq!(vs.len(), 1);
-        assert!(vs[0].what.contains("parser drift"));
     }
 }

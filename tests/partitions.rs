@@ -251,7 +251,7 @@ fn shed_and_overflow_drops_never_mix() {
 
 /// Every [`DropKind`] variant is accounted: the exhaustive match breaks
 /// this test at compile time when a variant is added, and the xtask
-/// audit (`check_drop_kind_accounting`) requires each variant to be
+/// exhaustiveness pass's `DropKind` rule requires each variant to be
 /// named here, so the accounting identity can never silently lose a
 /// drop class. Variants covered: DropKind::Queue, DropKind::Ttl,
 /// DropKind::Stuck, DropKind::Timeout, DropKind::Lost, DropKind::Shed,
