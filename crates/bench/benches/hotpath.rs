@@ -19,33 +19,38 @@ use terradir::server::ServerState;
 use terradir::{NodeMap, RouteCache, System};
 use terradir_bench::Scale;
 use terradir_bloom::{BloomParams, DigestBuilder};
-use terradir_namespace::{balanced_tree, NodeId, ServerId};
+use terradir_namespace::{balanced_tree, Namespace, NodeId, ServerId};
 use terradir_workload::{seed::tags, seeded_rng, QueryStream, StreamPlan};
 
-/// Servers in the warmed fleet the route-step bench samples from.
-const WARM_SERVERS: u32 = 1024;
+/// Seed of the warmed runs and of the target streams drawn from them.
+const WARM_SEED: u64 = 7;
 
-/// A server cloned out of a warmed 1024-server run of the paper's
-/// adaptation stream (the `speed` bench's workload, 6 simulated seconds:
-/// uniform warm-up, then a Zipf-1.25 segment), plus targets drawn from the
-/// same stream that the server does not host. Taking the server with the
-/// fullest digest store gives the route decision its in-situ shape: a
-/// warm cache, replicas, and a digest scan over ~`digest_store_slots`
-/// peers. A freshly bootstrapped server, with an empty store and cache,
-/// prices a decision at a tenth of its in-situ cost.
-fn warmed_server() -> (ServerState, Vec<NodeId>) {
-    let scale = Scale::for_servers(WARM_SERVERS, 1.0);
-    let plan = StreamPlan::adaptation(1.25, 3.0, 1, 3.0);
-    let ns = scale.ts_namespace();
+/// A server cloned out of a run warmed for 6 simulated seconds, plus
+/// targets drawn from the same stream that the server does not host. The
+/// server is the one `rank` puts highest (ties to the lower id). A freshly
+/// bootstrapped server, with an empty digest store and cache, prices a
+/// decision at a tenth of its in-situ cost.
+fn warmed_server<K: Ord>(
+    scale: Scale,
+    ns: Namespace,
+    plan: StreamPlan,
+    paper_rate: f64,
+    rank: impl Fn(&System, ServerId) -> K,
+) -> (ServerState, Vec<NodeId>) {
     let n_nodes = ns.len();
-    let mut sys = System::new(ns, scale.config(7), plan.clone(), scale.rate(20_000.0));
+    let mut sys = System::new(
+        ns,
+        scale.config(WARM_SEED),
+        plan.clone(),
+        scale.rate(paper_rate),
+    );
     sys.run_until(6.0);
-    let server = (0..WARM_SERVERS)
+    let server = (0..scale.servers)
         .map(ServerId)
-        .max_by_key(|&s| (sys.server(s).digest_store().len(), std::cmp::Reverse(s)))
+        .max_by_key(|&s| (rank(&sys, s), std::cmp::Reverse(s)))
         .map(|s| sys.server(s).clone())
         .unwrap();
-    let mut stream = QueryStream::new(plan, n_nodes, WARM_SERVERS, 7);
+    let mut stream = QueryStream::new(plan, n_nodes, scale.servers, WARM_SEED);
     let targets: Vec<NodeId> = (0..4096)
         .map(|_| stream.next_query(sys.now()).1)
         .filter(|&t| !server.hosts(t))
@@ -53,27 +58,60 @@ fn warmed_server() -> (ServerState, Vec<NodeId>) {
     (server, targets)
 }
 
+/// The paper's adaptation stream on a 1024-server T_S fleet (the `speed`
+/// bench's workload: uniform warm-up, then a Zipf-1.25 segment), at the
+/// server with the fullest digest store: a warm cache, replicas, and a
+/// digest scan over ~`digest_store_slots` peers. T_S has fan-out 2.
+fn warmed_ts_1024() -> (ServerState, Vec<NodeId>) {
+    let scale = Scale::for_servers(1024, 1.0);
+    let plan = StreamPlan::adaptation(1.25, 3.0, 1, 3.0);
+    warmed_server(scale, scale.ts_namespace(), plan, 20_000.0, |sys, s| {
+        sys.server(s).digest_store().len()
+    })
+}
+
+/// Zipf-1.0 on a 256-server T_C fleet (the paper's λ_C), whose
+/// directories hold hundreds of entries, at the server with the most
+/// neighbor maps: the decision's fan-out-heavy shape.
+fn warmed_tc_256() -> (ServerState, Vec<NodeId>) {
+    let scale = Scale::for_servers(256, 1.0);
+    let plan = StreamPlan::uzipf(1.0, 10.0);
+    warmed_server(scale, scale.tc_namespace(42), plan, 40_000.0, |sys, s| {
+        let server = sys.server(s);
+        sys.namespace()
+            .ids()
+            .filter(|&n| server.neighbor_map(n).is_some())
+            .count()
+    })
+}
+
 fn bench_route_step(c: &mut Criterion) {
     let mut g = c.benchmark_group("route_step");
     g.throughput(Throughput::Elements(1));
     g.sample_size(20_000);
-    let (server, targets) = warmed_server();
-    println!(
-        "route_step: server {} with {} stored digests, {} cached pointers",
-        server.id().0,
-        server.digest_store().len(),
-        server.cache().len()
-    );
-    g.bench_function("decide_warmed_1024_servers", |b| {
-        let mut server = server.clone();
-        let mut rng = seeded_rng(7, tags::PROTOCOL);
-        let mut i = 0usize;
-        b.iter(|| {
-            i = (i + 1) % targets.len();
-            let choice = server.peek_route(black_box(targets[i]), &mut rng);
-            black_box(matches!(choice, RouteChoice::Resolve))
+    let cases = [
+        ("decide_warmed_1024_servers", warmed_ts_1024()),
+        ("decide_warmed_tc_256_servers", warmed_tc_256()),
+    ];
+    for (name, (server, targets)) in cases {
+        println!(
+            "route_step/{name}: server {} with {} stored digests, {} cached pointers, {} hosted nodes",
+            server.id().0,
+            server.digest_store().len(),
+            server.cache().len(),
+            server.hosted_ids().count()
+        );
+        g.bench_function(name, |b| {
+            let mut server = server.clone();
+            let mut rng = seeded_rng(WARM_SEED, tags::PROTOCOL);
+            let mut i = 0usize;
+            b.iter(|| {
+                i = (i + 1) % targets.len();
+                let choice = server.peek_route(black_box(targets[i]), &mut rng);
+                black_box(matches!(choice, RouteChoice::Resolve))
+            });
         });
-    });
+    }
     g.finish();
 }
 

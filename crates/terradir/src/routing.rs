@@ -25,6 +25,9 @@
 //! `target` and its ancestors in increasing-distance order examines exactly
 //! the names that can improve on the classical candidate, in optimal order.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use rand::Rng;
 use rand::RngCore;
 
@@ -70,8 +73,10 @@ pub enum HopKind {
 /// across calls so a route decision allocates nothing of its own.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct RouteScratch {
-    /// Packed candidate keys (see [`pack`]), sorted per decision.
-    keys: Vec<u64>,
+    /// Packed candidate keys (see [`pack`]). Each decision heapifies the
+    /// buffer in place into a min-heap, pops what it needs and hands the
+    /// buffer back.
+    keys: Vec<Reverse<u64>>,
     /// Servers whose digest claims the name under test.
     hits: Vec<ServerId>,
 }
@@ -79,7 +84,8 @@ pub(crate) struct RouteScratch {
 /// Packs a forwarding candidate into one sortable key: distance in the
 /// high bits, then node id, then a kind bit that puts a context neighbor
 /// before a cache entry for the same node. Keys are unique per
-/// `(node, kind)`, so sorting them is sorting by `(distance, node id)`.
+/// `(node, kind)`, so popping them from a min-heap yields them in
+/// `(distance, node id)` order.
 /// Distances are at most twice the `u16` tree depth, far below 2^31.
 #[inline]
 fn pack(dist: u32, node: NodeId, kind: HopKind) -> u64 {
@@ -135,40 +141,58 @@ impl ServerState {
         scratch: &mut RouteScratch,
     ) -> RouteChoice {
         // Rank first, filter lazily: one packed key per context neighbor
-        // and cache entry, sorted once, so the (distance, node id) order
-        // is ready before any exclusion lookup runs. The exclusions are
-        // then paid only for the candidates the decision actually reaches
-        // — usually just the head.
-        let keys = &mut scratch.keys;
+        // and cache entry, heapified in O(n) so the (distance, node id)
+        // order is ready before any exclusion lookup runs. Keys are then
+        // popped, and the exclusions paid, only for the candidates the
+        // decision actually reaches — usually just the head.
+        let mut keys = std::mem::take(&mut scratch.keys);
         keys.clear();
         let ns = &self.ns;
         keys.extend(
             self.neighbor_maps
                 .keys()
-                .map(|&n| pack(distance(ns, n, target), n, HopKind::Neighbor)),
+                .map(|&n| Reverse(pack(distance(ns, n, target), n, HopKind::Neighbor))),
         );
         if self.cfg.caching {
             keys.extend(
                 self.cache
                     .iter()
-                    .map(|(n, _)| pack(distance(ns, n, target), n, HopKind::Cache)),
+                    .map(|(n, _)| Reverse(pack(distance(ns, n, target), n, HopKind::Cache))),
             );
         }
-        keys.sort_unstable();
-        let first = keys.iter().position(|&k| {
-            let (_, n, kind) = unpack(k);
-            self.is_candidate(n, kind)
-        });
-        let best_dist = first
-            .and_then(|i| keys.get(i))
-            .map_or(u32::MAX, |&k| unpack(k).0);
+        // `From<Vec>` heapifies in place and `into_vec` returns the same
+        // buffer, so the scratch allocation is reused on every exit.
+        let mut heap = BinaryHeap::from(keys);
+        let choice = self.route_ranked(target, avoid, rng, &mut heap, &mut scratch.hits);
+        scratch.keys = heap.into_vec();
+        choice
+    }
+
+    /// The decision proper, over the keys [`Self::route_with`] ranked.
+    fn route_ranked(
+        &mut self,
+        target: NodeId,
+        avoid: &[ServerId],
+        rng: &mut impl RngCore,
+        heap: &mut BinaryHeap<Reverse<u64>>,
+        hits: &mut Vec<ServerId>,
+    ) -> RouteChoice {
+        // Drop ranked keys that are no candidates until the best one is
+        // on top; its distance bounds the digest scan.
+        while let Some(&Reverse(key)) = heap.peek() {
+            let (_, n, kind) = unpack(key);
+            if self.is_candidate(n, kind) {
+                break;
+            }
+            heap.pop();
+        }
+        let best_dist = heap.peek().map_or(u32::MAX, |&Reverse(k)| unpack(k).0);
 
         // Digest shortcut: test the target and its ancestors (the provably
         // optimal generated-set members) in increasing-distance order, but
         // only at distances that would beat the classical candidate.
         let mut digest_hit: Option<(NodeId, ServerId)> = None;
         if self.cfg.digests && !self.digest_store.is_empty() {
-            let hits = &mut scratch.hits;
             let mut budget = self.cfg.digest_test_budget;
             let mut chain = Some(target);
             let mut dist = 0u32;
@@ -241,7 +265,7 @@ impl ServerState {
         // bouncing). The first all-avoided candidate is kept as a last
         // resort so the query never strands when every host was visited.
         let mut fallback: Option<(NodeId, HopKind, NodeMap)> = None;
-        for &key in keys.iter().skip(first.unwrap_or(keys.len())) {
+        while let Some(Reverse(key)) = heap.pop() {
             let (_, via, kind) = unpack(key);
             if !self.is_candidate(via, kind) {
                 continue;
@@ -289,14 +313,7 @@ impl ServerState {
                     }
                     // Attribute the demand to a hosted node whose context
                     // gave us this neighbor (deterministic: smallest id).
-                    let mut ctx: Option<NodeId> = None;
-                    let ns = &self.ns;
-                    for &h in ns.parent(via).iter().chain(ns.children(via)) {
-                        if self.hosts(h) && ctx.is_none_or(|c| h < c) {
-                            ctx = Some(h);
-                        }
-                    }
-                    ctx
+                    self.hosted_neighbor(via)
                 }
                 HopKind::Cache => {
                     if let Some(m) = self.cache.get_mut(via) {
@@ -367,6 +384,37 @@ mod tests {
             .map(|i| ServerState::new(ServerId(i), Arc::clone(&ns), Arc::clone(&cfg), &asg))
             .collect();
         (ns, cfg, asg, servers)
+    }
+
+    #[test]
+    fn scratch_heap_pops_keys_in_sorted_order() {
+        use rand::seq::SliceRandom;
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut scratch = RouteScratch::default();
+        for n in [0usize, 1, 2, 17, 175, 1000] {
+            let mut sorted: Vec<u64> = (0..n)
+                .map(|_| {
+                    let kind = if rng.gen_bool(0.5) {
+                        HopKind::Cache
+                    } else {
+                        HopKind::Neighbor
+                    };
+                    pack(rng.gen_range(0..64), NodeId(rng.gen_range(0..4096)), kind)
+                })
+                .collect();
+            sorted.sort_unstable();
+            sorted.dedup();
+            let mut shuffled = sorted.clone();
+            shuffled.shuffle(&mut rng);
+            scratch.keys.clear();
+            scratch.keys.extend(shuffled.iter().map(|&k| Reverse(k)));
+            let buffer = scratch.keys.as_ptr();
+            let mut heap = BinaryHeap::from(std::mem::take(&mut scratch.keys));
+            let popped: Vec<u64> = std::iter::from_fn(|| heap.pop().map(|Reverse(k)| k)).collect();
+            assert_eq!(popped, sorted, "{n} keys");
+            scratch.keys = heap.into_vec();
+            assert_eq!(scratch.keys.as_ptr(), buffer, "the heap reuses the buffer");
+        }
     }
 
     #[test]

@@ -421,6 +421,18 @@ impl ServerState {
         self.owned.keys().chain(self.replicas.keys()).copied()
     }
 
+    /// The smallest hosted node adjacent to `node` (its parent or one of
+    /// its children): the hosted node whose routing context holds
+    /// `node`'s map, if any. Scans the hosted set rather than `node`'s
+    /// fan-out, so a directory with hundreds of entries costs no more
+    /// than a leaf.
+    pub(crate) fn hosted_neighbor(&self, node: NodeId) -> Option<NodeId> {
+        let parent = self.ns.parent(node);
+        self.hosted_ids()
+            .filter(|&h| Some(h) == parent || self.ns.parent(h) == Some(node))
+            .min()
+    }
+
     /// The effective (biased) load at `now`.
     pub fn effective_load(&self, now: f64) -> f64 {
         self.load.effective(now)
@@ -1221,8 +1233,7 @@ impl ServerState {
             .collect(); // xtask: allow(alloc): periodic maintenance sweep, not per event
         stale_ctx.sort_unstable();
         for n in stale_ctx {
-            let still_needed = self.ns.neighbors(n).iter().any(|&h| self.hosts(h));
-            if still_needed {
+            if self.hosted_neighbor(n).is_some() {
                 if let Some(at) = self.context_lease.get_mut(&n) {
                     *at = now;
                 }
@@ -1272,8 +1283,7 @@ impl ServerState {
             self.gossip.mark(node);
         }
         for nb in self.ns.neighbors(node) {
-            let still_needed = self.ns.neighbors(nb).iter().any(|&h| self.hosts(h));
-            if !still_needed {
+            if self.hosted_neighbor(nb).is_none() {
                 self.neighbor_maps.remove(&nb);
                 self.context_lease.remove(&nb);
             }
@@ -1751,6 +1761,64 @@ mod tests {
             out[0],
             Outgoing::Event(ProtocolEvent::ReplicaDeleted { .. })
         ));
+    }
+
+    #[test]
+    fn hosted_neighbor_matches_fan_out_scan() {
+        use rand::Rng;
+        // One directory of 600 entries (T_C's wide shape), plus chains
+        // hanging off the root and off a few of the wide entries.
+        let mut ns = Namespace::new();
+        let root = ns.root();
+        let wide = ns.add_child(root, "wide").unwrap();
+        let entries: Vec<NodeId> = (0..600)
+            .map(|i| ns.add_child(wide, &format!("e{i}")).unwrap())
+            .collect();
+        for start in [root, entries[0], entries[299], entries[599]] {
+            let mut at = start;
+            for d in 0..6 {
+                at = ns.add_child(at, &format!("c{d}")).unwrap();
+            }
+        }
+        let ns = Arc::new(ns);
+        let cfg = Arc::new(Config::paper_default(4));
+        let asg = OwnerAssignment::round_robin(&ns, 4);
+        let template = ServerState::new(ServerId(0), Arc::clone(&ns), cfg, &asg);
+        let ids: Vec<NodeId> = ns.ids().collect();
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut adjacent = 0usize;
+        for round in 0..40 {
+            // Hosted sets from a handful of nodes to half the tree, split
+            // between owned records and replicas.
+            let density = [0.005, 0.02, 0.1, 0.5][round % 4];
+            let mut s = template.clone();
+            s.owned.clear();
+            for &n in &ids {
+                if rng.gen_bool(density) {
+                    let rec = NodeRecord::new(n, NodeMap::singleton(ServerId(0)), Meta::new(), 0.0);
+                    if rng.gen_bool(0.5) {
+                        s.owned.insert(n, rec);
+                    } else {
+                        s.replicas.insert(n, rec);
+                    }
+                }
+            }
+            for &n in &ids {
+                let scan = ns
+                    .parent(n)
+                    .iter()
+                    .chain(ns.children(n))
+                    .copied()
+                    .filter(|&h| s.hosts(h))
+                    .min();
+                let got = s.hosted_neighbor(n);
+                assert_eq!(got, scan, "node {n:?}, round {round}");
+                let any = ns.neighbors(n).iter().any(|&h| s.hosts(h));
+                assert_eq!(got.is_some(), any, "node {n:?}, round {round}");
+                adjacent += usize::from(any);
+            }
+        }
+        assert!(adjacent > 0, "some hosted sets must touch the tree");
     }
 
     #[test]
