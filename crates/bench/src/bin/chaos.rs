@@ -23,9 +23,10 @@
 //! overflow drop split, and the resolved-query totals over the flash
 //! window showing that shedding resolves strictly more work than FIFO.
 
-use terradir::{ChaosAction, ScenarioEvent, Summary, System};
+use terradir::{ChaosAction, ScenarioEvent, System};
 use terradir_bench::{
-    pct, tsv_header, tsv_row, write_bench_json, Args, JsonObj, Scale, ShapeChecks,
+    curve_tsv, pct, run_drained, time_back_to_baseline, tsv_header, tsv_row, window_mean,
+    write_bench_json, Args, Drained, JsonObj, Scale, ShapeChecks,
 };
 use terradir_workload::StreamPlan;
 
@@ -59,132 +60,87 @@ impl Timeline {
             drain_until,
         }
     }
+
+    /// The scenario script: cut group 0, heal, then a 10× flash crowd on
+    /// `node`.
+    fn events(&self, node: u32) -> Vec<ScenarioEvent> {
+        let at = |at, action| ScenarioEvent { at, action };
+        let flash = |rate_multiplier| ChaosAction::FlashCrowd {
+            node,
+            rate_multiplier,
+        };
+        vec![
+            at(self.cut_at, ChaosAction::Cut { groups: vec![0] }),
+            at(self.heal_at, ChaosAction::Heal),
+            at(self.flash_at, flash(10.0)),
+            at(self.flash_end, flash(1.0)),
+        ]
+    }
 }
 
-struct Run {
-    label: String,
-    stats_debug: String,
-    summary: Summary,
+/// What one arm reads off its finished system.
+struct Chaos {
     minority_avail: Vec<f64>,
     majority_avail: Vec<f64>,
     flash_resolved: u64,
     minority_dip: f64,
     recovery_mean: f64,
     time_to_baseline: f64,
-    messages_cut: u64,
-    cuts_applied: u64,
-    heals_applied: u64,
-    flash_injected: u64,
-    dropped_shed: u64,
-    dropped_partition: u64,
     dropped_queue: u64,
-    accounting_exact: bool,
-    audit_findings: usize,
 }
 
-fn run_chaos(scale: &Scale, seed: u64, shed: bool, label: &str, tl: Timeline, rate: f64) -> Run {
+fn run_chaos(scale: &Scale, seed: u64, shed: bool, tl: Timeline, rate: f64) -> Drained<Chaos> {
     let ns = scale.ts_namespace();
     let hot_node = (ns.len() - 1) as u32;
 
     let mut cfg = scale.config(seed);
     cfg.shedding = shed;
     cfg.partitions.n_groups = 4;
-    cfg.scenario.events = vec![
-        ScenarioEvent {
-            at: tl.cut_at,
-            action: ChaosAction::Cut { groups: vec![0] },
-        },
-        ScenarioEvent {
-            at: tl.heal_at,
-            action: ChaosAction::Heal,
-        },
-        ScenarioEvent {
-            at: tl.flash_at,
-            action: ChaosAction::FlashCrowd {
-                node: hot_node,
-                rate_multiplier: 10.0,
-            },
-        },
-        ScenarioEvent {
-            at: tl.flash_end,
-            action: ChaosAction::FlashCrowd {
-                node: hot_node,
-                rate_multiplier: 1.0,
-            },
-        },
-    ];
+    cfg.scenario.events = tl.events(hot_node);
     cfg.validate().expect("chaos scenario config must be valid");
 
-    let mut sys = System::new(ns, cfg, StreamPlan::uzipf(1.0, tl.drain_until), rate);
-    sys.run_until(tl.tail_end);
-    sys.set_injection(false);
-    sys.run_until(tl.drain_until);
+    let sys = System::new(ns, cfg, StreamPlan::uzipf(1.0, tl.drain_until), rate);
+    run_drained(sys, tl.tail_end, tl.drain_until, |sys| {
+        let st = sys.stats();
+        let minority_avail = st.availability_minority();
+        let majority_avail = st.availability_majority();
+        let resolved_bins = st.resolved_per_sec.bins();
 
-    let st = sys.stats();
-    let minority_avail = st.availability_minority();
-    let majority_avail = st.availability_majority();
-    let resolved_bins = st.resolved_per_sec.bins().to_vec();
+        // Resolved work over the flash window (plus a short completion
+        // tail: results of queries admitted late in the window).
+        let flash_lo = tl.flash_at as usize;
+        let flash_hi = (tl.flash_end as usize + 3).min(resolved_bins.len());
+        let flash_resolved: u64 = resolved_bins[flash_lo.min(resolved_bins.len())..flash_hi]
+            .iter()
+            .sum();
 
-    // Resolved work over the flash window (plus a short completion
-    // tail: results of queries admitted late in the window).
-    let flash_lo = tl.flash_at as usize;
-    let flash_hi = (tl.flash_end as usize + 3).min(resolved_bins.len());
-    let flash_resolved: u64 = resolved_bins[flash_lo.min(resolved_bins.len())..flash_hi]
-        .iter()
-        .sum();
+        // Worst minority-side second while the cut is active.
+        let (cut_bin, heal_bin) = (tl.cut_at as usize, tl.heal_at as usize);
+        let minority_dip = minority_avail
+            [cut_bin.min(minority_avail.len())..heal_bin.min(minority_avail.len())]
+            .iter()
+            .copied()
+            .fold(1.0f64, f64::min);
 
-    // Minority-side baseline: mean availability over (up to) the last
-    // 10 s before the cut.
-    let cut_bin = tl.cut_at as usize;
-    let base_lo = cut_bin.saturating_sub(10);
-    let base = &minority_avail[base_lo..cut_bin.min(minority_avail.len())];
-    let baseline = base.iter().sum::<f64>() / base.len().max(1) as f64;
-
-    // Worst minority-side second while the cut is active.
-    let heal_bin = tl.heal_at as usize;
-    let minority_dip = minority_avail
-        [cut_bin.min(minority_avail.len())..heal_bin.min(minority_avail.len())]
-        .iter()
-        .copied()
-        .fold(1.0f64, f64::min);
-
-    // Post-heal recovery: mean minority availability over (up to) the
-    // last 10 s before the flash crowd, and the time back to 95 % of
-    // the pre-cut baseline measured from the heal.
-    let flash_bin = tl.flash_at as usize;
-    // Skip the heal bin itself: the cut is active for part of it.
-    let rec_lo = flash_bin.saturating_sub(10).max(heal_bin + 1);
-    let rec =
-        &minority_avail[rec_lo.min(minority_avail.len())..flash_bin.min(minority_avail.len())];
-    let recovery_mean = rec.iter().sum::<f64>() / rec.len().max(1) as f64;
-    let time_to_baseline = minority_avail
-        .iter()
-        .enumerate()
-        .skip(heal_bin)
-        .find(|(_, &a)| a >= baseline * 0.95)
-        .map_or(f64::INFINITY, |(t, _)| t as f64 - tl.heal_at);
-
-    let audit = sys.audit();
-    Run {
-        label: label.to_string(),
-        stats_debug: format!("{st:?}"),
-        summary: st.summary(),
-        minority_avail,
-        majority_avail,
-        flash_resolved,
-        minority_dip,
-        recovery_mean,
-        time_to_baseline,
-        messages_cut: st.messages_cut,
-        cuts_applied: st.cuts_applied,
-        heals_applied: st.heals_applied,
-        flash_injected: st.flash_injected,
-        dropped_shed: st.dropped_shed,
-        dropped_partition: st.dropped_partition,
-        dropped_queue: st.dropped_queue,
-        accounting_exact: st.resolved + st.dropped_total() == st.injected,
-        audit_findings: audit.len(),
-    }
+        // Post-heal recovery: mean minority availability over (up to) the
+        // last 10 s before the flash crowd, and the time back to 95 % of
+        // the pre-cut baseline measured from the heal. The recovery
+        // window skips the heal bin itself: the cut is active for part
+        // of it.
+        let flash_bin = tl.flash_at as usize;
+        let rec_lo = flash_bin.saturating_sub(10).max(heal_bin + 1);
+        let recovery_mean = window_mean(&minority_avail, rec_lo, flash_bin);
+        let time_to_baseline = time_back_to_baseline(&minority_avail, tl.cut_at, tl.heal_at);
+        Chaos {
+            minority_avail,
+            majority_avail,
+            flash_resolved,
+            minority_dip,
+            recovery_mean,
+            time_to_baseline,
+            dropped_queue: st.dropped_queue,
+        }
+    })
 }
 
 fn main() {
@@ -198,29 +154,19 @@ fn main() {
         scale.servers, tl.cut_at, tl.heal_at, tl.flash_at, tl.flash_end
     );
 
-    let mut runs: Vec<Run> = Vec::new();
+    let mut runs = Vec::new();
     for (label, shed) in [("shed", true), ("shed-replay", true), ("fifo", false)] {
-        runs.push(run_chaos(&scale, args.seed, shed, label, tl, rate));
+        runs.push((label, run_chaos(&scale, args.seed, shed, tl, rate)));
         eprint!(".");
     }
     eprintln!();
 
     // Per-side availability curves for the shed run.
-    let shed_run = &runs[0];
-    tsv_header(&["time", "minority", "majority"]);
-    let bins = shed_run
-        .minority_avail
-        .len()
-        .max(shed_run.majority_avail.len());
-    for t in 0..bins {
-        tsv_row(
-            &format!("{t}"),
-            &[
-                shed_run.minority_avail.get(t).copied().unwrap_or(1.0),
-                shed_run.majority_avail.get(t).copied().unwrap_or(1.0),
-            ],
-        );
-    }
+    let shed_run = &runs[0].1.reads;
+    curve_tsv(
+        &["minority", "majority"],
+        &[&shed_run.minority_avail, &shed_run.majority_avail],
+    );
     println!();
     tsv_header(&[
         "label",
@@ -229,14 +175,15 @@ fn main() {
         "time_to_baseline",
         "flash_resolved",
     ]);
-    for r in &runs {
+    for (label, r) in &runs {
+        let c = &r.reads;
         tsv_row(
-            &r.label,
+            label,
             &[
-                r.minority_dip,
-                r.recovery_mean,
-                r.time_to_baseline,
-                r.flash_resolved as f64,
+                c.minority_dip,
+                c.recovery_mean,
+                c.time_to_baseline,
+                c.flash_resolved as f64,
             ],
         );
     }
@@ -249,104 +196,96 @@ fn main() {
         .num("heal_at", tl.heal_at)
         .num("flash_at", tl.flash_at)
         .num("flash_end", tl.flash_end);
-    for r in &runs {
+    for (label, r) in &runs {
+        let (c, s) = (&r.reads, &r.summary);
         json = json.obj(
-            &r.label,
+            label,
             JsonObj::new()
-                .num("minority_dip", r.minority_dip)
-                .num("recovery_mean", r.recovery_mean)
-                .num("time_to_baseline", r.time_to_baseline)
-                .int("flash_resolved", r.flash_resolved)
-                .int("messages_cut", r.messages_cut)
-                .int("flash_injected", r.flash_injected)
-                .int("dropped_shed", r.dropped_shed)
-                .int("dropped_partition", r.dropped_partition)
-                .int("dropped_queue", r.dropped_queue)
-                .arr("minority_availability", &r.minority_avail)
-                .arr("majority_availability", &r.majority_avail)
-                .raw("summary", &r.summary.to_json()),
+                .num("minority_dip", c.minority_dip)
+                .num("recovery_mean", c.recovery_mean)
+                .num("time_to_baseline", c.time_to_baseline)
+                .int("flash_resolved", c.flash_resolved)
+                .int("messages_cut", s.messages_cut)
+                .int("flash_injected", s.flash_injected)
+                .int("dropped_shed", s.dropped_shed)
+                .int("dropped_partition", s.dropped_partition)
+                .int("dropped_queue", c.dropped_queue)
+                .arr("minority_availability", &c.minority_avail)
+                .arr("majority_availability", &c.majority_avail)
+                .raw("summary", &s.to_json()),
         );
     }
     write_bench_json("chaos", &json);
 
-    let shed_run = &runs[0];
-    let replay = &runs[1];
-    let fifo = &runs[2];
     let mut checks = ShapeChecks::new();
-    checks.check(
+    checks.byte_identical(
         "scenario replays byte-identically from the seed",
-        shed_run.stats_debug == replay.stats_debug,
-        format!(
-            "{} bytes of RunStats debug compared",
-            shed_run.stats_debug.len()
-        ),
+        &runs[0].1.stats_debug,
+        &runs[1].1.stats_debug,
+        None,
     );
-    for r in &runs {
+    for (label, r) in &runs {
+        let s = &r.summary;
         checks.check(
-            &format!("{}: cut and heal both executed", r.label),
-            r.cuts_applied == 1 && r.heals_applied == 1,
-            format!("{} cuts, {} heals", r.cuts_applied, r.heals_applied),
+            &format!("{label}: cut and heal both executed"),
+            s.cuts_applied == 1 && s.heals_applied == 1,
+            format!("{} cuts, {} heals", s.cuts_applied, s.heals_applied),
         );
         checks.check(
-            &format!("{}: cut actually severed traffic", r.label),
-            r.messages_cut > 0 && r.dropped_partition > 0,
+            &format!("{label}: cut actually severed traffic"),
+            s.messages_cut > 0 && s.dropped_partition > 0,
             format!(
                 "{} messages cut, {} partition drops",
-                r.messages_cut, r.dropped_partition
+                s.messages_cut, s.dropped_partition
             ),
         );
         checks.check(
-            &format!("{}: flash crowd injected extra load", r.label),
-            r.flash_injected > 0,
-            format!("{} flash queries", r.flash_injected),
+            &format!("{label}: flash crowd injected extra load"),
+            s.flash_injected > 0,
+            format!("{} flash queries", s.flash_injected),
         );
-        checks.check(
-            &format!("{}: accounting is exactly decomposable", r.label),
-            r.accounting_exact,
-            "resolved + dropped == injected after drain".to_string(),
-        );
-        checks.check(
-            &format!("{}: invariant audit is clean", r.label),
-            r.audit_findings == 0,
-            format!("{} findings", r.audit_findings),
-        );
+        checks.accounting_and_audit(label, r);
     }
+    let (shed, fifo) = (&runs[0].1, &runs[2].1);
     checks.check(
         "minority side dips while the cut is active",
-        shed_run.minority_dip < 0.6,
-        format!("worst minority-side second {}", pct(shed_run.minority_dip)),
+        shed.reads.minority_dip < 0.6,
+        format!(
+            "worst minority-side second {}",
+            pct(shed.reads.minority_dip)
+        ),
     );
     checks.check(
         "minority side recovers after the heal",
-        shed_run.recovery_mean > 0.9 && shed_run.time_to_baseline.is_finite(),
+        shed.reads.recovery_mean > 0.9 && shed.reads.time_to_baseline.is_finite(),
         format!(
             "pre-flash mean {}, back to baseline {:.0}s after heal",
-            pct(shed_run.recovery_mean),
-            shed_run.time_to_baseline
+            pct(shed.reads.recovery_mean),
+            shed.reads.time_to_baseline
         ),
     );
     checks.check(
         "shedding resolves strictly more flash-window work than FIFO",
-        shed_run.flash_resolved > fifo.flash_resolved,
+        shed.reads.flash_resolved > fifo.reads.flash_resolved,
         format!(
             "{} resolved with shedding vs {} with FIFO",
-            shed_run.flash_resolved, fifo.flash_resolved
+            shed.reads.flash_resolved, fifo.reads.flash_resolved
         ),
     );
     checks.check(
         "shed run drops only via the shedding policy",
-        shed_run.dropped_shed > 0 && shed_run.dropped_queue == 0,
+        shed.summary.dropped_shed > 0 && shed.reads.dropped_queue == 0,
         format!(
             "{} shed drops, {} queue drops",
-            shed_run.dropped_shed, shed_run.dropped_queue
+            shed.summary.dropped_shed, shed.reads.dropped_queue
         ),
     );
     checks.check(
         "fifo run drops only via queue overflow",
-        fifo.dropped_shed == 0 && fifo.dropped_queue > 0,
+        fifo.summary.dropped_shed == 0 && fifo.reads.dropped_queue > 0,
         format!(
             "{} shed drops, {} queue drops",
-            fifo.dropped_shed, fifo.dropped_queue
+            fifo.summary.dropped_shed, fifo.reads.dropped_queue
         ),
     );
     std::process::exit(i32::from(!checks.finish()));

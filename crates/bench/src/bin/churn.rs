@@ -22,22 +22,19 @@
 //! variants, the availability over the churn window, and the
 //! time-to-recover after the window closes.
 
-use terradir::{ServerId, Summary, System};
-use terradir_bench::{pct, tsv_header, tsv_row, write_bench_json, Args, JsonObj, ShapeChecks};
+use terradir::{ServerId, System};
+use terradir_bench::{
+    curve_tsv, pct, run_drained, time_back_to_baseline, tsv_header, tsv_row, write_bench_json,
+    Args, JsonObj, ShapeChecks,
+};
 use terradir_workload::StreamPlan;
 
+/// What one arm reads off its finished system.
 struct Outcome {
-    label: String,
-    summary: Summary,
     avail: Vec<f64>,
     churn_availability: f64,
     time_to_recover: f64,
-    retries: u64,
-    failures: u64,
-    recoveries: u64,
     negative_evictions: u64,
-    accounting_exact: bool,
-    audit_findings: usize,
 }
 
 fn main() {
@@ -56,7 +53,7 @@ fn main() {
         scale.servers
     );
 
-    let mut outcomes: Vec<Outcome> = Vec::new();
+    let mut outcomes = Vec::new();
     for (label, retry_on) in [("retry", true), ("no-retry", false)] {
         let mut cfg = scale.config(args.seed);
         cfg.faults.loss_prob = 0.02;
@@ -80,64 +77,42 @@ fn main() {
         sys.run_until(warm);
         let injected_warm = sys.stats().injected;
         let resolved_warm = sys.stats().resolved;
-        sys.run_until(heal_until);
-        sys.set_injection(false);
-        sys.run_until(drain_until);
-        // Heal any server whose churn downtime outlasted the window so
-        // the final audit sees a live fleet.
-        for i in 0..scale.servers {
-            sys.recover_server(ServerId(i));
-        }
-
-        let st = sys.stats();
-        let avail = st.availability();
-        let churn_availability = ((st.resolved - resolved_warm) as f64
-            / (st.injected - injected_warm).max(1) as f64)
-            .min(1.0);
-        // Pre-churn baseline from the warm phase tail.
-        let warm_bin = warm as usize;
-        let base = &avail[warm_bin.saturating_sub(10)..warm_bin.min(avail.len())];
-        let baseline = base.iter().sum::<f64>() / base.len().max(1) as f64;
-        let stop_bin = churn_stop as usize;
-        let time_to_recover = avail
-            .iter()
-            .enumerate()
-            .skip(stop_bin)
-            .find(|(_, &a)| a >= baseline * 0.95)
-            .map_or(f64::INFINITY, |(t, _)| t as f64 - churn_stop);
-
-        let audit = sys.audit();
-        outcomes.push(Outcome {
-            label: label.to_string(),
-            summary: st.summary(),
-            avail,
-            churn_availability,
-            time_to_recover,
-            retries: st.retries,
-            failures: st.churn_failures,
-            recoveries: st.churn_recoveries,
-            negative_evictions: st.negative_evictions,
-            accounting_exact: st.resolved + st.dropped_total() == st.injected,
-            audit_findings: audit.len(),
+        let run = run_drained(sys, heal_until, drain_until, |sys| {
+            // Heal any server whose churn downtime outlasted the window so
+            // the final audit sees a live fleet.
+            for i in 0..scale.servers {
+                sys.recover_server(ServerId(i));
+            }
+            let st = sys.stats();
+            let avail = st.availability();
+            let churn_availability = ((st.resolved - resolved_warm) as f64
+                / (st.injected - injected_warm).max(1) as f64)
+                .min(1.0);
+            // Back to the pre-churn baseline (the warm phase tail),
+            // measured from the end of the churn window.
+            let time_to_recover = time_back_to_baseline(&avail, warm, churn_stop);
+            Outcome {
+                avail,
+                churn_availability,
+                time_to_recover,
+                negative_evictions: st.negative_evictions,
+            }
         });
+        outcomes.push((label, run));
         eprint!(".");
     }
     eprintln!();
 
-    let labels: Vec<&str> = outcomes.iter().map(|o| o.label.as_str()).collect();
-    tsv_header(&[&["time"], labels.as_slice()].concat());
-    let bins = outcomes.iter().map(|o| o.avail.len()).max().unwrap_or(0);
-    for t in 0..bins {
-        let row: Vec<f64> = outcomes
-            .iter()
-            .map(|o| o.avail.get(t).copied().unwrap_or(1.0))
-            .collect();
-        tsv_row(&format!("{t}"), &row);
-    }
+    let labels: Vec<&str> = outcomes.iter().map(|(label, _)| *label).collect();
+    let curves: Vec<&[f64]> = outcomes.iter().map(|(_, o)| &o.reads.avail[..]).collect();
+    curve_tsv(&labels, &curves);
     println!();
     tsv_header(&["label", "churn_availability", "time_to_recover"]);
-    for o in &outcomes {
-        tsv_row(&o.label, &[o.churn_availability, o.time_to_recover]);
+    for (label, o) in &outcomes {
+        tsv_row(
+            label,
+            &[o.reads.churn_availability, o.reads.time_to_recover],
+        );
     }
 
     let mut json = JsonObj::new()
@@ -146,63 +121,60 @@ fn main() {
         .int("seed", args.seed)
         .num("churn_start", warm)
         .num("churn_stop", churn_stop);
-    for o in &outcomes {
+    for (label, o) in &outcomes {
         json = json.obj(
-            &o.label,
+            label,
             JsonObj::new()
-                .num("churn_availability", o.churn_availability)
-                .num("time_to_recover", o.time_to_recover)
-                .int("retries", o.retries)
-                .int("failures", o.failures)
-                .int("recoveries", o.recoveries)
-                .int("negative_evictions", o.negative_evictions)
-                .arr("availability", &o.avail)
+                .num("churn_availability", o.reads.churn_availability)
+                .num("time_to_recover", o.reads.time_to_recover)
+                .int("retries", o.summary.retries)
+                .int("failures", o.summary.churn_failures)
+                .int("recoveries", o.summary.churn_recoveries)
+                .int("negative_evictions", o.reads.negative_evictions)
+                .arr("availability", &o.reads.avail)
                 .raw("summary", &o.summary.to_json()),
         );
     }
+    let (retry, base) = (&outcomes[0].1, &outcomes[1].1);
     json = json.num(
         "churn_availability_delta",
-        outcomes[0].churn_availability - outcomes[1].churn_availability,
+        retry.reads.churn_availability - base.reads.churn_availability,
     );
     write_bench_json("churn", &json);
 
     let mut checks = ShapeChecks::new();
-    for o in &outcomes {
+    for (label, o) in &outcomes {
+        checks.accounting_and_audit(label, o);
+        let s = &o.summary;
         checks.check(
-            &format!("{}: accounting is exactly decomposable", o.label),
-            o.accounting_exact,
-            "resolved + dropped == injected after drain".to_string(),
-        );
-        checks.check(
-            &format!("{}: invariant audit is clean", o.label),
-            o.audit_findings == 0,
-            format!("{} findings", o.audit_findings),
-        );
-        checks.check(
-            &format!("{}: churn actually happened", o.label),
-            o.failures > 0 && o.recoveries > 0,
-            format!("{} failures, {} recoveries", o.failures, o.recoveries),
+            &format!("{label}: churn actually happened"),
+            s.churn_failures > 0 && s.churn_recoveries > 0,
+            format!(
+                "{} failures, {} recoveries",
+                s.churn_failures, s.churn_recoveries
+            ),
         );
     }
-    let retry = &outcomes[0];
-    let base = &outcomes[1];
     checks.check(
         "retry layer actually retried",
-        retry.retries > 0 && base.retries == 0,
-        format!("{} retries vs {}", retry.retries, base.retries),
+        retry.summary.retries > 0 && base.summary.retries == 0,
+        format!(
+            "{} retries vs {}",
+            retry.summary.retries, base.summary.retries
+        ),
     );
     checks.check(
         "negative caching evicted observed-dead hosts",
-        retry.negative_evictions > 0,
-        format!("{} evictions", retry.negative_evictions),
+        retry.reads.negative_evictions > 0,
+        format!("{} evictions", retry.reads.negative_evictions),
     );
     checks.check(
         "retries + negative caching strictly improve availability under churn",
-        retry.churn_availability > base.churn_availability,
+        retry.reads.churn_availability > base.reads.churn_availability,
         format!(
             "{} with retries vs {} without",
-            pct(retry.churn_availability),
-            pct(base.churn_availability)
+            pct(retry.reads.churn_availability),
+            pct(base.reads.churn_availability)
         ),
     );
     std::process::exit(i32::from(!checks.finish()));

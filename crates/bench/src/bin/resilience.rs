@@ -21,7 +21,10 @@
 //! baseline.
 
 use terradir::{Config, ServerId, Summary, System};
-use terradir_bench::{pct, tsv_header, tsv_row, write_bench_json, Args, JsonObj, ShapeChecks};
+use terradir_bench::{
+    curve_tsv, pct, time_back_to_baseline, tsv_header, tsv_row, window_mean, write_bench_json,
+    Args, JsonObj, ShapeChecks,
+};
 use terradir_workload::StreamPlan;
 
 struct Curve {
@@ -86,24 +89,15 @@ fn main() {
         sys.run_until(total);
         let avail = sys.stats().availability();
 
-        // Pre-failure baseline: mean availability over the last 10 s of
-        // the warm phase.
-        let fail_bin = warm as usize;
-        let base_lo = fail_bin.saturating_sub(10);
-        let baseline_window = &avail[base_lo..fail_bin.min(avail.len())];
-        let baseline = baseline_window.iter().sum::<f64>() / baseline_window.len().max(1) as f64;
         // Dip: worst second anywhere in the failure + recovery aftermath.
+        let fail_bin = warm as usize;
         let dip = avail[fail_bin.min(avail.len())..]
             .iter()
             .copied()
             .fold(1.0f64, f64::min);
-        // Time back to (95 % of) the baseline, measured from the failure.
-        let time_to_baseline = avail
-            .iter()
-            .enumerate()
-            .skip(fail_bin)
-            .find(|(_, &a)| a >= baseline * 0.95)
-            .map_or(f64::INFINITY, |(t, _)| t as f64 - warm);
+        // Time back to (95 % of) the pre-failure baseline, measured from
+        // the failure.
+        let time_to_baseline = time_back_to_baseline(&avail, warm, warm);
 
         let st = sys.stats();
         curves.push(Curve {
@@ -121,15 +115,8 @@ fn main() {
 
     // Availability curves, one column per protocol variant.
     let labels: Vec<&str> = curves.iter().map(|c| c.label.as_str()).collect();
-    tsv_header(&[&["time"], labels.as_slice()].concat());
-    let bins = curves.iter().map(|c| c.avail.len()).max().unwrap_or(0);
-    for t in 0..bins {
-        let row: Vec<f64> = curves
-            .iter()
-            .map(|c| c.avail.get(t).copied().unwrap_or(1.0))
-            .collect();
-        tsv_row(&format!("{t}"), &row);
-    }
+    let avails: Vec<&[f64]> = curves.iter().map(|c| &c.avail[..]).collect();
+    curve_tsv(&labels, &avails);
     // Summary metrics, one row per variant.
     println!();
     tsv_header(&["label", "dip", "time_to_baseline"]);
@@ -179,8 +166,7 @@ fn main() {
         );
         // Resolution in the final 10 s recovered close to its pre-failure
         // level.
-        let tail = &c.avail[c.avail.len().saturating_sub(10)..];
-        let tail_mean = tail.iter().sum::<f64>() / tail.len().max(1) as f64;
+        let tail_mean = window_mean(&c.avail, c.avail.len().saturating_sub(10), c.avail.len());
         checks.check(
             &format!("{}: steady state recovers", c.label),
             tail_mean > 0.75,

@@ -30,10 +30,12 @@
 //! config at the same seed (zero extra RNG draws).
 
 use terradir::{
-    ChaosAction, Config, GossipCulture, RunStats, ScenarioEvent, ServerClass, ServerId, System,
-    TenantMap, TenantSpec,
+    ChaosAction, Config, GossipCulture, ScenarioEvent, ServerClass, ServerId, System, TenantMap,
+    TenantSpec,
 };
-use terradir_bench::{tsv_header, tsv_row, write_bench_json, Args, JsonObj, ShapeChecks};
+use terradir_bench::{
+    run_drained, tsv_header, tsv_row, write_bench_json, Args, Drained, JsonObj, ShapeChecks,
+};
 use terradir_workload::StreamPlan;
 
 /// Availability drift non-target tenants may show under the crowd.
@@ -62,50 +64,40 @@ fn roles_on(cfg: &mut Config) {
 }
 
 /// Per-tenant outcome of one finished run.
-struct Run {
+struct Tenants {
     availability: Vec<f64>,
     latency_mean: Vec<f64>,
     injected: Vec<f64>,
     dropped: Vec<f64>,
     misrouted: Vec<f64>,
-    worst: f64,
-    slo_misses: u64,
-    stats_debug: String,
-    json: JsonObj,
-    audit_findings: usize,
 }
 
-fn finish(sys: &mut System) -> Run {
-    let audit = sys.audit();
-    let st: &RunStats = sys.stats();
+type Run = Drained<Tenants>;
+
+fn tenant_reads(sys: &mut System) -> Tenants {
+    let st = sys.stats();
     // These reads are the tenant ledger's emission path (DESIGN.md §15):
     // availability folds `tenant_resolved`, the latency mean folds
     // `tenant_latency_sum`, and the raw vectors land in the JSON below.
-    let availability = st.tenant_availability();
-    let latency_mean = st.tenant_latency_mean();
-    let injected: Vec<f64> = st.tenant_injected.iter().map(|&v| v as f64).collect();
-    let dropped: Vec<f64> = st.tenant_dropped.iter().map(|&v| v as f64).collect();
-    let misrouted: Vec<f64> = st.tenant_misrouted.iter().map(|&v| v as f64).collect();
-    let summary = st.summary();
-    let json = JsonObj::new()
-        .arr("tenant_availability", &availability)
-        .arr("tenant_latency_mean", &latency_mean)
-        .arr("tenant_injected", &injected)
-        .arr("tenant_dropped", &dropped)
-        .arr("tenant_misrouted", &misrouted)
-        .raw("summary", &summary.to_json());
-    Run {
-        availability,
-        latency_mean,
-        injected,
-        dropped,
-        misrouted,
-        worst: st.tenant_worst_availability(),
-        slo_misses: st.tenant_slo_misses(),
-        stats_debug: format!("{st:?}"),
-        json,
-        audit_findings: audit.len(),
+    let counts = |v: &[u64]| v.iter().map(|&v| v as f64).collect();
+    Tenants {
+        availability: st.tenant_availability(),
+        latency_mean: st.tenant_latency_mean(),
+        injected: counts(&st.tenant_injected),
+        dropped: counts(&st.tenant_dropped),
+        misrouted: counts(&st.tenant_misrouted),
     }
+}
+
+fn json(run: &Run) -> JsonObj {
+    let t = &run.reads;
+    JsonObj::new()
+        .arr("tenant_availability", &t.availability)
+        .arr("tenant_latency_mean", &t.latency_mean)
+        .arr("tenant_injected", &t.injected)
+        .arr("tenant_dropped", &t.dropped)
+        .arr("tenant_misrouted", &t.misrouted)
+        .raw("summary", &run.summary.to_json())
 }
 
 fn main() {
@@ -171,17 +163,14 @@ fn main() {
         cfg.validate().expect("isolation config must be valid");
         cfg
     };
-    let iso_run = |crowd: bool| {
-        let mut sys = System::new(
+    let iso_run = |crowd: bool| -> Run {
+        let sys = System::new(
             scale.ts_namespace(),
             iso_cfg(crowd),
             StreamPlan::unif(drain),
             rate,
         );
-        sys.run_until(dur);
-        sys.set_injection(false);
-        sys.run_until(drain);
-        finish(&mut sys)
+        run_drained(sys, dur, drain, tenant_reads)
     };
     let base = iso_run(false);
     let crowd = iso_run(true);
@@ -196,60 +185,67 @@ fn main() {
         tsv_row(
             &format!("t{t}"),
             &[
-                base.availability[t],
-                crowd.availability[t],
-                base.latency_mean[t],
-                crowd.latency_mean[t],
+                base.reads.availability[t],
+                crowd.reads.availability[t],
+                base.reads.latency_mean[t],
+                crowd.reads.latency_mean[t],
             ],
         );
     }
     checks.check(
         "every tenant receives traffic in both arms",
-        base.injected
+        base.reads
+            .injected
             .iter()
-            .chain(&crowd.injected)
+            .chain(&crowd.reads.injected)
             .all(|&i| i > 0.0),
-        format!("base {:?} crowd {:?}", base.injected, crowd.injected),
+        format!(
+            "base {:?} crowd {:?}",
+            base.reads.injected, crowd.reads.injected
+        ),
     );
     checks.check(
         "tenant weights order the arrival split",
-        base.injected[0] > base.injected[1] && base.injected[1] > base.injected[2],
-        format!("{:?}", base.injected),
+        base.reads.injected[0] > base.reads.injected[1]
+            && base.reads.injected[1] > base.reads.injected[2],
+        format!("{:?}", base.reads.injected),
     );
     for t in 1..TENANTS.len() {
         checks.check(
             &format!("tenant {t} is isolated from tenant 0's crowd"),
-            (crowd.availability[t] - base.availability[t]).abs() <= EPSILON,
+            (crowd.reads.availability[t] - base.reads.availability[t]).abs() <= EPSILON,
             format!(
                 "availability {:.4} vs baseline {:.4} (ε = {EPSILON})",
-                crowd.availability[t], base.availability[t]
+                crowd.reads.availability[t], base.reads.availability[t]
             ),
         );
     }
     checks.check(
         "baseline meets every tenant SLO",
-        base.slo_misses == 0,
+        base.summary.tenant_slo_misses == 0,
         format!(
             "{} misses, worst availability {:.4}",
-            base.slo_misses, base.worst
+            base.summary.tenant_slo_misses, base.summary.tenant_worst_availability
         ),
     );
     checks.check(
         "tenant ledgers conserve: resolved + dropped ≤ injected",
-        base.injected
+        base.reads
+            .injected
             .iter()
-            .zip(&base.dropped)
-            .zip(&base.availability)
+            .zip(&base.reads.dropped)
+            .zip(&base.reads.availability)
             .all(|((&inj, &drop), &avail)| avail * inj + drop <= inj + 1e-6),
         "per-tenant conservation".to_string(),
     );
     checks.check(
         "misroute ledger stays within injections",
-        base.misrouted
+        base.reads
+            .misrouted
             .iter()
-            .zip(&base.injected)
+            .zip(&base.reads.injected)
             .all(|(&m, &i)| m <= i),
-        format!("{:?}", base.misrouted),
+        format!("{:?}", base.reads.misrouted),
     );
     checks.check(
         "isolation arms audit clean",
@@ -262,13 +258,11 @@ fn main() {
 
     // ---- Replay: crowd arm is byte-identical from the seed -----------
     let crowd_again = iso_run(true);
-    checks.check(
+    checks.byte_identical(
         "roles+tenants crowd run replays byte-identically",
-        crowd.stats_debug == crowd_again.stats_debug,
-        format!(
-            "{} bytes of RunStats debug compared",
-            crowd.stats_debug.len()
-        ),
+        &crowd.stats_debug,
+        &crowd_again.stats_debug,
+        None,
     );
 
     // ---- Inertness: disabled structs must not perturb one draw -------
@@ -281,18 +275,16 @@ fn main() {
             cfg.tenants.enabled = false;
             cfg.roles.relay_queue_factor = 16.0;
         }
-        let mut sys = System::new(scale.ts_namespace(), cfg, StreamPlan::unif(drain), rate);
-        sys.run_until(dur);
-        sys.set_injection(false);
-        sys.run_until(drain);
-        format!("{:?}", sys.stats())
+        let sys = System::new(scale.ts_namespace(), cfg, StreamPlan::unif(drain), rate);
+        run_drained(sys, dur, drain, |_| ()).stats_debug
     };
     let plain = inert_run(false);
     let loaded = inert_run(true);
-    checks.check(
+    checks.byte_identical(
         "disabled roles/tenants are byte-inert",
-        plain == loaded,
-        "populated-but-disabled structs changed the run".to_string(),
+        &plain,
+        &loaded,
+        Some("populated-but-disabled structs changed the run"),
     );
 
     // ---- Cross-class failure waves: time-to-requorum by class --------
@@ -353,18 +345,18 @@ fn main() {
                 break;
             }
         }
-        sys.set_injection(false);
-        sys.run_until(drain);
-        let (alive, lost) = sys.measure_durability();
         let n_class = (0..scale.servers)
             .filter(|&i| {
                 sys.roles()
                     .is_some_and(|r| r.class_of(ServerId(i)) == class)
             })
             .count() as u64;
-        let crashes = sys.stats().scenario_crashes;
-        let run = finish(&mut sys);
-        (run, requorum, pre_alive, alive, lost, n_class, crashes)
+        let run = run_drained(sys, t, drain, |sys| {
+            // Sets the summary's objects_alive / objects_lost.
+            sys.measure_durability();
+            tenant_reads(sys)
+        });
+        (run, requorum, pre_alive, n_class)
     };
     tsv_header(&[
         "class",
@@ -377,7 +369,9 @@ fn main() {
     let mut wave_json = JsonObj::new();
     let mut requorums = Vec::new();
     for (class, label) in [(ServerClass::Relay, "relay"), (ServerClass::Edge, "edge")] {
-        let (run, requorum, pre_alive, alive, lost, n_class, crashes) = wave_run(class);
+        let (run, requorum, pre_alive, n_class) = wave_run(class);
+        let s = &run.summary;
+        let (alive, lost, crashes) = (s.objects_alive, s.objects_lost, s.scenario_crashes);
         tsv_row(
             label,
             &[
@@ -406,7 +400,7 @@ fn main() {
         requorums.push(requorum);
         wave_json = wave_json.obj(
             label,
-            run.json
+            json(&run)
                 .num("requorum_s", requorum)
                 .int("n_class", n_class)
                 .int("pre_alive", pre_alive)
@@ -421,8 +415,8 @@ fn main() {
         .int("seed", args.seed)
         .num("duration_s", dur)
         .num("epsilon", EPSILON)
-        .obj("baseline", base.json)
-        .obj("crowd", crowd.json)
+        .obj("baseline", json(&base))
+        .obj("crowd", json(&crowd))
         .obj("waves", wave_json)
         .arr("requorum_by_class", &requorums);
     write_bench_json("tenants", &json);
