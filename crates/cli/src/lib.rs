@@ -371,6 +371,7 @@ impl Spec {
         writeln!(out, "hops_mean\t{:.3}", st.hops.mean().unwrap_or(0.0))?;
         writeln!(out, "replicas_created\t{}", st.replicas_created)?;
         writeln!(out, "replicas_live\t{}", sys.total_replicas())?;
+        writeln!(out, "sessions_started\t{}", st.sessions_started)?;
         writeln!(out, "sessions_completed\t{}", st.sessions_completed)?;
         writeln!(out, "control_messages\t{}", st.control_messages)?;
         match self.tsv {
