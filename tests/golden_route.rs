@@ -9,7 +9,9 @@
 //! Golden summaries: one short small-fleet run of each benchmark shape
 //! (T_S adaptation, T_C Zipf, T_S storage + churn + gossip), plus one run
 //! with every optional subsystem on (roles, tenants, leases, reconcile,
-//! faults, heterogeneous speeds), pinned field for field.
+//! faults, heterogeneous speeds) and one with retries off so every loss
+//! is a final drop (tenants, shedding, a partition cut, transport loss, a
+//! flash crowd), pinned field for field.
 //!
 //! The route decision's speed work (rank-first candidate build, path-table
 //! distance, Bloom-first denial lookups) is equivalent by construction:
@@ -23,12 +25,37 @@
 //! values in the same change and says why.
 
 use terradir_repro::namespace::{balanced_tree, coda_like, CodaParams, Namespace};
-use terradir_repro::protocol::{Config, GossipCulture, System, TenantSpec};
+use terradir_repro::protocol::{
+    ChaosAction, Config, CutWindow, GossipCulture, RunStats, ScenarioEvent, System, TenantSpec,
+};
 use terradir_repro::workload::{seed::tags, seeded_rng, StreamPlan};
 
-/// Runs `window` simulated seconds of injection, then drains for `drain`,
-/// and renders the summary (allocation fields stripped) plus the draw
-/// ledger.
+/// Runs `window` simulated seconds of injection, then drains for `drain`.
+fn drained(
+    ns: Namespace,
+    cfg: Config,
+    plan: StreamPlan,
+    rate: f64,
+    window: f64,
+    drain: f64,
+) -> System {
+    let mut sys = System::new(ns, cfg, plan, rate);
+    sys.run_until(window);
+    sys.set_injection(false);
+    sys.run_until(window + drain);
+    sys
+}
+
+/// The summary (allocation fields stripped) plus the draw ledger.
+fn render(st: &RunStats) -> String {
+    let json = st.summary().to_json();
+    let (head, _alloc) = json
+        .split_once(",\"alloc_events\"")
+        .expect("summary ends with the allocation fields");
+    format!("{head}}} draws={:?}", st.rng_draws)
+}
+
+/// [`drained`], rendered.
 fn golden(
     ns: Namespace,
     cfg: Config,
@@ -37,16 +64,7 @@ fn golden(
     window: f64,
     drain: f64,
 ) -> String {
-    let mut sys = System::new(ns, cfg, plan, rate);
-    sys.run_until(window);
-    sys.set_injection(false);
-    sys.run_until(window + drain);
-    let st = sys.stats();
-    let json = st.summary().to_json();
-    let (head, _alloc) = json
-        .split_once(",\"alloc_events\"")
-        .expect("summary ends with the allocation fields");
-    format!("{head}}} draws={:?}", st.rng_draws)
+    render(drained(ns, cfg, plan, rate, window, drain).stats())
 }
 
 #[test]
@@ -155,6 +173,66 @@ fn subsystem_coverage_summary_is_pinned() {
     assert_eq!(got, SUBSYSTEMS, "a routed hop or RNG draw changed");
 }
 
+#[test]
+fn final_drop_attribution_summary_is_pinned() {
+    // Retries off, so every lost query is a final drop that must reach
+    // its tenant's ledger: queries shed under a flash crowd, cut off by a
+    // partition, and lost in transit. The cut also splits the fleet into
+    // a minority and a majority side, so the per-side injection and
+    // resolution series are pinned too; the summary alone carries
+    // neither.
+    let servers = 16u32;
+    let window = 10.0;
+    let ns = balanced_tree(2, 7);
+    let hot = (ns.len() - 1) as u32;
+    let mut cfg = Config::paper_default(servers).with_seed(5);
+    cfg.tenants.enabled = true;
+    cfg.tenants.specs = vec![
+        TenantSpec {
+            weight: 2.0,
+            zipf_theta: 1.0,
+            slo_availability: 0.99,
+        },
+        TenantSpec {
+            weight: 1.0,
+            zipf_theta: 0.0,
+            slo_availability: 0.95,
+        },
+    ];
+    cfg.shedding = true;
+    cfg.faults.loss_prob = 0.02;
+    cfg.partitions.n_groups = 4;
+    cfg.partitions.cuts = vec![CutWindow {
+        start: 3.0,
+        stop: 6.0,
+        groups: vec![1],
+    }];
+    let flash = |at, rate_multiplier| ScenarioEvent {
+        at,
+        action: ChaosAction::FlashCrowd {
+            node: hot,
+            rate_multiplier,
+        },
+    };
+    cfg.scenario.events = vec![flash(4.0, 4.0), flash(7.0, 1.0)];
+    cfg.validate().expect("attribution config must be valid");
+    let plan = StreamPlan::uzipf(1.0, window + 8.0);
+    let sys = drained(ns, cfg, plan, 150.0, window, 8.0);
+    let st = sys.stats();
+    let got = format!(
+        "{} tenants={:?}/{:?}/{:?} minority={}/{} majority={}/{}",
+        render(st),
+        st.tenant_injected,
+        st.tenant_resolved,
+        st.tenant_dropped,
+        st.injected_per_sec_minority.total(),
+        st.resolved_per_sec_minority.total(),
+        st.injected_per_sec_majority.total(),
+        st.resolved_per_sec_majority.total(),
+    );
+    assert_eq!(got, FINAL_DROPS, "a drop's attribution or a draw changed");
+}
+
 const TS_ADAPT: &str = concat!(
     r#"{"injected":4690,"resolved":3694,"dropped":996,"#,
     r#""drop_fraction":0.212367,"latency_mean_s":0.527985,"#,
@@ -242,4 +320,28 @@ const SUBSYSTEMS: &str = concat!(
     r#""tenant_worst_availability":0.939361,"tenant_slo_misses":2,"#,
     r#""rng_draws":106640} draws=[0, 477, 3637, 7272, 25526, 506, 7540,"#,
     r#" 3636, 0, 32, 0, 58014]"#,
+);
+const FINAL_DROPS: &str = concat!(
+    r#"{"injected":2823,"resolved":1393,"dropped":1430,"#,
+    r#""drop_fraction":0.506553,"latency_mean_s":0.315182,"#,
+    r#""latency_p99_s":1.430000,"hops_mean":1.0983,"replicas_created":16,"#,
+    r#""replicas_deleted":0,"sessions_completed":15,"#,
+    r#""control_messages":146,"data_fetches_ok":0,"retries":0,"#,
+    r#""messages_lost":83,"churn_failures":0,"churn_recoveries":0,"#,
+    r#""dropped_shed":692,"dropped_partition":658,"messages_cut":666,"#,
+    r#""cuts_applied":1,"heals_applied":1,"flash_injected":1360,"#,
+    r#""misroutes":0,"detour_hops":0,"lease_evictions":0,"#,
+    r#""reconcile_pushes":0,"objects_written":0,"objects_alive":0,"#,
+    r#""objects_lost":0,"object_puts":0,"object_reads":0,"#,
+    r#""reads_failed":0,"stale_reads":0,"bytes_on_wire":913280,"#,
+    r#""gossip_bytes":0,"query_messages":4276,"sessions_aborted":16,"#,
+    r#""data_fetches_failed":0,"messages_to_dead":0,"#,
+    r#""attempts_lost_queue":0,"attempts_lost_ttl":0,"#,
+    r#""attempts_lost_stuck":0,"attempts_lost_dead":0,"#,
+    r#""attempts_lost_transport":0,"attempts_lost_shed":0,"#,
+    r#""attempts_lost_partition":0,"scenario_crashes":0,"tenant_count":2,"#,
+    r#""tenant_worst_availability":0.319022,"tenant_slo_misses":2,"#,
+    r#""rng_draws":22589} draws=[0, 493, 1464, 2926, 5804, 506, 2903,"#,
+    r#" 1463, 0, 0, 0, 7030] tenants=[983, 1840]/[806, 587]/[177,"#,
+    r#" 1253] minority=617/273 majority=2206/1120"#,
 );
