@@ -33,7 +33,9 @@
 //!
 //! - **Replication-factor sweep**: rf {1, 2, 3} under mild churn with
 //!   gossip on. More copies, more crash draws survived between gossip
-//!   repairs: objects lost must not increase with rf.
+//!   repairs: objects lost must not increase with rf. The arm at the
+//!   default rf is the churn sweep's mild gossip-on run, reused rather
+//!   than simulated twice.
 //!
 //! A replay arm re-runs one storage-enabled configuration and compares
 //! the full `RunStats` debug rendering byte-for-byte, and a storage-off
@@ -201,6 +203,9 @@ fn main() {
     let mut lost_on = Vec::new();
     let mut churn_json = JsonObj::new();
     let mut checks = ShapeChecks::new();
+    // Every gossip-on churn run, keyed by its config's debug rendering,
+    // for the rf sweep to reuse.
+    let mut gossip_runs = Vec::new();
     for level in CHURN_LEVELS {
         let mut per_level = JsonObj::new();
         for gossip in [false, true] {
@@ -214,6 +219,7 @@ fn main() {
                 true,
                 0.0,
             );
+            let key = format!("{cfg:?}");
             let run = run_one(&scale, cfg, dur);
             let arm = if gossip { "gossip_on" } else { "gossip_off" };
             let label = format!("churn_{}_{arm}", level.label);
@@ -238,6 +244,9 @@ fn main() {
                 );
             }
             per_level = per_level.obj(arm, run.json());
+            if gossip {
+                gossip_runs.push((key, run));
+            }
         }
         churn_json = churn_json.obj(level.label, per_level);
     }
@@ -349,7 +358,11 @@ fn main() {
     for rf in [1u32, 2, 3] {
         let mut cfg = build_cfg(&scale, args.seed, dur, 0.5, false, true, true, 0.0);
         cfg.storage.replication_factor = rf;
-        let run = run_one(&scale, cfg, dur);
+        let key = format!("{cfg:?}");
+        let run = match gossip_runs.iter().position(|(k, _)| *k == key) {
+            Some(i) => gossip_runs.swap_remove(i).1,
+            None => run_one(&scale, cfg, dur),
+        };
         tsv_row(
             &format!("rf{rf}"),
             &[

@@ -1,7 +1,8 @@
 //! The stage/executor state split (DESIGN.md §20).
 //!
-//! Concurrency-readiness for ROADMAP item 2: everything a server step
-//! may mutate lives in its own [`StatefulContext`]; everything shared
+//! Concurrency-readiness for a parallel executor (parked under
+//! ROADMAP's "Deliberately not next"): everything a server step may
+//! mutate lives in its own [`StatefulContext`]; everything shared
 //! across the fleet lives in the read-only [`StatelessContext`]. A
 //! server function receives its own context plus the shared one and
 //! expresses every cross-server effect as returned [`Outgoing`] values
@@ -13,7 +14,7 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use terradir_namespace::{Namespace, OwnerAssignment};
+use terradir_namespace::{Namespace, NodeId, OwnerAssignment, ServerId};
 
 use crate::config::Config;
 use crate::load::LoadMeter;
@@ -69,10 +70,42 @@ pub struct StatelessContext {
     pub(crate) speeds: Arc<[f64]>,
 }
 
-/// Compile-time proof that a type can cross threads: the parallel
-/// executor (ROADMAP item 2) moves contexts and messages between
-/// worker threads, so a non-`Send + Sync` field sneaking into either
-/// context half must fail the build, not the first multi-core run.
+impl StatelessContext {
+    /// Tenant owning a lookup target: `None` for spine nodes or with
+    /// tenants off.
+    pub(crate) fn tenant_of(&self, node: NodeId) -> Option<u16> {
+        self.tenants.as_deref()?.tenant_of(node)
+    }
+
+    /// Tenant of a query-traffic message's lookup target: `None` for
+    /// control traffic, spine targets, or with tenants off.
+    pub(crate) fn tenant_of_msg(&self, msg: &Message) -> Option<u16> {
+        match msg {
+            Message::Query(p) => self.tenant_of(p.target),
+            Message::QueryResult { packet, .. } => self.tenant_of(packet.target),
+            _ => None,
+        }
+    }
+
+    /// The replica set of stored object `node`, into `out`
+    /// (`storage::replica_targets` over this fleet).
+    pub(crate) fn replica_targets(&self, node: NodeId, out: &mut Vec<ServerId>) {
+        crate::storage::replica_targets(
+            node,
+            &self.ns,
+            &self.assignment,
+            &self.cfg.storage,
+            self.roles.as_deref(),
+            out,
+        );
+    }
+}
+
+/// Compile-time proof that a type can cross threads: a parallel executor
+/// (ROADMAP, "Deliberately not next") would move contexts and messages
+/// between worker threads, so a non-`Send + Sync` field sneaking into
+/// either context half must fail the build, not the first multi-core
+/// run.
 pub(crate) const fn assert_send_sync<T: Send + Sync>() {}
 
 const _: () = {

@@ -307,9 +307,19 @@ impl RunStats {
         self.tenant_misrouted = vec![0; n];
     }
 
-    /// Records a query injection attributed to tenant `t`.
-    pub fn on_tenant_injected(&mut self, t: u16) {
-        if let Some(slot) = self.tenant_injected.get_mut(t as usize) {
+    /// Records a query injection at time `t`: the fleet-wide count and
+    /// availability denominator, the per-side denominator by the
+    /// origin's sticky `minority` label, and the target's tenant (`None`
+    /// for spine targets or with tenants off).
+    pub fn on_injected(&mut self, t: f64, minority: bool, tenant: Option<u16>) {
+        self.injected += 1;
+        self.injected_per_sec.record(t);
+        if minority {
+            self.injected_per_sec_minority.record(t);
+        } else {
+            self.injected_per_sec_majority.record(t);
+        }
+        if let Some(slot) = tenant.and_then(|i| self.tenant_injected.get_mut(i as usize)) {
             *slot += 1;
         }
     }
@@ -327,13 +337,6 @@ impl RunStats {
             if let Some(slot) = self.tenant_misrouted.get_mut(t as usize) {
                 *slot += 1;
             }
-        }
-    }
-
-    /// Records a final drop attributed to tenant `t`.
-    pub fn on_tenant_dropped(&mut self, t: u16) {
-        if let Some(slot) = self.tenant_dropped.get_mut(t as usize) {
-            *slot += 1;
         }
     }
 
@@ -430,18 +433,38 @@ impl RunStats {
         }
     }
 
-    /// Records a dropped query at time `t`.
-    pub fn on_drop(&mut self, t: f64, kind: DropKind) {
-        match kind {
-            DropKind::Queue => self.dropped_queue += 1,
-            DropKind::Ttl => self.dropped_ttl += 1,
-            DropKind::Stuck => self.dropped_stuck += 1,
-            DropKind::Timeout => self.dropped_timeout += 1,
-            DropKind::Lost => self.dropped_lost += 1,
-            DropKind::Shed => self.dropped_shed += 1,
-            DropKind::Partition => self.dropped_partition += 1,
+    /// Records a query lost at time `t` to `kind` — the one place a lost
+    /// query is counted. Under the reliability layer (`retry`) a loss is
+    /// attempt-level: the query stays pending and only its timeout
+    /// finalizes it, so just the matching `attempts_lost_*` counter
+    /// moves. Otherwise, and always for `Timeout` (the finalizing kind),
+    /// it is a final drop: the `dropped_*` counter, the per-second drop
+    /// series and the target's tenant (`None` for spine targets or with
+    /// tenants off) all move.
+    pub fn on_lost(&mut self, t: f64, kind: DropKind, retry: bool, tenant: Option<u16>) {
+        let final_drop = !retry || kind == DropKind::Timeout;
+        let counter = match (final_drop, kind) {
+            (true, DropKind::Queue) => &mut self.dropped_queue,
+            (true, DropKind::Ttl) => &mut self.dropped_ttl,
+            (true, DropKind::Stuck) => &mut self.dropped_stuck,
+            (_, DropKind::Timeout) => &mut self.dropped_timeout,
+            (true, DropKind::Lost) => &mut self.dropped_lost,
+            (true, DropKind::Shed) => &mut self.dropped_shed,
+            (true, DropKind::Partition) => &mut self.dropped_partition,
+            (false, DropKind::Queue) => &mut self.attempts_lost_queue,
+            (false, DropKind::Ttl) => &mut self.attempts_lost_ttl,
+            (false, DropKind::Stuck) => &mut self.attempts_lost_stuck,
+            (false, DropKind::Lost) => &mut self.attempts_lost_transport,
+            (false, DropKind::Shed) => &mut self.attempts_lost_shed,
+            (false, DropKind::Partition) => &mut self.attempts_lost_partition,
+        };
+        *counter += 1;
+        if final_drop {
+            self.drops_per_sec.record(t);
+            if let Some(slot) = tenant.and_then(|i| self.tenant_dropped.get_mut(i as usize)) {
+                *slot += 1;
+            }
         }
-        self.drops_per_sec.record(t);
     }
 
     /// Records a resolved query. `misrouted`/`detour_hops` come from the
@@ -465,22 +488,9 @@ impl RunStats {
         availability_curve(&self.resolved_per_sec, &self.clean_resolved_per_sec)
     }
 
-    /// Records an attempt-level query loss under the reliability layer
-    /// (the query stays pending; only its timeout finalizes it).
-    /// `Timeout` never reaches here — it is the finalizing kind.
-    pub fn on_attempt_lost(&mut self, kind: DropKind) {
-        match kind {
-            DropKind::Queue => self.attempts_lost_queue += 1,
-            DropKind::Ttl => self.attempts_lost_ttl += 1,
-            DropKind::Stuck => self.attempts_lost_stuck += 1,
-            DropKind::Lost => self.attempts_lost_transport += 1,
-            DropKind::Shed => self.attempts_lost_shed += 1,
-            DropKind::Partition => self.attempts_lost_partition += 1,
-            DropKind::Timeout => debug_assert!(false, "timeout is final, not attempt-level"),
-        }
-    }
-
-    /// Records an attempt-level loss to a dead-server delivery.
+    /// Records an attempt-level loss to a dead-server delivery (no
+    /// `DropKind`: without the reliability layer such a loss is a final
+    /// `Queue` drop).
     pub fn on_attempt_dead(&mut self) {
         self.attempts_lost_dead += 1;
     }
@@ -803,9 +813,9 @@ mod tests {
     fn drop_accounting_by_kind() {
         let mut s = RunStats::new(4);
         s.injected = 10;
-        s.on_drop(0.5, DropKind::Queue);
-        s.on_drop(1.5, DropKind::Ttl);
-        s.on_drop(1.7, DropKind::Stuck);
+        s.on_lost(0.5, DropKind::Queue, false, None);
+        s.on_lost(1.5, DropKind::Ttl, false, None);
+        s.on_lost(1.7, DropKind::Stuck, false, None);
         assert_eq!(s.dropped_total(), 3);
         assert_eq!(s.drop_fraction(), 0.3);
         assert_eq!(s.drops_per_sec.bins(), &[1, 2]);
@@ -826,7 +836,7 @@ mod tests {
         let mut s = RunStats::new(2);
         s.injected = 4;
         s.on_resolved(1.0, 0.5, 3, false, 0);
-        s.on_drop(1.0, DropKind::Queue);
+        s.on_lost(1.0, DropKind::Queue, false, None);
         let sum = s.summary();
         assert_eq!(sum.injected, 4);
         assert_eq!(sum.resolved, 1);
@@ -851,22 +861,71 @@ mod tests {
 
     #[test]
     fn reliability_drop_kinds_are_decomposable() {
+        let kinds = [
+            DropKind::Queue,
+            DropKind::Ttl,
+            DropKind::Stuck,
+            DropKind::Timeout,
+            DropKind::Lost,
+            DropKind::Shed,
+            DropKind::Partition,
+        ];
+        let counters = |s: &RunStats| {
+            [
+                s.dropped_queue,
+                s.dropped_ttl,
+                s.dropped_stuck,
+                s.dropped_timeout,
+                s.dropped_lost,
+                s.dropped_shed,
+                s.dropped_partition,
+                s.attempts_lost_queue,
+                s.attempts_lost_ttl,
+                s.attempts_lost_stuck,
+                s.attempts_lost_dead,
+                s.attempts_lost_transport,
+                s.attempts_lost_shed,
+                s.attempts_lost_partition,
+            ]
+        };
+        for kind in kinds {
+            for retry in [false, true] {
+                let mut s = RunStats::new(2);
+                s.init_tenants([0.9, 0.9].into_iter());
+                s.on_lost(1.5, kind, retry, Some(1));
+                // `Timeout` is the finalizer: final in both regimes.
+                let final_drop = !retry || kind == DropKind::Timeout;
+                let moved = match (final_drop, kind) {
+                    (true, DropKind::Queue) => s.dropped_queue,
+                    (true, DropKind::Ttl) => s.dropped_ttl,
+                    (true, DropKind::Stuck) => s.dropped_stuck,
+                    (_, DropKind::Timeout) => s.dropped_timeout,
+                    (true, DropKind::Lost) => s.dropped_lost,
+                    (true, DropKind::Shed) => s.dropped_shed,
+                    (true, DropKind::Partition) => s.dropped_partition,
+                    (false, DropKind::Queue) => s.attempts_lost_queue,
+                    (false, DropKind::Ttl) => s.attempts_lost_ttl,
+                    (false, DropKind::Stuck) => s.attempts_lost_stuck,
+                    (false, DropKind::Lost) => s.attempts_lost_transport,
+                    (false, DropKind::Shed) => s.attempts_lost_shed,
+                    (false, DropKind::Partition) => s.attempts_lost_partition,
+                };
+                let what = format!("{kind:?} with retry {retry}");
+                assert_eq!(moved, 1, "{what}: its own counter moves");
+                assert_eq!(counters(&s).iter().sum::<u64>(), 1, "{what}: only it");
+                // Attempt-level losses never reach the final-drop totals,
+                // the drop series or the tenant ledger.
+                let finals = u64::from(final_drop);
+                assert_eq!(s.dropped_total(), finals, "{what}");
+                assert_eq!(s.drops_per_sec.total(), finals, "{what}");
+                assert_eq!(s.tenant_dropped, vec![0, finals], "{what}");
+            }
+        }
         let mut s = RunStats::new(2);
-        s.injected = 5;
-        s.on_drop(0.5, DropKind::Timeout);
-        s.on_drop(0.7, DropKind::Lost);
-        s.on_drop(1.1, DropKind::Queue);
-        assert_eq!(s.dropped_timeout, 1);
-        assert_eq!(s.dropped_lost, 1);
-        assert_eq!(s.dropped_total(), 3);
-        s.on_attempt_lost(DropKind::Queue);
-        s.on_attempt_lost(DropKind::Lost);
         s.on_attempt_dead();
-        // Attempt-level losses never enter the final-drop totals.
-        assert_eq!(s.dropped_total(), 3);
-        assert_eq!(s.attempts_lost_queue, 1);
-        assert_eq!(s.attempts_lost_transport, 1);
+        assert_eq!(counters(&s).iter().sum::<u64>(), 1);
         assert_eq!(s.attempts_lost_dead, 1);
+        assert_eq!(s.dropped_total(), 0);
     }
 
     #[test]
@@ -883,13 +942,13 @@ mod tests {
     fn chaos_drop_kinds_enter_the_totals() {
         let mut s = RunStats::new(2);
         s.injected = 4;
-        s.on_drop(0.5, DropKind::Shed);
-        s.on_drop(0.7, DropKind::Partition);
+        s.on_lost(0.5, DropKind::Shed, false, None);
+        s.on_lost(0.7, DropKind::Partition, false, None);
         assert_eq!(s.dropped_shed, 1);
         assert_eq!(s.dropped_partition, 1);
         assert_eq!(s.dropped_total(), 2);
-        s.on_attempt_lost(DropKind::Shed);
-        s.on_attempt_lost(DropKind::Partition);
+        s.on_lost(0.8, DropKind::Shed, true, None);
+        s.on_lost(0.9, DropKind::Partition, true, None);
         assert_eq!(s.attempts_lost_shed, 1);
         assert_eq!(s.attempts_lost_partition, 1);
         // Attempt-level losses never enter the final totals.
@@ -950,7 +1009,7 @@ mod tests {
         s.cuts_applied = 1;
         s.heals_applied = 1;
         s.flash_injected = 9;
-        s.on_drop(0.1, DropKind::Shed);
+        s.on_lost(0.1, DropKind::Shed, false, None);
         let json = s.summary().to_json();
         assert!(json.contains("\"messages_cut\":3"));
         assert!(json.contains("\"cuts_applied\":1"));
@@ -999,7 +1058,7 @@ mod tests {
         s.query_messages = 11;
         s.messages_to_dead = 2;
         s.scenario_crashes = 1;
-        s.on_attempt_lost(DropKind::Queue);
+        s.on_lost(0.1, DropKind::Queue, true, None);
         s.on_attempt_dead();
         let json = s.summary().to_json();
         assert!(json.contains("\"query_messages\":11"));
@@ -1048,17 +1107,20 @@ mod tests {
         let mut s = RunStats::new(2);
         s.init_tenants([0.95, 0.5].into_iter());
         for _ in 0..10 {
-            s.on_tenant_injected(0);
+            s.on_injected(0.5, false, Some(0));
         }
         for _ in 0..4 {
-            s.on_tenant_injected(1);
+            s.on_injected(0.5, true, Some(1));
         }
         for _ in 0..9 {
             s.on_tenant_resolved(0, 0.1, false);
         }
-        s.on_tenant_dropped(0);
+        s.on_lost(0.6, DropKind::Ttl, false, Some(0));
         s.on_tenant_resolved(1, 0.2, true);
-        s.on_tenant_dropped(1);
+        s.on_lost(0.6, DropKind::Ttl, false, Some(1));
+        assert_eq!(s.injected, 14);
+        assert_eq!(s.injected_per_sec_minority.total(), 4);
+        assert_eq!(s.injected_per_sec_majority.total(), 10);
         let avail = s.tenant_availability();
         assert!((avail[0] - 0.9).abs() < 1e-12);
         assert!((avail[1] - 0.25).abs() < 1e-12);

@@ -649,27 +649,13 @@ impl System {
         }
         ctx.failed = true;
         self.stats.churn_failures += 1;
-        for msg in ctx.queue.drain(..) {
-            if msg.is_query_traffic() {
-                if retry {
-                    self.stats.on_attempt_lost(DropKind::Queue);
-                } else {
-                    self.stats.on_drop(now, DropKind::Queue);
-                    Self::tenant_drop(self.shared.tenants.as_deref(), &mut self.stats, &msg);
-                }
-            }
-        }
-        // The in-service message dies with the server right now; its
+        // The queued messages die first, then the in-service one; its
         // already-scheduled completion event is stale-filtered by the
         // epoch bump below.
-        if let Some(msg) = ctx.in_service.take() {
+        for msg in ctx.queue.drain(..).chain(ctx.in_service.take()) {
             if msg.is_query_traffic() {
-                if retry {
-                    self.stats.on_attempt_lost(DropKind::Queue);
-                } else {
-                    self.stats.on_drop(now, DropKind::Queue);
-                    Self::tenant_drop(self.shared.tenants.as_deref(), &mut self.stats, &msg);
-                }
+                let tenant = self.shared.tenant_of_msg(&msg);
+                self.stats.on_lost(now, DropKind::Queue, retry, tenant);
             }
         }
         ctx.epoch += 1;
@@ -882,39 +868,18 @@ impl System {
         let mut nodes: Vec<NodeId> = server.owned_ids().collect();
         nodes.sort_unstable();
         nodes.truncate(config::RECONCILE_BATCH as usize);
+        nodes.retain(|&n| server.hosts(n));
         // Each push advertises only the authoritative fact the pusher can
         // vouch for — "I host this node", a singleton map. Forwarding its
         // full host map would propagate exactly the stale third-party
-        // pointers the reconciliation exists to repair.
-        let records: Vec<(NodeId, NodeMap)> = nodes
-            .iter()
-            .filter(|&&n| server.hosts(n))
-            .map(|&n| (n, NodeMap::singleton(id)))
-            .collect(); // xtask: allow(alloc): reconcile push, heal/rejoin only
-        let mut sends: Vec<(ServerId, NodeId, NodeMap)> = Vec::new();
+        // pointers the reconciliation exists to repair. Sent peer-major,
+        // direct (no loss/jitter draws on the fault stream).
         for &peer in &peers {
-            for (node, map) in &records {
-                // xtask: allow(alloc): each push message owns its map payload
-                sends.push((peer, *node, map.clone()));
+            for &node in &nodes {
+                self.stats.reconcile_pushes += 1;
+                let map = NodeMap::singleton(id);
+                self.send_direct(id, peer, Message::MapUpdate { node, map });
             }
-        }
-        for (peer, node, map) in sends {
-            self.stats.reconcile_pushes += 1;
-            self.stats.control_messages += 1;
-            let msg = Message::MapUpdate { node, map };
-            self.charge_wire(&msg);
-            // Flat delivery delay, no loss/jitter draws: reconcile pushes
-            // are substrate-scheduled like HostDown/NotHosting notices,
-            // and extra RNG draws here would perturb replay of the fault
-            // stream shared with churn/chaos.
-            self.engine.schedule_in(
-                self.shared.cfg.network_delay,
-                Event::Deliver {
-                    to: peer,
-                    from: Some(id),
-                    msg,
-                },
-            );
         }
     }
 
@@ -967,54 +932,42 @@ impl System {
         let Some(src) = self.random_live_origin() else {
             return;
         };
-        let now = self.engine.now();
-        let id = self.next_query_id;
-        self.next_query_id += 1;
-        self.stats.injected += 1;
         self.stats.flash_injected += 1;
-        self.stats.injected_per_sec.record(now);
-        self.record_injection_side(now, src);
-        self.note_tenant_injected(node);
-        if self.shared.cfg.retry.enabled {
-            self.pending.insert(
-                id,
-                Pending {
-                    origin: src,
-                    target: node,
-                    issued_at: now,
-                    attempt: 1,
-                },
-            );
-            self.engine
-                .schedule_in(self.timeout_for(1), Event::QueryTimeout { id, attempt: 1 });
+        self.issue_query(src, node);
+    }
+
+    /// The shared head of the storage drivers (DESIGN.md §17): gated on
+    /// injection like the query stream (`set_injection(true)` re-arms
+    /// them), it re-arms `next` after an exponential gap at `rate`, then
+    /// draws a uniformly random object and a random live origin, in that
+    /// order, from the fault RNG. `None` while injection is off, with no
+    /// objects, or with the whole fleet dead.
+    fn next_store_op(&mut self, rate: f64, next: Event) -> Option<(usize, ServerId)> {
+        use rand::Rng;
+        if !self.injecting {
+            return None;
         }
-        let packet = QueryPacket::new(id, src, node, now);
-        self.deliver(src, None, Message::Query(packet));
+        if rate > 0.0 {
+            let gap = exp_draw(&mut self.rng_faults, 1.0 / rate);
+            self.engine.schedule_in(gap, next);
+        }
+        let n = self.committed.len();
+        if n == 0 {
+            return None;
+        }
+        let o = self.rng_faults.gen_range(0..n);
+        Some((o, self.random_live_origin()?))
     }
 
     /// Storage write driver (DESIGN.md §17): commits the next version of
     /// a uniformly random object from a random live origin and pushes it
-    /// to every member of the object's replica set. Pushes are
-    /// substrate-scheduled at flat network delay (the reconcile-push
-    /// precedent) but carry a real sender, so partition cuts and dead
-    /// targets lose them exactly like protocol traffic. Gated on
-    /// injection like the query stream; `set_injection(true)` re-arms it.
+    /// to every member of the object's replica set. Pushes are direct
+    /// sends (the reconcile-push precedent) but carry a real sender, so
+    /// partition cuts and dead targets lose them exactly like protocol
+    /// traffic.
     fn store_put(&mut self) {
-        use rand::Rng;
-        if !self.injecting {
-            return;
-        }
         let rate = self.shared.cfg.storage.write_rate;
-        if rate > 0.0 {
-            let gap = exp_draw(&mut self.rng_faults, 1.0 / rate);
-            self.engine.schedule_in(gap, Event::StorePut);
-        }
-        let n = self.committed.len();
-        if n == 0 {
-            return;
-        }
-        let o = self.rng_faults.gen_range(0..n);
-        let Some(origin) = self.random_live_origin() else {
+        let Some((o, origin)) = self.next_store_op(rate, Event::StorePut) else {
             return;
         };
         let Some(slot) = self.committed.get_mut(o) else {
@@ -1030,28 +983,9 @@ impl System {
         };
         self.stats.object_puts += 1;
         let mut targets = std::mem::take(&mut self.store_targets);
-        crate::storage::replica_targets(
-            node,
-            &self.shared.ns,
-            &self.shared.assignment,
-            &self.shared.cfg.storage,
-            self.shared.roles.as_deref(),
-            &mut targets,
-        );
+        self.shared.replica_targets(node, &mut targets);
         for &t in &targets {
-            self.stats.control_messages += 1;
-            let msg = Message::PutObject { node, obj };
-            if t != origin {
-                self.charge_wire(&msg);
-            }
-            self.engine.schedule_in(
-                self.shared.cfg.network_delay,
-                Event::Deliver {
-                    to: t,
-                    from: Some(origin),
-                    msg,
-                },
-            );
+            self.send_direct(origin, t, Message::PutObject { node, obj });
         }
         self.store_targets = targets;
     }
@@ -1064,84 +998,33 @@ impl System {
     /// arrived, so reads against dead replicas terminate.
     fn store_get(&mut self) {
         use rand::Rng;
-        if !self.injecting {
-            return;
-        }
         let rate = self.shared.cfg.storage.read_rate;
-        if rate > 0.0 {
-            let gap = exp_draw(&mut self.rng_faults, 1.0 / rate);
-            self.engine.schedule_in(gap, Event::StoreGet);
-        }
-        let n = self.committed.len();
-        if n == 0 {
-            return;
-        }
-        let o = self.rng_faults.gen_range(0..n);
-        let Some(origin) = self.random_live_origin() else {
+        let Some((o, origin)) = self.next_store_op(rate, Event::StoreGet) else {
             return;
         };
         let node = NodeId(o as u32);
         let mut targets = std::mem::take(&mut self.store_targets);
-        crate::storage::replica_targets(
-            node,
-            &self.shared.ns,
-            &self.shared.assignment,
-            &self.shared.cfg.storage,
-            self.shared.roles.as_deref(),
-            &mut targets,
-        );
+        self.shared.replica_targets(node, &mut targets);
         if targets.is_empty() {
             self.store_targets = targets;
             return;
         }
         let id = self.next_read_id;
         self.next_read_id += 1;
-        let expect = if self.shared.cfg.storage.quorum_reads {
-            let majority = targets.len() as u32 / 2 + 1;
-            for &t in &targets {
-                self.stats.control_messages += 1;
-                let msg = Message::GetObject {
-                    id,
-                    node,
-                    reply_to: origin,
-                };
-                if t != origin {
-                    self.charge_wire(&msg);
-                }
-                self.engine.schedule_in(
-                    self.shared.cfg.network_delay,
-                    Event::Deliver {
-                        to: t,
-                        from: Some(origin),
-                        msg,
-                    },
-                );
-            }
-            majority
+        let (probes, expect) = if self.shared.cfg.storage.quorum_reads {
+            (targets.as_slice(), targets.len() as u32 / 2 + 1)
         } else {
-            let pick = targets
-                .get(self.rng_faults.gen_range(0..targets.len()))
-                .copied()
-                .unwrap_or_else(|| self.shared.assignment.owner(node));
-            self.stats.control_messages += 1;
+            let pick = self.rng_faults.gen_range(0..targets.len());
+            (targets.get(pick..=pick).unwrap_or_default(), 1)
+        };
+        for &t in probes {
             let msg = Message::GetObject {
                 id,
                 node,
                 reply_to: origin,
             };
-            if pick != origin {
-                self.charge_wire(&msg);
-            }
-            self.engine.schedule_in(
-                self.shared.cfg.network_delay,
-                Event::Deliver {
-                    to: pick,
-                    from: Some(origin),
-                    msg,
-                },
-            );
-            1
-        };
+            self.send_direct(origin, t, msg);
+        }
         self.store_targets = targets;
         self.reads.insert(
             id,
@@ -1375,16 +1258,7 @@ impl System {
                 digest: digest.clone(),
                 since,
             };
-            self.stats.control_messages += 1;
-            self.charge_wire(&msg);
-            self.engine.schedule_in(
-                self.shared.cfg.network_delay,
-                Event::Deliver {
-                    to: peer,
-                    from: Some(id),
-                    msg,
-                },
-            );
+            self.send_direct(id, peer, msg);
         }
     }
 
@@ -1432,14 +1306,7 @@ impl System {
                             continue;
                         }
                     }
-                    crate::storage::replica_targets(
-                        node,
-                        &self.shared.ns,
-                        &self.shared.assignment,
-                        &self.shared.cfg.storage,
-                        self.shared.roles.as_deref(),
-                        &mut targets,
-                    );
+                    self.shared.replica_targets(node, &mut targets);
                     if targets.contains(&peer) {
                         objects.push((node, obj));
                     }
@@ -1455,16 +1322,7 @@ impl System {
                 // xtask: allow(alloc): each push message owns its payload
                 objects: objects.clone(),
             };
-            self.stats.control_messages += 1;
-            self.charge_wire(&msg);
-            self.engine.schedule_in(
-                self.shared.cfg.network_delay,
-                Event::Deliver {
-                    to: peer,
-                    from: Some(id),
-                    msg,
-                },
-            );
+            self.send_direct(id, peer, msg);
         }
         self.store_targets = targets;
         self.gossip_objects = objects;
@@ -1483,14 +1341,7 @@ impl System {
         let mut targets = std::mem::take(&mut self.store_targets);
         for o in 0..n {
             let node = NodeId(o as u32);
-            crate::storage::replica_targets(
-                node,
-                &self.shared.ns,
-                &self.shared.assignment,
-                &self.shared.cfg.storage,
-                self.shared.roles.as_deref(),
-                &mut targets,
-            );
+            self.shared.replica_targets(node, &mut targets);
             let held = targets.iter().any(|&t| {
                 !self.is_failed(t)
                     && self
@@ -1541,60 +1392,11 @@ impl System {
         }
     }
 
-    /// Classifies an injection into the per-side availability
-    /// denominators by its origin's sticky minority label.
-    fn record_injection_side(&mut self, now: f64, src: ServerId) {
-        if self.minority.get(src.index()).copied().unwrap_or(false) {
-            self.stats.injected_per_sec_minority.record(now);
-        } else {
-            self.stats.injected_per_sec_majority.record(now);
-        }
-    }
-
-    /// Tenant id of a query-traffic message's lookup target: `None` for
-    /// control traffic, spine targets, or with tenants off. An associated
-    /// fn over disjoint fields so drop sites holding a mutable queue
-    /// borrow can still attribute (DESIGN.md §19).
-    fn tenant_of_msg(tenants: Option<&crate::roles::TenantMap>, msg: &Message) -> Option<u16> {
-        let target = match msg {
-            Message::Query(p) => p.target,
-            Message::QueryResult { packet, .. } => packet.target,
-            _ => return None,
-        };
-        tenants.and_then(|t| t.tenant_of(target))
-    }
-
-    /// Attributes a *final* query drop to its target's tenant. Callers on
-    /// the retry path must not call this for attempt-level losses — only
-    /// the finalizing drop counts, mirroring `RunStats::on_drop`.
-    fn tenant_drop(tenants: Option<&crate::roles::TenantMap>, stats: &mut RunStats, msg: &Message) {
-        if let Some(t) = Self::tenant_of_msg(tenants, msg) {
-            stats.on_tenant_dropped(t);
-        }
-    }
-
-    /// `tenant_drop` for sites that hold the lookup target rather than
-    /// the message (the pending-table timeout finalizer).
-    fn tenant_drop_at(
-        tenants: Option<&crate::roles::TenantMap>,
-        stats: &mut RunStats,
-        node: NodeId,
-    ) {
-        if let Some(t) = tenants.and_then(|m| m.tenant_of(node)) {
-            stats.on_tenant_dropped(t);
-        }
-    }
-
-    /// Attributes an injection to its target's tenant.
-    fn note_tenant_injected(&mut self, node: NodeId) {
-        if let Some(t) = self
-            .shared
-            .tenants
-            .as_deref()
-            .and_then(|m| m.tenant_of(node))
-        {
-            self.stats.on_tenant_injected(t);
-        }
+    /// Whether `server` sits on the minority side of the most recent
+    /// effective cut (the sticky label the per-side availability series
+    /// classify by).
+    fn is_minority(&self, server: ServerId) -> bool {
+        self.minority.get(server.index()).copied().unwrap_or(false)
     }
 
     /// Whether a server has been failed. Ids outside the fleet read as
@@ -1972,10 +1774,35 @@ impl System {
 
     /// The timeout armed for a given attempt number: capped exponential
     /// backoff `min(base · 2^(attempt-1), cap)`.
-    fn timeout_for(&self, attempt: u32) -> f64 {
-        let r = &self.shared.cfg.retry;
+    fn timeout_for(attempt: u32) -> f64 {
         let exp = attempt.saturating_sub(1).min(52);
-        (r.base_timeout * f64::powi(2.0, exp as i32)).min(r.cap)
+        (config::RETRY_BASE_TIMEOUT * f64::powi(2.0, exp as i32)).min(config::RETRY_CAP)
+    }
+
+    /// Issues a new query from `src` for `target` — the one path for
+    /// stream and flash-crowd injections alike: allocates its id, counts
+    /// the injection (per side and per tenant too), arms the first retry
+    /// timer under the reliability layer, and delivers it at its origin.
+    fn issue_query(&mut self, src: ServerId, target: NodeId) {
+        let now = self.engine.now();
+        let id = self.next_query_id;
+        self.next_query_id += 1;
+        let minority = self.is_minority(src);
+        let tenant = self.shared.tenant_of(target);
+        self.stats.on_injected(now, minority, tenant);
+        if self.shared.cfg.retry.enabled {
+            let pending = Pending {
+                origin: src,
+                target,
+                issued_at: now,
+                attempt: 1,
+            };
+            self.pending.insert(id, pending);
+            let first = Event::QueryTimeout { id, attempt: 1 };
+            self.engine.schedule_in(Self::timeout_for(1), first);
+        }
+        let packet = QueryPacket::new(id, src, target, now);
+        self.deliver(src, None, Message::Query(packet));
     }
 
     fn inject(&mut self) {
@@ -2000,27 +1827,7 @@ impl System {
                 return;
             }
         }
-        let id = self.next_query_id;
-        self.next_query_id += 1;
-        self.stats.injected += 1;
-        self.stats.injected_per_sec.record(now);
-        self.record_injection_side(now, src);
-        self.note_tenant_injected(dst);
-        if self.shared.cfg.retry.enabled {
-            self.pending.insert(
-                id,
-                Pending {
-                    origin: src,
-                    target: dst,
-                    issued_at: now,
-                    attempt: 1,
-                },
-            );
-            self.engine
-                .schedule_in(self.timeout_for(1), Event::QueryTimeout { id, attempt: 1 });
-        }
-        let packet = QueryPacket::new(id, src, dst, now);
-        self.deliver(src, None, Message::Query(packet));
+        self.issue_query(src, dst);
         let gap = self.arrivals.next_gap(&mut self.rng_arrivals);
         self.engine.schedule_in(gap, Event::Inject);
     }
@@ -2037,10 +1844,10 @@ impl System {
             Some(p) if p.attempt == attempt => (p.origin, p.target, p.issued_at),
             _ => return,
         };
-        if attempt >= self.shared.cfg.retry.max_attempts {
+        if attempt >= config::RETRY_MAX_ATTEMPTS {
             self.pending.remove(&id);
-            self.stats.on_drop(now, DropKind::Timeout);
-            Self::tenant_drop_at(self.shared.tenants.as_deref(), &mut self.stats, target);
+            let tenant = self.shared.tenant_of(target);
+            self.stats.on_lost(now, DropKind::Timeout, true, tenant);
             return;
         }
         // Re-resolve the origin, excluding hosts observed dead.
@@ -2057,7 +1864,7 @@ impl System {
             }
         }
         self.engine.schedule_in(
-            self.timeout_for(next),
+            Self::timeout_for(next),
             Event::QueryTimeout { id, attempt: next },
         );
         if let Some(origin) = origin {
@@ -2073,6 +1880,7 @@ impl System {
     /// excess being dropped"), unbounded for the rare control messages.
     fn deliver(&mut self, to: ServerId, from: Option<ServerId>, msg: Message) {
         let now = self.engine.now();
+        let retry = self.shared.cfg.retry.enabled;
         // Partition enforcement (DESIGN.md §13): a protocol send crossing
         // the active cut is dropped at delivery time — in-flight messages
         // die when a cut lands mid-hop. Injections and substrate feedback
@@ -2084,23 +1892,12 @@ impl System {
                 // a dead host (PR 2's negative-caching path). The far
                 // side is unreachable, not dead: entries clear via
                 // proof-of-life after the heal or expire at `DEAD_TTL`.
-                if self.shared.cfg.retry.enabled && !self.is_failed(sender) {
-                    self.engine.schedule_in(
-                        self.shared.cfg.network_delay,
-                        Event::Deliver {
-                            to: sender,
-                            from: None,
-                            msg: Message::HostDown { host: to },
-                        },
-                    );
+                if retry {
+                    self.notify(sender, Message::HostDown { host: to });
                 }
                 if msg.is_query_traffic() {
-                    if self.shared.cfg.retry.enabled {
-                        self.stats.on_attempt_lost(DropKind::Partition);
-                    } else {
-                        self.stats.on_drop(now, DropKind::Partition);
-                        Self::tenant_drop(self.shared.tenants.as_deref(), &mut self.stats, &msg);
-                    }
+                    let tenant = self.shared.tenant_of_msg(&msg);
+                    self.stats.on_lost(now, DropKind::Partition, retry, tenant);
                 }
                 return;
             }
@@ -2113,44 +1910,28 @@ impl System {
             // lost — TerraDir has no hop-level retransmission.
             if let Message::Query(p) = &msg {
                 if let (Some(prev), Some(via)) = (p.prev_hop, p.intended_via) {
-                    if !self.is_failed(prev) {
-                        self.engine.schedule_in(
-                            self.shared.cfg.network_delay,
-                            Event::Deliver {
-                                to: prev,
-                                from: None,
-                                msg: Message::NotHosting {
-                                    node: via,
-                                    from: to,
-                                },
-                            },
-                        );
-                    }
+                    self.notify(
+                        prev,
+                        Message::NotHosting {
+                            node: via,
+                            from: to,
+                        },
+                    );
                 }
             }
             // Negative-caching feedback: the live sender — whatever the
             // message kind — learns the host is unreachable and purges it
             // from its soft state (DESIGN.md §12).
-            if self.shared.cfg.retry.enabled {
-                if let Some(sender) = from {
-                    if !self.is_failed(sender) {
-                        self.engine.schedule_in(
-                            self.shared.cfg.network_delay,
-                            Event::Deliver {
-                                to: sender,
-                                from: None,
-                                msg: Message::HostDown { host: to },
-                            },
-                        );
-                    }
-                }
+            if let (true, Some(sender)) = (retry, from) {
+                self.notify(sender, Message::HostDown { host: to });
             }
             if msg.is_query_traffic() {
-                if self.shared.cfg.retry.enabled {
+                // The one loss without a `DropKind` under retries.
+                if retry {
                     self.stats.on_attempt_dead();
                 } else {
-                    self.stats.on_drop(now, DropKind::Queue);
-                    Self::tenant_drop(self.shared.tenants.as_deref(), &mut self.stats, &msg);
+                    let tenant = self.shared.tenant_of_msg(&msg);
+                    self.stats.on_lost(now, DropKind::Queue, false, tenant);
                 }
             }
             return;
@@ -2174,12 +1955,8 @@ impl System {
         let q = &mut ctx.queue;
         if msg.is_query_traffic() && q.len() >= cap {
             if !self.shared.cfg.shedding {
-                if self.shared.cfg.retry.enabled {
-                    self.stats.on_attempt_lost(DropKind::Queue);
-                } else {
-                    self.stats.on_drop(now, DropKind::Queue);
-                    Self::tenant_drop(self.shared.tenants.as_deref(), &mut self.stats, &msg);
-                }
+                let tenant = self.shared.tenant_of_msg(&msg);
+                self.stats.on_lost(now, DropKind::Queue, retry, tenant);
                 return;
             }
             // Graceful degradation (DESIGN.md §13): shed the deepest-TTL
@@ -2217,12 +1994,8 @@ impl System {
                 },
                 None => msg,
             };
-            if self.shared.cfg.retry.enabled {
-                self.stats.on_attempt_lost(DropKind::Shed);
-            } else {
-                self.stats.on_drop(now, DropKind::Shed);
-                Self::tenant_drop(self.shared.tenants.as_deref(), &mut self.stats, &shed);
-            }
+            let tenant = self.shared.tenant_of_msg(&shed);
+            self.stats.on_lost(now, DropKind::Shed, retry, tenant);
             if victim.is_some() {
                 self.try_start(to);
             }
@@ -2313,6 +2086,35 @@ impl System {
         }
     }
 
+    /// Sends `msg` from `from` to `to` at flat network delay, outside the
+    /// loss and jitter model: substrate-scheduled traffic (storage
+    /// propagation, reconcile pushes, gossip) must draw nothing from the
+    /// fault stream it shares with churn and chaos. It still carries its
+    /// sender, so cuts and dead targets lose it like protocol traffic,
+    /// and it counts as control traffic, charged to the wire unless it
+    /// stays local.
+    fn send_direct(&mut self, from: ServerId, to: ServerId, msg: Message) {
+        self.stats.control_messages += 1;
+        if to != from {
+            self.charge_wire(&msg);
+        }
+        let delay = self.shared.cfg.network_delay;
+        let from = Some(from);
+        self.engine
+            .schedule_in(delay, Event::Deliver { to, from, msg });
+    }
+
+    /// Substrate feedback (`HostDown`, `NotHosting`) to `to` if it is
+    /// live: flat network delay, no sender, never charged to the wire.
+    fn notify(&mut self, to: ServerId, msg: Message) {
+        if !self.is_failed(to) {
+            let delay = self.shared.cfg.network_delay;
+            let from = None;
+            self.engine
+                .schedule_in(delay, Event::Deliver { to, from, msg });
+        }
+    }
+
     fn dispatch(&mut self, from: ServerId) {
         let mut effects = std::mem::take(&mut self.out_buf);
         self.dispatch_effects(from, &mut effects);
@@ -2353,16 +2155,9 @@ impl System {
                         if self.rng_faults.gen::<f64>() < loss_prob {
                             self.stats.messages_lost += 1;
                             if msg.is_query_traffic() {
-                                if self.shared.cfg.retry.enabled {
-                                    self.stats.on_attempt_lost(DropKind::Lost);
-                                } else {
-                                    self.stats.on_drop(now, DropKind::Lost);
-                                    Self::tenant_drop(
-                                        self.shared.tenants.as_deref(),
-                                        &mut self.stats,
-                                        &msg,
-                                    );
-                                }
+                                let retry = self.shared.cfg.retry.enabled;
+                                let tenant = self.shared.tenant_of_msg(&msg);
+                                self.stats.on_lost(now, DropKind::Lost, retry, tenant);
                             }
                             continue;
                         }
@@ -2408,18 +2203,13 @@ impl System {
                 if counts {
                     self.stats
                         .on_resolved(now, issued_at, hops, misrouted, detour_hops);
-                    if let Some(t) = self
-                        .shared
-                        .tenants
-                        .as_deref()
-                        .and_then(|m| m.tenant_of(target))
-                    {
+                    if let Some(t) = self.shared.tenant_of(target) {
                         self.stats.on_tenant_resolved(t, now - issued_at, misrouted);
                     }
                     // Per-side availability numerator: results deliver at
                     // the origin, so `at` is the side the query was
                     // served to.
-                    if self.minority.get(at.index()).copied().unwrap_or(false) {
+                    if self.is_minority(at) {
                         self.stats.resolved_per_sec_minority.record(now);
                     } else {
                         self.stats.resolved_per_sec_majority.record(now);
@@ -2427,20 +2217,14 @@ impl System {
                 }
             }
             ProtocolEvent::DroppedTtl { target, .. } => {
-                if self.shared.cfg.retry.enabled {
-                    self.stats.on_attempt_lost(DropKind::Ttl);
-                } else {
-                    self.stats.on_drop(now, DropKind::Ttl);
-                    Self::tenant_drop_at(self.shared.tenants.as_deref(), &mut self.stats, target);
-                }
+                let tenant = self.shared.tenant_of(target);
+                let retry = self.shared.cfg.retry.enabled;
+                self.stats.on_lost(now, DropKind::Ttl, retry, tenant);
             }
             ProtocolEvent::DroppedStuck { target, .. } => {
-                if self.shared.cfg.retry.enabled {
-                    self.stats.on_attempt_lost(DropKind::Stuck);
-                } else {
-                    self.stats.on_drop(now, DropKind::Stuck);
-                    Self::tenant_drop_at(self.shared.tenants.as_deref(), &mut self.stats, target);
-                }
+                let tenant = self.shared.tenant_of(target);
+                let retry = self.shared.cfg.retry.enabled;
+                self.stats.on_lost(now, DropKind::Stuck, retry, tenant);
             }
             ProtocolEvent::HostMarkedDead { .. } => self.stats.negative_evictions += 1,
             ProtocolEvent::Misrouted { .. } => self.stats.misroutes += 1,
@@ -2474,23 +2258,13 @@ impl System {
                 let mut key_buf = std::mem::take(&mut self.gossip_key_buf);
                 out.clear();
                 if let Some(server) = self.ctxs.get(at.index()).map(|c| &c.server) {
-                    let ns = &self.shared.ns;
-                    let assignment = &self.shared.assignment;
-                    let storage_cfg = &self.shared.cfg.storage;
-                    let roles = self.shared.roles.as_deref();
+                    let shared = &self.shared;
                     crate::gossip::select_pull(
-                        ns,
+                        &shared.ns,
                         &digest,
                         server.stored_objects(),
                         |node| {
-                            crate::storage::replica_targets(
-                                node,
-                                ns,
-                                assignment,
-                                storage_cfg,
-                                roles,
-                                &mut targets,
-                            );
+                            shared.replica_targets(node, &mut targets);
                             targets.contains(&from)
                         },
                         window,
@@ -2504,16 +2278,7 @@ impl System {
                         // xtask: allow(alloc): each reply owns its payload
                         objects: out.clone(),
                     };
-                    self.stats.control_messages += 1;
-                    self.charge_wire(&msg);
-                    self.engine.schedule_in(
-                        self.shared.cfg.network_delay,
-                        Event::Deliver {
-                            to: from,
-                            from: Some(at),
-                            msg,
-                        },
-                    );
+                    self.send_direct(at, from, msg);
                 }
                 self.store_targets = targets;
                 self.gossip_objects = out;

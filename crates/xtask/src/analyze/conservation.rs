@@ -19,7 +19,7 @@
 //!
 //! "Fed" and "emitted" each tolerate one transitive level through
 //! `stats.rs` itself: a field mutated only inside a recorder method
-//! (e.g. `on_drop`) counts as fed when that recorder is called from
+//! (e.g. `on_lost`) counts as fed when that recorder is called from
 //! behavior code, and a field read only inside an accessor
 //! (e.g. `dropped_total`, `availability`) counts as emitted when that
 //! accessor is called from the bench/CLI harnesses.

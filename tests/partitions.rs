@@ -270,7 +270,7 @@ fn drop_taxonomy_is_fully_accounted() {
     ];
     let mut st = RunStats::new(8);
     for &k in &kinds {
-        st.on_drop(0.5, k);
+        st.on_lost(0.5, k, false, None);
     }
     assert_eq!(st.dropped_total(), kinds.len() as u64);
     for &k in &kinds {

@@ -9,10 +9,11 @@
 //! Shadow-exec order-independence (DESIGN.md §20): stepping same-timestep
 //! servers in a permuted (but deterministic) order must produce a
 //! byte-identical run. This is the exact property a parallel executor
-//! (ROADMAP item 2) needs from the compute half of every per-server
-//! sweep — phase 1 of Maintain, Sample, and GossipRound touches only the
-//! stepped server's own context and draws no shared randomness, so any
-//! schedule of it is equivalent to the canonical one.
+//! (parked under ROADMAP's "Deliberately not next") needs from the
+//! compute half of every per-server sweep — phase 1 of Maintain, Sample,
+//! and GossipRound touches only the stepped server's own context and
+//! draws no shared randomness, so any schedule of it is equivalent to
+//! the canonical one.
 
 use terradir_repro::namespace::{balanced_tree, ServerId};
 use terradir_repro::protocol::{Config, GossipCulture, System};
