@@ -1,11 +1,3 @@
-// Experiment harness binary: aborting on unexpected state is the correct failure mode.
-#![allow(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::indexing_slicing,
-    clippy::panic
-)]
-
 //! **Ablation: path propagation vs endpoint-only caching** (§2.4).
 //!
 //! The paper claims the mixture of close and far nodes produced by caching
@@ -17,8 +9,7 @@ use terradir::System;
 use terradir_bench::{tsv_header, Args, ShapeChecks};
 use terradir_workload::StreamPlan;
 
-fn main() {
-    let args = Args::parse();
+pub fn run(args: Args, checks: &mut ShapeChecks) {
     let scale = args.scale();
     let total = scale.duration(100.0);
     let rate = scale.rate(20_000.0);
@@ -42,7 +33,6 @@ fn main() {
         rows.push((label, hops, lat, st.drop_fraction()));
     }
 
-    let mut checks = ShapeChecks::new();
     checks.check(
         "path propagation takes fewer hops than endpoint caching",
         rows[0].1 < rows[1].1,
@@ -53,5 +43,4 @@ fn main() {
         rows[0].3 <= rows[1].3 + 0.01,
         format!("{:.4} vs {:.4}", rows[0].3, rows[1].3),
     );
-    std::process::exit(i32::from(!checks.finish()));
 }

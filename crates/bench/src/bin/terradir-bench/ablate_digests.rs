@@ -1,11 +1,3 @@
-// Experiment harness binary: aborting on unexpected state is the correct failure mode.
-#![allow(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::indexing_slicing,
-    clippy::panic
-)]
-
 //! **Ablation: inverse-mapping digests on/off** (§3.6).
 //!
 //! Digests serve two roles: shortcut discovery (fewer hops) and
@@ -17,8 +9,7 @@ use terradir::System;
 use terradir_bench::{tsv_header, Args, ShapeChecks};
 use terradir_workload::StreamPlan;
 
-fn main() {
-    let args = Args::parse();
+pub fn run(args: Args, checks: &mut ShapeChecks) {
     let scale = args.scale();
     let total = scale.duration(100.0);
     let rate = scale.rate(20_000.0);
@@ -52,7 +43,6 @@ fn main() {
         rows.push((label, hops, acc, stale, st.drop_fraction()));
     }
 
-    let mut checks = ShapeChecks::new();
     checks.check(
         "digests reduce mean hops (shortcuts)",
         rows[0].1 <= rows[1].1,
@@ -71,5 +61,4 @@ fn main() {
         rows[0].4 <= rows[1].4 + 0.02,
         format!("{:.4} vs {:.4}", rows[0].4, rows[1].4),
     );
-    std::process::exit(i32::from(!checks.finish()));
 }

@@ -1,11 +1,3 @@
-// Experiment harness binary: aborting on unexpected state is the correct failure mode.
-#![allow(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::indexing_slicing,
-    clippy::panic
-)]
-
 //! **Ablation: hysteresis load adjustment on/off** (§3.3 step 4).
 //!
 //! After a session both parties shift their perceived loads by half the
@@ -18,8 +10,7 @@ use terradir::System;
 use terradir_bench::{tsv_header, Args, ShapeChecks};
 use terradir_workload::StreamPlan;
 
-fn main() {
-    let args = Args::parse();
+pub fn run(args: Args, checks: &mut ShapeChecks) {
     let scale = args.scale();
     let total = scale.duration(100.0);
     let rate = scale.rate(20_000.0);
@@ -63,7 +54,6 @@ fn main() {
         ));
     }
 
-    let mut checks = ShapeChecks::new();
     checks.check(
         "hysteresis damps session churn",
         rows[0].1 <= rows[1].1,
@@ -74,5 +64,4 @@ fn main() {
         rows[0].2 <= rows[1].2,
         format!("{} vs {} replicas", rows[0].2, rows[1].2),
     );
-    std::process::exit(i32::from(!checks.finish()));
 }

@@ -1,11 +1,3 @@
-// Experiment harness binary: aborting on unexpected state is the correct failure mode.
-#![allow(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::indexing_slicing,
-    clippy::panic
-)]
-
 //! **Ablation: static vs adaptive replication** (§2.3).
 //!
 //! "While hierarchical bottlenecks can be addressed by static replication
@@ -25,58 +17,47 @@ use terradir::{Config, System};
 use terradir_bench::{pct, tsv_header, Args, ShapeChecks};
 use terradir_workload::StreamPlan;
 
-fn run(cfg: Config, plan: StreamPlan, rate: f64, until: f64) -> f64 {
-    let args = Args::parse();
-    let scale = args.scale();
-    let mut sys = System::new(scale.ts_namespace(), cfg, plan, rate);
-    sys.run_until(until);
-    sys.stats().drop_fraction()
-}
-
-type CfgThunk<'a> = Box<dyn Fn() -> Config + 'a>;
-
-fn main() {
-    let args = Args::parse();
+pub fn run(args: Args, checks: &mut ShapeChecks) {
     let scale = args.scale();
     let total = scale.duration(120.0);
     let rate = scale.rate(20_000.0);
 
     eprintln!("ablate_static: {} servers, λ={rate:.0}/s", scale.servers);
 
-    let static_cfg = || {
-        let mut c = Config::caching_only(scale.servers).with_seed(args.seed);
+    let static_top = |mut c: Config| {
         c.static_top_levels = 3;
         c.static_replicas_per_node = 4;
         c
     };
-    let adaptive_cfg = || Config::paper_default(scale.servers).with_seed(args.seed);
-    let both_cfg = || {
-        let mut c = adaptive_cfg();
-        c.static_top_levels = 3;
-        c.static_replicas_per_node = 4;
-        c
-    };
+    let adaptive = Config::paper_default(scale.servers).with_seed(args.seed);
+    let cases = [
+        (
+            "static",
+            static_top(Config::caching_only(scale.servers).with_seed(args.seed)),
+        ),
+        ("adaptive", adaptive.clone()),
+        ("both", static_top(adaptive)),
+    ];
 
     let unif = || StreamPlan::unif(total);
     let shifting = || StreamPlan::adaptation(1.25, scale.duration(30.0), 3, scale.duration(30.0));
+    let drops = |cfg: Config, plan: StreamPlan| {
+        let mut sys = System::new(scale.ts_namespace(), cfg, plan, rate);
+        sys.run_until(total);
+        sys.stats().drop_fraction()
+    };
 
     tsv_header(&["system", "unif_drops", "shifting_zipf_drops"]);
     let mut rows = Vec::new();
-    let cases: Vec<(&str, CfgThunk<'_>)> = vec![
-        ("static", Box::new(static_cfg)),
-        ("adaptive", Box::new(adaptive_cfg)),
-        ("both", Box::new(both_cfg)),
-    ];
-    for (label, cfg_fn) in &cases {
-        let u = run(cfg_fn(), unif(), rate, total);
-        let z = run(cfg_fn(), shifting(), rate, total);
+    for (label, cfg) in cases {
+        let u = drops(cfg.clone(), unif());
+        let z = drops(cfg, shifting());
         println!("{label}\t{u:.4}\t{z:.4}");
-        rows.push((*label, u, z));
+        rows.push((label, u, z));
         eprint!(".");
     }
     eprintln!();
 
-    let mut checks = ShapeChecks::new();
     let (static_u, static_z) = (rows[0].1, rows[0].2);
     let (adaptive_u, adaptive_z) = (rows[1].1, rows[1].2);
     let (both_u, both_z) = (rows[2].1, rows[2].2);
@@ -100,5 +81,4 @@ fn main() {
         both_u <= adaptive_u + 0.05 && both_z <= adaptive_z + 0.05,
         format!("both: unif {} zipf {}", pct(both_u), pct(both_z)),
     );
-    std::process::exit(i32::from(!checks.finish()));
 }

@@ -1,11 +1,3 @@
-// Experiment harness binary: aborting on unexpected state is the correct failure mode.
-#![allow(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::indexing_slicing,
-    clippy::panic
-)]
-
 //! **Anti-entropy frontier** — bytes-on-wire vs time-to-reconvergence for
 //! the gossip cultures (DESIGN.md §18). Three sweeps, every arm at the
 //! identical seed so runs differ only in the knob under test:
@@ -39,8 +31,8 @@
 
 use terradir::{Config, GossipCulture, System};
 use terradir_bench::{
-    run_drained, tsv_header, tsv_row, write_bench_json, Args, CutCrashTimeline, Drained, JsonObj,
-    Reconvergence, Scale, ShapeChecks,
+    churn_window, gossip_on, run_drained, tsv_header, tsv_row, write_bench_json, Args,
+    CutCrashTimeline, Drained, JsonObj, Reconvergence, Scale, ShapeChecks,
 };
 use terradir_workload::StreamPlan;
 
@@ -69,14 +61,6 @@ fn json(run: &Run) -> JsonObj {
         .raw("summary", &s.to_json())
 }
 
-fn gossip_on(cfg: &mut Config, culture: GossipCulture, interval: f64) {
-    cfg.gossip.enabled = true;
-    cfg.gossip.culture = culture;
-    cfg.gossip.interval = interval;
-    cfg.gossip.fanout = 3;
-    cfg.gossip.window = cfg.storage.n_objects.max(32);
-}
-
 fn run_one(
     scale: &Scale,
     cfg: Config,
@@ -94,8 +78,7 @@ fn run_one(
     })
 }
 
-fn main() {
-    let args = Args::parse();
+pub fn run(args: Args, checks: &mut ShapeChecks) {
     let scale = args.scale();
     let dur = scale.duration(60.0).max(10.0);
     let interval = (dur / 30.0).clamp(0.25, 2.0);
@@ -103,7 +86,6 @@ fn main() {
         "# antientropy: {} servers, {:.1}s runs, gossip every {:.2}s, seed {}",
         scale.servers, dur, interval, args.seed
     );
-    let mut checks = ShapeChecks::new();
 
     // ---- Steady-churn wire sweep: culture vs gossip bytes ------------
     let churn_cfg = |culture: Option<GossipCulture>| {
@@ -113,13 +95,9 @@ fn main() {
         cfg.storage.write_rate = 10.0;
         cfg.storage.read_rate = 0.0;
         cfg.storage.read_timeout = (dur * 0.05).clamp(0.2, 2.0);
-        cfg.churn.enabled = true;
-        cfg.churn.start = dur * 0.1;
-        cfg.churn.stop = dur * 0.8;
-        cfg.churn.mean_uptime = dur * 0.5;
-        cfg.churn.mean_downtime = dur * 0.08;
+        churn_window(&mut cfg, dur, 0.5);
         if let Some(c) = culture {
-            gossip_on(&mut cfg, c, interval);
+            gossip_on(&mut cfg, c, interval, 3);
         }
         cfg.validate().expect("churn-sweep config must be valid");
         cfg
@@ -185,7 +163,7 @@ fn main() {
         cfg.partitions.n_groups = 4;
         cfg.scenario.events = tl.events();
         if let Some(c) = culture {
-            gossip_on(&mut cfg, c, interval);
+            gossip_on(&mut cfg, c, interval, 3);
         }
         cfg.validate()
             .expect("reconverge scenario config must be valid");
@@ -285,18 +263,13 @@ fn main() {
         // writes resurrecting objects.
         cfg.storage.write_rate = 0.0;
         cfg.storage.read_rate = 0.0;
-        cfg.churn.enabled = true;
-        cfg.churn.start = dur * 0.1;
-        cfg.churn.stop = dur * 0.8;
-        cfg.churn.mean_uptime = dur * 0.3;
-        cfg.churn.mean_downtime = dur * 0.08;
+        churn_window(&mut cfg, dur, 0.3);
         if digest {
             // A wider fanout than the routing sweeps use: a wiped server
             // re-fills only by soliciting a peer that holds its copies,
             // so per-round neighborhood coverage is the repair latency
             // knob.
-            gossip_on(&mut cfg, GossipCulture::Taciturn, interval);
-            cfg.gossip.fanout = 6;
+            gossip_on(&mut cfg, GossipCulture::Taciturn, interval, 6);
         }
         cfg.validate().expect("durability config must be valid");
         cfg
@@ -410,6 +383,4 @@ fn main() {
         )
         .obj("replay", json(&replay_a));
     write_bench_json("antientropy", &json);
-
-    std::process::exit(i32::from(!checks.finish()));
 }

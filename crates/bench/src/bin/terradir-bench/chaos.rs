@@ -1,11 +1,3 @@
-// Experiment harness binary: aborting on unexpected state is the correct failure mode.
-#![allow(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::indexing_slicing,
-    clippy::panic
-)]
-
 //! **Chaos scenario** — the canonical scripted cut → heal → flash-crowd
 //! run (DESIGN.md §13). A four-group partition relation isolates group 0
 //! (one quarter of the fleet) for a window, heals, and is then followed
@@ -25,7 +17,7 @@
 
 use terradir::{ChaosAction, ScenarioEvent, System};
 use terradir_bench::{
-    curve_tsv, pct, run_drained, time_back_to_baseline, tsv_header, tsv_row, window_mean,
+    pct, run_drained, series_tsv, time_back_to_baseline, tsv_header, tsv_row, window_mean,
     write_bench_json, Args, Drained, JsonObj, Scale, ShapeChecks,
 };
 use terradir_workload::StreamPlan;
@@ -143,8 +135,7 @@ fn run_chaos(scale: &Scale, seed: u64, shed: bool, tl: Timeline, rate: f64) -> D
     })
 }
 
-fn main() {
-    let args = Args::parse();
+pub fn run(args: Args, checks: &mut ShapeChecks) {
     let scale = args.scale();
     let tl = Timeline::new(&scale);
     let rate = scale.rate(20_000.0);
@@ -163,9 +154,11 @@ fn main() {
 
     // Per-side availability curves for the shed run.
     let shed_run = &runs[0].1.reads;
-    curve_tsv(
+    series_tsv(
+        "time",
         &["minority", "majority"],
         &[&shed_run.minority_avail, &shed_run.majority_avail],
+        1.0,
     );
     println!();
     tsv_header(&[
@@ -217,7 +210,6 @@ fn main() {
     }
     write_bench_json("chaos", &json);
 
-    let mut checks = ShapeChecks::new();
     checks.byte_identical(
         "scenario replays byte-identically from the seed",
         &runs[0].1.stats_debug,
@@ -288,5 +280,4 @@ fn main() {
             fifo.summary.dropped_shed, fifo.reads.dropped_queue
         ),
     );
-    std::process::exit(i32::from(!checks.finish()));
 }

@@ -1,11 +1,3 @@
-// Experiment harness binary: aborting on unexpected state is the correct failure mode.
-#![allow(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::indexing_slicing,
-    clippy::panic
-)]
-
 //! **Churn figure** — continuous failure/recovery under a lossy transport,
 //! with and without the source-side reliability layer (DESIGN.md §12).
 //!
@@ -24,7 +16,7 @@
 
 use terradir::{ServerId, System};
 use terradir_bench::{
-    curve_tsv, pct, run_drained, time_back_to_baseline, tsv_header, tsv_row, write_bench_json,
+    pct, run_drained, series_tsv, time_back_to_baseline, tsv_header, tsv_row, write_bench_json,
     Args, JsonObj, ShapeChecks,
 };
 use terradir_workload::StreamPlan;
@@ -37,8 +29,7 @@ struct Outcome {
     negative_evictions: u64,
 }
 
-fn main() {
-    let args = Args::parse();
+pub fn run(args: Args, checks: &mut ShapeChecks) {
     let scale = args.scale();
     let warm = scale.duration(20.0);
     let churn_stop = warm + scale.duration(40.0);
@@ -105,7 +96,7 @@ fn main() {
 
     let labels: Vec<&str> = outcomes.iter().map(|(label, _)| *label).collect();
     let curves: Vec<&[f64]> = outcomes.iter().map(|(_, o)| &o.reads.avail[..]).collect();
-    curve_tsv(&labels, &curves);
+    series_tsv("time", &labels, &curves, 1.0);
     println!();
     tsv_header(&["label", "churn_availability", "time_to_recover"]);
     for (label, o) in &outcomes {
@@ -142,7 +133,6 @@ fn main() {
     );
     write_bench_json("churn", &json);
 
-    let mut checks = ShapeChecks::new();
     for (label, o) in &outcomes {
         checks.accounting_and_audit(label, o);
         let s = &o.summary;
@@ -177,5 +167,4 @@ fn main() {
             pct(base.reads.churn_availability)
         ),
     );
-    std::process::exit(i32::from(!checks.finish()));
 }

@@ -1,11 +1,3 @@
-// Experiment harness binary: aborting on unexpected state is the correct failure mode.
-#![allow(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::indexing_slicing,
-    clippy::panic
-)]
-
 //! **Durability under churn** — the replicated object store A/B
 //! (DESIGN.md §17). Two sweeps over the storage subsystem, every run at
 //! the identical seed so arms differ only in the knob under test:
@@ -44,7 +36,8 @@
 
 use terradir::{Config, CutWindow, GossipCulture, Summary, System};
 use terradir_bench::{
-    run_drained, tsv_header, tsv_row, write_bench_json, Args, JsonObj, Scale, ShapeChecks,
+    churn_window, gossip_on, run_drained, tsv_header, tsv_row, write_bench_json, Args, JsonObj,
+    Scale, ShapeChecks,
 };
 use terradir_workload::StreamPlan;
 
@@ -131,19 +124,11 @@ fn build_cfg(
     if gossip {
         // ~12 rounds per run regardless of duration. A wide fanout: a
         // wiped server re-fills only by soliciting a peer that holds its
-        // copies. The window covers every object key.
-        cfg.gossip.enabled = true;
-        cfg.gossip.culture = GossipCulture::Taciturn;
-        cfg.gossip.interval = (dur / 12.0).max(0.05);
-        cfg.gossip.fanout = 6;
-        cfg.gossip.window = cfg.storage.n_objects.max(32);
+        // copies.
+        gossip_on(&mut cfg, GossipCulture::Taciturn, (dur / 12.0).max(0.05), 6);
     }
     if uptime_frac > 0.0 {
-        cfg.churn.enabled = true;
-        cfg.churn.start = dur * 0.1;
-        cfg.churn.stop = dur * 0.8;
-        cfg.churn.mean_uptime = dur * uptime_frac;
-        cfg.churn.mean_downtime = dur * 0.08;
+        churn_window(&mut cfg, dur, uptime_frac);
     }
     if cut {
         cfg.partitions.n_groups = 4;
@@ -181,8 +166,7 @@ fn run_one(scale: &Scale, cfg: Config, dur: f64) -> Run {
     }
 }
 
-fn main() {
-    let args = Args::parse();
+pub fn run(args: Args, checks: &mut ShapeChecks) {
     let scale = args.scale();
     let dur = scale.duration(60.0).max(5.0);
     println!(
@@ -202,7 +186,6 @@ fn main() {
     let mut lost_off = Vec::new();
     let mut lost_on = Vec::new();
     let mut churn_json = JsonObj::new();
-    let mut checks = ShapeChecks::new();
     // Every gossip-on churn run, keyed by its config's debug rendering,
     // for the rf sweep to reuse.
     let mut gossip_runs = Vec::new();
@@ -433,6 +416,4 @@ fn main() {
         .obj("rf_sweep", rf_json)
         .obj("replay", a.json());
     write_bench_json("durability", &json);
-
-    std::process::exit(i32::from(!checks.finish()));
 }

@@ -1,11 +1,3 @@
-// Experiment harness binary: aborting on unexpected state is the correct failure mode.
-#![allow(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::indexing_slicing,
-    clippy::panic
-)]
-
 //! **Fig. 4** — Fraction of replicas created every second (relative to λ)
 //! over time, T_C (Coda-like file-system) namespace, λ = 40 000/s scaled
 //! ("we doubled the query arrival rate to keep the system at approximately
@@ -17,15 +9,12 @@
 //! the replication model reacting to overload rather than churning.
 
 use terradir::System;
-use terradir_bench::{tsv_header, tsv_row, Args, ShapeChecks};
-use terradir_workload::StreamPlan;
+use terradir_bench::{adaptation_streams, reshuffle_means, series_tsv, Args, ShapeChecks};
 
-fn main() {
-    let args = Args::parse();
+pub fn run(args: Args, checks: &mut ShapeChecks) {
     let scale = args.scale();
     let total = scale.duration(250.0);
     let rate = scale.rate(40_000.0);
-    let orders = [0.75, 1.00, 1.25, 1.50];
 
     let ns_len = scale.tc_namespace(args.seed).len();
     eprintln!(
@@ -34,27 +23,7 @@ fn main() {
     );
 
     let mut series: Vec<(String, Vec<f64>, Vec<f64>)> = Vec::new();
-
-    {
-        let mut sys = System::new(
-            scale.tc_namespace(args.seed),
-            scale.config(args.seed),
-            StreamPlan::unif(total),
-            rate,
-        );
-        sys.run_until(total);
-        series.push((
-            "unif".into(),
-            sys.stats().replicas_per_sec.normalized(rate),
-            vec![],
-        ));
-    }
-
-    for (k, &order) in orders.iter().enumerate() {
-        let warmup = scale.duration(50.0 + 10.0 * k as f64);
-        let shifts = 4usize;
-        let seg = ((total - warmup) / shifts as f64).max(1.0);
-        let plan = StreamPlan::adaptation(order, warmup, shifts, seg);
+    for (label, plan) in adaptation_streams(&scale, total) {
         let reshuffles = plan.reshuffle_times();
         let mut sys = System::new(
             scale.tc_namespace(args.seed),
@@ -64,24 +33,16 @@ fn main() {
         );
         sys.run_until(total);
         series.push((
-            format!("uzipf{order:.2}"),
+            label,
             sys.stats().replicas_per_sec.normalized(rate),
             reshuffles,
         ));
     }
 
-    let bins = series.iter().map(|(_, s, _)| s.len()).max().unwrap_or(0);
     let labels: Vec<&str> = series.iter().map(|(l, _, _)| l.as_str()).collect();
-    tsv_header(&[&["time"], labels.as_slice()].concat());
-    for t in 0..bins {
-        let row: Vec<f64> = series
-            .iter()
-            .map(|(_, s, _)| s.get(t).copied().unwrap_or(0.0))
-            .collect();
-        tsv_row(&format!("{t}"), &row);
-    }
+    let curves: Vec<&[f64]> = series.iter().map(|(_, s, _)| &s[..]).collect();
+    series_tsv("time", &labels, &curves, 0.0);
 
-    let mut checks = ShapeChecks::new();
     for (label, per_sec, reshuffles) in &series {
         if per_sec.len() < 20 {
             continue;
@@ -99,31 +60,7 @@ fn main() {
         if !reshuffles.is_empty() {
             // Compare the 15 s after each shift against the 15 s before it
             // — the reaction must stand out from the local baseline.
-            let mut after = 0.0;
-            let mut n_after = 0usize;
-            let mut before = 0.0;
-            let mut n_before = 0usize;
-            for &rt in reshuffles {
-                let start = rt as usize;
-                for &v in &per_sec[start..(start + 15).min(per_sec.len())] {
-                    after += v;
-                    n_after += 1;
-                }
-                for &v in &per_sec[start.saturating_sub(15)..start] {
-                    before += v;
-                    n_before += 1;
-                }
-            }
-            let after_mean = if n_after > 0 {
-                after / n_after as f64
-            } else {
-                0.0
-            };
-            let before_mean = if n_before > 0 {
-                before / n_before as f64
-            } else {
-                0.0
-            };
+            let (before_mean, after_mean) = reshuffle_means(per_sec, reshuffles, 15);
             checks.check(
                 &format!("{label}: creation bursts at reshuffles"),
                 after_mean >= before_mean || before_mean < 1e-7,
@@ -131,5 +68,4 @@ fn main() {
             );
         }
     }
-    std::process::exit(i32::from(!checks.finish()));
 }

@@ -1,11 +1,3 @@
-// Experiment harness binary: aborting on unexpected state is the correct failure mode.
-#![allow(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::indexing_slicing,
-    clippy::panic
-)]
-
 //! **Fig. 5** — Fraction of dropped queries for the base system (B),
 //! base + caching (BC), and base + caching + replication (BCR), across the
 //! ten query streams `{unif, uzipf 0.75/1.00/1.25/1.50} × {T_S, T_C}`.
@@ -20,8 +12,7 @@ use terradir_workload::StreamPlan;
 
 type Ctor = fn(u32) -> Config;
 
-fn main() {
-    let args = Args::parse();
+pub fn run(args: Args, checks: &mut ShapeChecks) {
     let scale = args.scale();
     let total = scale.duration(100.0);
     let orders = [0.75, 1.00, 1.25, 1.50];
@@ -82,7 +73,6 @@ fn main() {
         println!("{sys_label}\t{}", cells.join("\t"));
     }
 
-    let mut checks = ShapeChecks::new();
     let b = &table[0];
     let bc = &table[1];
     let bcr = &table[2];
@@ -133,5 +123,4 @@ fn main() {
         bc_tc <= b_tc,
         format!("BC mean {} vs B mean {} on T_C", pct(bc_tc), pct(b_tc)),
     );
-    std::process::exit(i32::from(!checks.finish()));
 }

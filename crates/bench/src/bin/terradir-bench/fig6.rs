@@ -1,11 +1,3 @@
-// Experiment harness binary: aborting on unexpected state is the correct failure mode.
-#![allow(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::indexing_slicing,
-    clippy::panic
-)]
-
 //! **Fig. 6** — Average and maximum server load (utilization) per second
 //! for the `uzipf_TS(1.00)` adaptation stream at λ ∈ {4 000, 10 000,
 //! 20 000}/s (scaled); right panel: the per-second maximum smoothed with an
@@ -16,14 +8,13 @@
 //! approaches the mean, showing that highly-loaded servers are transient.
 
 use terradir::System;
-use terradir_bench::{tsv_header, tsv_row, Args, ShapeChecks};
+use terradir_bench::{series_tsv, Args, ShapeChecks};
 use terradir_sim::rolling_mean;
 use terradir_workload::StreamPlan;
 
 type Curve = (String, Vec<f64>, Vec<f64>, Vec<f64>);
 
-fn main() {
-    let args = Args::parse();
+pub fn run(args: Args, checks: &mut ShapeChecks) {
     let scale = args.scale();
     let total = scale.duration(250.0);
     let rates = [4_000.0, 10_000.0, 20_000.0];
@@ -53,31 +44,18 @@ fn main() {
     }
     eprintln!();
 
-    let mut cols: Vec<String> = vec!["time".into()];
-    for (l, _, _, _) in &curves {
+    let mut cols: Vec<String> = Vec::new();
+    let mut flat: Vec<&[f64]> = Vec::new();
+    for (l, mean, max, max11) in &curves {
         cols.push(format!("{l}_avg"));
         cols.push(format!("{l}_max"));
         cols.push(format!("{l}_max11"));
+        flat.extend([&mean[..], &max[..], &max11[..]]);
     }
-    tsv_header(
-        &cols
-            .iter()
-            .map(std::string::String::as_str)
-            .collect::<Vec<_>>(),
-    );
-    let bins = curves.iter().map(|(_, m, _, _)| m.len()).max().unwrap_or(0);
-    for t in 0..bins {
-        let mut row = Vec::new();
-        for (_, mean, max, max11) in &curves {
-            row.push(mean.get(t).copied().unwrap_or(0.0));
-            row.push(max.get(t).copied().unwrap_or(0.0));
-            row.push(max11.get(t).copied().unwrap_or(0.0));
-        }
-        tsv_row(&format!("{t}"), &row);
-    }
+    let cols: Vec<&str> = cols.iter().map(String::as_str).collect();
+    series_tsv("time", &cols, &flat, 0.0);
 
     let t_high = scale.config(args.seed).t_high;
-    let mut checks = ShapeChecks::new();
     for (label, mean, max, max11) in &curves {
         // Mean load ordering sanity: higher λ → higher mean utilization.
         let steady_mean =
@@ -118,5 +96,4 @@ fn main() {
             ),
         );
     }
-    std::process::exit(i32::from(!checks.finish()));
 }

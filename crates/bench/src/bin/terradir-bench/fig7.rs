@@ -1,11 +1,3 @@
-// Experiment harness binary: aborting on unexpected state is the correct failure mode.
-#![allow(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::indexing_slicing,
-    clippy::panic
-)]
-
 //! **Fig. 7** — Average number of replicas created per node for each level
 //! of the T_S namespace (root = level 0), under `unif` and `uzipf(1.0)`
 //! streams at λ ∈ {2 000, 4 000, 8 000}/s (scaled).
@@ -16,11 +8,10 @@
 //! absorb routes that would otherwise climb to the root.
 
 use terradir::System;
-use terradir_bench::{tsv_header, tsv_row, Args, ShapeChecks};
+use terradir_bench::{series_tsv, Args, ShapeChecks};
 use terradir_workload::StreamPlan;
 
-fn main() {
-    let args = Args::parse();
+pub fn run(args: Args, checks: &mut ShapeChecks) {
     let scale = args.scale();
     let total = scale.duration(250.0);
     // The hierarchical bottleneck is an *absolute*-rate phenomenon: the
@@ -60,17 +51,9 @@ fn main() {
     eprintln!();
 
     let labels: Vec<&str> = curves.iter().map(|(l, _)| l.as_str()).collect();
-    tsv_header(&[&["level"], labels.as_slice()].concat());
-    let levels = curves.iter().map(|(_, c)| c.len()).max().unwrap_or(0);
-    for l in 0..levels {
-        let row: Vec<f64> = curves
-            .iter()
-            .map(|(_, c)| c.get(l).copied().unwrap_or(0.0))
-            .collect();
-        tsv_row(&format!("{l}"), &row);
-    }
+    let levels: Vec<&[f64]> = curves.iter().map(|(_, c)| &c[..]).collect();
+    series_tsv("level", &labels, &levels, 0.0);
 
-    let mut checks = ShapeChecks::new();
     for (label, c) in &curves {
         if c.len() < 5 {
             continue;
@@ -94,5 +77,4 @@ fn main() {
             );
         }
     }
-    std::process::exit(i32::from(!checks.finish()));
 }

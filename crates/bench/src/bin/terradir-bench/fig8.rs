@@ -1,11 +1,3 @@
-// Experiment harness binary: aborting on unexpected state is the correct failure mode.
-#![allow(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::indexing_slicing,
-    clippy::panic
-)]
-
 //! **Fig. 8** — Replicas created per minute over long runs (paper:
 //! 10 000 s) for `unif` and `uzipf(1.00)` streams on both namespaces, at
 //! the long-run rates (T_S: λ = 2 500/s, T_C: λ = 5 000/s, scaled).
@@ -18,11 +10,10 @@
 //! with `--full` for the full 10 000 s).
 
 use terradir::System;
-use terradir_bench::{tsv_header, tsv_row, Args, ShapeChecks};
+use terradir_bench::{series_tsv, Args, ShapeChecks};
 use terradir_workload::StreamPlan;
 
-fn main() {
-    let mut args = Args::parse();
+pub fn run(mut args: Args, checks: &mut ShapeChecks) {
     if !args.full && (args.time_mult - 1.0).abs() < 1e-12 {
         args.time_mult = 0.12; // quick default: 1 200 s
     }
@@ -85,17 +76,9 @@ fn main() {
     eprintln!();
 
     let labels: Vec<&str> = curves.iter().map(|(l, _)| l.as_str()).collect();
-    tsv_header(&[&["minute"], labels.as_slice()].concat());
-    let bins = curves.iter().map(|(_, c)| c.len()).max().unwrap_or(0);
-    for m in 0..bins {
-        let row: Vec<f64> = curves
-            .iter()
-            .map(|(_, c)| c.get(m).copied().unwrap_or(0.0))
-            .collect();
-        tsv_row(&format!("{m}"), &row);
-    }
+    let per_min: Vec<&[f64]> = curves.iter().map(|(_, c)| &c[..]).collect();
+    series_tsv("minute", &labels, &per_min, 0.0);
 
-    let mut checks = ShapeChecks::new();
     for (label, c) in &curves {
         if c.len() < 6 {
             continue;
@@ -113,5 +96,4 @@ fn main() {
             format!("tail rate {tail:.1} replicas/min"),
         );
     }
-    std::process::exit(i32::from(!checks.finish()));
 }

@@ -1,11 +1,3 @@
-// Experiment harness binary: aborting on unexpected state is the correct failure mode.
-#![allow(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::indexing_slicing,
-    clippy::panic
-)]
-
 //! **Fig. 9** — Scalability: average query latency, replication events,
 //! and dropped queries as a function of system size.
 //!
@@ -21,8 +13,7 @@ use terradir::System;
 use terradir_bench::{tsv_header, Args, Scale, ShapeChecks};
 use terradir_workload::StreamPlan;
 
-fn main() {
-    let args = Args::parse();
+pub fn run(args: Args, checks: &mut ShapeChecks) {
     let sizes: Vec<u32> = if args.full {
         (9..=14).map(|k| 1u32 << k).collect()
     } else {
@@ -77,7 +68,6 @@ fn main() {
     }
     eprintln!();
 
-    let mut checks = ShapeChecks::new();
     let first = rows.first().expect("at least one size");
     let last = rows.last().expect("at least one size");
     // Latency grows (at most) logarithmically: across a 32× size sweep it
@@ -114,5 +104,4 @@ fn main() {
             first.0, last.0
         ),
     );
-    std::process::exit(i32::from(!checks.finish()));
 }

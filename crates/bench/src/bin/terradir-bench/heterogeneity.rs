@@ -1,18 +1,10 @@
-// Experiment harness binary: aborting on unexpected state is the correct failure mode.
-#![allow(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::indexing_slicing,
-    clippy::panic
-)]
-
 //! **Extension: exploiting server heterogeneity** (§5).
 //!
 //! "A recent analysis of two popular P2P file sharing systems concludes
 //! that the most distinguishing feature of these systems is their
 //! heterogeneity. We believe that the adaptive nature of our replication
 //! model makes it a first-class candidate for exploiting system
-//! heterogeneity." The paper never tests this; this binary does.
+//! heterogeneity." The paper never tests this; this experiment does.
 //!
 //! Fleets with per-server speed spreads of 1× (homogeneous), 2×, and 4× —
 //! aggregate capacity held constant — run the same skewed workload with
@@ -26,8 +18,7 @@ use terradir::{Config, System};
 use terradir_bench::{pct, tsv_header, write_bench_json, Args, JsonObj, ShapeChecks};
 use terradir_workload::StreamPlan;
 
-fn main() {
-    let args = Args::parse();
+pub fn run(args: Args, checks: &mut ShapeChecks) {
     let scale = args.scale();
     let total = scale.duration(120.0);
     let rate = scale.rate(20_000.0);
@@ -86,7 +77,6 @@ fn main() {
     }
     eprintln!();
 
-    let mut checks = ShapeChecks::new();
     let homo_bcr = rows[0].1;
     for &(spread, bcr, bc) in &rows[1..] {
         checks.check(
@@ -107,5 +97,4 @@ fn main() {
         .arr("spreads", &spreads)
         .obj("arms", arms_json);
     write_bench_json("heterogeneity", &json);
-    std::process::exit(i32::from(!checks.finish()));
 }

@@ -1,11 +1,3 @@
-// Experiment harness binary: aborting on unexpected state is the correct failure mode.
-#![allow(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::indexing_slicing,
-    clippy::panic
-)]
-
 //! **Reconvergence after repair** — the soft-state self-healing A/B
 //! (DESIGN.md §14). One scripted scenario runs twice at the *identical*
 //! seed: a partition cut that heals, followed by a correlated crash of
@@ -32,8 +24,8 @@
 
 use terradir::{ChaosAction, ScenarioEvent, System};
 use terradir_bench::{
-    curve_tsv, run_drained, tsv_header, tsv_row, write_bench_json, Args, CutCrashTimeline, Drained,
-    JsonObj, Reconvergence, Scale, ShapeChecks,
+    run_drained, series_tsv, tsv_header, tsv_row, write_bench_json, Args, CutCrashTimeline,
+    Drained, JsonObj, Reconvergence, Scale, ShapeChecks,
 };
 use terradir_workload::StreamPlan;
 
@@ -96,8 +88,7 @@ fn run_scenario(
     })
 }
 
-fn main() {
-    let args = Args::parse();
+pub fn run(args: Args, checks: &mut ShapeChecks) {
     let scale = args.scale();
     let tl = CutCrashTimeline::new(&scale);
     // Moderate λ: fast enough for replicas to form and carry load, slow
@@ -120,7 +111,12 @@ fn main() {
 
     let (repair, replay, off) = (&runs[0].1, &runs[1].1, &runs[2].1);
 
-    curve_tsv(&["repair", "off"], &[&repair.reads.curve, &off.reads.curve]);
+    series_tsv(
+        "time",
+        &["repair", "off"],
+        &[&repair.reads.curve, &off.reads.curve],
+        1.0,
+    );
     println!();
     tsv_header(&[
         "label",
@@ -170,7 +166,6 @@ fn main() {
     }
     write_bench_json("reconverge", &json);
 
-    let mut checks = ShapeChecks::new();
     checks.byte_identical(
         "scenario replays byte-identically from the seed",
         &repair.stats_debug,
@@ -250,5 +245,4 @@ fn main() {
             ),
         );
     }
-    std::process::exit(i32::from(!checks.finish()));
 }

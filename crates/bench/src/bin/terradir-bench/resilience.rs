@@ -1,17 +1,9 @@
-// Experiment harness binary: aborting on unexpected state is the correct failure mode.
-#![allow(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::indexing_slicing,
-    clippy::panic
-)]
-
 //! **Fault-tolerance extension** — the paper argues (§1, §2.4, §3.1) that
 //! soft-state replication buys routing resiliency for free: caches "jump
 //! over namespace partitions induced by network failures", and "hosting
 //! servers for nodes with failed replicas will incur more load after
 //! failure than before, and will replicate again to meet new load
-//! conditions". The paper never measures this; this binary does.
+//! conditions". The paper never measures this; this experiment does.
 //!
 //! Protocol: warm the system under Zipf load, fail 10 % of the servers
 //! instantaneously at `t = warm`, recover them at `t = warm + Δ`, and
@@ -22,7 +14,7 @@
 
 use terradir::{Config, ServerId, Summary, System};
 use terradir_bench::{
-    curve_tsv, pct, time_back_to_baseline, tsv_header, tsv_row, window_mean, write_bench_json,
+    pct, series_tsv, time_back_to_baseline, tsv_header, tsv_row, window_mean, write_bench_json,
     Args, JsonObj, ShapeChecks,
 };
 use terradir_workload::StreamPlan;
@@ -37,8 +29,7 @@ struct Curve {
     post_replicas: u64,
 }
 
-fn main() {
-    let args = Args::parse();
+pub fn run(args: Args, checks: &mut ShapeChecks) {
     let scale = args.scale();
     let warm = scale.duration(60.0);
     let down_for = scale.duration(30.0);
@@ -116,7 +107,7 @@ fn main() {
     // Availability curves, one column per protocol variant.
     let labels: Vec<&str> = curves.iter().map(|c| c.label.as_str()).collect();
     let avails: Vec<&[f64]> = curves.iter().map(|c| &c.avail[..]).collect();
-    curve_tsv(&labels, &avails);
+    series_tsv("time", &labels, &avails, 1.0);
     // Summary metrics, one row per variant.
     println!();
     tsv_header(&["label", "dip", "time_to_baseline"]);
@@ -144,7 +135,6 @@ fn main() {
     }
     write_bench_json("resilience", &json);
 
-    let mut checks = ShapeChecks::new();
     let post_window = ((total - warm) * rate) as u64;
     for c in &curves {
         let post_drop_frac = c.post_drops as f64 / post_window.max(1) as f64;
@@ -188,5 +178,4 @@ fn main() {
         bcr_drops <= bc_drops + post_window / 50,
         format!("BCR {bcr_drops} vs BC {bc_drops} post-failure drops"),
     );
-    std::process::exit(i32::from(!checks.finish()));
 }

@@ -1,11 +1,3 @@
-// Experiment harness binary: aborting on unexpected state is the correct failure mode.
-#![allow(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::indexing_slicing,
-    clippy::panic
-)]
-
 //! **§4.4 replication-factor ablation** — the paper runs R_fact ∈
 //! {0.125, 0.25, 0.5} under `uzipf(1.50)` streams with repeated hot-spot
 //! shifts ("low replication factors together with repeated shifts of
@@ -23,8 +15,7 @@ use terradir::System;
 use terradir_bench::{tsv_header, Args, ShapeChecks};
 use terradir_workload::StreamPlan;
 
-fn main() {
-    let args = Args::parse();
+pub fn run(args: Args, checks: &mut ShapeChecks) {
     let scale = args.scale();
     let total = scale.duration(250.0);
     let rate = scale.rate(20_000.0);
@@ -67,7 +58,6 @@ fn main() {
     }
     eprintln!();
 
-    let mut checks = ShapeChecks::new();
     for &(rf, acc, stale, _) in &results {
         checks.check(
             &format!("R_fact={rf}: accuracy within the optimal range"),
@@ -88,5 +78,4 @@ fn main() {
         tight_dels > 0,
         format!("{tight_dels} deletions at R_fact ≤ 0.25"),
     );
-    std::process::exit(i32::from(!checks.finish()));
 }

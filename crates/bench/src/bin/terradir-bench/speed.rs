@@ -1,11 +1,3 @@
-// Experiment harness binary: aborting on unexpected state is the correct failure mode.
-#![allow(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::indexing_slicing,
-    clippy::panic
-)]
-
 //! **Speed baseline** — simulator throughput and allocation pressure
 //! (DESIGN.md §16).
 //!
@@ -84,8 +76,7 @@ fn measure(servers: u32, time_mult: f64, seed: u64) -> Measurement {
     }
 }
 
-fn main() {
-    let args = Args::parse();
+pub fn run(args: Args, checks: &mut ShapeChecks) {
     let sizes: Vec<u32> = match args.servers {
         Some(n) => vec![n],
         None if args.full => vec![256, 1024, 4096],
@@ -127,7 +118,6 @@ fn main() {
         .raw("runs", &format!("[{}]", rendered.join(",")));
     write_bench_json("speed", &out);
 
-    let mut checks = ShapeChecks::new();
     for m in &runs {
         checks.check(
             &format!("{} servers processed events", m.servers),
@@ -140,5 +130,4 @@ fn main() {
             format!("{} alloc events, {} bytes", m.alloc_events, m.alloc_bytes),
         );
     }
-    std::process::exit(i32::from(!checks.finish()));
 }

@@ -1,16 +1,8 @@
-// Experiment harness binary: aborting on unexpected state is the correct failure mode.
-#![allow(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::indexing_slicing,
-    clippy::panic
-)]
-
 //! **Table 1** — Server–node relationships and the state maintained for
 //! each: Owned / Replicated / Neighboring / Cached × {Name, Map, Data,
 //! Meta, Context}.
 //!
-//! Rather than restating the paper's table, this binary *measures* it: it
+//! Rather than restating the paper's table, this experiment *measures* it: it
 //! boots a small system, replicates a node onto a second server, routes a
 //! query to populate a cache, and then reports which state each
 //! relationship actually carries in the implementation.
@@ -19,10 +11,10 @@ use std::sync::Arc;
 
 use rand::SeedableRng;
 use terradir::{Config, Message, NodeId, QueryPacket, ServerId, ServerState};
-use terradir_bench::ShapeChecks;
+use terradir_bench::{Args, ShapeChecks};
 use terradir_namespace::{balanced_tree, OwnerAssignment};
 
-fn main() {
+pub fn run(_: Args, checks: &mut ShapeChecks) {
     let ns = Arc::new(balanced_tree(2, 4));
     let cfg = Arc::new(Config::paper_default(4).with_seed(1));
     let asg = OwnerAssignment::round_robin(&ns, 4);
@@ -32,29 +24,12 @@ fn main() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(9);
     let mut out = Vec::new();
 
-    // Replicate one of server 0's nodes onto server 1 via a real session
-    // payload.
+    // Replicate one of server 0's nodes onto server 1.
     let node = asg.owned_by(ServerId(0))[0];
     servers[0].bump_weight(node, 0.0);
     let owner_digest_claims = servers[0].digest().test(ns.name(node).as_str());
-    let payloads = {
-        // Drive the protocol end to end: probe reply at high sender load.
-        let mut s0_out = Vec::new();
-        servers[0].record_busy(0.0, 1.0);
-        servers[0].handle_message(
-            1.0,
-            Message::LoadProbeReply {
-                from: ServerId(1),
-                load: 0.0,
-            },
-            &mut rng,
-            &mut s0_out,
-        );
-        s0_out
-    };
-    // Without a session the reply is ignored; install the replica directly
-    // through the public request path instead.
-    let _ = payloads;
+    // Install the replica through the public request path, with the
+    // owner's own record as the session payload.
     let rec = servers[0].host_record(node).expect("owner record");
     let payload = terradir::messages::ReplicaPayload {
         node,
@@ -153,7 +128,6 @@ fn main() {
         );
     }
 
-    let mut checks = ShapeChecks::new();
     checks.check(
         "owned row matches Table 1 (✓ ✓ ✓ ✓ ✓)",
         owned.name && owned.map && owned.data && owned.meta && owned.context,
@@ -187,7 +161,6 @@ fn main() {
         owner_digest_claims,
         "inverse-mapping digest covers owned nodes".into(),
     );
-    std::process::exit(i32::from(!checks.finish()));
 }
 
 #[derive(Debug)]

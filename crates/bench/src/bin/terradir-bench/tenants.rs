@@ -1,14 +1,6 @@
-// Experiment harness binary: aborting on unexpected state is the correct failure mode.
-#![allow(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::indexing_slicing,
-    clippy::panic
-)]
-
 //! **Multi-tenant namespaces and heterogeneous fleet roles** (DESIGN.md
 //! §19). The paper's fleet is uniform and its namespace a single
-//! administrative domain; this binary stresses the two robustness
+//! administrative domain; this experiment stresses the two robustness
 //! extensions the roles/tenants subsystem adds:
 //!
 //! - **Tenant isolation under a flash crowd.** The namespace is cut into
@@ -34,7 +26,8 @@ use terradir::{
     TenantSpec,
 };
 use terradir_bench::{
-    run_drained, tsv_header, tsv_row, write_bench_json, Args, Drained, JsonObj, ShapeChecks,
+    gossip_on, run_drained, tsv_header, tsv_row, write_bench_json, Args, Drained, JsonObj,
+    ShapeChecks,
 };
 use terradir_workload::StreamPlan;
 
@@ -100,8 +93,7 @@ fn json(run: &Run) -> JsonObj {
         .raw("summary", &run.summary.to_json())
 }
 
-fn main() {
-    let args = Args::parse();
+pub fn run(args: Args, checks: &mut ShapeChecks) {
     let scale = args.scale();
     let dur = scale.duration(60.0).max(12.0);
     let drain = dur + 15.0;
@@ -110,7 +102,6 @@ fn main() {
         "# tenants: {} servers, {:.1}s runs, λ={rate:.0}/s, seed {}",
         scale.servers, dur, args.seed
     );
-    let mut checks = ShapeChecks::new();
 
     // ---- Isolation: tenant-local flash crowd vs no-crowd baseline ----
     // The surge is sized in absolute terms — six servers' worth of
@@ -307,11 +298,7 @@ fn main() {
         // Taciturn digest gossip re-fills the wave's wiped stores. A wide
         // fanout: a wiped server re-fills only by soliciting a peer that
         // holds its copies.
-        cfg.gossip.enabled = true;
-        cfg.gossip.culture = GossipCulture::Taciturn;
-        cfg.gossip.interval = 5.0;
-        cfg.gossip.fanout = 6;
-        cfg.gossip.window = cfg.storage.n_objects.max(32);
+        gossip_on(&mut cfg, GossipCulture::Taciturn, 5.0, 6);
         cfg.scenario.events = vec![
             ScenarioEvent {
                 at: crash_at,
@@ -420,6 +407,4 @@ fn main() {
         .obj("waves", wave_json)
         .arr("requorum_by_class", &requorums);
     write_bench_json("tenants", &json);
-
-    std::process::exit(i32::from(!checks.finish()));
 }

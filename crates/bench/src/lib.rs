@@ -1,8 +1,10 @@
-//! Experiment harness shared by every figure-reproduction binary.
+//! Experiment harness shared by every experiment of the `terradir-bench`
+//! binary.
 //!
-//! Each binary in `src/bin/` regenerates one figure/table of the paper
-//! (see DESIGN.md §4 for the index and EXPERIMENTS.md for results). All of
-//! them accept:
+//! `terradir-bench <experiment>` regenerates one figure/table of the
+//! paper or one extension experiment (see DESIGN.md §4 for the index and
+//! EXPERIMENTS.md for results); each experiment is a module under
+//! `src/bin/terradir-bench/`. Every experiment accepts:
 //!
 //! ```text
 //! --full           paper scale (4096 servers, full λ, full durations)
@@ -19,9 +21,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use terradir::{ChaosAction, Config, ScenarioEvent, Summary, System};
+use terradir::{ChaosAction, Config, GossipCulture, ScenarioEvent, Summary, System};
 use terradir_namespace::{balanced_tree, coda_like, CodaParams, Namespace};
-use terradir_workload::{seed::tags, seeded_rng};
+use terradir_workload::{seed::tags, seeded_rng, StreamPlan};
 
 /// Parsed command-line arguments.
 #[derive(Debug, Clone)]
@@ -37,12 +39,6 @@ pub struct Args {
 }
 
 impl Args {
-    /// Parses `std::env::args()`, exiting with usage on error (code 2) or
-    /// on `--help` (code 0).
-    pub fn parse() -> Args {
-        Args::parse_from(std::env::args().skip(1)).unwrap_or_else(|e| usage(&e))
-    }
-
     /// Parses an argument list (without the program name). The error is
     /// the message to print above the usage line; it is empty for
     /// `--help`.
@@ -96,14 +92,6 @@ impl Args {
         let servers = self.servers.unwrap_or(if self.full { 4096 } else { 256 });
         Scale::for_servers(servers, self.time_mult)
     }
-}
-
-fn usage(err: &str) -> ! {
-    if !err.is_empty() {
-        eprintln!("error: {err}");
-    }
-    eprintln!("usage: <bin> [--full] [--servers N] [--seed S] [--time-mult F]");
-    std::process::exit(if err.is_empty() { 0 } else { 2 });
 }
 
 /// Experiment scale: everything derived from the server count so that
@@ -173,7 +161,7 @@ impl Scale {
 /// Minimal hand-rolled JSON object builder for the machine-readable
 /// `BENCH_<name>.json` summaries (the workspace deliberately has no
 /// serde; see DESIGN.md §4). Keys keep insertion order so outputs are
-/// byte-stable across runs of the same binary.
+/// byte-stable across runs of the same experiment.
 #[derive(Debug, Default, Clone)]
 pub struct JsonObj {
     fields: Vec<(String, String)>,
@@ -226,7 +214,7 @@ impl JsonObj {
 
     /// Adds a field whose value is already-rendered JSON, embedded
     /// verbatim (the caller vouches for its validity). This is how the
-    /// bench bins splice the protocol's own `Summary::to_json()` into
+    /// experiments splice the protocol's own `Summary::to_json()` into
     /// `BENCH_*.json`, so every counter flows through the one emitter the
     /// conservation pass audits (DESIGN.md §15).
     #[must_use]
@@ -394,18 +382,84 @@ pub fn run_drained<T>(
     }
 }
 
-/// Prints per-second curves as a TSV block: a `time` column, then one
-/// column per named curve. Shorter curves are padded with 1.0.
-pub fn curve_tsv(names: &[&str], curves: &[&[f64]]) {
-    tsv_header(&[&["time"], names].concat());
-    let bins = curves.iter().map(|c| c.len()).max().unwrap_or(0);
-    for t in 0..bins {
+/// Prints curves as a TSV block: an `index` column holding the row
+/// number (a second, a level, a minute), then one column per named curve.
+/// Shorter curves are padded with `pad`.
+pub fn series_tsv(index: &str, names: &[&str], curves: &[&[f64]], pad: f64) {
+    tsv_header(&[&[index], names].concat());
+    let rows = curves.iter().map(|c| c.len()).max().unwrap_or(0);
+    for i in 0..rows {
         let row: Vec<f64> = curves
             .iter()
-            .map(|c| c.get(t).copied().unwrap_or(1.0))
+            .map(|c| c.get(i).copied().unwrap_or(pad))
             .collect();
-        tsv_row(&format!("{t}"), &row);
+        tsv_row(&format!("{i}"), &row);
     }
+}
+
+/// Pooled means of the per-second curve over the `width`-second windows
+/// just before and just after each reshuffle, as `(pre, post)`. Both
+/// windows are clipped to the curve (a shortened run can place a
+/// reshuffle past its end); an empty pool has mean 0.
+pub fn reshuffle_means(per_sec: &[f64], reshuffles: &[f64], width: usize) -> (f64, f64) {
+    let (mut pre, mut n_pre) = (0.0, 0usize);
+    let (mut post, mut n_post) = (0.0, 0usize);
+    for &rt in reshuffles {
+        let start = (rt as usize).min(per_sec.len());
+        let end = (start + width).min(per_sec.len());
+        for &v in per_sec.get(start..end).unwrap_or(&[]) {
+            post += v;
+            n_post += 1;
+        }
+        for &v in per_sec
+            .get(start.saturating_sub(width)..start)
+            .unwrap_or(&[])
+        {
+            pre += v;
+            n_pre += 1;
+        }
+    }
+    let mean = |sum: f64, n: usize| if n > 0 { sum / n as f64 } else { 0.0 };
+    (mean(pre, n_pre), mean(post, n_post))
+}
+
+/// The paper's adaptation stream set (figs. 3 and 4), labelled: `unif`,
+/// then `uzipf{0.75, 1.00, 1.25, 1.50}`, each a uniform warm-up followed
+/// by four reshuffled Zipf segments filling the rest of `total`. The
+/// warm-up grows 10 s per order ("we allowed the unif component to run
+/// longer in increments of 10 seconds").
+pub fn adaptation_streams(scale: &Scale, total: f64) -> Vec<(String, StreamPlan)> {
+    let shifts = 4usize;
+    let mut streams = vec![("unif".to_string(), StreamPlan::unif(total))];
+    for (k, order) in [0.75, 1.00, 1.25, 1.50].into_iter().enumerate() {
+        let warmup = scale.duration(50.0 + 10.0 * k as f64);
+        let seg = ((total - warmup) / shifts as f64).max(1.0);
+        streams.push((
+            format!("uzipf{order:.2}"),
+            StreamPlan::adaptation(order, warmup, shifts, seg),
+        ));
+    }
+    streams
+}
+
+/// Opens a churn window over `[0.1, 0.8) × dur` with mean uptime
+/// `uptime_frac × dur` and mean downtime `0.08 × dur`.
+pub fn churn_window(cfg: &mut Config, dur: f64, uptime_frac: f64) {
+    cfg.churn.enabled = true;
+    cfg.churn.start = dur * 0.1;
+    cfg.churn.stop = dur * 0.8;
+    cfg.churn.mean_uptime = dur * uptime_frac;
+    cfg.churn.mean_downtime = dur * 0.08;
+}
+
+/// Turns anti-entropy gossip on with the given culture, round interval
+/// and fanout. The digest window covers every object key.
+pub fn gossip_on(cfg: &mut Config, culture: GossipCulture, interval: f64, fanout: u32) {
+    cfg.gossip.enabled = true;
+    cfg.gossip.culture = culture;
+    cfg.gossip.interval = interval;
+    cfg.gossip.fanout = fanout;
+    cfg.gossip.window = cfg.storage.n_objects.max(32);
 }
 
 /// Mean of the per-second bins `[lo, hi)`, both ends clipped to the
@@ -735,6 +789,62 @@ mod tests {
         assert_eq!(window_mean(&curve, 1, 3), 2.5);
         assert_eq!(window_mean(&curve, 0, 10), 2.0);
         assert_eq!(window_mean(&curve, 5, 10), 0.0);
+    }
+
+    #[test]
+    fn reshuffle_means_clip_a_reshuffle_past_the_curve_end() {
+        let curve = [1.0, 2.0, 3.0, 4.0];
+        // Post window is empty; pre window is the last two bins.
+        assert_eq!(reshuffle_means(&curve, &[10.0], 2), (3.5, 0.0));
+    }
+
+    #[test]
+    fn reshuffle_means_clip_a_window_reaching_before_zero() {
+        let curve = [1.0, 2.0, 3.0, 4.0, 5.0];
+        // Pre window [0, 1) instead of [-2, 1); post window [1, 4).
+        assert_eq!(reshuffle_means(&curve, &[1.0], 3), (1.0, 3.0));
+    }
+
+    #[test]
+    fn reshuffle_means_pool_samples_across_windows() {
+        let curve = [0.0, 0.0, 4.0, 0.0, 0.0, 0.0, 0.0, 1.0];
+        // Post windows [2, 4) and [7, 8) (clipped) pool three samples
+        // summing to 5: 5/3, not the mean (2 + 1) / 2 of the per-window
+        // means.
+        assert_eq!(reshuffle_means(&curve, &[2.0, 7.0], 2).1, 5.0 / 3.0);
+    }
+
+    #[test]
+    fn reshuffle_means_of_an_empty_pool_are_zero() {
+        assert_eq!(reshuffle_means(&[1.0, 2.0], &[], 10), (0.0, 0.0));
+        assert_eq!(reshuffle_means(&[], &[3.0], 10), (0.0, 0.0));
+        // A reshuffle at t = 0 has no pre window.
+        assert_eq!(reshuffle_means(&[2.0, 2.0], &[0.0], 1), (0.0, 2.0));
+    }
+
+    #[test]
+    fn adaptation_streams_label_and_stagger_the_paper_set() {
+        let scale = Scale::for_servers(16, 1.0);
+        let streams = adaptation_streams(&scale, 250.0);
+        let labels: Vec<&str> = streams.iter().map(|(l, _)| l.as_str()).collect();
+        assert_eq!(
+            labels,
+            ["unif", "uzipf0.75", "uzipf1.00", "uzipf1.25", "uzipf1.50"]
+        );
+        let reshuffles: Vec<usize> = streams
+            .iter()
+            .map(|(_, p)| p.reshuffle_times().len())
+            .collect();
+        assert_eq!(reshuffles, [0, 4, 4, 4, 4]);
+        // Each order's uniform warm-up runs 10 s longer than the last.
+        let warmups: Vec<f64> = streams[1..]
+            .iter()
+            .map(|(_, p)| p.segments[0].duration)
+            .collect();
+        assert_eq!(warmups, [50.0, 60.0, 70.0, 80.0]);
+        for (_, plan) in &streams {
+            assert_eq!(plan.total_duration(), 250.0);
+        }
     }
 
     #[test]

@@ -44,12 +44,12 @@ pub const FORBIDDEN: &[&str] = &[
 
 /// Files exempt from the lint: the deterministic-hasher wrappers
 /// themselves (they name the std types in order to replace them) and the
-/// speed-baseline bench binary (wall-clock throughput is the quantity it
+/// speed-baseline bench experiment (wall-clock throughput is the quantity it
 /// exists to measure; the simulation it times stays seed-deterministic).
 pub fn is_allowlisted(file_label: &str) -> bool {
     file_label.ends_with("det.rs")
         || file_label.contains("crates/net/")
-        || file_label.ends_with("bin/speed.rs")
+        || file_label.ends_with("bin/terradir-bench/speed.rs")
 }
 
 /// Scans one behavior-crate source file for forbidden constructs outside
@@ -127,7 +127,7 @@ mod tests {
         assert!(!check_determinism("crates/sim/src/y.rs", bad).is_empty());
         assert!(check_determinism("crates/terradir/src/det.rs", bad).is_empty());
         assert!(check_determinism("crates/net/src/peer.rs", bad).is_empty());
-        assert!(check_determinism("crates/bench/src/bin/speed.rs", bad).is_empty());
+        assert!(check_determinism("crates/bench/src/bin/terradir-bench/speed.rs", bad).is_empty());
     }
 
     #[test]

@@ -6,7 +6,7 @@ cd "$(dirname "$0")/.."
 failed=()
 for bin in fig3 fig4 fig5 fig6 fig7 fig8 fig9 tab1 rfact resilience ablate_static heterogeneity ablate_cache ablate_digests ablate_hysteresis speed durability antientropy tenants; do
   echo "=== $bin ==="
-  ./target/release/$bin "$@" > results/$bin.tsv 2> results/$bin.log
+  ./target/release/terradir-bench $bin "$@" > results/$bin.tsv 2> results/$bin.log
   code=$?
   passes=$(grep -c 'shape\[PASS\]' results/$bin.tsv 2>/dev/null)
   fails=$(grep -c 'shape\[FAIL\]' results/$bin.tsv 2>/dev/null)
@@ -15,7 +15,7 @@ for bin in fig3 fig4 fig5 fig6 fig7 fig8 fig9 tab1 rfact resilience ablate_stati
     failed+=("$bin")
   fi
 done
-# Bins that emit machine-readable BENCH_<name>.json drop it in the repo
+# Experiments that emit machine-readable BENCH_<name>.json drop it in the repo
 # root; collect everything into results/ so one directory holds the run.
 for f in BENCH_*.json; do
   [ -e "$f" ] && mv "$f" results/

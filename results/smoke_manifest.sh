@@ -1,7 +1,10 @@
 #!/bin/bash
-# Smoke-output manifest: runs every bench binary except `speed` at smoke
-# scale (--servers 16 --time-mult 0.1) from the release build, each in its
-# own temp dir, and hashes its stdout, exit code and BENCH_*.json.
+# Smoke-output manifest: runs every terradir-bench experiment except
+# `speed` at smoke scale (--servers 16 --time-mult 0.1) from the release
+# build, each in its own temp dir, and hashes its stdout, exit code and
+# BENCH_*.json. The experiments are the modules of
+# crates/bench/src/bin/terradir-bench/ other than main.rs, so a module
+# missing from the binary's experiment table exits 2 and shows as a diff.
 #
 #   results/smoke_manifest.sh --write   regenerate results/MANIFEST
 #   results/smoke_manifest.sh --check   fail (exit 1) on any difference
@@ -31,12 +34,12 @@ cargo build --release --quiet -p terradir-bench --bins
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 : > "$tmp/MANIFEST"
-for src in crates/bench/src/bin/*.rs; do
+for src in crates/bench/src/bin/terradir-bench/*.rs; do
   bin=$(basename "$src" .rs)
-  [ "$bin" = speed ] && continue
+  case "$bin" in main | speed) continue ;; esac
   mkdir "$tmp/$bin"
   code=0
-  (cd "$tmp/$bin" && "$root/target/release/$bin" --servers 16 --time-mult 0.1 > stdout 2> stderr) || code=$?
+  (cd "$tmp/$bin" && "$root/target/release/terradir-bench" "$bin" --servers 16 --time-mult 0.1 > stdout 2> stderr) || code=$?
   echo "$bin exit $code" >> "$tmp/MANIFEST"
   sed -E -e 's/[0-9]+ bytes of RunStats debug compared/N bytes of RunStats debug compared/' \
     -e 's/alloc_(events|bytes): [0-9]+/alloc_\1: N/g' "$tmp/$bin/stdout" > "$tmp/$bin/stdout.norm"
