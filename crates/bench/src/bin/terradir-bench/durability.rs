@@ -34,7 +34,7 @@
 //! run asserts every storage counter stays zero (the subsystem is
 //! inert unless asked for).
 
-use terradir::{Config, CutWindow, GossipCulture, Summary, System};
+use terradir::{ChaosAction, Config, GossipCulture, ScenarioEvent, Summary, System};
 use terradir_bench::{
     churn_window, gossip_on, run_drained, tsv_header, tsv_row, write_bench_json, Args, JsonObj,
     Scale, ShapeChecks,
@@ -132,11 +132,16 @@ fn build_cfg(
     }
     if cut {
         cfg.partitions.n_groups = 4;
-        cfg.partitions.cuts = vec![CutWindow {
-            start: dur * 0.25,
-            stop: dur * 0.65,
-            groups: vec![1],
-        }];
+        cfg.scenario.events = vec![
+            ScenarioEvent {
+                at: dur * 0.25,
+                action: ChaosAction::Cut { groups: vec![1] },
+            },
+            ScenarioEvent {
+                at: dur * 0.65,
+                action: ChaosAction::Heal,
+            },
+        ];
     }
     cfg
 }

@@ -246,39 +246,23 @@ impl Default for ChurnConfig {
 }
 
 /// Group-based network partitions (DESIGN.md §13). Server `s` belongs to
-/// reachability group `s mod n_groups`; a *cut* severs a set of groups
-/// from the rest of the fleet for a window of simulated time. Remote
-/// deliveries crossing the active cut are dropped at delivery time, with
-/// `HostDown` feedback synthesized at the sender when the reliability
-/// layer is on. The default (`n_groups = 1`, no cuts) is inert.
+/// reachability group `s mod n_groups`; a *cut* (a scripted
+/// [`ChaosAction::Cut`]) severs a set of groups from the rest of the fleet
+/// until a [`ChaosAction::Heal`]. Remote deliveries crossing the active
+/// cut are dropped at delivery time, with `HostDown` feedback synthesized
+/// at the sender when the reliability layer is on. The default
+/// (`n_groups = 1`) is inert.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PartitionConfig {
     /// Number of reachability groups (≥ 1). With a single group every cut
     /// is a no-op: there is never a far side to sever.
     pub n_groups: u32,
-    /// Statically scheduled cut windows, independent of `Config::scenario`.
-    pub cuts: Vec<CutWindow>,
 }
 
 impl Default for PartitionConfig {
     fn default() -> PartitionConfig {
-        PartitionConfig {
-            n_groups: 1,
-            cuts: Vec::new(),
-        }
+        PartitionConfig { n_groups: 1 }
     }
-}
-
-/// One scheduled partition window: the listed groups are severed from the
-/// rest of the fleet over `[start, stop)`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CutWindow {
-    /// Simulation time the cut activates, seconds.
-    pub start: f64,
-    /// Simulation time the cut heals, seconds (∞ = never heals).
-    pub stop: f64,
-    /// Reachability groups on the severed side of the cut.
-    pub groups: Vec<u32>,
 }
 
 /// Soft-state leases (DESIGN.md §14): every replica record, neighbor
@@ -565,13 +549,6 @@ pub struct ScenarioConfig {
     pub events: Vec<ScenarioEvent>,
 }
 
-impl ScenarioConfig {
-    /// Whether the script contains any events.
-    pub fn enabled(&self) -> bool {
-        !self.events.is_empty()
-    }
-}
-
 /// One scripted chaos event.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioEvent {
@@ -766,20 +743,6 @@ impl Config {
         if self.partitions.n_groups == 0 {
             return Err("partitions.n_groups must be at least 1".into());
         }
-        for cut in &self.partitions.cuts {
-            if !cut.start.is_finite() || cut.start < 0.0 {
-                return Err("partition cut start must be finite and non-negative".into());
-            }
-            if cut.stop.is_nan() || cut.stop < cut.start {
-                return Err("partition cut stop must be ≥ its start".into());
-            }
-            if let Some(g) = cut.groups.iter().find(|&&g| g >= self.partitions.n_groups) {
-                return Err(format!(
-                    "partition cut names group {g} but n_groups is {}",
-                    self.partitions.n_groups
-                ));
-            }
-        }
         if self.leases.enabled && (!self.leases.ttl.is_finite() || self.leases.ttl < 0.0) {
             return Err("leases.ttl must be finite and non-negative".into());
         }
@@ -967,8 +930,7 @@ mod tests {
         let c = Config::paper_default(4);
         assert_eq!(c.partitions, PartitionConfig::default());
         assert_eq!(c.partitions.n_groups, 1);
-        assert!(c.partitions.cuts.is_empty());
-        assert!(!c.scenario.enabled());
+        assert!(c.scenario.events.is_empty());
         assert!(!c.shedding);
         assert_eq!(c.validate(), Ok(()));
     }
@@ -978,47 +940,18 @@ mod tests {
         let mut c = Config::paper_default(4);
         c.partitions.n_groups = 0;
         assert!(c.validate().is_err());
-        let mut c = Config::paper_default(4);
-        c.partitions.cuts.push(CutWindow {
-            start: -1.0,
-            stop: 5.0,
-            groups: vec![0],
-        });
-        assert!(c.validate().is_err());
-        let mut c = Config::paper_default(4);
-        c.partitions.cuts.push(CutWindow {
-            start: 5.0,
-            stop: 1.0,
-            groups: vec![0],
-        });
-        assert!(c.validate().is_err());
-        let mut c = Config::paper_default(4);
-        c.partitions.n_groups = 2;
-        c.partitions.cuts.push(CutWindow {
-            start: 0.0,
-            stop: 1.0,
-            groups: vec![2],
-        });
-        assert!(c.validate().is_err(), "out-of-range group must be rejected");
-        // A never-healing cut is legal.
-        let mut c = Config::paper_default(4);
-        c.partitions.n_groups = 2;
-        c.partitions.cuts.push(CutWindow {
-            start: 1.0,
-            stop: f64::INFINITY,
-            groups: vec![1],
-        });
-        assert_eq!(c.validate(), Ok(()));
     }
 
     #[test]
     fn validate_catches_bad_scenario_values() {
-        let mut c = Config::paper_default(4);
-        c.scenario.events.push(ScenarioEvent {
-            at: f64::NAN,
-            action: ChaosAction::Heal,
-        });
-        assert!(c.validate().is_err());
+        for at in [f64::NAN, -1.0] {
+            let mut c = Config::paper_default(4);
+            c.scenario.events.push(ScenarioEvent {
+                at,
+                action: ChaosAction::Heal,
+            });
+            assert!(c.validate().is_err(), "event time {at}");
+        }
         let mut c = Config::paper_default(4);
         c.scenario.events.push(ScenarioEvent {
             at: 1.0,
@@ -1068,7 +1001,6 @@ mod tests {
                 action: ChaosAction::Recover,
             },
         ];
-        assert!(c.scenario.enabled());
         assert_eq!(c.validate(), Ok(()));
     }
 

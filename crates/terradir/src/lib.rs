@@ -77,9 +77,9 @@ pub mod system;
 
 pub use cache::RouteCache;
 pub use config::{
-    ChaosAction, ChurnConfig, Config, CutWindow, FaultConfig, GossipConfig, GossipCulture,
-    LeaseConfig, PartitionConfig, ReconcileConfig, RetryConfig, RoleConfig, ScenarioConfig,
-    ScenarioEvent, ServerClass, StorageConfig, TenantConfig, TenantSpec,
+    ChaosAction, ChurnConfig, Config, FaultConfig, GossipConfig, GossipCulture, LeaseConfig,
+    PartitionConfig, ReconcileConfig, RetryConfig, RoleConfig, ScenarioConfig, ScenarioEvent,
+    ServerClass, StorageConfig, TenantConfig, TenantSpec,
 };
 pub use context::{StatefulContext, StatelessContext};
 pub use map::NodeMap;

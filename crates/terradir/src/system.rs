@@ -54,11 +54,6 @@ enum Event {
     ChurnRecover { server: ServerId },
     /// Scenario script: apply `cfg.scenario.events[idx]` (DESIGN.md §13).
     Chaos { idx: usize },
-    /// Scheduled partition window `cfg.partitions.cuts[cut]` activates.
-    CutStart { cut: usize },
-    /// A scheduled partition window expires. Heals whatever cut is active
-    /// (cuts do not stack: the latest install wins, any stop clears).
-    CutStop,
     /// Flash crowd: inject the next extra query. Stale-filtered by
     /// `epoch`: changing or stopping the flash crowd bumps the epoch.
     FlashInject { epoch: u64 },
@@ -386,14 +381,8 @@ impl System {
                 );
             }
         }
-        // Scheduled partition windows and the chaos script go on the
-        // calendar up front; events past the end of the run never fire.
-        for (i, w) in cfg.partitions.cuts.iter().enumerate() {
-            engine.schedule(w.start, Event::CutStart { cut: i });
-            if w.stop.is_finite() {
-                engine.schedule(w.stop, Event::CutStop);
-            }
-        }
+        // The chaos script goes on the calendar up front; events past the
+        // end of the run never fire.
         for (i, ev) in cfg.scenario.events.iter().enumerate() {
             engine.schedule(ev.at, Event::Chaos { idx: i });
         }
@@ -1654,20 +1643,6 @@ impl System {
             Event::ChurnFail { server } => self.churn_fail(server),
             Event::ChurnRecover { server } => self.churn_recover(server),
             Event::Chaos { idx } => self.apply_chaos(idx),
-            Event::CutStart { cut } => {
-                let groups = self
-                    .shared
-                    .cfg
-                    .partitions
-                    .cuts
-                    .get(cut)
-                    // xtask: allow(alloc): scheduled cut, a handful per run; the clone detaches the cfg borrow so apply_cut may mutate self
-                    .map(|w| w.groups.clone());
-                if let Some(g) = groups {
-                    self.apply_cut(&g);
-                }
-            }
-            Event::CutStop => self.heal_cut(),
             Event::FlashInject { epoch } => self.flash_inject(epoch),
             Event::StorePut => self.store_put(),
             Event::StoreGet => self.store_get(),

@@ -29,7 +29,6 @@ pub const CONFIG_STRUCTS: &[&str] = &[
     "RetryConfig",
     "ChurnConfig",
     "PartitionConfig",
-    "CutWindow",
     "ScenarioConfig",
     "ScenarioEvent",
     "LeaseConfig",

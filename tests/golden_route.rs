@@ -26,7 +26,7 @@
 
 use terradir_repro::namespace::{balanced_tree, coda_like, CodaParams, Namespace};
 use terradir_repro::protocol::{
-    ChaosAction, Config, CutWindow, GossipCulture, RunStats, ScenarioEvent, System, TenantSpec,
+    ChaosAction, Config, GossipCulture, RunStats, ScenarioEvent, System, TenantSpec,
 };
 use terradir_repro::workload::{seed::tags, seeded_rng, StreamPlan};
 
@@ -202,19 +202,17 @@ fn final_drop_attribution_summary_is_pinned() {
     cfg.shedding = true;
     cfg.faults.loss_prob = 0.02;
     cfg.partitions.n_groups = 4;
-    cfg.partitions.cuts = vec![CutWindow {
-        start: 3.0,
-        stop: 6.0,
-        groups: vec![1],
-    }];
-    let flash = |at, rate_multiplier| ScenarioEvent {
-        at,
-        action: ChaosAction::FlashCrowd {
-            node: hot,
-            rate_multiplier,
-        },
+    let at = |at, action| ScenarioEvent { at, action };
+    let flash = |rate_multiplier| ChaosAction::FlashCrowd {
+        node: hot,
+        rate_multiplier,
     };
-    cfg.scenario.events = vec![flash(4.0, 4.0), flash(7.0, 1.0)];
+    cfg.scenario.events = vec![
+        at(3.0, ChaosAction::Cut { groups: vec![1] }),
+        at(6.0, ChaosAction::Heal),
+        at(4.0, flash(4.0)),
+        at(7.0, flash(1.0)),
+    ];
     cfg.validate().expect("attribution config must be valid");
     let plan = StreamPlan::uzipf(1.0, window + 8.0);
     let sys = drained(ns, cfg, plan, 150.0, window, 8.0);

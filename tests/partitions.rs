@@ -16,7 +16,7 @@ use proptest::prelude::*;
 
 use terradir_repro::namespace::balanced_tree;
 use terradir_repro::protocol::stats::DropKind;
-use terradir_repro::protocol::{ChaosAction, Config, CutWindow, ScenarioEvent, System};
+use terradir_repro::protocol::{ChaosAction, Config, ScenarioEvent, System};
 use terradir_repro::workload::StreamPlan;
 
 /// Worst-case retry chain at the defaults (1 + 2 + 4 + 8 s), padded for
@@ -27,6 +27,21 @@ fn partition_cfg(seed: u64, n_groups: u32) -> Config {
     let mut cfg = Config::paper_default(16).with_seed(seed);
     cfg.partitions.n_groups = n_groups;
     cfg
+}
+
+/// The scenario script of one cut: `groups` are severed over
+/// `[start, stop)`.
+fn cut_window(start: f64, stop: f64, groups: Vec<u32>) -> Vec<ScenarioEvent> {
+    vec![
+        ScenarioEvent {
+            at: start,
+            action: ChaosAction::Cut { groups },
+        },
+        ScenarioEvent {
+            at: stop,
+            action: ChaosAction::Heal,
+        },
+    ]
 }
 
 /// Run to the plan's end, stop injection, and drain the retry tail.
@@ -42,11 +57,7 @@ fn run_and_drain(cfg: Config, plan: StreamPlan, rate: f64) -> System {
 #[test]
 fn cut_severs_cross_group_traffic_and_heals() {
     let mut cfg = partition_cfg(7, 4);
-    cfg.partitions.cuts = vec![CutWindow {
-        start: 5.0,
-        stop: 12.0,
-        groups: vec![0],
-    }];
+    cfg.scenario.events = cut_window(5.0, 12.0, vec![0]);
     cfg.validate().unwrap();
     let sys = run_and_drain(cfg, StreamPlan::uzipf(1.0, 20.0), 200.0);
     let st = sys.stats();
@@ -134,7 +145,7 @@ proptest! {
     ) {
         let mut cfg = partition_cfg(seed, 2);
         cfg.retry.enabled = retry_flag == 1;
-        cfg.partitions.cuts = vec![CutWindow { start: 3.0, stop: 8.0, groups: vec![1] }];
+        cfg.scenario.events = cut_window(3.0, 8.0, vec![1]);
         let sys = run_and_drain(cfg, StreamPlan::uzipf(1.0, 12.0), rate);
         let st = sys.stats();
         prop_assert!(st.injected > 0);
@@ -173,11 +184,7 @@ fn single_group_partition_cut_is_a_noop() {
     };
     let cut = {
         let mut cfg = partition_cfg(5, 1);
-        cfg.partitions.cuts = vec![CutWindow {
-            start: 2.0,
-            stop: 6.0,
-            groups: vec![0],
-        }];
+        cfg.scenario.events = cut_window(2.0, 6.0, vec![0]);
         cfg.validate().unwrap();
         run_and_drain(cfg, StreamPlan::uzipf(1.0, 10.0), 100.0)
     };
@@ -194,11 +201,7 @@ fn single_group_partition_cut_is_a_noop() {
 #[test]
 fn cut_naming_every_group_is_a_noop() {
     let mut cfg = partition_cfg(9, 4);
-    cfg.partitions.cuts = vec![CutWindow {
-        start: 2.0,
-        stop: 6.0,
-        groups: vec![0, 1, 2, 3],
-    }];
+    cfg.scenario.events = cut_window(2.0, 6.0, vec![0, 1, 2, 3]);
     cfg.validate().unwrap();
     let sys = run_and_drain(cfg, StreamPlan::uzipf(1.0, 10.0), 100.0);
     let st = sys.stats();
