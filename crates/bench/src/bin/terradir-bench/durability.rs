@@ -68,9 +68,7 @@ const CHURN_LEVELS: [ChurnLevel; 3] = [
 /// sweep.
 const WRITE_RATES: [f64; 3] = [5.0, 20.0, 60.0];
 
-/// One finished run's storage outcome. The storage-off inertness check
-/// prints its debug rendering, so the field set and order are output.
-#[derive(Debug)]
+/// One finished run's storage outcome.
 struct Run {
     objects_written: u64,
     objects_alive: u64,
@@ -401,7 +399,14 @@ pub fn run(args: Args, checks: &mut ShapeChecks) {
             && off.reads_failed == 0
             && off.stale_reads == 0
             && off.gossip_bytes == 0,
-        format!("storage-off run recorded storage activity: {off:?}"),
+        format!(
+            "{} written, {} reads, {} failed, {} stale, {} gossip bytes",
+            off.objects_written,
+            off.object_reads,
+            off.reads_failed,
+            off.stale_reads,
+            off.gossip_bytes
+        ),
     );
 
     let json = JsonObj::new()

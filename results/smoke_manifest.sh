@@ -12,9 +12,7 @@
 # Outputs are seed-deterministic, so the check is exact. Only two values
 # are normalised, by name, because they differ between debug and release
 # builds and across toolchains:
-#   - the "alloc_events" and "alloc_bytes" values, in the JSON and in the
-#     `alloc_events: N` debug spelling that durability's inertness check
-#     prints on stdout;
+#   - the "alloc_events" and "alloc_bytes" values in the JSON;
 #   - the count in "N bytes of RunStats debug compared" on stdout.
 # `speed` is excluded because its columns are wall-clock.
 set -euo pipefail
@@ -41,8 +39,8 @@ for src in crates/bench/src/bin/terradir-bench/*.rs; do
   code=0
   (cd "$tmp/$bin" && "$root/target/release/terradir-bench" "$bin" --servers 16 --time-mult 0.1 > stdout 2> stderr) || code=$?
   echo "$bin exit $code" >> "$tmp/MANIFEST"
-  sed -E -e 's/[0-9]+ bytes of RunStats debug compared/N bytes of RunStats debug compared/' \
-    -e 's/alloc_(events|bytes): [0-9]+/alloc_\1: N/g' "$tmp/$bin/stdout" > "$tmp/$bin/stdout.norm"
+  sed -E 's/[0-9]+ bytes of RunStats debug compared/N bytes of RunStats debug compared/' \
+    "$tmp/$bin/stdout" > "$tmp/$bin/stdout.norm"
   echo "$bin stdout $(sha256sum < "$tmp/$bin/stdout.norm" | cut -d' ' -f1)" >> "$tmp/MANIFEST"
   for json in "$tmp/$bin"/BENCH_*.json; do
     [ -e "$json" ] || continue
