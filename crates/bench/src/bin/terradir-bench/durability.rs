@@ -130,15 +130,10 @@ fn build_cfg(
     }
     if cut {
         cfg.partitions.n_groups = 4;
+        let at = |at, action| ScenarioEvent { at, action };
         cfg.scenario.events = vec![
-            ScenarioEvent {
-                at: dur * 0.25,
-                action: ChaosAction::Cut { groups: vec![1] },
-            },
-            ScenarioEvent {
-                at: dur * 0.65,
-                action: ChaosAction::Heal,
-            },
+            at(dur * 0.25, ChaosAction::Cut { groups: vec![1] }),
+            at(dur * 0.65, ChaosAction::Heal),
         ];
     }
     cfg

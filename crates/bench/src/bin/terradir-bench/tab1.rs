@@ -10,7 +10,7 @@
 use std::sync::Arc;
 
 use rand::SeedableRng;
-use terradir::{Config, Message, NodeId, QueryPacket, ServerId, ServerState};
+use terradir::{Config, Message, QueryPacket, ServerId, ServerState};
 use terradir_bench::{Args, ShapeChecks};
 use terradir_namespace::{balanced_tree, OwnerAssignment};
 
@@ -99,7 +99,7 @@ pub fn run(_: Args, checks: &mut ShapeChecks) {
     let neighboring = Row {
         relationship: "Neighboring",
         name: true,
-        map: has_neighbor_map(&servers[0], neighbor_node),
+        map: servers[0].neighbor_map(neighbor_node).is_some(),
         data: false,
         meta: false,
         // Pointer only: the protocol keeps no onward context for
@@ -179,8 +179,4 @@ fn tick(b: bool) -> &'static str {
     } else {
         "-"
     }
-}
-
-fn has_neighbor_map(s: &ServerState, node: NodeId) -> bool {
-    s.neighbor_map(node).is_some()
 }

@@ -134,22 +134,14 @@ pub fn run(args: Args, checks: &mut ShapeChecks) {
                 .first()
                 .copied()
                 .expect("tenant 0 must own nodes");
-            cfg.scenario.events = vec![
-                ScenarioEvent {
-                    at: dur * 0.3,
-                    action: ChaosAction::FlashCrowd {
-                        node: target.0,
-                        rate_multiplier: crowd_mult,
-                    },
+            let flash = |at, rate_multiplier| ScenarioEvent {
+                at,
+                action: ChaosAction::FlashCrowd {
+                    node: target.0,
+                    rate_multiplier,
                 },
-                ScenarioEvent {
-                    at: dur * 0.7,
-                    action: ChaosAction::FlashCrowd {
-                        node: target.0,
-                        rate_multiplier: 1.0,
-                    },
-                },
-            ];
+            };
+            cfg.scenario.events = vec![flash(dur * 0.3, crowd_mult), flash(dur * 0.7, 1.0)];
         }
         cfg.validate().expect("isolation config must be valid");
         cfg
@@ -299,15 +291,10 @@ pub fn run(args: Args, checks: &mut ShapeChecks) {
         // fanout: a wiped server re-fills only by soliciting a peer that
         // holds its copies.
         gossip_on(&mut cfg, GossipCulture::Taciturn, 5.0, 6);
+        let at = |at, action| ScenarioEvent { at, action };
         cfg.scenario.events = vec![
-            ScenarioEvent {
-                at: crash_at,
-                action: ChaosAction::ClassCrash { class },
-            },
-            ScenarioEvent {
-                at: recover_at,
-                action: ChaosAction::ClassRecover { class },
-            },
+            at(crash_at, ChaosAction::ClassCrash { class }),
+            at(recover_at, ChaosAction::ClassRecover { class }),
         ];
         cfg.validate().expect("wave config must be valid");
         let mut sys = System::new(scale.ts_namespace(), cfg, StreamPlan::unif(drain), rate);
