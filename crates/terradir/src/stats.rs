@@ -99,9 +99,9 @@ pub struct RunStats {
     pub attempts_lost_partition: u64,
     /// Messages of every kind dropped for crossing an active cut.
     pub messages_cut: u64,
-    /// Partition cuts applied (scheduled windows + scenario actions).
+    /// Partition cuts applied (scenario `Cut` actions).
     pub cuts_applied: u64,
-    /// Heals applied (window expiries + scenario actions).
+    /// Heals applied (scenario `Heal` actions).
     pub heals_applied: u64,
     /// Extra queries injected by flash crowds (already in `injected`).
     pub flash_injected: u64,
