@@ -8,7 +8,8 @@
 
 //! Hot-path microbenchmarks (DESIGN.md §16): the three operations the
 //! steady-state event loop performs per forwarded query — a route-step
-//! decision, a route-cache lookup, and a digest membership check. The
+//! decision, a route-cache lookup, and the digest scan over a target's
+//! ancestor chain. The
 //! `hotpath` analyze pass keeps allocations out of these paths statically;
 //! these benches price what remains.
 
@@ -18,15 +19,16 @@ use terradir::routing::RouteChoice;
 use terradir::server::ServerState;
 use terradir::{NodeMap, RouteCache, System};
 use terradir_bench::Scale;
-use terradir_bloom::{BloomParams, DigestBuilder};
-use terradir_namespace::{balanced_tree, Namespace, NodeId, ServerId};
+use terradir_bloom::Digest;
+use terradir_namespace::{Namespace, NodeId, ServerId};
 use terradir_workload::{seed::tags, seeded_rng, QueryStream, StreamPlan};
 
 /// Seed of the warmed runs and of the target streams drawn from them.
 const WARM_SEED: u64 = 7;
 
 /// A server cloned out of a run warmed for 6 simulated seconds, plus
-/// targets drawn from the same stream that the server does not host. The
+/// targets drawn from the same stream that the server does not host, and
+/// the run's namespace. The
 /// server is the one `rank` puts highest (ties to the lower id). A freshly
 /// bootstrapped server, with an empty digest store and cache, prices a
 /// decision at a tenth of its in-situ cost.
@@ -36,7 +38,7 @@ fn warmed_server<K: Ord>(
     plan: StreamPlan,
     paper_rate: f64,
     rank: impl Fn(&System, ServerId) -> K,
-) -> (ServerState, Vec<NodeId>) {
+) -> (ServerState, Vec<NodeId>, Namespace) {
     let n_nodes = ns.len();
     let mut sys = System::new(
         ns,
@@ -55,14 +57,14 @@ fn warmed_server<K: Ord>(
         .map(|_| stream.next_query(sys.now()).1)
         .filter(|&t| !server.hosts(t))
         .collect();
-    (server, targets)
+    (server, targets, sys.namespace().clone())
 }
 
 /// The paper's adaptation stream on a 1024-server T_S fleet (the `speed`
 /// bench's workload: uniform warm-up, then a Zipf-1.25 segment), at the
 /// server with the fullest digest store: a warm cache, replicas, and a
 /// digest scan over ~`digest_store_slots` peers. T_S has fan-out 2.
-fn warmed_ts_1024() -> (ServerState, Vec<NodeId>) {
+fn warmed_ts_1024() -> (ServerState, Vec<NodeId>, Namespace) {
     let scale = Scale::for_servers(1024, 1.0);
     let plan = StreamPlan::adaptation(1.25, 3.0, 1, 3.0);
     warmed_server(scale, scale.ts_namespace(), plan, 20_000.0, |sys, s| {
@@ -73,7 +75,7 @@ fn warmed_ts_1024() -> (ServerState, Vec<NodeId>) {
 /// Zipf-1.0 on a 256-server T_C fleet (the paper's λ_C), whose
 /// directories hold hundreds of entries, at the server with the most
 /// neighbor maps: the decision's fan-out-heavy shape.
-fn warmed_tc_256() -> (ServerState, Vec<NodeId>) {
+fn warmed_tc_256() -> (ServerState, Vec<NodeId>, Namespace) {
     let scale = Scale::for_servers(256, 1.0);
     let plan = StreamPlan::uzipf(1.0, 10.0);
     warmed_server(scale, scale.tc_namespace(42), plan, 40_000.0, |sys, s| {
@@ -93,7 +95,7 @@ fn bench_route_step(c: &mut Criterion) {
         ("decide_warmed_1024_servers", warmed_ts_1024()),
         ("decide_warmed_tc_256_servers", warmed_tc_256()),
     ];
-    for (name, (server, targets)) in cases {
+    for (name, (server, targets, _)) in cases {
         println!(
             "route_step/{name}: server {} with {} stored digests, {} cached pointers, {} hosted nodes",
             server.id().0,
@@ -137,20 +139,71 @@ fn bench_cache_lookup(c: &mut Criterion) {
 fn bench_digest_check(c: &mut Criterion) {
     let mut g = c.benchmark_group("digest_check");
     g.throughput(Throughput::Elements(1));
-    // A sealed digest over 512 hosted names tested with present and absent
-    // names — the per-candidate cost of digest-pruned forwarding.
-    g.bench_function("test_512_items", |b| {
-        let ns = balanced_tree(2, 8);
-        let mut builder = DigestBuilder::new(BloomParams::for_capacity(512, 0.01, 7));
-        for id in ns.ids().take(512) {
-            builder.add(ns.name(id).as_str());
+    g.sample_size(5_000);
+    // The warmed 1024-server T_S server's stored digests, each tested
+    // against a target's whole ancestor chain (target to root): name by
+    // name with `Digest::test`, and in one pass per name with
+    // `Digest::test_prefixes`, four digests at a time. One element is one
+    // target's chain against every stored digest.
+    let (server, targets, ns) = warmed_ts_1024();
+    let digests: Vec<&Digest> = server.digest_store().iter().map(|(_, d)| d).collect();
+    let chains: Vec<Vec<NodeId>> = targets
+        .iter()
+        .map(|&t| std::iter::successors(Some(t), |&n| ns.parent(n)).collect())
+        .collect();
+    let lens: Vec<Vec<usize>> = chains
+        .iter()
+        .map(|chain| chain.iter().map(|&n| ns.name(n).as_str().len()).collect())
+        .collect();
+    // Both fold the per-digest masks, in store order, into one checksum.
+    let fold = |acc: u64, mask: u64| acc ^ mask.rotate_left(acc.count_ones());
+    let per_name = |k: usize| -> u64 {
+        let chain = &chains[k];
+        digests
+            .iter()
+            .map(|d| {
+                chain.iter().enumerate().fold(0u64, |mask, (j, &n)| {
+                    mask | u64::from(d.test(ns.name(n).as_str())) << j
+                })
+            })
+            .fold(0, fold)
+    };
+    let prefixes = |k: usize| -> u64 {
+        let name = ns.name(targets[k]).as_str();
+        let mut quads = digests.chunks_exact(4);
+        let mut acc = 0;
+        for q in &mut quads {
+            acc = Digest::test_prefixes([q[0], q[1], q[2], q[3]], name, &lens[k])
+                .into_iter()
+                .fold(acc, fold);
         }
-        let digest = builder.seal(1);
-        let names: Vec<&str> = ns.ids().map(|id| ns.name(id).as_str()).collect();
-        let mut i = 0usize;
+        for &d in quads.remainder() {
+            let [mask] = Digest::test_prefixes([d], name, &lens[k]);
+            acc = fold(acc, mask);
+        }
+        acc
+    };
+    for k in 0..targets.len() {
+        assert_eq!(per_name(k), prefixes(k), "both scans read the same bits");
+    }
+    println!(
+        "digest_check: {} stored digests, {} targets, {:.1} chain names per target",
+        digests.len(),
+        targets.len(),
+        chains.iter().map(Vec::len).sum::<usize>() as f64 / chains.len() as f64
+    );
+    g.bench_function("chain_per_name_test", |b| {
+        let mut k = 0usize;
         b.iter(|| {
-            i = (i + 1) % names.len();
-            black_box(digest.test(black_box(names[i])))
+            k = (k + 1) % targets.len();
+            black_box(per_name(black_box(k)))
+        });
+    });
+    g.bench_function("chain_test_prefixes", |b| {
+        let mut k = 0usize;
+        b.iter(|| {
+            k = (k + 1) % targets.len();
+            black_box(prefixes(black_box(k)))
         });
     });
     g.finish();

@@ -1,6 +1,6 @@
 //! The Bloom filter bit array.
 
-use crate::hashing::{hash128, index};
+use crate::hashing::{hash128, index, Hash128, Lanes};
 
 /// Sizing parameters of a Bloom filter.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -53,6 +53,8 @@ impl BloomParams {
 #[derive(Debug, Clone, PartialEq)]
 pub struct BloomFilter {
     params: BloomParams,
+    /// The hash lanes seeded with `params.seed`, computed once.
+    seeded: Lanes,
     words: Box<[u64]>,
     items: usize,
 }
@@ -62,9 +64,11 @@ impl BloomFilter {
     pub fn new(params: BloomParams) -> BloomFilter {
         assert!(params.bits >= 1, "filter needs at least one bit");
         assert!(params.k >= 1, "filter needs at least one probe");
+        // xtask: allow(alloc): the bit array is built once, at construction
         let words = vec![0u64; params.bits.div_ceil(64) as usize].into_boxed_slice();
         BloomFilter {
             params,
+            seeded: Lanes::seeded(params.seed),
             words,
             items: 0,
         }
@@ -122,7 +126,62 @@ impl BloomFilter {
     /// Tests membership: `false` means *definitely not present*, `true`
     /// means *probably present*.
     pub fn contains(&self, item: &[u8]) -> bool {
-        let h = hash128(item, self.params.seed);
+        let [mask] = Self::contains_prefixes([self], item, &[item.len()]);
+        mask & 1 != 0
+    }
+
+    /// Tests several prefixes of `item` against `W` filters in one pass
+    /// over its bytes: bit `j` of lane `l` is set iff `filters[l]` contains
+    /// `item[..lens[j]]`.
+    ///
+    /// `lens` is non-increasing, at most 64 long, and bounded by
+    /// `item.len()`. The hash consumes bytes left to right and takes the
+    /// length only when it finishes, so the lanes run once up to the
+    /// longest prefix and finish at each shorter one on the way. The `W`
+    /// filters' lanes are independent multiply chains; advancing them
+    /// together per byte overlaps their latencies.
+    ///
+    /// ```
+    /// use terradir_bloom::BloomFilter;
+    /// let mut f = BloomFilter::with_capacity(16, 0.01, 3);
+    /// f.insert(b"/a/b");
+    /// let [mask] = BloomFilter::contains_prefixes([&f], b"/a/b/c", &[6, 4, 2]);
+    /// assert_eq!(mask & 0b010, 0b010); // "/a/b" is present
+    /// ```
+    pub fn contains_prefixes<const W: usize>(
+        filters: [&BloomFilter; W],
+        item: &[u8],
+        lens: &[usize],
+    ) -> [u64; W] {
+        debug_assert!(lens.len() <= 64, "one mask bit per prefix");
+        debug_assert!(
+            lens.windows(2).all(|w| matches!(w, [a, b] if a >= b)),
+            "prefix lengths must be non-increasing"
+        );
+        debug_assert!(lens.iter().all(|&len| len <= item.len()));
+        let mut lanes = filters.map(|f| f.seeded);
+        let mut masks = [0u64; W];
+        let mut hashed = 0;
+        // Shortest prefix first: each one resumes where the last stopped.
+        for (j, &len) in lens.iter().enumerate().rev() {
+            for &byte in item.get(hashed..len).unwrap_or_default() {
+                for lane in &mut lanes {
+                    lane.push(byte);
+                }
+            }
+            hashed = len;
+            for ((mask, lane), filter) in masks.iter_mut().zip(lanes).zip(filters) {
+                if filter.probe(lane.finish(len)) {
+                    *mask |= 1 << j;
+                }
+            }
+        }
+        masks
+    }
+
+    /// Whether all `k` double-hash probes of `h` land on set bits.
+    #[inline]
+    fn probe(&self, h: Hash128) -> bool {
         (0..self.params.k).all(|i| self.get_bit(index(h, i, self.params.bits)))
     }
 
@@ -148,6 +207,105 @@ impl BloomFilter {
 )]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Membership as computed before the prefix kernel: one full
+    /// [`hash128`] per item.
+    fn contains_reference(f: &BloomFilter, item: &[u8]) -> bool {
+        let h = hash128(item, f.params.seed);
+        (0..f.params.k).all(|i| f.get_bit(index(h, i, f.params.bits)))
+    }
+
+    /// A small filter holding some prefixes of `item` and some random
+    /// names, so both hits and (false-positive-prone) misses occur.
+    fn filter_for(
+        item: &[u8],
+        cuts: &[usize],
+        noise: &[Vec<u8>],
+        bits: u64,
+        seed: u64,
+    ) -> BloomFilter {
+        let mut f = BloomFilter::new(BloomParams { bits, k: 3, seed });
+        for &c in cuts {
+            f.insert(&item[..c % (item.len() + 1)]);
+        }
+        for n in noise {
+            f.insert(n);
+        }
+        f
+    }
+
+    /// Non-increasing prefix lengths of `item`: the full length, 0, the
+    /// inserted cuts and the random picks, deduplicated.
+    fn prefix_lens(item: &[u8], cuts: &[usize], picks: &[usize]) -> Vec<usize> {
+        let mut lens: Vec<usize> = cuts
+            .iter()
+            .chain(picks)
+            .map(|&p| p % (item.len() + 1))
+            .collect();
+        lens.extend([0, item.len()]);
+        lens.sort_unstable_by(|a, b| b.cmp(a));
+        lens.dedup();
+        lens
+    }
+
+    #[test]
+    fn sixty_four_prefixes_fill_the_mask() {
+        // Every prefix of a 63-byte name, the root-like empty one included:
+        // one bit per prefix, bit 63 for the empty prefix.
+        let item: Vec<u8> = (0..63u8).map(|b| b'a' + b % 26).collect();
+        let lens: Vec<usize> = (0..=63).rev().collect();
+        let mut f = BloomFilter::new(BloomParams {
+            bits: 4096,
+            k: 4,
+            seed: 5,
+        });
+        for len in (0..=63).step_by(3) {
+            f.insert(&item[..len]);
+        }
+        let [mask] = BloomFilter::contains_prefixes([&f], &item, &lens);
+        for (j, &len) in lens.iter().enumerate() {
+            assert_eq!(mask >> j & 1 == 1, contains_reference(&f, &item[..len]));
+        }
+        assert_eq!(mask >> 63, 1, "the empty prefix was inserted");
+    }
+
+    proptest! {
+        #[test]
+        fn prefix_bits_match_per_prefix_tests(
+            item in proptest::collection::vec(0u8..=255, 0..80),
+            picks in proptest::collection::vec(0usize..1000, 0..56),
+            cuts in proptest::collection::vec(0usize..1000, 0..6),
+            noise in proptest::collection::vec(proptest::collection::vec(0u8..=255, 0..12), 0..20),
+            bits in 64u64..512,
+            seed in 0u64..=u64::MAX,
+        ) {
+            let f = filter_for(&item, &cuts, &noise, bits, seed);
+            let lens = prefix_lens(&item, &cuts, &picks);
+            let [mask] = BloomFilter::contains_prefixes([&f], &item, &lens);
+            for (j, &len) in lens.iter().enumerate() {
+                let expected = contains_reference(&f, &item[..len]);
+                prop_assert_eq!(mask >> j & 1 == 1, expected, "prefix {} of {:?}", len, item);
+                prop_assert_eq!(f.contains(&item[..len]), expected);
+            }
+            prop_assert_eq!(mask >> lens.len(), 0, "no bit past the last prefix");
+        }
+
+        #[test]
+        fn four_lanes_match_four_single_calls(
+            item in proptest::collection::vec(0u8..=255, 0..40),
+            picks in proptest::collection::vec(0usize..1000, 0..10),
+            cuts in proptest::collection::vec(0usize..1000, 0..4),
+            seeds in (0u64..=u64::MAX, 0u64..=u64::MAX, 0u64..=u64::MAX, 0u64..=u64::MAX),
+            bits in 64u64..256,
+        ) {
+            let fs = [seeds.0, seeds.1, seeds.2, seeds.3].map(|s| filter_for(&item, &cuts, &[], bits, s));
+            let lens = prefix_lens(&item, &cuts, &picks);
+            let together = BloomFilter::contains_prefixes([&fs[0], &fs[1], &fs[2], &fs[3]], &item, &lens);
+            let alone = fs.each_ref().map(|f| BloomFilter::contains_prefixes([f], &item, &lens)[0]);
+            prop_assert_eq!(together, alone);
+        }
+    }
 
     #[test]
     fn no_false_negatives() {

@@ -38,6 +38,17 @@ impl Digest {
         self.filter.contains(name.as_bytes())
     }
 
+    /// [`BloomFilter::contains_prefixes`] over `W` digests: bit `j` of lane
+    /// `l` is set iff `digests[l]` tests positive for `name[..lens[j]]`.
+    #[inline]
+    pub fn test_prefixes<const W: usize>(
+        digests: [&Digest; W],
+        name: &str,
+        lens: &[usize],
+    ) -> [u64; W] {
+        BloomFilter::contains_prefixes(digests.map(|d| d.filter.as_ref()), name.as_bytes(), lens)
+    }
+
     /// The digest's generation; higher generations supersede lower ones.
     #[inline]
     pub fn generation(&self) -> u64 {

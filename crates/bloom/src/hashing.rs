@@ -29,22 +29,59 @@ pub fn mix64(mut x: u64) -> u64 {
     x
 }
 
+/// The two FNV-1a lanes of [`hash128`] part-way through an input.
+///
+/// Splitting the hash into seed, byte update and finalisation lets a caller
+/// that holds a name and its prefixes hash them all in one pass: FNV
+/// consumes bytes left to right and the length enters only at
+/// [`Lanes::finish`], so finishing at each prefix length yields that
+/// prefix's [`hash128`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Lanes {
+    a: u64,
+    b: u64,
+}
+
+impl Lanes {
+    /// The lanes before any byte is consumed.
+    #[inline]
+    pub fn seeded(seed: u64) -> Lanes {
+        Lanes {
+            a: FNV_OFFSET ^ mix64(seed),
+            b: FNV_OFFSET ^ mix64(seed.wrapping_add(0x9e37_79b9_7f4a_7c15)),
+        }
+    }
+
+    /// Consumes one byte.
+    #[inline]
+    pub fn push(&mut self, byte: u8) {
+        self.a = (self.a ^ byte as u64).wrapping_mul(FNV_PRIME);
+        self.b = (self.b ^ byte as u64)
+            .wrapping_mul(FNV_PRIME)
+            .rotate_left(29);
+    }
+
+    /// The hash of the `len` bytes consumed so far.
+    #[inline]
+    pub fn finish(self, len: usize) -> Hash128 {
+        Hash128 {
+            h1: mix64(self.a ^ (len as u64)),
+            h2: mix64(self.b) | 1, // force odd so double-hash steps hit all slots
+        }
+    }
+}
+
 /// Hashes `bytes` with the given seed into two 64-bit values.
 ///
 /// The two lanes run FNV-1a with different offsets; each is finished with
 /// [`mix64`] so similar names (common in hierarchical namespaces, where
 /// siblings share long prefixes) spread over the full bit range.
 pub fn hash128(bytes: &[u8], seed: u64) -> Hash128 {
-    let mut a = FNV_OFFSET ^ mix64(seed);
-    let mut b = FNV_OFFSET ^ mix64(seed.wrapping_add(0x9e37_79b9_7f4a_7c15));
+    let mut lanes = Lanes::seeded(seed);
     for &byte in bytes {
-        a = (a ^ byte as u64).wrapping_mul(FNV_PRIME);
-        b = (b ^ byte as u64).wrapping_mul(FNV_PRIME).rotate_left(29);
+        lanes.push(byte);
     }
-    Hash128 {
-        h1: mix64(a ^ (bytes.len() as u64)),
-        h2: mix64(b) | 1, // force odd so double-hash steps hit all slots
-    }
+    lanes.finish(bytes.len())
 }
 
 /// The `i`-th double-hash index in `[0, m)` for a hashed item.
@@ -67,6 +104,44 @@ pub fn index(h: Hash128, i: u32, m: u64) -> u64 {
 )]
 mod tests {
     use super::*;
+
+    /// `(bytes, seed, h1, h2)`: the empty name, a long name, and a T_S name
+    /// under a server's digest seed (`0x7e55_a5ed ^ 1023`).
+    const PINS: [(&[u8], u64, u64, u64); 3] = [
+        (b"", 0, 0xf52a_15e9_a9b5_e89b, 0xaebe_53f8_5cdc_3c4d),
+        (
+            b"/university/public/people",
+            42,
+            0x62a4_e76a_bcbc_d92c,
+            0x5258_7785_b1c8_1ff1,
+        ),
+        (
+            b"/0/1/1/0",
+            0x7e55_a5ed ^ 1023,
+            0xb829_d864_0e80_9f5f,
+            0x5502_035a_715a_3ab3,
+        ),
+    ];
+
+    #[test]
+    fn hash128_is_pinned() {
+        // terrabench's provenance fingerprint is the first lane of this
+        // hash, so its output must never drift.
+        for (bytes, seed, h1, h2) in PINS {
+            assert_eq!(hash128(bytes, seed), Hash128 { h1, h2 }, "{bytes:?}");
+        }
+    }
+
+    #[test]
+    fn lanes_finish_at_every_prefix() {
+        let name = b"/u/p/people/students/Ann";
+        let mut lanes = Lanes::seeded(11);
+        assert_eq!(lanes.finish(0), hash128(b"", 11));
+        for (i, &byte) in name.iter().enumerate() {
+            lanes.push(byte);
+            assert_eq!(lanes.finish(i + 1), hash128(&name[..=i], 11));
+        }
+    }
 
     #[test]
     fn deterministic_across_calls() {

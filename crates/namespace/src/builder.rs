@@ -204,6 +204,35 @@ mod tests {
         assert_eq!(ns.max_depth(), 5);
     }
 
+    /// The digest scan hashes a target's name once and finishes at each
+    /// ancestor's length, which holds only if every parent's name is a
+    /// byte prefix of its child's.
+    fn assert_parent_names_are_prefixes(ns: &Namespace) {
+        for id in ns.ids() {
+            if let Some(p) = ns.parent(id) {
+                let (child, parent) = (ns.name(id).as_str(), ns.name(p).as_str());
+                assert!(
+                    child.as_bytes().starts_with(parent.as_bytes()),
+                    "{parent:?} is not a prefix of {child:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn parent_names_are_byte_prefixes() {
+        assert_parent_names_are_prefixes(&balanced_tree(2, 10));
+        assert_parent_names_are_prefixes(&balanced_tree(5, 4));
+        assert_parent_names_are_prefixes(&balanced_tree(1, 100));
+        for seed in [1, 42] {
+            let params = CodaParams {
+                nodes: 5_000,
+                ..CodaParams::default()
+            };
+            assert_parent_names_are_prefixes(&coda_like(&params, &mut StdRng::seed_from_u64(seed)));
+        }
+    }
+
     #[test]
     fn coda_like_hits_target_size_and_cap() {
         let mut rng = StdRng::seed_from_u64(7);

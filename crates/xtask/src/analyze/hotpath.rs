@@ -30,10 +30,12 @@ use crate::checks::Violation;
 use crate::lexer::{cfg_test_ranges, line_of, scrub};
 
 /// The declared hot-path module set: files on the per-event execution
-/// path of the simulator (routing decisions, message handling, the event
-/// loop, the calendar, and tree lookups). DESIGN.md §16 documents the
-/// policy for extending this list.
+/// path of the simulator (routing decisions, digest tests, message
+/// handling, the event loop, the calendar, and tree lookups). DESIGN.md
+/// §16 documents the policy for extending this list.
 pub const HOT_PATH_FILES: &[&str] = &[
+    "crates/bloom/src/bloom.rs",
+    "crates/bloom/src/hashing.rs",
     "crates/namespace/src/distance.rs",
     "crates/namespace/src/tree.rs",
     "crates/sim/src/calendar.rs",
