@@ -95,13 +95,17 @@ fn bench_route_step(c: &mut Criterion) {
         ("decide_warmed_1024_servers", warmed_ts_1024()),
         ("decide_warmed_tc_256_servers", warmed_tc_256()),
     ];
-    for (name, (server, targets, _)) in cases {
+    for (name, (server, targets, ns)) in cases {
+        let keys: usize = targets.iter().map(|&t| server.ranked_key_count(t)).sum();
         println!(
-            "route_step/{name}: server {} with {} stored digests, {} cached pointers, {} hosted nodes",
+            "route_step/{name}: server {} with {} stored digests, {} cached pointers, {} hosted nodes, \
+             {} context maps, {:.1} ranked keys per decision",
             server.id().0,
             server.digest_store().len(),
             server.cache().len(),
-            server.hosted_ids().count()
+            server.hosted_ids().count(),
+            ns.ids().filter(|&n| server.neighbor_map(n).is_some()).count(),
+            keys as f64 / targets.len() as f64
         );
         g.bench_function(name, |b| {
             let mut server = server.clone();

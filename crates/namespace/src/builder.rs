@@ -233,6 +233,49 @@ mod tests {
         }
     }
 
+    /// The route decision expands a directory's children lazily and
+    /// relies on their ids ascending and exceeding the directory's.
+    fn assert_children_ascend_past_parent(ns: &Namespace) {
+        for id in ns.ids() {
+            let children = ns.children(id);
+            assert!(
+                children.windows(2).all(|w| w[0] < w[1]),
+                "children of {id} do not ascend: {children:?}"
+            );
+            assert!(
+                children.iter().all(|&c| c > id),
+                "a child of {id} has a smaller id: {children:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn children_ids_ascend_and_exceed_the_parent() {
+        assert_children_ascend_past_parent(&balanced_tree(2, 10));
+        assert_children_ascend_past_parent(&balanced_tree(7, 4));
+        assert_children_ascend_past_parent(&balanced_tree(1, 100));
+        for seed in [1, 42] {
+            let params = CodaParams {
+                nodes: 5_000,
+                ..CodaParams::default()
+            };
+            assert_children_ascend_past_parent(&coda_like(
+                &params,
+                &mut StdRng::seed_from_u64(seed),
+            ));
+        }
+        // Paths inserted out of order: a later path may add children to
+        // a directory created long before, and deep paths create their
+        // intermediate directories on the way down.
+        let paths = ["/z/y/x", "/a", "/z/b", "/a/q/r/s", "/z/y/a", "/a/b", "/m"];
+        assert_children_ascend_past_parent(&from_paths(paths).unwrap());
+        let mut ns = from_paths(["/z/y"]).unwrap();
+        for p in ["/a/b/c", "/z/a", "/z/y/c", "/a/a", "/z/y/b/d"] {
+            ns.insert_path(&NodeName::parse(p).unwrap());
+        }
+        assert_children_ascend_past_parent(&ns);
+    }
+
     #[test]
     fn coda_like_hits_target_size_and_cap() {
         let mut rng = StdRng::seed_from_u64(7);

@@ -214,7 +214,9 @@ impl Namespace {
         self.info(id).parent
     }
 
-    /// The children of a node, in insertion order.
+    /// The children of a node, in insertion order. Ids are assigned in
+    /// insertion order too, so the slice ascends and every child's id
+    /// exceeds its parent's.
     #[inline]
     pub fn children(&self, id: NodeId) -> &[NodeId] {
         &self.info(id).children
@@ -251,8 +253,16 @@ impl Namespace {
 
     /// The path from the root down to `id`, both included: entry `d` is
     /// `id`'s ancestor at depth `d`, so the slice is `depth(id) + 1` long.
+    ///
+    /// ```
+    /// use terradir_namespace::balanced_tree;
+    /// let ns = balanced_tree(2, 3);
+    /// let n = ns.lookup_str("/1/0").unwrap();
+    /// let path = ns.root_path(n);
+    /// assert_eq!(path, [ns.root(), ns.lookup_str("/1").unwrap(), n]);
+    /// ```
     #[inline]
-    pub(crate) fn root_path(&self, id: NodeId) -> &[NodeId] {
+    pub fn root_path(&self, id: NodeId) -> &[NodeId] {
         self.paths.get(self.path_range(id)).unwrap_or_default()
     }
 

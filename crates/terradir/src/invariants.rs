@@ -278,6 +278,25 @@ pub fn check_negative_cache(server: &ServerState) -> Vec<String> {
     v
 }
 
+/// Context anchoring (DESIGN.md §16.3): every context map belongs to a
+/// hosted node, i.e. its node is the parent or a child of something this
+/// server hosts. The route decision ranks context neighbors from the
+/// hosted set, so a map for any other node would never be ranked. The
+/// converse is not required: a hosted node may lack one neighbor's map
+/// (replica installation drops a map that negative caching emptied).
+pub fn check_context_anchored(server: &ServerState) -> Vec<String> {
+    let mut v = Vec::new();
+    for &n in server.neighbor_maps.keys() {
+        if server.hosted_neighbor(n).is_none() {
+            v.push(format!(
+                "server {}: context map for node {} belongs to no hosted node",
+                server.id.0, n.0
+            ));
+        }
+    }
+    v
+}
+
 /// Partition enforcement (DESIGN.md §13): while a cut is active, no
 /// message may be handed to a server on the other side of the relation.
 /// `side` is the substrate's active cut (one flag per server); the checker
@@ -507,6 +526,7 @@ pub fn audit_server(ns: &Namespace, server: &ServerState) -> Vec<String> {
     v.extend(check_digest_no_false_negative(ns, server));
     v.extend(check_gossip_digest_no_false_negative(ns, server));
     v.extend(check_negative_cache(server));
+    v.extend(check_context_anchored(server));
     v
 }
 
@@ -657,6 +677,26 @@ mod tests {
         let v = check_negative_cache(&s);
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(v[0].contains("dead host"), "{v:?}");
+    }
+
+    #[test]
+    fn orphan_context_map_is_caught() {
+        let (ns, mut s) = fixture();
+        assert!(check_context_anchored(&s).is_empty());
+        // A map for a node adjacent to nothing hosted here.
+        let far = ns
+            .ids()
+            .find(|&n| !s.hosts(n) && s.hosted_neighbor(n).is_none())
+            .unwrap();
+        s.neighbor_maps.insert(far, NodeMap::singleton(ServerId(1)));
+        let v = audit_server(&ns, &s);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].contains("belongs to no hosted node"), "{v:?}");
+        // A hosted node missing one neighbor's map is fine.
+        s.neighbor_maps.remove(&far);
+        let (&ctx, _) = s.neighbor_maps.iter().next().unwrap();
+        s.neighbor_maps.remove(&ctx);
+        assert!(check_context_anchored(&s).is_empty());
     }
 
     #[test]

@@ -189,26 +189,37 @@ fn pick_hit(hits: &mut [ServerId], avoid: &[ServerId], rng: &mut impl RngCore) -
     }
 }
 
-/// Packs a forwarding candidate into one sortable key: distance in the
-/// high bits, then node id, then a kind bit that puts a context neighbor
-/// before a cache entry for the same node. Keys are unique per
-/// `(node, kind)`, so popping them from a min-heap yields them in
-/// `(distance, node id)` order.
-/// Distances are at most twice the `u16` tree depth, far below 2^31.
+/// What a ranked key stands for: the 2-bit kind field of a [`pack`]ed
+/// key. A context neighbor sorts before a cache entry for the same node.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Key {
+    /// A node in a hosted node's routing context.
+    Neighbor = 0,
+    /// A cache pointer.
+    Cache = 1,
+    /// All children of the hosted directory the key names, except the
+    /// one on the target's root path; expanded when it reaches the top.
+    Children = 2,
+}
+
+/// Packs a ranked key into one sortable `u64`: distance in the high
+/// bits, then node id, then the [`Key`] kind. Popping keys from a
+/// min-heap yields them in `(distance, node id, kind)` order.
+/// Distances are at most twice the `u16` tree depth, far below 2^30.
 #[inline]
-fn pack(dist: u32, node: NodeId, kind: HopKind) -> u64 {
-    (u64::from(dist) << 33) | (u64::from(node.0) << 1) | u64::from(kind == HopKind::Cache)
+fn pack(dist: u32, node: NodeId, kind: Key) -> u64 {
+    (u64::from(dist) << 34) | (u64::from(node.0) << 2) | kind as u64
 }
 
 /// Inverse of [`pack`]: `(distance, node, kind)`.
 #[inline]
-fn unpack(key: u64) -> (u32, NodeId, HopKind) {
-    let kind = if key & 1 == 1 {
-        HopKind::Cache
-    } else {
-        HopKind::Neighbor
+fn unpack(key: u64) -> (u32, NodeId, Key) {
+    let kind = match key & 3 {
+        0 => Key::Neighbor,
+        1 => Key::Cache,
+        _ => Key::Children,
     };
-    ((key >> 33) as u32, NodeId((key >> 1) as u32), kind)
+    ((key >> 34) as u32, NodeId((key >> 2) as u32), kind)
 }
 
 impl ServerState {
@@ -232,13 +243,118 @@ impl ServerState {
         choice
     }
 
-    /// Whether a ranked key is a real forwarding candidate: context
-    /// neighbors and cached pointers, excluding nodes we host (their
-    /// contexts already contribute) and cache entries that duplicate a
-    /// context neighbor. Pure, so testing it lazily in rank order keeps
-    /// exactly the candidates an eager filter would, in the same order.
-    fn is_candidate(&self, node: NodeId, kind: HopKind) -> bool {
-        !self.hosts(node) && (kind == HopKind::Neighbor || !self.neighbor_maps.contains_key(&node))
+    /// Whether a ranked neighbor or cache key is a real forwarding
+    /// candidate: a context neighbor this server keeps a map for, or a
+    /// cached pointer that duplicates no context neighbor, and in either
+    /// case no node we host (its context already contributes). Pure, so
+    /// testing it lazily in rank order keeps exactly the candidates an
+    /// eager filter would, in the same order.
+    fn is_candidate(&self, node: NodeId, kind: Key) -> bool {
+        !self.hosts(node) && self.neighbor_maps.contains_key(&node) == (kind == Key::Neighbor)
+    }
+
+    /// Ranks one key per node the route decision may forward through,
+    /// built from the hosted set rather than from every context map:
+    /// each hosted `h` costs one distance, and its children off the
+    /// target's root path share one [`Key::Children`] key, since they
+    /// all sit one step further from the target than `h`. A node reached
+    /// from two hosted contexts gets two equal keys (DESIGN.md §16.3).
+    fn rank_keys(&self, target: NodeId, keys: &mut Vec<Reverse<u64>>) {
+        let ns = &*self.ns;
+        let path = ns.root_path(target);
+        for h in self.hosted_ids() {
+            let d = distance(ns, h, target);
+            let depth = usize::from(ns.depth(h));
+            // `h` is not the target (hosting it resolves), so it is an
+            // ancestor of the target exactly when it is on the root path.
+            let ancestor = path.get(depth) == Some(&h);
+            if let Some(parent) = ns.parent(h) {
+                let up = if ancestor { d + 1 } else { d - 1 };
+                keys.push(Reverse(pack(up, parent, Key::Neighbor)));
+            }
+            let mut others = ns.children(h).len();
+            if let Some(&next) = path.get(depth + 1).filter(|_| ancestor) {
+                keys.push(Reverse(pack(d - 1, next, Key::Neighbor)));
+                others -= 1;
+            }
+            if others > 0 {
+                keys.push(Reverse(pack(d + 1, h, Key::Children)));
+            }
+        }
+        if self.cfg.caching {
+            keys.extend(
+                self.cache
+                    .iter()
+                    .map(|(n, _)| Reverse(pack(distance(ns, n, target), n, Key::Cache))),
+            );
+        }
+    }
+
+    /// Replaces a [`Key::Children`] key for directory `dir` at distance
+    /// `dist` by one neighbor key per child off the target's root path.
+    /// Child ids exceed `dir`'s, so every pushed key sorts after the one
+    /// just popped and the heap keeps yielding `(distance, node id,
+    /// kind)` order.
+    fn expand_children(
+        &self,
+        heap: &mut BinaryHeap<Reverse<u64>>,
+        dist: u32,
+        dir: NodeId,
+        target: NodeId,
+    ) {
+        let children = self.ns.children(dir);
+        debug_assert!(
+            children.windows(2).all(|w| w.first() < w.last())
+                && children.first().is_none_or(|&c| c > dir),
+            "child ids ascend past their parent's"
+        );
+        // The on-path child, if `dir` is an ancestor of the target, was
+        // ranked on its own one step closer; any other entry of the root
+        // path is no child of `dir`.
+        let on_path = self
+            .ns
+            .root_path(target)
+            .get(usize::from(self.ns.depth(dir)) + 1);
+        for &c in children {
+            if Some(&c) != on_path {
+                heap.push(Reverse(pack(dist, c, Key::Neighbor)));
+            }
+        }
+    }
+
+    /// Drops ranked keys that are no candidates, and expands children
+    /// keys, until a candidate is on top; returns its key.
+    fn settle(&self, heap: &mut BinaryHeap<Reverse<u64>>, target: NodeId) -> Option<u64> {
+        while let Some(&Reverse(key)) = heap.peek() {
+            let (dist, node, kind) = unpack(key);
+            if kind != Key::Children && self.is_candidate(node, kind) {
+                return Some(key);
+            }
+            heap.pop();
+            if kind == Key::Children {
+                self.expand_children(heap, dist, node, target);
+            }
+        }
+        None
+    }
+
+    /// Pops the next candidate's key in rank order, once per node and
+    /// kind. `last` is the key popped before, `None` at the start.
+    fn pop_candidate(
+        &self,
+        heap: &mut BinaryHeap<Reverse<u64>>,
+        target: NodeId,
+        last: &mut Option<u64>,
+    ) -> Option<u64> {
+        while let Some(key) = self.settle(heap, target) {
+            heap.pop();
+            // Equal keys pop back to back: a node reached from two hosted
+            // contexts is one candidate.
+            if last.replace(key) != Some(key) {
+                return Some(key);
+            }
+        }
+        None
     }
 
     fn route_with(
@@ -248,32 +364,60 @@ impl ServerState {
         rng: &mut impl RngCore,
         scratch: &mut RouteScratch,
     ) -> RouteChoice {
-        // Rank first, filter lazily: one packed key per context neighbor
-        // and cache entry, heapified in O(n) so the (distance, node id)
-        // order is ready before any exclusion lookup runs. Keys are then
-        // popped, and the exclusions paid, only for the candidates the
-        // decision actually reaches — usually just the head.
+        // Rank first, filter lazily: the packed keys are heapified in
+        // O(n) so the (distance, node id) order is ready before any
+        // exclusion lookup runs. Keys are then popped, and the exclusions
+        // paid, only for the candidates the decision actually reaches —
+        // usually just the head.
         let mut keys = std::mem::take(&mut scratch.keys);
         keys.clear();
-        let ns = &self.ns;
-        keys.extend(
-            self.neighbor_maps
-                .keys()
-                .map(|&n| Reverse(pack(distance(ns, n, target), n, HopKind::Neighbor))),
-        );
-        if self.cfg.caching {
-            keys.extend(
-                self.cache
-                    .iter()
-                    .map(|(n, _)| Reverse(pack(distance(ns, n, target), n, HopKind::Cache))),
-            );
-        }
+        self.rank_keys(target, &mut keys);
         // `From<Vec>` heapifies in place and `into_vec` returns the same
         // buffer, so the scratch allocation is reused on every exit.
         let mut heap = BinaryHeap::from(keys);
         let choice = self.route_ranked(target, avoid, rng, &mut heap, scratch);
         scratch.keys = heap.into_vec();
         choice
+    }
+
+    /// How many keys the route decision for `target` ranks before it pops
+    /// any (a diagnostic for benches; the decision itself reuses a
+    /// scratch buffer).
+    pub fn ranked_key_count(&self, target: NodeId) -> usize {
+        let mut keys = Vec::new();
+        self.rank_keys(target, &mut keys);
+        keys.len()
+    }
+
+    /// Builds the forward through `via`, known as `kind`, to `to`. Writes
+    /// the (possibly pruned) map back so filtering pays forward, touches
+    /// a cache entry ("touched whenever used in routing"), and charges a
+    /// context neighbor's forward to a hosted node whose context gave us
+    /// that neighbor (deterministic: the smallest id).
+    fn forward(&mut self, kind: HopKind, via: NodeId, to: ServerId, map: NodeMap) -> RouteChoice {
+        let used_context_of = match kind {
+            HopKind::Neighbor => {
+                if let Some(stored) = self.neighbor_maps.get_mut(&via) {
+                    // clone_from reuses the stored map's buffer.
+                    stored.clone_from(&map);
+                }
+                self.hosted_neighbor(via)
+            }
+            HopKind::Cache => {
+                if let Some(m) = self.cache.get_mut(via) {
+                    // clone_from reuses the cached map's buffer.
+                    m.clone_from(&map);
+                }
+                None
+            }
+            HopKind::Digest => None,
+        };
+        RouteChoice::Forward {
+            via,
+            to,
+            used_context_of,
+            map_snapshot: map,
+        }
     }
 
     /// Digest shortcut: the nearest of the target and its ancestors (the
@@ -377,16 +521,8 @@ impl ServerState {
         heap: &mut BinaryHeap<Reverse<u64>>,
         scratch: &mut RouteScratch,
     ) -> RouteChoice {
-        // Drop ranked keys that are no candidates until the best one is
-        // on top; its distance bounds the digest scan.
-        while let Some(&Reverse(key)) = heap.peek() {
-            let (_, n, kind) = unpack(key);
-            if self.is_candidate(n, kind) {
-                break;
-            }
-            heap.pop();
-        }
-        let best_dist = heap.peek().map_or(u32::MAX, |&Reverse(k)| unpack(k).0);
+        // The best candidate's distance bounds the digest scan.
+        let best_dist = self.settle(heap, target).map_or(u32::MAX, |k| unpack(k).0);
 
         let digest_hit = if self.cfg.digests && !self.digest_store.is_empty() {
             self.digest_shortcut(target, best_dist, avoid, rng, scratch)
@@ -394,12 +530,7 @@ impl ServerState {
             None
         };
         if let Some((node, srv)) = digest_hit {
-            return RouteChoice::Forward {
-                via: node,
-                to: srv,
-                used_context_of: None,
-                map_snapshot: NodeMap::singleton(srv),
-            };
+            return self.forward(HopKind::Digest, node, srv, NodeMap::singleton(srv));
         }
 
         // Walk candidates in preference order. A candidate is skipped when
@@ -409,22 +540,18 @@ impl ServerState {
         // bouncing). The first all-avoided candidate is kept as a last
         // resort so the query never strands when every host was visited.
         let mut fallback: Option<(NodeId, HopKind, NodeMap)> = None;
-        while let Some(Reverse(key)) = heap.pop() {
+        let mut last = None;
+        while let Some(key) = self.pop_candidate(heap, target, &mut last) {
+            // Candidates are neighbor and cache keys only, and a neighbor
+            // candidate has a map by `is_candidate`. The working copy
+            // detaches the borrow so filter_map may mutate server state;
+            // the packet takes ownership of the survivor below.
             let (_, via, kind) = unpack(key);
-            if !self.is_candidate(via, kind) {
-                continue;
-            }
-            // Candidates were enumerated from these same tables, so the
-            // lookups can only miss on concurrent mutation (impossible
-            // here); skipping is the safe degradation.
-            // The working copy detaches the borrow so filter_map may mutate
-            // server state; the packet takes ownership of the survivor below.
-            let map = match kind {
-                // xtask: allow(alloc): detached working copy, see above
-                HopKind::Neighbor => self.neighbor_maps.get(&via).cloned(),
+            let (kind, map) = match kind {
                 // xtask: allow(alloc): detached working copy, cache side
-                HopKind::Cache => self.cache.peek(via).cloned(),
-                HopKind::Digest => None, // digest hits return early
+                Key::Cache => (HopKind::Cache, self.cache.peek(via).cloned()),
+                // xtask: allow(alloc): detached working copy, see above
+                _ => (HopKind::Neighbor, self.neighbor_maps.get(&via).cloned()),
             };
             let Some(mut map) = map else {
                 continue;
@@ -446,34 +573,7 @@ impl ServerState {
             let Some(to) = map.select_avoiding(avoid, rng) else {
                 continue;
             };
-            // Write the (possibly pruned) map back so filtering pays
-            // forward, and touch the cache entry ("touched whenever used
-            // in routing").
-            let used_context_of = match kind {
-                HopKind::Neighbor => {
-                    if let Some(stored) = self.neighbor_maps.get_mut(&via) {
-                        // clone_from reuses the stored map's buffer.
-                        stored.clone_from(&map);
-                    }
-                    // Attribute the demand to a hosted node whose context
-                    // gave us this neighbor (deterministic: smallest id).
-                    self.hosted_neighbor(via)
-                }
-                HopKind::Cache => {
-                    if let Some(m) = self.cache.get_mut(via) {
-                        // clone_from reuses the cached map's buffer.
-                        m.clone_from(&map);
-                    }
-                    None
-                }
-                HopKind::Digest => unreachable!(),
-            };
-            return RouteChoice::Forward {
-                via,
-                to,
-                used_context_of,
-                map_snapshot: map,
-            };
+            return self.forward(kind, via, to, map);
         }
         // Everything usable was recently visited: take the best of it
         // anyway rather than stranding the query.
@@ -538,12 +638,11 @@ mod tests {
         for n in [0usize, 1, 2, 17, 175, 1000] {
             let mut sorted: Vec<u64> = (0..n)
                 .map(|_| {
-                    let kind = if rng.gen_bool(0.5) {
-                        HopKind::Cache
-                    } else {
-                        HopKind::Neighbor
-                    };
-                    pack(rng.gen_range(0..64), NodeId(rng.gen_range(0..4096)), kind)
+                    let kind = [Key::Neighbor, Key::Cache, Key::Children][rng.gen_range(0..3usize)];
+                    let (dist, node) = (rng.gen_range(0..64), NodeId(rng.gen_range(0..4096)));
+                    let key = pack(dist, node, kind);
+                    assert_eq!(unpack(key), (dist, node, kind));
+                    key
                 })
                 .collect();
             sorted.sort_unstable();
@@ -1050,6 +1149,361 @@ mod tests {
                 choices.iter().any(Option::is_some),
                 "round {round} found nothing"
             );
+        }
+    }
+
+    /// The flat key build the hosted-set build replaced, kept as its
+    /// reference: one distance per context map and cache entry.
+    fn flat_keys(s: &ServerState, target: NodeId) -> Vec<Reverse<u64>> {
+        let ns = &*s.ns;
+        let mut keys: Vec<Reverse<u64>> = s
+            .neighbor_maps
+            .keys()
+            .map(|&n| Reverse(pack(distance(ns, n, target), n, Key::Neighbor)))
+            .collect();
+        if s.cfg.caching {
+            keys.extend(
+                s.cache
+                    .iter()
+                    .map(|(n, _)| Reverse(pack(distance(ns, n, target), n, Key::Cache))),
+            );
+        }
+        keys
+    }
+
+    /// The candidates of the flat build in rank order, filtered eagerly
+    /// by the flat build's rule: no hosted node, and no cache entry that
+    /// duplicates a context neighbor.
+    fn flat_candidates(s: &ServerState, target: NodeId) -> Vec<u64> {
+        let mut keys: Vec<u64> = flat_keys(s, target)
+            .into_iter()
+            .map(|Reverse(k)| k)
+            .collect();
+        keys.sort_unstable();
+        keys.retain(|&k| {
+            let (_, n, kind) = unpack(k);
+            !s.hosts(n) && (kind == Key::Neighbor || !s.neighbor_maps.contains_key(&n))
+        });
+        keys
+    }
+
+    /// The candidates the hosted-set build yields, popped the way the
+    /// walk pops them.
+    fn ranked_candidates(s: &ServerState, target: NodeId) -> Vec<u64> {
+        let mut keys = Vec::new();
+        s.rank_keys(target, &mut keys);
+        let mut heap = BinaryHeap::from(keys);
+        let mut last = None;
+        std::iter::from_fn(|| s.pop_candidate(&mut heap, target, &mut last)).collect()
+    }
+
+    /// For every target the server does not host: the same candidates in
+    /// the same order from both builds, and, from the same RNG state, the
+    /// same decision, the same draws and the same cache afterwards.
+    /// Returns the decisions, so a caller can check what the scenario hit.
+    fn assert_builds_agree(
+        s: &ServerState,
+        targets: &[NodeId],
+        avoids: &[&[ServerId]],
+    ) -> Vec<RouteChoice> {
+        let mut choices = Vec::new();
+        for &target in targets.iter().filter(|&&t| !s.hosts(t)) {
+            assert_eq!(
+                ranked_candidates(s, target),
+                flat_candidates(s, target),
+                "candidates differ for target {target:?}"
+            );
+            for &avoid in avoids {
+                for seed in 0..2 {
+                    let (mut a, mut b) = (s.clone(), s.clone());
+                    let mut rng_a = CountingRng {
+                        inner: StdRng::seed_from_u64(seed),
+                        draws: 0,
+                    };
+                    let mut rng_b = CountingRng {
+                        inner: StdRng::seed_from_u64(seed),
+                        draws: 0,
+                    };
+                    let new = a.decide_route(target, avoid, &mut rng_a);
+                    let mut heap = BinaryHeap::from(flat_keys(&b, target));
+                    let mut scratch = RouteScratch::default();
+                    let old = b.route_ranked(target, avoid, &mut rng_b, &mut heap, &mut scratch);
+                    let case = format!("target {target:?}, avoid {avoid:?}, seed {seed}");
+                    assert_eq!(
+                        format!("{new:?}"),
+                        format!("{old:?}"),
+                        "choice differs: {case}"
+                    );
+                    assert_eq!(rng_a.draws, rng_b.draws, "draws differ: {case}");
+                    assert_eq!(
+                        format!("{:?}", a.cache.iter().collect::<Vec<_>>()),
+                        format!("{:?}", b.cache.iter().collect::<Vec<_>>()),
+                        "cache differs: {case}"
+                    );
+                    choices.push(old);
+                }
+            }
+        }
+        choices
+    }
+
+    /// Makes `node` a replica on `s`, with a context map for each of its
+    /// neighbors that `s` has none for yet (pointing at the owner).
+    fn host(s: &mut ServerState, asg: &OwnerAssignment, node: NodeId) {
+        use crate::meta::Meta;
+        use crate::records::NodeRecord;
+        if s.hosts(node) {
+            return;
+        }
+        s.replicas.insert(
+            node,
+            NodeRecord::new(node, NodeMap::singleton(s.id), Meta::new(), 0.0),
+        );
+        for nb in s.ns.neighbors(node) {
+            s.neighbor_maps
+                .entry(nb)
+                .or_insert_with(|| NodeMap::singleton(asg.owner(nb)));
+        }
+    }
+
+    /// A Coda-like world, its widest directory, and every server built on it.
+    fn tc_world(
+        n_servers: u32,
+        nodes: usize,
+    ) -> (Arc<Namespace>, OwnerAssignment, Vec<ServerState>, NodeId) {
+        let params = terradir_namespace::CodaParams {
+            nodes,
+            ..terradir_namespace::CodaParams::default()
+        };
+        let ns = Arc::new(terradir_namespace::coda_like(
+            &params,
+            &mut StdRng::seed_from_u64(42),
+        ));
+        let cfg = Arc::new(Config::paper_default(n_servers));
+        let asg = OwnerAssignment::round_robin(&ns, n_servers);
+        let servers = (0..n_servers)
+            .map(|i| ServerState::new(ServerId(i), Arc::clone(&ns), Arc::clone(&cfg), &asg))
+            .collect();
+        let widest = ns.ids().max_by_key(|&n| ns.children(n).len()).unwrap();
+        (ns, asg, servers, widest)
+    }
+
+    #[test]
+    fn hosted_wide_directory_ranks_like_the_flat_build() {
+        let (ns, asg, servers, widest) = tc_world(16, 1_500);
+        assert!(
+            ns.children(widest).len() >= 50,
+            "{}",
+            ns.children(widest).len()
+        );
+        let mut s = servers[3].clone();
+        host(&mut s, &asg, widest);
+        // A few cached pointers, one of them inside the directory.
+        let child = ns.children(widest)[7];
+        for n in [child, ns.root(), NodeId(900), NodeId(1_200)] {
+            s.cache.insert(n, NodeMap::singleton(asg.owner(n)), 0.0);
+        }
+        let targets: Vec<NodeId> = ns.ids().collect();
+        let avoids: [&[ServerId]; 2] = [&[], &[ServerId(0), ServerId(1), ServerId(2)]];
+        let choices = assert_builds_agree(&s, &targets, &avoids);
+        // Targets below the directory route through its on-path child.
+        assert!(choices.iter().any(
+            |c| matches!(c, RouteChoice::Forward { via, .. } if ns.parent(*via) == Some(widest))
+        ));
+        // At most three keys per hosted node plus the cache, far fewer
+        // than the context maps.
+        let keys = s.ranked_key_count(ns.root());
+        let (hosted, maps) = (s.hosted_ids().count(), s.neighbor_maps.len());
+        assert!(
+            keys <= 3 * hosted + s.cache.len(),
+            "{keys} keys, {hosted} hosted"
+        );
+        assert!(keys * 4 < maps, "{keys} keys, {maps} maps");
+    }
+
+    #[test]
+    fn hosted_ancestors_rank_their_on_path_child_closer() {
+        let (ns, _, asg, mut servers) = world(8, 5, Config::paper_default(8));
+        let s = &mut servers[0];
+        let a = ns.lookup_str("/1/0").unwrap();
+        host(s, &asg, a);
+        let target = ns.lookup_str("/1/0/1/1").unwrap();
+        let on_path = ns.lookup_str("/1/0/1").unwrap();
+        let d = distance(&ns, a, target);
+        let mut keys = Vec::new();
+        s.rank_keys(target, &mut keys);
+        assert!(keys.contains(&Reverse(pack(d - 1, on_path, Key::Neighbor))));
+        assert!(keys.contains(&Reverse(pack(d + 1, ns.parent(a).unwrap(), Key::Neighbor))));
+        assert!(keys.contains(&Reverse(pack(d + 1, a, Key::Children))));
+        let targets: Vec<NodeId> = ns.ids().collect();
+        assert_builds_agree(s, &targets, &[&[]]);
+    }
+
+    #[test]
+    fn duplicate_keys_from_related_hosted_nodes_are_one_candidate() {
+        let (ns, _, asg, mut servers) = world(8, 5, Config::paper_default(8));
+        let s = &mut servers[0];
+        // A parent and its child hosted see each other; two siblings share
+        // their parent and a cache pointer duplicates a context neighbor.
+        let p = ns.lookup_str("/0/1").unwrap();
+        let (c0, c1) = (
+            ns.lookup_str("/0/1/0").unwrap(),
+            ns.lookup_str("/0/1/1").unwrap(),
+        );
+        for n in [
+            p,
+            c0,
+            c1,
+            ns.lookup_str("/1/1/0/0").unwrap(),
+            ns.lookup_str("/1/1/0/1").unwrap(),
+        ] {
+            host(s, &asg, n);
+        }
+        let grand = ns.lookup_str("/0").unwrap();
+        s.cache.insert(grand, NodeMap::singleton(ServerId(5)), 0.0);
+        s.cache.insert(c0, NodeMap::singleton(ServerId(5)), 0.0);
+        let target = ns.lookup_str("/1/0/0/0/0").unwrap();
+        let mut keys = Vec::new();
+        s.rank_keys(target, &mut keys);
+        keys.sort_unstable();
+        let duplicated = keys.windows(2).filter(|w| w[0] == w[1]).count();
+        assert!(duplicated >= 2, "{keys:?}");
+        let targets: Vec<NodeId> = ns.ids().collect();
+        let avoid = [ServerId(1), ServerId(2), ServerId(3), ServerId(4)];
+        assert_builds_agree(s, &targets, &[&[], &avoid]);
+    }
+
+    #[test]
+    fn a_missing_context_map_is_no_candidate() {
+        // `install_replicas` may drop a context map that negative caching
+        // emptied: the hosted-set build still ranks that neighbor, and the
+        // membership check must keep it out.
+        let (ns, _, asg, mut servers) = world(8, 5, Config::paper_default(8));
+        let s = &mut servers[0];
+        let h = ns.lookup_str("/0/0/1").unwrap();
+        host(s, &asg, h);
+        let (gone_child, gone_parent) = (
+            ns.lookup_str("/0/0/1/1").unwrap(),
+            ns.lookup_str("/0/0").unwrap(),
+        );
+        s.neighbor_maps.remove(&gone_child);
+        s.neighbor_maps.remove(&gone_parent);
+        for target in [
+            gone_child,
+            ns.lookup_str("/0/0/1/1/0").unwrap(),
+            ns.lookup_str("/1/1/1").unwrap(),
+        ] {
+            assert!(!s.hosts(target));
+            let candidates = ranked_candidates(s, target);
+            assert!(candidates
+                .iter()
+                .all(|&k| ![gone_child, gone_parent].contains(&unpack(k).1)));
+        }
+        let targets: Vec<NodeId> = ns.ids().collect();
+        assert_builds_agree(s, &targets, &[&[]]);
+    }
+
+    #[test]
+    fn avoiding_every_closer_host_expands_children_in_the_walk() {
+        let (ns, asg, servers, widest) = tc_world(16, 1_500);
+        let mut s = servers[5].clone();
+        host(&mut s, &asg, widest);
+        // The directory's children off the target's root path sit one
+        // step further than the directory and share one children key.
+        let target = ns.ids().find(|&n| !s.hosts(n) && ns.depth(n) >= 3).unwrap();
+        // Avoid sets growing to every server: closer tiers fall to the
+        // fallback one by one.
+        let all: Vec<ServerId> = (0..16).map(ServerId).collect();
+        let avoids: Vec<&[ServerId]> = (0..=16).step_by(4).map(|k| &all[..k]).collect();
+        let choices = assert_builds_agree(&s, &[target], &avoids);
+        // With every server avoided the decision is the fallback: the best
+        // candidate, charged to nobody.
+        assert!(matches!(
+            choices.last(),
+            Some(RouteChoice::Forward {
+                used_context_of: None,
+                ..
+            })
+        ));
+        // Every context map points at server 1 but one child's, which
+        // points at server 9. Avoiding server 1 empties every tier before
+        // the children key, so the walk must expand it to forward.
+        let child = *ns
+            .children(widest)
+            .iter()
+            .rfind(|c| !ns.root_path(target).contains(c))
+            .unwrap();
+        for (&n, map) in &mut s.neighbor_maps {
+            *map = NodeMap::singleton(ServerId(if n == child { 9 } else { 1 }));
+        }
+        let choices = assert_builds_agree(&s, &[target], &[&[ServerId(1)]]);
+        assert!(choices.iter().all(|c| matches!(
+            c,
+            RouteChoice::Forward { via, to: ServerId(9), .. } if *via == child
+        )));
+    }
+
+    #[test]
+    fn hosted_root_and_stuck_rank_like_the_flat_build() {
+        let (ns, _, asg, mut servers) = world(8, 4, Config::paper_default(8));
+        let s = &mut servers[2];
+        host(s, &asg, ns.root());
+        let targets: Vec<NodeId> = ns.ids().collect();
+        assert_builds_agree(s, &targets, &[&[], &[ServerId(0), ServerId(1)]]);
+        // Every map a stale self-pointer: nothing is usable.
+        let id = s.id;
+        for map in s.neighbor_maps.values_mut() {
+            *map = NodeMap::singleton(id);
+        }
+        let choices = assert_builds_agree(s, &targets, &[&[]]);
+        assert!(!choices.is_empty());
+        assert!(choices.iter().all(|c| matches!(c, RouteChoice::Stuck)));
+    }
+
+    #[test]
+    fn random_hosted_sets_rank_like_the_flat_build() {
+        // Random replicas, cached pointers (hosted and context ones
+        // included), dropped context maps and a few digests, on both tree
+        // shapes.
+        let mut rng = StdRng::seed_from_u64(21);
+        for round in 0..6 {
+            let (ns, asg, servers) = if round % 2 == 0 {
+                let (ns, asg, servers, _) = tc_world(16, 600);
+                (ns, asg, servers)
+            } else {
+                let (ns, _, asg, servers) = world(16, 7, Config::paper_default(16));
+                (ns, asg, servers)
+            };
+            let nodes: Vec<NodeId> = ns.ids().collect();
+            let mut s = servers[round].clone();
+            for _ in 0..rng.gen_range(1..12) {
+                host(&mut s, &asg, nodes[rng.gen_range(0..nodes.len())]);
+            }
+            let maps: Vec<NodeId> = s.neighbor_maps.keys().copied().collect();
+            for _ in 0..rng.gen_range(0..4) {
+                s.neighbor_maps.remove(&maps[rng.gen_range(0..maps.len())]);
+            }
+            for _ in 0..rng.gen_range(0..20) {
+                let n = if rng.gen_bool(0.3) {
+                    maps[rng.gen_range(0..maps.len())]
+                } else {
+                    nodes[rng.gen_range(0..nodes.len())]
+                };
+                s.cache
+                    .insert(n, NodeMap::singleton(ServerId(rng.gen_range(0..16))), 0.0);
+            }
+            for k in 1..4 {
+                let claimed: Vec<NodeId> = (0..8)
+                    .map(|_| nodes[rng.gen_range(0..nodes.len())])
+                    .collect();
+                s.digest_store
+                    .observe(ServerId(k), &claim(&ns, ServerId(k), &claimed, 1));
+            }
+            let targets: Vec<NodeId> = (0..40)
+                .map(|_| nodes[rng.gen_range(0..nodes.len())])
+                .collect();
+            let avoid = [ServerId(0), ServerId(1), ServerId(2), ServerId(3)];
+            assert_builds_agree(&s, &targets, &[&[], &avoid]);
         }
     }
 }
