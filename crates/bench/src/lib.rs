@@ -216,7 +216,7 @@ impl JsonObj {
     /// verbatim (the caller vouches for its validity). This is how the
     /// experiments splice the protocol's own `Summary::to_json()` into
     /// `BENCH_*.json`, so every counter flows through the one emitter the
-    /// conservation pass audits (DESIGN.md §15).
+    /// stats table generates (DESIGN.md §15.3).
     #[must_use]
     pub fn raw(self, key: &str, rendered: &str) -> JsonObj {
         self.push(key, rendered.to_string())

@@ -1,199 +1,387 @@
 //! Run statistics: everything the paper's figures plot.
+//!
+//! Every statistic is declared once, as one row of the `stats_table!`
+//! invocation below. The table generates [`RunStats`], [`Summary`],
+//! `RunStats::new`, `RunStats::summary` and `Summary::to_json`, so a
+//! `Summary` field cannot drift from its `RunStats` source and a JSON key
+//! cannot drift from its field. DESIGN.md §15.3 documents every row; a
+//! unit test below holds the two together, and `tests/golden_route.rs`
+//! checks that behaviour code feeds every row.
 
 use terradir_sim::{BinnedCounter, Histogram};
 
-/// Counters, per-second series, and distributions collected over a run.
+/// Declares the run statistics. The first line names the parameter of
+/// `RunStats::new` (row initialisers may use it); each row after it is
+/// one statistic with its doc, in JSON key order:
 ///
-/// Fields are public: the benchmark harness reads them directly to print
-/// the paper's series.
-#[derive(Debug)]
-pub struct RunStats {
+/// - `mirror name: u64;` — a `RunStats` counter that `Summary` copies by
+///   name;
+/// - `runstats name: T [= init];` — a `RunStats`-only field: a component
+///   of a derived quantity, a series, a histogram or a per-tenant ledger
+///   (`init` defaults to `Default::default()`);
+/// - `derived name: T = |s| expr, "fmt";` — a `Summary` field folded from
+///   the `RunStats` `s` and rendered in JSON with `fmt`.
+///
+/// The rows are munched one at a time into four lists: `RunStats` fields,
+/// `Summary` fields, mirrored names and `(name, kind, type)` rows.
+macro_rules! stats_table {
+    (fn new($p:ident: $pt:ty); $($rows:tt)*) => {
+        stats_table!(@munch ($p: $pt) [] [] [] [] $($rows)*);
+    };
+    (@init) => { Default::default() };
+    (@init $init:expr) => { $init };
+    (@munch $new:tt [$($rs:tt)*] [$($sm:tt)*] [$($mi:tt)*] [$($kd:tt)*]
+        $(#[$m:meta])* mirror $n:ident: $t:ty; $($rest:tt)*) => {
+        stats_table!(@munch $new
+            [$($rs)* { $(#[$m])* $n: $t = Default::default() }]
+            [$($sm)* { $(#[$m])* $n: $t = |s| s.$n, "{}" }]
+            [$($mi)* $n]
+            [$($kd)* { $n mirror $t }]
+            $($rest)*);
+    };
+    (@munch $new:tt [$($rs:tt)*] [$($sm:tt)*] [$($mi:tt)*] [$($kd:tt)*]
+        $(#[$m:meta])* runstats $n:ident: $t:ty $(= $init:expr)?; $($rest:tt)*) => {
+        stats_table!(@munch $new
+            [$($rs)* { $(#[$m])* $n: $t = stats_table!(@init $($init)?) }]
+            [$($sm)*]
+            [$($mi)*]
+            [$($kd)* { $n runstats $t }]
+            $($rest)*);
+    };
+    (@munch $new:tt [$($rs:tt)*] [$($sm:tt)*] [$($mi:tt)*] [$($kd:tt)*]
+        $(#[$m:meta])* derived $n:ident: $t:ty = |$s:ident| $e:expr, $f:literal;
+        $($rest:tt)*) => {
+        stats_table!(@munch $new
+            [$($rs)*]
+            [$($sm)* { $(#[$m])* $n: $t = |$s| $e, $f }]
+            [$($mi)*]
+            [$($kd)* { $n derived $t }]
+            $($rest)*);
+    };
+    (@munch ($p:ident: $pt:ty)
+        [$({ $(#[$rm:meta])* $rn:ident: $rt:ty = $ri:expr })*]
+        [$({ $(#[$sm:meta])* $sn:ident: $st:ty = |$ss:ident| $se:expr, $sf:literal })*]
+        [$($mn:ident)*]
+        [$({ $kn:ident $kk:ident $kt:ty })*]) => {
+        /// Counters, per-second series, and distributions collected over a
+        /// run.
+        ///
+        /// Fields are public: the benchmark harness reads them directly to
+        /// print the paper's series.
+        #[derive(Debug)]
+        pub struct RunStats {
+            $($(#[$rm])* pub $rn: $rt,)*
+        }
+
+        /// A flat, serializable snapshot of a run's headline numbers (JSON
+        /// export for harnesses and the CLI's `--json` flag).
+        #[derive(Debug, Clone, PartialEq)]
+        pub struct Summary {
+            $($(#[$sm])* pub $sn: $st,)*
+        }
+
+        impl RunStats {
+            /// Fresh statistics for a namespace with `max_depth` levels.
+            pub fn new($p: $pt) -> RunStats {
+                RunStats {
+                    $($rn: $ri,)*
+                }
+            }
+
+            /// Builds the serializable summary.
+            pub fn summary(&self) -> Summary {
+                Summary {
+                    $($sn: {
+                        let $ss = self;
+                        $se
+                    },)*
+                }
+            }
+
+            /// The statistics this run never fed, each named once:
+            /// `RunStats` fields still zero (or holding only zeros) and
+            /// `Summary` fields that read zero. `tests/golden_route.rs`
+            /// requires each name to be fed by at least one run.
+            pub fn unfed(&self) -> Vec<&'static str> {
+                let summary = self.summary();
+                let mut out = Vec::new();
+                $(if !Fed::fed(&self.$rn) {
+                    out.push(stringify!($rn));
+                })*
+                $(if !Fed::fed(&summary.$sn) && !out.contains(&stringify!($sn)) {
+                    out.push(stringify!($sn));
+                })*
+                out
+            }
+
+            /// Every mirrored counter, by name, in table order.
+            #[cfg(test)]
+            fn mirrored_mut(&mut self) -> Vec<(&'static str, &mut u64)> {
+                vec![$((stringify!($mn), &mut self.$mn)),*]
+            }
+        }
+
+        /// Every row as `(name, kind, type)`, in table order.
+        #[cfg(test)]
+        const ROWS: &[(&str, &str, &str)] =
+            &[$((stringify!($kn), stringify!($kk), stringify!($kt))),*];
+
+        impl Summary {
+            /// Renders the summary as a JSON object, one key per field in
+            /// table order (hand-rolled: every field is numeric, so no JSON
+            /// library is needed).
+            pub fn to_json(&self) -> String {
+                let fields =
+                    [$(format!(concat!("\"", stringify!($sn), "\":", $sf), self.$sn)),*];
+                format!("{{{}}}", fields.join(","))
+            }
+        }
+    };
+}
+
+/// Whether a statistic moved off its initial state.
+trait Fed {
+    fn fed(&self) -> bool;
+}
+
+impl Fed for u64 {
+    fn fed(&self) -> bool {
+        *self != 0
+    }
+}
+
+impl Fed for f64 {
+    fn fed(&self) -> bool {
+        *self != 0.0
+    }
+}
+
+impl<T: Fed> Fed for Vec<T> {
+    fn fed(&self) -> bool {
+        self.iter().any(Fed::fed)
+    }
+}
+
+impl Fed for BinnedCounter {
+    fn fed(&self) -> bool {
+        self.total() != 0
+    }
+}
+
+impl Fed for Histogram {
+    fn fed(&self) -> bool {
+        self.count() != 0
+    }
+}
+
+stats_table! {
+    fn new(max_depth: u16);
+
     /// Queries injected.
-    pub injected: u64,
+    mirror injected: u64;
     /// Queries resolved (result delivered at the origin).
-    pub resolved: u64,
+    mirror resolved: u64;
+    /// Final query drops: the sum of the seven final-drop kinds
+    /// (`dropped_total`).
+    derived dropped: u64 = |s| s.dropped_total(), "{}";
     /// Query-traffic messages dropped at full request queues.
-    pub dropped_queue: u64,
+    runstats dropped_queue: u64;
     /// Queries dropped for exceeding the hop TTL.
-    pub dropped_ttl: u64,
+    runstats dropped_ttl: u64;
     /// Queries dropped with no routable candidate.
-    pub dropped_stuck: u64,
+    runstats dropped_stuck: u64;
     /// Queries finalized by exhausting every retry attempt (the only final
     /// drop kind while the reliability layer is on).
-    pub dropped_timeout: u64,
+    runstats dropped_timeout: u64;
     /// Query-traffic messages lost in transit with no retry layer to
     /// recover them (final drops under fault injection without retries).
-    pub dropped_lost: u64,
-    /// Query-path messages serviced (each is one routing/result step).
-    pub query_messages: u64,
+    runstats dropped_lost: u64;
+    /// Fraction of injected queries dropped.
+    derived drop_fraction: f64 = |s| s.drop_fraction(), "{:.6}";
+    /// Dropped queries per second (Fig. 3).
+    runstats drops_per_sec: BinnedCounter = BinnedCounter::new(1.0);
+    /// Mean latency in seconds (0 when nothing resolved).
+    derived latency_mean_s: f64 = |s| s.latency.mean().unwrap_or(0.0), "{:.6}";
+    /// 99th-percentile latency in seconds.
+    derived latency_p99_s: f64 = |s| s.latency.quantile(0.99).unwrap_or(0.0), "{:.6}";
+    /// Query latency in seconds, injection → result at origin (Fig. 9).
+    runstats latency: Histogram = Histogram::new(30.0, 3000);
+    /// Mean hops per resolved query.
+    derived hops_mean: f64 = |s| s.hops.mean().unwrap_or(0.0), "{:.4}";
+    /// Network hops per resolved query.
+    runstats hops: Histogram = Histogram::new(64.0, 64);
+    /// Mean server utilization each second (Fig. 6).
+    runstats load_mean_per_sec: Vec<f64>;
+    /// Maximum server utilization each second (Fig. 6).
+    runstats load_max_per_sec: Vec<f64>;
+    /// Replicas installed.
+    mirror replicas_created: u64;
+    /// Replicas created per second (Fig. 4) / per minute (Fig. 8).
+    runstats replicas_per_sec: BinnedCounter = BinnedCounter::new(1.0);
+    /// Replicas created per namespace level (Fig. 7), indexed by depth.
+    runstats created_per_level: Vec<u64> = vec![0; max_depth as usize + 1];
+    /// Replicas evicted.
+    mirror replicas_deleted: u64;
+    /// Replication sessions started.
+    runstats sessions_started: u64;
+    /// Replication sessions that installed replicas.
+    mirror sessions_completed: u64;
     /// Replication control messages sent (probes, replies, requests, acks,
     /// denies) — the paper's "load balancing messages".
-    pub control_messages: u64,
-    /// Replicas installed.
-    pub replicas_created: u64,
-    /// Replicas evicted.
-    pub replicas_deleted: u64,
-    /// Replication sessions started.
-    pub sessions_started: u64,
-    /// Replication sessions that installed replicas.
-    pub sessions_completed: u64,
-    /// Replication sessions aborted.
-    pub sessions_aborted: u64,
-    /// Dropped queries per second (Fig. 3).
-    pub drops_per_sec: BinnedCounter,
-    /// Replicas created per second (Fig. 4) / per minute (Fig. 8).
-    pub replicas_per_sec: BinnedCounter,
-    /// Query latency in seconds, injection → result at origin (Fig. 9).
-    pub latency: Histogram,
-    /// Network hops per resolved query.
-    pub hops: Histogram,
-    /// Mean server utilization each second (Fig. 6).
-    pub load_mean_per_sec: Vec<f64>,
-    /// Maximum server utilization each second (Fig. 6).
-    pub load_max_per_sec: Vec<f64>,
-    /// Replicas created per namespace level (Fig. 7), indexed by depth.
-    pub created_per_level: Vec<u64>,
+    mirror control_messages: u64;
     /// Data retrievals (two-step access) that obtained data.
-    pub data_fetches_ok: u64,
-    /// Data retrievals that exhausted every mapped host.
-    pub data_fetches_failed: u64,
+    mirror data_fetches_ok: u64;
     /// Query re-issues by the reliability layer (attempts beyond the
     /// first; `injected + retries` = total attempts launched).
-    pub retries: u64,
+    mirror retries: u64;
     /// Messages lost to transport fault injection (all kinds).
-    pub messages_lost: u64,
-    /// Messages addressed to a failed server (all kinds).
-    pub messages_to_dead: u64,
-    /// Attempt-level query losses under retry, by cause. These are *not*
-    /// final drops — the pending-table timeout is — but together with
-    /// `retries` they decompose exactly where attempts went.
-    pub attempts_lost_queue: u64,
-    /// Attempt-level losses: hop TTL exceeded (retry mode).
-    pub attempts_lost_ttl: u64,
-    /// Attempt-level losses: no routable candidate (retry mode).
-    pub attempts_lost_stuck: u64,
-    /// Attempt-level losses: delivery to a dead server (retry mode).
-    pub attempts_lost_dead: u64,
-    /// Attempt-level losses: transport loss injection (retry mode).
-    pub attempts_lost_transport: u64,
-    /// Hosts newly marked dead (negative-cache insertions) across servers.
-    pub negative_evictions: u64,
+    mirror messages_lost: u64;
     /// Servers failed by the churn process.
-    pub churn_failures: u64,
+    mirror churn_failures: u64;
     /// Servers recovered (churn or `System::recover_server`).
-    pub churn_recoveries: u64,
-    /// Queries injected per second (availability-curve denominator).
-    pub injected_per_sec: BinnedCounter,
-    /// Queries resolved per second, binned at resolve time (availability-
-    /// curve numerator).
-    pub resolved_per_sec: BinnedCounter,
+    mirror churn_recoveries: u64;
+    /// Hosts newly marked dead (negative-cache insertions) across servers.
+    runstats negative_evictions: u64;
     /// Queries shed by the deepest-TTL admission policy (final drops with
     /// shedding on and no retry layer).
-    pub dropped_shed: u64,
+    mirror dropped_shed: u64;
     /// Queries finalized by a delivery crossing an active partition cut
     /// (no retry layer).
-    pub dropped_partition: u64,
-    /// Attempt-level losses: shed by the admission policy (retry mode).
-    pub attempts_lost_shed: u64,
-    /// Attempt-level losses: delivery crossed an active cut (retry mode).
-    pub attempts_lost_partition: u64,
+    mirror dropped_partition: u64;
     /// Messages of every kind dropped for crossing an active cut.
-    pub messages_cut: u64,
+    mirror messages_cut: u64;
     /// Partition cuts applied (scenario `Cut` actions).
-    pub cuts_applied: u64,
+    mirror cuts_applied: u64;
     /// Heals applied (scenario `Heal` actions).
-    pub heals_applied: u64,
+    mirror heals_applied: u64;
     /// Extra queries injected by flash crowds (already in `injected`).
-    pub flash_injected: u64,
-    /// Servers crashed by `CorrelatedCrash` scenario actions (already in
-    /// `churn_failures`).
-    pub scenario_crashes: u64,
+    mirror flash_injected: u64;
+    /// Queries injected per second (availability-curve denominator).
+    runstats injected_per_sec: BinnedCounter = BinnedCounter::new(1.0);
+    /// Queries resolved per second, binned at resolve time (availability-
+    /// curve numerator).
+    runstats resolved_per_sec: BinnedCounter = BinnedCounter::new(1.0);
     /// Per-second injections whose origin sat on the minority side of the
     /// most recent cut (sticky across the heal, until the next cut).
-    pub injected_per_sec_minority: BinnedCounter,
+    runstats injected_per_sec_minority: BinnedCounter = BinnedCounter::new(1.0);
     /// Per-second resolutions delivered on the minority side.
-    pub resolved_per_sec_minority: BinnedCounter,
+    runstats resolved_per_sec_minority: BinnedCounter = BinnedCounter::new(1.0);
     /// Per-second injections from majority-side (or never-cut) origins.
-    pub injected_per_sec_majority: BinnedCounter,
+    runstats injected_per_sec_majority: BinnedCounter = BinnedCounter::new(1.0);
     /// Per-second resolutions delivered on the majority side.
-    pub resolved_per_sec_majority: BinnedCounter,
+    runstats resolved_per_sec_majority: BinnedCounter = BinnedCounter::new(1.0);
     /// Forwarded queries that landed on a server not hosting the node the
     /// sender routed via (stale-pointer detections; DESIGN.md §14). Pure
     /// observation: counted with or without misroute repair enabled.
-    pub misroutes: u64,
+    mirror misroutes: u64;
     /// Total forwarding steps resolved queries spent after their first
     /// misroute (the aggregate detour cost of stale soft state).
-    pub detour_hops: u64,
-    /// Soft-state entries (replica records, context maps, cache entries)
-    /// evicted by the lease sweep.
-    pub lease_evictions: u64,
-    /// `MapUpdate` advertisements pushed by warm-rejoin / post-heal
-    /// anti-entropy reconciliation.
-    pub reconcile_pushes: u64,
+    mirror detour_hops: u64;
     /// Per-second resolutions that never hit a stale pointer (numerator of
     /// the reconvergence curve; denominator is `resolved_per_sec`).
-    pub clean_resolved_per_sec: BinnedCounter,
-    /// Stored objects ever written (pre-seeded + durability-scan
-    /// universe size; DESIGN.md §17). With storage enabled this is the
-    /// constant object count, so `objects_alive + objects_lost`
-    /// partitions it exactly at every scan.
-    pub objects_written: u64,
+    runstats clean_resolved_per_sec: BinnedCounter = BinnedCounter::new(1.0);
+    /// Soft-state entries (replica records, context maps, cache entries)
+    /// evicted by the lease sweep.
+    mirror lease_evictions: u64;
+    /// `MapUpdate` advertisements pushed by warm-rejoin / post-heal
+    /// anti-entropy reconciliation.
+    mirror reconcile_pushes: u64;
+    /// Stored objects pre-seeded at construction (DESIGN.md §17): a
+    /// constant of the run and the durability scan's universe, so
+    /// `objects_alive + objects_lost` partitions it exactly at every scan.
+    mirror objects_written: u64;
     /// Objects with at least one copy on a live replica at the latest
     /// durability scan (absolute gauge, not a running total).
-    pub objects_alive: u64,
+    mirror objects_alive: u64;
     /// Objects with no live copy at the latest durability scan —
     /// every replica-set member either dead or wiped since the write.
-    pub objects_lost: u64,
+    mirror objects_lost: u64;
     /// Object writes issued by the storage write driver (each fans out
     /// to the whole replica set).
-    pub object_puts: u64,
+    mirror object_puts: u64;
     /// Object reads that finalized with *some* copy (fresh or stale).
-    pub object_reads: u64,
+    mirror object_reads: u64;
     /// Object reads that finalized with no copy at all (probed replicas
     /// all empty, dead, or cut off).
-    pub reads_failed: u64,
+    mirror reads_failed: u64;
     /// Object reads that returned a copy older than the latest version
     /// committed when the read was issued (the staleness cost of
     /// any-replica reads; quorum reads shrink it).
-    pub stale_reads: u64,
+    mirror stale_reads: u64;
     /// Modeled bytes of every remote message send, from the
     /// per-`Message` byte-cost model (DESIGN.md §18): queries, control
     /// traffic, storage propagation, and gossip.
     /// Local hand-offs and substrate-synthesized feedback cost nothing.
-    pub bytes_on_wire: u64,
+    mirror bytes_on_wire: u64;
     /// The subset of `bytes_on_wire` spent by the anti-entropy gossip
     /// subsystem (digests at delta or full cost, pushes, pull replies).
-    pub gossip_bytes: u64,
+    mirror gossip_bytes: u64;
+    /// Query-path messages serviced (each is one routing/result step).
+    mirror query_messages: u64;
+    /// Replication sessions aborted.
+    mirror sessions_aborted: u64;
+    /// Data retrievals that exhausted every mapped host.
+    mirror data_fetches_failed: u64;
+    /// Messages addressed to a failed server (all kinds).
+    mirror messages_to_dead: u64;
+    /// Attempt-level query losses under retry, by cause: request queue
+    /// overflow. These are *not* final drops — the pending-table timeout
+    /// is — but together with `retries` they decompose exactly where
+    /// attempts went.
+    mirror attempts_lost_queue: u64;
+    /// Attempt-level losses: hop TTL exceeded (retry mode).
+    mirror attempts_lost_ttl: u64;
+    /// Attempt-level losses: no routable candidate (retry mode).
+    mirror attempts_lost_stuck: u64;
+    /// Attempt-level losses: delivery to a dead server (retry mode).
+    mirror attempts_lost_dead: u64;
+    /// Attempt-level losses: transport loss injection (retry mode).
+    mirror attempts_lost_transport: u64;
+    /// Attempt-level losses: shed by the admission policy (retry mode).
+    mirror attempts_lost_shed: u64;
+    /// Attempt-level losses: delivery crossed an active cut (retry mode).
+    mirror attempts_lost_partition: u64;
+    /// Servers crashed by `CorrelatedCrash` scenario actions (already in
+    /// `churn_failures`).
+    mirror scenario_crashes: u64;
+    /// Tenants configured (0 with tenants off).
+    derived tenant_count: u64 = |s| s.tenant_slo.len() as u64, "{}";
+    /// Worst per-tenant whole-run availability (1.0 with no tenants).
+    derived tenant_worst_availability: f64 = |s| s.tenant_worst_availability(), "{:.6}";
+    /// Tenants whose availability fell below their SLO target.
+    derived tenant_slo_misses: u64 = |s| s.tenant_slo_misses(), "{}";
     /// Per-tenant queries injected (DESIGN.md §19), indexed by tenant id.
     /// Empty when tenants are off; spine-targeted queries (no tenant)
     /// are uncounted.
-    pub tenant_injected: Vec<u64>,
+    runstats tenant_injected: Vec<u64>;
     /// Per-tenant queries resolved.
-    pub tenant_resolved: Vec<u64>,
+    runstats tenant_resolved: Vec<u64>;
     /// Per-tenant final query drops (all kinds folded).
-    pub tenant_dropped: Vec<u64>,
+    runstats tenant_dropped: Vec<u64>;
     /// Per-tenant sum of resolution latencies in seconds (divide by
     /// `tenant_resolved` for the mean).
-    pub tenant_latency_sum: Vec<f64>,
+    runstats tenant_latency_sum: Vec<f64>;
     /// Per-tenant resolutions that hit at least one stale pointer (the
     /// tenant-facing staleness signal).
-    pub tenant_misrouted: Vec<u64>,
+    runstats tenant_misrouted: Vec<u64>;
     /// Per-tenant availability SLO targets, copied from the config so
     /// reports carry their own pass/fail threshold.
-    pub tenant_slo: Vec<f64>,
+    runstats tenant_slo: Vec<f64>;
+    /// Total RNG draws across every tagged stream (ledger sum).
+    derived rng_draws: u64 = |s| s.rng_draws.iter().sum(), "{}";
     /// RNG draw ledger: total 64-bit draws per component tag, indexed by
     /// `terradir_workload::seed::tags` (slot 0 unused). Synced by the
     /// system after every `run_until`; equal ledgers across two replays of
     /// one seed are the runtime half of the stream-discipline guarantee
     /// (DESIGN.md §15).
-    pub rng_draws: Vec<u64>,
+    runstats rng_draws: Vec<u64>;
     /// Allocator events (alloc/realloc calls) charged to the simulation
     /// thread while `run_until` executed, from the counting global
     /// allocator (DESIGN.md §16). Zero unless the `alloc-ledger` feature
     /// installed the allocator.
-    pub alloc_events: u64,
+    mirror alloc_events: u64;
     /// Bytes requested across those allocator events.
-    pub alloc_bytes: u64,
+    mirror alloc_bytes: u64;
 }
 
 /// Per-second availability from an injected/resolved bin pair: each bin is
@@ -216,84 +404,6 @@ pub fn availability_curve(injected: &BinnedCounter, resolved: &BinnedCounter) ->
 }
 
 impl RunStats {
-    /// Fresh statistics for a namespace with `max_depth` levels.
-    pub fn new(max_depth: u16) -> RunStats {
-        RunStats {
-            injected: 0,
-            resolved: 0,
-            dropped_queue: 0,
-            dropped_ttl: 0,
-            dropped_stuck: 0,
-            query_messages: 0,
-            control_messages: 0,
-            replicas_created: 0,
-            replicas_deleted: 0,
-            sessions_started: 0,
-            sessions_completed: 0,
-            sessions_aborted: 0,
-            drops_per_sec: BinnedCounter::new(1.0),
-            replicas_per_sec: BinnedCounter::new(1.0),
-            latency: Histogram::new(30.0, 3000),
-            hops: Histogram::new(64.0, 64),
-            load_mean_per_sec: Vec::new(),
-            load_max_per_sec: Vec::new(),
-            created_per_level: vec![0; max_depth as usize + 1],
-            data_fetches_ok: 0,
-            data_fetches_failed: 0,
-            dropped_timeout: 0,
-            dropped_lost: 0,
-            retries: 0,
-            messages_lost: 0,
-            messages_to_dead: 0,
-            attempts_lost_queue: 0,
-            attempts_lost_ttl: 0,
-            attempts_lost_stuck: 0,
-            attempts_lost_dead: 0,
-            attempts_lost_transport: 0,
-            negative_evictions: 0,
-            churn_failures: 0,
-            churn_recoveries: 0,
-            injected_per_sec: BinnedCounter::new(1.0),
-            resolved_per_sec: BinnedCounter::new(1.0),
-            dropped_shed: 0,
-            dropped_partition: 0,
-            attempts_lost_shed: 0,
-            attempts_lost_partition: 0,
-            messages_cut: 0,
-            cuts_applied: 0,
-            heals_applied: 0,
-            flash_injected: 0,
-            scenario_crashes: 0,
-            injected_per_sec_minority: BinnedCounter::new(1.0),
-            resolved_per_sec_minority: BinnedCounter::new(1.0),
-            injected_per_sec_majority: BinnedCounter::new(1.0),
-            resolved_per_sec_majority: BinnedCounter::new(1.0),
-            misroutes: 0,
-            detour_hops: 0,
-            lease_evictions: 0,
-            reconcile_pushes: 0,
-            clean_resolved_per_sec: BinnedCounter::new(1.0),
-            objects_written: 0,
-            objects_alive: 0,
-            objects_lost: 0,
-            object_puts: 0,
-            object_reads: 0,
-            reads_failed: 0,
-            stale_reads: 0,
-            bytes_on_wire: 0,
-            gossip_bytes: 0,
-            tenant_injected: Vec::new(),
-            tenant_resolved: Vec::new(),
-            tenant_dropped: Vec::new(),
-            tenant_latency_sum: Vec::new(),
-            tenant_misrouted: Vec::new(),
-            tenant_slo: Vec::new(),
-            rng_draws: Vec::new(),
-            alloc_events: 0,
-            alloc_bytes: 0,
-        }
-    }
-
     /// Sizes the per-tenant series and installs the availability SLO
     /// targets (DESIGN.md §19). Called once at construction when tenants
     /// are active; with tenants off every per-tenant series stays empty.
@@ -505,270 +615,6 @@ impl RunStats {
         }
         if let Some(slot) = self.created_per_level.get_mut(idx) {
             *slot += 1;
-        }
-    }
-}
-
-/// A flat, serializable snapshot of a run's headline numbers (JSON export
-/// for harnesses and the CLI's `--json` flag).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Summary {
-    /// Queries injected.
-    pub injected: u64,
-    /// Queries resolved.
-    pub resolved: u64,
-    /// Total dropped (queue + TTL + stuck).
-    pub dropped: u64,
-    /// Drop fraction.
-    pub drop_fraction: f64,
-    /// Mean latency in seconds (0 when nothing resolved).
-    pub latency_mean_s: f64,
-    /// 99th-percentile latency in seconds.
-    pub latency_p99_s: f64,
-    /// Mean hops per resolved query.
-    pub hops_mean: f64,
-    /// Replicas created.
-    pub replicas_created: u64,
-    /// Replicas deleted.
-    pub replicas_deleted: u64,
-    /// Replication sessions completed.
-    pub sessions_completed: u64,
-    /// Control messages sent.
-    pub control_messages: u64,
-    /// Successful data fetches.
-    pub data_fetches_ok: u64,
-    /// Query re-issues by the reliability layer.
-    pub retries: u64,
-    /// Messages lost to transport fault injection.
-    pub messages_lost: u64,
-    /// Servers failed by the churn process.
-    pub churn_failures: u64,
-    /// Servers recovered.
-    pub churn_recoveries: u64,
-    /// Queries shed by the admission policy (final drops).
-    pub dropped_shed: u64,
-    /// Queries finalized by crossing an active cut.
-    pub dropped_partition: u64,
-    /// Messages dropped for crossing an active cut.
-    pub messages_cut: u64,
-    /// Partition cuts applied.
-    pub cuts_applied: u64,
-    /// Heals applied.
-    pub heals_applied: u64,
-    /// Extra queries injected by flash crowds.
-    pub flash_injected: u64,
-    /// Stale-pointer detections (queries landing on a non-hosting server).
-    pub misroutes: u64,
-    /// Aggregate post-misroute forwarding steps over resolved queries.
-    pub detour_hops: u64,
-    /// Soft-state entries evicted by the lease sweep.
-    pub lease_evictions: u64,
-    /// Anti-entropy advertisements pushed on warm rejoin / post-heal.
-    pub reconcile_pushes: u64,
-    /// Stored objects ever written (the durability universe).
-    pub objects_written: u64,
-    /// Objects with a live copy at the latest durability scan.
-    pub objects_alive: u64,
-    /// Objects with no live copy at the latest durability scan.
-    pub objects_lost: u64,
-    /// Object writes issued by the storage write driver.
-    pub object_puts: u64,
-    /// Object reads that finalized with some copy.
-    pub object_reads: u64,
-    /// Object reads that finalized with no copy at all.
-    pub reads_failed: u64,
-    /// Object reads that returned a stale version.
-    pub stale_reads: u64,
-    /// Modeled bytes of every remote message send (DESIGN.md §18).
-    pub bytes_on_wire: u64,
-    /// The gossip subsystem's share of `bytes_on_wire`.
-    pub gossip_bytes: u64,
-    /// Query-path messages serviced.
-    pub query_messages: u64,
-    /// Replication sessions aborted.
-    pub sessions_aborted: u64,
-    /// Data retrievals that exhausted every mapped host.
-    pub data_fetches_failed: u64,
-    /// Messages addressed to a failed server.
-    pub messages_to_dead: u64,
-    /// Attempt-level losses: request queue overflow (retry mode).
-    pub attempts_lost_queue: u64,
-    /// Attempt-level losses: hop TTL exceeded (retry mode).
-    pub attempts_lost_ttl: u64,
-    /// Attempt-level losses: no routable candidate (retry mode).
-    pub attempts_lost_stuck: u64,
-    /// Attempt-level losses: delivery to a dead server (retry mode).
-    pub attempts_lost_dead: u64,
-    /// Attempt-level losses: transport loss injection (retry mode).
-    pub attempts_lost_transport: u64,
-    /// Attempt-level losses: shed by the admission policy (retry mode).
-    pub attempts_lost_shed: u64,
-    /// Attempt-level losses: delivery crossed an active cut (retry mode).
-    pub attempts_lost_partition: u64,
-    /// Servers crashed by `CorrelatedCrash` scenario actions.
-    pub scenario_crashes: u64,
-    /// Tenants configured (0 with tenants off).
-    pub tenant_count: u64,
-    /// Worst per-tenant whole-run availability (1.0 with no tenants).
-    pub tenant_worst_availability: f64,
-    /// Tenants whose availability fell below their SLO target.
-    pub tenant_slo_misses: u64,
-    /// Total RNG draws across every tagged stream (ledger sum).
-    pub rng_draws: u64,
-    /// Allocator events charged to the run (0 without the alloc ledger).
-    pub alloc_events: u64,
-    /// Bytes requested across those allocator events.
-    pub alloc_bytes: u64,
-}
-
-impl Summary {
-    /// Renders the summary as a JSON object (hand-rolled: every field is
-    /// numeric, so no JSON library is needed).
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"injected\":{},\"resolved\":{},\"dropped\":{},",
-                "\"drop_fraction\":{:.6},\"latency_mean_s\":{:.6},",
-                "\"latency_p99_s\":{:.6},\"hops_mean\":{:.4},",
-                "\"replicas_created\":{},\"replicas_deleted\":{},",
-                "\"sessions_completed\":{},\"control_messages\":{},",
-                "\"data_fetches_ok\":{},\"retries\":{},",
-                "\"messages_lost\":{},\"churn_failures\":{},",
-                "\"churn_recoveries\":{},\"dropped_shed\":{},",
-                "\"dropped_partition\":{},\"messages_cut\":{},",
-                "\"cuts_applied\":{},\"heals_applied\":{},",
-                "\"flash_injected\":{},\"misroutes\":{},",
-                "\"detour_hops\":{},\"lease_evictions\":{},",
-                "\"reconcile_pushes\":{},\"objects_written\":{},",
-                "\"objects_alive\":{},\"objects_lost\":{},",
-                "\"object_puts\":{},\"object_reads\":{},",
-                "\"reads_failed\":{},\"stale_reads\":{},",
-                "\"bytes_on_wire\":{},\"gossip_bytes\":{},",
-                "\"query_messages\":{},\"sessions_aborted\":{},",
-                "\"data_fetches_failed\":{},\"messages_to_dead\":{},",
-                "\"attempts_lost_queue\":{},\"attempts_lost_ttl\":{},",
-                "\"attempts_lost_stuck\":{},\"attempts_lost_dead\":{},",
-                "\"attempts_lost_transport\":{},\"attempts_lost_shed\":{},",
-                "\"attempts_lost_partition\":{},\"scenario_crashes\":{},",
-                "\"tenant_count\":{},\"tenant_worst_availability\":{:.6},",
-                "\"tenant_slo_misses\":{},",
-                "\"rng_draws\":{},",
-                "\"alloc_events\":{},\"alloc_bytes\":{}}}"
-            ),
-            self.injected,
-            self.resolved,
-            self.dropped,
-            self.drop_fraction,
-            self.latency_mean_s,
-            self.latency_p99_s,
-            self.hops_mean,
-            self.replicas_created,
-            self.replicas_deleted,
-            self.sessions_completed,
-            self.control_messages,
-            self.data_fetches_ok,
-            self.retries,
-            self.messages_lost,
-            self.churn_failures,
-            self.churn_recoveries,
-            self.dropped_shed,
-            self.dropped_partition,
-            self.messages_cut,
-            self.cuts_applied,
-            self.heals_applied,
-            self.flash_injected,
-            self.misroutes,
-            self.detour_hops,
-            self.lease_evictions,
-            self.reconcile_pushes,
-            self.objects_written,
-            self.objects_alive,
-            self.objects_lost,
-            self.object_puts,
-            self.object_reads,
-            self.reads_failed,
-            self.stale_reads,
-            self.bytes_on_wire,
-            self.gossip_bytes,
-            self.query_messages,
-            self.sessions_aborted,
-            self.data_fetches_failed,
-            self.messages_to_dead,
-            self.attempts_lost_queue,
-            self.attempts_lost_ttl,
-            self.attempts_lost_stuck,
-            self.attempts_lost_dead,
-            self.attempts_lost_transport,
-            self.attempts_lost_shed,
-            self.attempts_lost_partition,
-            self.scenario_crashes,
-            self.tenant_count,
-            self.tenant_worst_availability,
-            self.tenant_slo_misses,
-            self.rng_draws,
-            self.alloc_events,
-            self.alloc_bytes,
-        )
-    }
-}
-
-impl RunStats {
-    /// Builds the serializable summary.
-    pub fn summary(&self) -> Summary {
-        Summary {
-            injected: self.injected,
-            resolved: self.resolved,
-            dropped: self.dropped_total(),
-            drop_fraction: self.drop_fraction(),
-            latency_mean_s: self.latency.mean().unwrap_or(0.0),
-            latency_p99_s: self.latency.quantile(0.99).unwrap_or(0.0),
-            hops_mean: self.hops.mean().unwrap_or(0.0),
-            replicas_created: self.replicas_created,
-            replicas_deleted: self.replicas_deleted,
-            sessions_completed: self.sessions_completed,
-            control_messages: self.control_messages,
-            data_fetches_ok: self.data_fetches_ok,
-            retries: self.retries,
-            messages_lost: self.messages_lost,
-            churn_failures: self.churn_failures,
-            churn_recoveries: self.churn_recoveries,
-            dropped_shed: self.dropped_shed,
-            dropped_partition: self.dropped_partition,
-            messages_cut: self.messages_cut,
-            cuts_applied: self.cuts_applied,
-            heals_applied: self.heals_applied,
-            flash_injected: self.flash_injected,
-            misroutes: self.misroutes,
-            detour_hops: self.detour_hops,
-            lease_evictions: self.lease_evictions,
-            reconcile_pushes: self.reconcile_pushes,
-            objects_written: self.objects_written,
-            objects_alive: self.objects_alive,
-            objects_lost: self.objects_lost,
-            object_puts: self.object_puts,
-            object_reads: self.object_reads,
-            reads_failed: self.reads_failed,
-            stale_reads: self.stale_reads,
-            bytes_on_wire: self.bytes_on_wire,
-            gossip_bytes: self.gossip_bytes,
-            query_messages: self.query_messages,
-            sessions_aborted: self.sessions_aborted,
-            data_fetches_failed: self.data_fetches_failed,
-            messages_to_dead: self.messages_to_dead,
-            attempts_lost_queue: self.attempts_lost_queue,
-            attempts_lost_ttl: self.attempts_lost_ttl,
-            attempts_lost_stuck: self.attempts_lost_stuck,
-            attempts_lost_dead: self.attempts_lost_dead,
-            attempts_lost_transport: self.attempts_lost_transport,
-            attempts_lost_shed: self.attempts_lost_shed,
-            attempts_lost_partition: self.attempts_lost_partition,
-            scenario_crashes: self.scenario_crashes,
-            tenant_count: self.tenant_slo.len() as u64,
-            tenant_worst_availability: self.tenant_worst_availability(),
-            tenant_slo_misses: self.tenant_slo_misses(),
-            rng_draws: self.rng_draws.iter().sum(),
-            alloc_events: self.alloc_events,
-            alloc_bytes: self.alloc_bytes,
         }
     }
 }
@@ -988,85 +834,23 @@ mod tests {
     }
 
     #[test]
-    fn self_healing_counters_reach_the_summary_json() {
+    fn every_mirrored_counter_reaches_the_summary_json() {
         let mut s = RunStats::new(2);
-        s.misroutes = 4;
-        s.lease_evictions = 2;
-        s.reconcile_pushes = 5;
-        s.on_resolved(0.5, 0.1, 3, true, 7);
+        let mut want = Vec::new();
+        for (i, (name, slot)) in (1000u64..).zip(s.mirrored_mut()) {
+            *slot = i;
+            want.push(format!("\"{name}\":{i}"));
+        }
         let json = s.summary().to_json();
-        assert!(json.contains("\"misroutes\":4"));
-        assert!(json.contains("\"detour_hops\":7"));
-        assert!(json.contains("\"lease_evictions\":2"));
-        assert!(json.contains("\"reconcile_pushes\":5"));
-        assert_eq!(json.matches('"').count() % 2, 0);
-    }
-
-    #[test]
-    fn chaos_counters_reach_the_summary_json() {
-        let mut s = RunStats::new(2);
-        s.messages_cut = 3;
-        s.cuts_applied = 1;
-        s.heals_applied = 1;
-        s.flash_injected = 9;
-        s.on_lost(0.1, DropKind::Shed, false, None);
-        let json = s.summary().to_json();
-        assert!(json.contains("\"messages_cut\":3"));
-        assert!(json.contains("\"cuts_applied\":1"));
-        assert!(json.contains("\"heals_applied\":1"));
-        assert!(json.contains("\"flash_injected\":9"));
-        assert!(json.contains("\"dropped_shed\":1"));
-        assert!(json.contains("\"dropped_partition\":0"));
-        assert_eq!(json.matches('"').count() % 2, 0);
-    }
-
-    #[test]
-    fn storage_counters_reach_the_summary_json() {
-        let mut s = RunStats::new(2);
-        s.objects_written = 64;
-        s.objects_alive = 60;
-        s.objects_lost = 4;
-        s.object_puts = 31;
-        s.object_reads = 29;
-        s.reads_failed = 2;
-        s.stale_reads = 3;
-        let json = s.summary().to_json();
-        assert!(json.contains("\"objects_written\":64"));
-        assert!(json.contains("\"objects_alive\":60"));
-        assert!(json.contains("\"objects_lost\":4"));
-        assert!(json.contains("\"object_puts\":31"));
-        assert!(json.contains("\"object_reads\":29"));
-        assert!(json.contains("\"reads_failed\":2"));
-        assert!(json.contains("\"stale_reads\":3"));
-        assert_eq!(json.matches('"').count() % 2, 0);
-    }
-
-    #[test]
-    fn wire_counters_reach_the_summary_json() {
-        let mut s = RunStats::new(2);
-        s.bytes_on_wire = 123_456;
-        s.gossip_bytes = 7_890;
-        let json = s.summary().to_json();
-        assert!(json.contains("\"bytes_on_wire\":123456"));
-        assert!(json.contains("\"gossip_bytes\":7890"));
-        assert_eq!(json.matches('"').count() % 2, 0);
-    }
-
-    #[test]
-    fn attempt_decomposition_reaches_the_summary_json() {
-        let mut s = RunStats::new(2);
-        s.query_messages = 11;
-        s.messages_to_dead = 2;
-        s.scenario_crashes = 1;
-        s.on_lost(0.1, DropKind::Queue, true, None);
-        s.on_attempt_dead();
-        let json = s.summary().to_json();
-        assert!(json.contains("\"query_messages\":11"));
-        assert!(json.contains("\"messages_to_dead\":2"));
-        assert!(json.contains("\"scenario_crashes\":1"));
-        assert!(json.contains("\"attempts_lost_queue\":1"));
-        assert!(json.contains("\"attempts_lost_dead\":1"));
-        assert_eq!(json.matches('"').count() % 2, 0);
+        let mut from = 0;
+        for pair in &want {
+            let at = json[from..]
+                .find(pair.as_str())
+                .unwrap_or_else(|| panic!("{pair} missing or out of table order in {json}"));
+            from += at + pair.len();
+        }
+        let summary_rows = ROWS.iter().filter(|(_, kind, _)| *kind != "runstats");
+        assert_eq!(json.matches("\":").count(), summary_rows.count(), "{json}");
     }
 
     #[test]
@@ -1076,20 +860,6 @@ mod tests {
         let sum = s.summary();
         assert_eq!(sum.rng_draws, 7);
         assert!(sum.to_json().contains("\"rng_draws\":7"));
-    }
-
-    #[test]
-    fn alloc_ledger_reaches_the_summary_json() {
-        let mut s = RunStats::new(2);
-        s.alloc_events = 12;
-        s.alloc_bytes = 4096;
-        let sum = s.summary();
-        assert_eq!(sum.alloc_events, 12);
-        assert_eq!(sum.alloc_bytes, 4096);
-        let json = sum.to_json();
-        assert!(json.contains("\"alloc_events\":12"));
-        assert!(json.contains("\"alloc_bytes\":4096"));
-        assert_eq!(json.matches('"').count() % 2, 0);
     }
 
     #[test]
@@ -1161,5 +931,43 @@ mod tests {
         // No arrivals: availability defaults to 1.0 and meets any SLO.
         assert_eq!(s.tenant_availability(), vec![1.0]);
         assert_eq!(s.tenant_slo_misses(), 0);
+    }
+
+    /// DESIGN.md §15.3 lists every row of the stats table, and nothing
+    /// else, as `| \`name\` | \`type\` | kind | meaning |`.
+    #[test]
+    fn design_stats_table_matches_the_rows() {
+        let design = include_str!("../../../DESIGN.md");
+        let section = design
+            .split("### 15.3")
+            .nth(1)
+            .and_then(|s| s.split("\n## ").next())
+            .expect("DESIGN.md has a §15.3");
+        let row = |name: &str, kind: &str, ty: &str| {
+            (name.to_string(), kind.to_string(), ty.replace(' ', ""))
+        };
+        let documented: Vec<_> = section
+            .lines()
+            .filter_map(|line| {
+                let cells: Vec<&str> = line.split('|').map(str::trim).collect();
+                let name = cells.get(1)?.strip_prefix('`')?.strip_suffix('`')?;
+                let ty = cells.get(2)?.strip_prefix('`')?.strip_suffix('`')?;
+                Some(row(name, cells.get(3)?, ty))
+            })
+            .collect();
+        let declared: Vec<_> = ROWS.iter().map(|&(n, k, t)| row(n, k, t)).collect();
+        let undocumented: Vec<_> = declared
+            .iter()
+            .filter(|r| !documented.contains(r))
+            .collect();
+        let stray: Vec<_> = documented
+            .iter()
+            .filter(|r| !declared.contains(r))
+            .collect();
+        assert!(
+            undocumented.is_empty() && stray.is_empty(),
+            "rows missing from DESIGN.md §15.3: {undocumented:?}\n\
+             §15.3 rows the table does not declare: {stray:?}"
+        );
     }
 }

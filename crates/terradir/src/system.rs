@@ -679,6 +679,32 @@ impl System {
         self.try_start(id);
         self.warm_rejoin_push(id);
     }
+
+    /// Exports data for `node` at its owner, the first half of the
+    /// paper's two-step access (data never replicates). Returns `false`
+    /// for a node outside the namespace.
+    pub fn set_data(&mut self, node: NodeId, data: &[u8]) -> bool {
+        let owner = self.shared.assignment.owner(node);
+        self.ctxs
+            .get_mut(owner.index())
+            .is_some_and(|ctx| ctx.server.set_data(node, data))
+    }
+
+    /// Starts the two-step access's second step at `origin`: fetch
+    /// `node`'s data through the mapping `origin` holds (run a lookup
+    /// first). The outcome lands in `data_fetches_ok` or
+    /// `data_fetches_failed` once the replies arrive. Fetch ids come from
+    /// the query id sequence, as in the live runtime.
+    pub fn fetch_data(&mut self, origin: ServerId, node: NodeId) {
+        let id = self.next_query_id;
+        self.next_query_id += 1;
+        let mut effects = std::mem::take(&mut self.out_buf);
+        if let Some(ctx) = self.ctxs.get_mut(origin.index()) {
+            ctx.server.begin_fetch(id, node, &mut effects);
+        }
+        self.dispatch_effects(origin, &mut effects);
+        self.out_buf = effects;
+    }
     // xtask: region(dispatch): end
 
     /// Churn process, failure side: fail the server and arm its recovery

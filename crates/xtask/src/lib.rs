@@ -21,7 +21,7 @@
 //! - the original protocol-invariant checks ([`checks`]): config docs,
 //!   panic-free library code, message handlers, drop taxonomy;
 //! - the determinism & accounting passes ([`analyze`]): determinism lint,
-//!   counter conservation, dead config, enum exhaustiveness
+//!   emitted statistics, dead config, enum exhaustiveness
 //!   (DESIGN.md §15).
 
 use std::path::{Path, PathBuf};

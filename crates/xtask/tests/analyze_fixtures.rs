@@ -13,7 +13,7 @@
 
 use std::path::Path;
 
-use xtask::analyze::{conservation, dead_config, determinism, exhaustive, hotpath, isolation};
+use xtask::analyze::{dead_config, determinism, exhaustive, hotpath, isolation};
 use xtask::checks;
 
 fn fixture(name: &str) -> String {
@@ -49,36 +49,18 @@ fn determinism_fixture_is_flagged_at_exact_lines() {
 }
 
 #[test]
-fn conservation_fixture_is_flagged_at_the_field_declaration() {
-    let stats = fixture("conservation_bad.rs");
-    let writers = srcs(
-        "crates/terradir/src/system.rs",
-        "fn f(st: &mut RunStats) { st.injected += 1; }",
-    );
+fn emitted_fixture_is_flagged_at_the_row() {
+    let stats = fixture("emitted_bad.rs");
     let emitters = srcs(
         "crates/bench/src/bin/fig.rs",
         "fn g(st: &RunStats) { let _ = st.summary(); }",
     );
-    let vs = conservation::check_conservation(&stats, "table: `injected`", &writers, &emitters);
-    let whats: Vec<String> = vs.iter().map(ToString::to_string).collect();
-    assert_eq!(vs.len(), 5, "{whats:#?}");
-    // ghost_counter: unfed, unemitted, undocumented — all at line 9.
-    assert!(whats
-        .iter()
-        .any(|w| w.contains(":9: ") && w.contains("`ghost_counter` is never fed")));
-    assert!(whats
-        .iter()
-        .any(|w| w.contains(":9: ") && w.contains("`ghost_counter` is never emitted")));
-    assert!(whats
-        .iter()
-        .any(|w| w.contains("`ghost_counter` is not documented")));
-    // Summary ↔ to_json drift, both directions.
-    assert!(whats
-        .iter()
-        .any(|w| w.contains("`injected` is missing from to_json")));
-    assert!(whats
-        .iter()
-        .any(|w| w.contains("to_json emits key `injectd`")));
+    let vs = dead_config::check_emitted(&stats, &emitters);
+    assert_eq!(vs.len(), 1, "{vs:?}");
+    assert_eq!(vs[0].line, 12);
+    assert!(vs[0].what.contains("`ghost_counter` is never emitted"));
+    // `dropped_queue` is emitted through the derived row's accessor.
+    assert!(!vs.iter().any(|v| v.what.contains("`dropped_queue`")));
 }
 
 #[test]
@@ -205,10 +187,10 @@ fn clean_fixture_passes_every_pass() {
     let writers = srcs(label, &src);
     let emitters = srcs(
         "crates/bench/src/bin/fig.rs",
-        "fn g(st: &RunStats) { let _ = st.summary(); }",
+        "fn g(st: &RunStats) { let _ = st.injected; }",
     );
-    let vs = conservation::check_conservation(&src, "table: `injected`", &writers, &emitters);
-    assert!(vs.is_empty(), "conservation: {vs:?}");
+    let vs = dead_config::check_emitted(&src, &emitters);
+    assert!(vs.is_empty(), "emitted: {vs:?}");
 
     let vs = dead_config::check_dead_config(&src, "Config", &writers);
     assert!(vs.is_empty(), "dead-config: {vs:?}");
@@ -247,7 +229,7 @@ fn full_suite_is_clean_on_this_workspace() {
             "config-docs",
             "hotpath",
             "isolation",
-            "conservation",
+            "emitted",
             "dead-config"
         ]
     );

@@ -1,33 +1,17 @@
 // Fixture: behavior code that every pass must accept — deterministic
-// constructs only, a fully conserved counter, a live knob, and an
+// constructs only, an emitted counter, a live knob, and an
 // exhaustively consumed enum. Tokens that look like violations appear
 // only inside comments and strings, which scrubbing blanks:
 // Instant::now, thread_rng, HashMap::new, .unwrap(), panic!.
-pub struct RunStats {
-    /// Fed below, mirrored in Summary, documented in the fixture table.
-    pub injected: u64,
+stats_table! {
+    fn new(max_depth: u16);
+    /// Fed below and read by the fixture harness.
+    runstats injected: u64;
 }
 
 impl RunStats {
     pub fn on_inject(&mut self) {
         self.injected += 1;
-    }
-
-    pub fn summary(&self) -> Summary {
-        Summary {
-            injected: self.injected,
-        }
-    }
-}
-
-pub struct Summary {
-    /// Queries injected.
-    pub injected: u64,
-}
-
-impl Summary {
-    pub fn to_json(&self) -> String {
-        format!("{{\"injected\":{}}}", self.injected)
     }
 }
 

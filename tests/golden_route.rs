@@ -23,8 +23,15 @@
 //!
 //! A deliberate behaviour change (a new digest hash, say) re-pins these
 //! values in the same change and says why.
+//!
+//! The same five runs, plus two extra drives that reach the paths none of
+//! them takes (a hop walk past the TTL, stranded origins, a data fetch,
+//! retries under chaos, stale reads), must between them feed every row
+//! of the stats table (`every_statistic_is_fed_by_some_run`).
 
-use terradir_repro::namespace::{balanced_tree, coda_like, CodaParams, Namespace};
+use terradir_repro::namespace::{
+    balanced_tree, coda_like, CodaParams, Namespace, NodeId, OwnerAssignment, ServerId,
+};
 use terradir_repro::protocol::{
     ChaosAction, Config, GossipCulture, RunStats, ScenarioEvent, System, TenantSpec,
 };
@@ -55,45 +62,40 @@ fn render(st: &RunStats) -> String {
     format!("{head}}} draws={:?}", st.rng_draws)
 }
 
-/// [`drained`], rendered.
-fn golden(
-    ns: Namespace,
-    cfg: Config,
-    plan: StreamPlan,
-    rate: f64,
-    window: f64,
-    drain: f64,
-) -> String {
-    render(drained(ns, cfg, plan, rate, window, drain).stats())
+/// 64 servers × 8 nodes: the T_S tree of `ts-adapt-1024`, scaled down.
+fn ts_adaptation() -> System {
+    let ns = balanced_tree(2, 8);
+    let cfg = Config::paper_default(64).with_seed(1);
+    let plan = StreamPlan::adaptation(1.25, 2.0, 2, 2.0);
+    drained(ns, cfg, plan, 800.0, 6.0, 6.0)
 }
 
 #[test]
 fn ts_adaptation_summary_is_pinned() {
-    // 64 servers × 8 nodes: the T_S tree of `ts-adapt-1024`, scaled down.
-    let ns = balanced_tree(2, 8);
-    let cfg = Config::paper_default(64).with_seed(1);
-    let plan = StreamPlan::adaptation(1.25, 2.0, 2, 2.0);
-    let got = golden(ns, cfg, plan, 800.0, 6.0, 6.0);
+    let got = render(ts_adaptation().stats());
     assert_eq!(got, TS_ADAPT, "a routed hop or RNG draw changed");
 }
 
-#[test]
-fn tc_zipf_summary_is_pinned() {
-    // 64 servers × ~20 nodes of the Coda-like T_C tree (`tc-zipf-256`).
+/// 64 servers × ~20 nodes of the Coda-like T_C tree (`tc-zipf-256`).
+fn tc_zipf() -> System {
     let params = CodaParams {
         nodes: 1280,
         ..CodaParams::default()
     };
     let ns = coda_like(&params, &mut seeded_rng(42, tags::NAMESPACE));
     let cfg = Config::paper_default(64).with_seed(2);
-    let got = golden(ns, cfg, StreamPlan::uzipf(1.0, 10.0), 1000.0, 5.0, 5.0);
-    assert_eq!(got, TC_ZIPF, "a routed hop or RNG draw changed");
+    drained(ns, cfg, StreamPlan::uzipf(1.0, 10.0), 1000.0, 5.0, 5.0)
 }
 
 #[test]
-fn ts_store_churn_summary_is_pinned() {
-    // `ts-store-churn-256`'s protocol stack on 32 servers: BCR plus quorum
-    // storage, churn, retries and taciturn gossip.
+fn tc_zipf_summary_is_pinned() {
+    let got = render(tc_zipf().stats());
+    assert_eq!(got, TC_ZIPF, "a routed hop or RNG draw changed");
+}
+
+/// `ts-store-churn-256`'s protocol stack on 32 servers: BCR plus quorum
+/// storage, churn, retries and taciturn gossip.
+fn ts_store_churn() -> System {
     let servers = 32u32;
     let window = 12.0;
     let mut cfg = Config::paper_default(servers).with_seed(3);
@@ -116,18 +118,21 @@ fn ts_store_churn_summary_is_pinned() {
     cfg.gossip.fanout = 3;
     cfg.gossip.window = cfg.storage.n_objects;
     let plan = StreamPlan::uzipf(1.0, window + 16.0);
-    let got = golden(balanced_tree(2, 7), cfg, plan, 200.0, window, 16.0);
-    assert_eq!(got, TS_STORE_CHURN, "a routed hop or RNG draw changed");
+    drained(balanced_tree(2, 7), cfg, plan, 200.0, window, 16.0)
 }
 
 #[test]
-fn subsystem_coverage_summary_is_pinned() {
-    // The subsystems none of the benchmark shapes turns on, all at once
-    // on a small fleet: roles and tenants, leases with use-refresh and
-    // misroute NACKs, warm-rejoin reconcile, retries under transport loss
-    // and jitter with churn, quorum storage, taciturn gossip and a
-    // heterogeneous fleet. Every fixed protocol parameter is on some path
-    // this run takes.
+fn ts_store_churn_summary_is_pinned() {
+    let got = render(ts_store_churn().stats());
+    assert_eq!(got, TS_STORE_CHURN, "a routed hop or RNG draw changed");
+}
+
+/// The subsystems none of the benchmark shapes turns on, all at once on a
+/// small fleet: roles and tenants, leases with use-refresh and misroute
+/// NACKs, warm-rejoin reconcile, retries under transport loss and jitter
+/// with churn, quorum storage, taciturn gossip and a heterogeneous fleet.
+/// Every fixed protocol parameter is on some path this run takes.
+fn subsystem_coverage() -> System {
     let servers = 32u32;
     let window = 12.0;
     let mut cfg = Config::paper_default(servers).with_seed(4);
@@ -169,18 +174,21 @@ fn subsystem_coverage_summary_is_pinned() {
     cfg.gossip.interval = 0.5;
     cfg.validate().expect("coverage config must be valid");
     let plan = StreamPlan::uzipf(1.0, window + 16.0);
-    let got = golden(balanced_tree(2, 7), cfg, plan, 300.0, window, 16.0);
-    assert_eq!(got, SUBSYSTEMS, "a routed hop or RNG draw changed");
+    drained(balanced_tree(2, 7), cfg, plan, 300.0, window, 16.0)
 }
 
 #[test]
-fn final_drop_attribution_summary_is_pinned() {
-    // Retries off, so every lost query is a final drop that must reach
-    // its tenant's ledger: queries shed under a flash crowd, cut off by a
-    // partition, and lost in transit. The cut also splits the fleet into
-    // a minority and a majority side, so the per-side injection and
-    // resolution series are pinned too; the summary alone carries
-    // neither.
+fn subsystem_coverage_summary_is_pinned() {
+    let got = render(subsystem_coverage().stats());
+    assert_eq!(got, SUBSYSTEMS, "a routed hop or RNG draw changed");
+}
+
+/// Retries off, so every lost query is a final drop that must reach its
+/// tenant's ledger: queries shed under a flash crowd, cut off by a
+/// partition, and lost in transit. The cut also splits the fleet into a
+/// minority and a majority side, so the per-side injection and resolution
+/// series are pinned too; the summary alone carries neither.
+fn final_drop_attribution() -> System {
     let servers = 16u32;
     let window = 10.0;
     let ns = balanced_tree(2, 7);
@@ -215,7 +223,12 @@ fn final_drop_attribution_summary_is_pinned() {
     ];
     cfg.validate().expect("attribution config must be valid");
     let plan = StreamPlan::uzipf(1.0, window + 8.0);
-    let sys = drained(ns, cfg, plan, 150.0, window, 8.0);
+    drained(ns, cfg, plan, 150.0, window, 8.0)
+}
+
+#[test]
+fn final_drop_attribution_summary_is_pinned() {
+    let sys = final_drop_attribution();
     let st = sys.stats();
     let got = format!(
         "{} tenants={:?}/{:?}/{:?} minority={}/{} majority={}/{}",
@@ -229,6 +242,91 @@ fn final_drop_attribution_summary_is_pinned() {
         st.resolved_per_sec_majority.total(),
     );
     assert_eq!(got, FINAL_DROPS, "a drop's attribution or a draw changed");
+}
+
+/// A unary chain of 121 nodes on 160 servers, round-robin: node `i`
+/// lives alone on server `i`, so a query climbs or descends one level per
+/// hop and the long walks outgrow the hop TTL, while servers 121–159 host
+/// nothing and strand every query they originate. After the drain, server
+/// 5 fetches data from its neighbours (the two-step access): node 6
+/// exports some, node 4 none.
+fn hop_budget_and_fetches(retry: bool) -> System {
+    let ns = balanced_tree(1, 120);
+    let servers = 160;
+    let assignment = OwnerAssignment::round_robin(&ns, servers);
+    let mut cfg = Config::base_system(servers).with_seed(7);
+    cfg.retry.enabled = retry;
+    let mut sys = System::with_assignment(ns, cfg, assignment, StreamPlan::unif(13.0), 20.0);
+    sys.run_until(3.0);
+    sys.set_injection(false);
+    sys.run_until(13.0);
+    assert!(sys.set_data(NodeId(6), b"contents"));
+    sys.fetch_data(ServerId(5), NodeId(6));
+    sys.fetch_data(ServerId(5), NodeId(4));
+    sys.run_until(14.0);
+    sys
+}
+
+/// Retries on under the final-drop run's chaos: shedding under a flash
+/// crowd and a partition cut lose attempts, not queries; a correlated
+/// crash takes out a quarter of the fleet; and any-replica reads under
+/// 20 % transport loss return stale copies.
+fn chaos_with_retries() -> System {
+    let servers = 16u32;
+    let ns = balanced_tree(2, 7);
+    let hot = (ns.len() - 1) as u32;
+    let mut cfg = Config::paper_default(servers).with_seed(5);
+    cfg.retry.enabled = true;
+    cfg.shedding = true;
+    cfg.faults.loss_prob = 0.2;
+    cfg.partitions.n_groups = 4;
+    cfg.storage.enabled = true;
+    cfg.storage.n_objects = 2 * servers;
+    cfg.storage.replication_factor = 3;
+    cfg.storage.write_rate = 2.0 * f64::from(servers);
+    cfg.storage.read_rate = 2.0 * f64::from(servers);
+    cfg.storage.read_timeout = 1.0;
+    let at = |at, action| ScenarioEvent { at, action };
+    cfg.scenario.events = vec![
+        at(1.0, ChaosAction::Cut { groups: vec![1] }),
+        at(3.0, ChaosAction::Heal),
+        at(
+            1.0,
+            ChaosAction::FlashCrowd {
+                node: hot,
+                rate_multiplier: 6.0,
+            },
+        ),
+        at(4.0, ChaosAction::CorrelatedCrash { fraction: 0.25 }),
+    ];
+    cfg.validate().expect("chaos config must be valid");
+    drained(ns, cfg, StreamPlan::unif(15.0), 150.0, 5.0, 10.0)
+}
+
+/// The runtime half of "every statistic is fed": each row of the stats
+/// table (`RunStats` field or `Summary` quantity) moves off zero in at
+/// least one of the five pinned runs or the extra drives above, through
+/// behaviour code alone. A row that no run feeds is a column of zeros
+/// masquerading as data; a new row needs its recorder and a run that
+/// reaches it.
+#[test]
+fn every_statistic_is_fed_by_some_run() {
+    let runs: [&dyn Fn() -> System; 8] = [
+        &ts_adaptation,
+        &tc_zipf,
+        &ts_store_churn,
+        &subsystem_coverage,
+        &final_drop_attribution,
+        &|| hop_budget_and_fetches(false),
+        &|| hop_budget_and_fetches(true),
+        &chaos_with_retries,
+    ];
+    let mut never = RunStats::new(0).unfed();
+    for run in runs {
+        let unfed = run().stats().unfed();
+        never.retain(|name| unfed.contains(name));
+    }
+    assert!(never.is_empty(), "no run feeds {never:?}");
 }
 
 const TS_ADAPT: &str = concat!(
