@@ -17,6 +17,15 @@
 //! process is in so consumers can distinguish "no allocations" from "no
 //! ledger".
 
+// The counters are thread-local `Cell`s: counting inside `alloc` must
+// neither allocate nor lock, and per-thread counts keep a single-threaded
+// simulation's ledger replayable.
+#![allow(
+    clippy::disallowed_types,
+    clippy::disallowed_macros,
+    reason = "the ledger's counters are thread-local Cells by design"
+)]
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 

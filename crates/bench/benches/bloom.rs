@@ -1,11 +1,3 @@
-// Benchmark harness: panicking on setup failure is the correct failure mode.
-#![allow(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::indexing_slicing,
-    clippy::panic
-)]
-
 //! Microbenchmarks: Bloom digest construction and membership tests — the
 //! hot inner loop of shortcut discovery (hundreds of tests per routing
 //! step under budget).

@@ -1,9 +1,7 @@
-// Benchmark harness: panicking on setup failure is the correct failure mode.
 #![allow(
     clippy::unwrap_used,
-    clippy::expect_used,
     clippy::indexing_slicing,
-    clippy::panic
+    reason = "benchmark harness: a broken setup aborts the bench"
 )]
 
 //! Hot-path microbenchmarks (DESIGN.md §16): the three operations the

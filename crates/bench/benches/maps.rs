@@ -1,11 +1,3 @@
-// Benchmark harness: panicking on setup failure is the correct failure mode.
-#![allow(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::indexing_slicing,
-    clippy::panic
-)]
-
 //! Microbenchmarks: node-map operations (merge, advertise, filter) — maps
 //! are merged on every query carrying path state.
 

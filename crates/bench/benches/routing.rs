@@ -1,11 +1,3 @@
-// Benchmark harness: panicking on setup failure is the correct failure mode.
-#![allow(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::indexing_slicing,
-    clippy::panic
-)]
-
 //! Microbenchmarks: whole routing steps and simulated-system throughput —
 //! the numbers that determine how fast the paper-scale experiments run.
 

@@ -1,11 +1,3 @@
-// Benchmark harness: panicking on setup failure is the correct failure mode.
-#![allow(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::indexing_slicing,
-    clippy::panic
-)]
-
 //! Microbenchmarks: workload generation (Zipf sampling, Poisson gaps,
 //! full query-stream steps) — the simulator injects hundreds of thousands
 //! of queries per run.

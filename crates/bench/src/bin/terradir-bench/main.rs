@@ -1,9 +1,8 @@
-// Experiment harness binary: aborting on unexpected state is the correct failure mode.
 #![allow(
     clippy::unwrap_used,
     clippy::expect_used,
     clippy::indexing_slicing,
-    clippy::panic
+    reason = "experiment harness binary: aborting on unexpected state is its failure mode"
 )]
 
 //! `terradir-bench <experiment> [flags]` — regenerates one figure, table,

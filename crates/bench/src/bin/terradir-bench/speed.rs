@@ -41,6 +41,10 @@ fn measure(servers: u32, time_mult: f64, seed: u64) -> Measurement {
     // Construction (namespace build, bootstrap assignment) happens before
     // the clock starts: the baseline prices the event loop, not setup.
     let mut sys = System::new(scale.ts_namespace(), scale.config(seed), plan, rate);
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "wall-clock throughput is what this experiment measures"
+    )]
     let wall = Instant::now();
     sys.run_until(total);
     let wall_s = wall.elapsed().as_secs_f64();

@@ -96,12 +96,6 @@ pub fn index(h: Hash128, i: u32, m: u64) -> u64 {
 }
 
 #[cfg(test)]
-#[allow(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::indexing_slicing,
-    clippy::panic
-)]
 mod tests {
     use super::*;
 
@@ -189,7 +183,7 @@ mod tests {
         let m = 1021; // prime
         let idxs: Vec<u64> = (0..8).map(|i| index(h, i, m)).collect();
         assert!(idxs.iter().all(|&i| i < m));
-        let distinct: std::collections::HashSet<_> = idxs.iter().collect();
+        let distinct: std::collections::BTreeSet<_> = idxs.iter().collect();
         assert!(distinct.len() >= 6, "double hashing should rarely collide");
     }
 

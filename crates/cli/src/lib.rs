@@ -469,12 +469,6 @@ pub const USAGE: &str = "usage: terradir-run [flags]
   --json                emit the final report as JSON";
 
 #[cfg(test)]
-#[allow(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::indexing_slicing,
-    clippy::panic
-)]
 mod tests {
     use super::*;
 

@@ -21,9 +21,17 @@ use std::hash::BuildHasherDefault;
 pub type DetBuildHasher = BuildHasherDefault<DefaultHasher>;
 
 /// `HashMap` with instance-independent iteration order.
+#[allow(
+    clippy::disallowed_types,
+    reason = "the deterministic alias names the std type it replaces"
+)]
 pub type DetHashMap<K, V> = std::collections::HashMap<K, V, DetBuildHasher>;
 
 /// `HashSet` with instance-independent iteration order.
+#[allow(
+    clippy::disallowed_types,
+    reason = "the deterministic alias names the std type it replaces"
+)]
 pub type DetHashSet<T> = std::collections::HashSet<T, DetBuildHasher>;
 
 /// A `DetHashMap` with reserved capacity.
@@ -32,7 +40,6 @@ pub fn det_map_with_capacity<K, V>(capacity: usize) -> DetHashMap<K, V> {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 

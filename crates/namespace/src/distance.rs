@@ -147,12 +147,6 @@ pub fn path_between(ns: &Namespace, a: NodeId, b: NodeId) -> Vec<NodeId> {
 }
 
 #[cfg(test)]
-#[allow(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::indexing_slicing,
-    clippy::panic
-)]
 mod tests {
     use super::*;
     use crate::builder::{balanced_tree, coda_like, CodaParams};

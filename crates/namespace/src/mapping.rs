@@ -115,12 +115,6 @@ impl OwnerAssignment {
 }
 
 #[cfg(test)]
-#[allow(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::indexing_slicing,
-    clippy::panic
-)]
 mod tests {
     use super::*;
     use crate::builder::balanced_tree;

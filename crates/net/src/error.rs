@@ -32,12 +32,6 @@ impl fmt::Display for NetError {
 impl std::error::Error for NetError {}
 
 #[cfg(test)]
-#[allow(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::indexing_slicing,
-    clippy::panic
-)]
 mod tests {
     use super::*;
 

@@ -141,10 +141,8 @@ fn delay_stage(rx: Receiver<Delayed>, out: Vec<Sender<PeerCommand>>) {
 
 #[cfg(test)]
 #[allow(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::indexing_slicing,
-    clippy::panic
+    clippy::wildcard_enum_match_arm,
+    reason = "each test matches out the one variant it asserts on"
 )]
 mod tests {
     use super::*;

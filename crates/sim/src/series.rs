@@ -188,12 +188,6 @@ pub fn rolling_mean(series: &[f64], window: usize) -> Vec<f64> {
 }
 
 #[cfg(test)]
-#[allow(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::indexing_slicing,
-    clippy::panic
-)]
 mod tests {
     use super::*;
 

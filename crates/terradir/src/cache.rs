@@ -183,12 +183,6 @@ impl RouteCache {
 }
 
 #[cfg(test)]
-#[allow(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::indexing_slicing,
-    clippy::panic
-)]
 mod tests {
     use super::*;
     use terradir_namespace::ServerId;
@@ -297,7 +291,7 @@ mod tests {
         let mut c = RouteCache::new(4);
         c.insert(NodeId(1), m(1), 0.0);
         c.insert(NodeId(2), m(2), 0.0);
-        let nodes: std::collections::HashSet<NodeId> = c.iter().map(|(n, _)| n).collect();
+        let nodes: std::collections::BTreeSet<NodeId> = c.iter().map(|(n, _)| n).collect();
         assert_eq!(nodes.len(), 2);
     }
 }

@@ -7,9 +7,11 @@
 //! server function receives its own context plus the shared one and
 //! expresses every cross-server effect as returned [`Outgoing`] values
 //! that only the deterministic calendar dispatch in `system.rs` may
-//! apply. The `isolation` xtask pass enforces the discipline statically;
-//! the compile-time `Send + Sync` assertions below prove both halves
-//! are shippable across threads once a parallel executor exists.
+//! apply. clippy (`clippy.toml`: no shared-mutability types) and the
+//! `isolation` xtask pass (no cross-server `&mut` outside the dispatch
+//! regions) enforce the discipline statically; the compile-time
+//! `Send + Sync` assertions below prove both halves are shippable
+//! across threads once a parallel executor exists.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -80,11 +82,10 @@ impl StatelessContext {
     /// Tenant of a query-traffic message's lookup target: `None` for
     /// control traffic, spine targets, or with tenants off.
     pub(crate) fn tenant_of_msg(&self, msg: &Message) -> Option<u16> {
-        match msg {
-            Message::Query(p) => self.tenant_of(p.target),
-            Message::QueryResult { packet, .. } => self.tenant_of(packet.target),
-            _ => None,
-        }
+        let (Message::Query(packet) | Message::QueryResult { packet, .. }) = msg else {
+            return None;
+        };
+        self.tenant_of(packet.target)
     }
 
     /// The replica set of stored object `node`, into `out`

@@ -3,7 +3,6 @@
 //! The canonical module lives at the bottom of the crate graph
 //! ([`terradir_namespace::det`]) so the namespace tree itself can use the
 //! fixed-key hasher; this alias keeps the original `terradir::det` path
-//! every protocol-layer caller (and the determinism lint's allowlist)
-//! refers to.
+//! every protocol-layer caller refers to.
 
 pub use terradir_namespace::det::{det_map_with_capacity, DetBuildHasher, DetHashMap, DetHashSet};

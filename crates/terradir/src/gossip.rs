@@ -128,12 +128,6 @@ pub(crate) fn select_pull(
 }
 
 #[cfg(test)]
-#[allow(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::indexing_slicing,
-    clippy::panic
-)]
 mod tests {
     use terradir_bloom::{BloomParams, DigestBuilder, WindowedDigest};
     use terradir_namespace::balanced_tree;

@@ -531,12 +531,6 @@ pub fn audit_server(ns: &Namespace, server: &ServerState) -> Vec<String> {
 }
 
 #[cfg(test)]
-#[allow(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::indexing_slicing,
-    clippy::panic
-)]
 mod tests {
     use std::sync::Arc;
 

@@ -96,10 +96,9 @@ pub use terradir_namespace::{NodeId, ServerId};
 
 #[cfg(test)]
 #[allow(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::indexing_slicing,
-    clippy::panic
+    clippy::wildcard_enum_match_arm,
+    clippy::match_same_arms,
+    clippy::match_wildcard_for_single_variants,
+    reason = "each test matches out the one variant it asserts on"
 )]
-#[allow(clippy::match_same_arms, clippy::match_wildcard_for_single_variants)]
 mod soft_state_tests;

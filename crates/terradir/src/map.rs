@@ -203,12 +203,6 @@ impl NodeMap {
 }
 
 #[cfg(test)]
-#[allow(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::indexing_slicing,
-    clippy::panic
-)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
@@ -257,7 +251,7 @@ mod tests {
     fn merge_is_random_in_the_tail() {
         let a = NodeMap::from_entries([s(1), s(2), s(3), s(4)]);
         let b = NodeMap::from_entries([s(10), s(20), s(30), s(40)]);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = crate::det::DetHashSet::default();
         for seed in 0..32 {
             let mut rng = StdRng::seed_from_u64(seed);
             let m = a.merge(&b, 4, &mut rng);

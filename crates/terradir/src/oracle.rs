@@ -125,12 +125,6 @@ pub fn routing_accuracy(system: &System) -> (u64, u64, f64) {
 }
 
 #[cfg(test)]
-#[allow(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::indexing_slicing,
-    clippy::panic
-)]
 mod tests {
     use super::*;
     use crate::config::Config;

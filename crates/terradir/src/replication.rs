@@ -573,10 +573,8 @@ impl ServerState {
 
 #[cfg(test)]
 #[allow(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::indexing_slicing,
-    clippy::panic
+    clippy::wildcard_enum_match_arm,
+    reason = "each test matches out the one variant it asserts on"
 )]
 mod tests {
     use super::*;

@@ -109,10 +109,12 @@ impl RoleMap {
         // xtask: allow(alloc): role-map construction, runs once per system
         let mut pinned = vec![false; n * n_regions];
         for s in 0..n {
-            let c = class.get(s).copied().unwrap_or(ServerClass::Edge);
-            if c == ServerClass::Relay {
-                continue; // relays admit everything; bitmap unused
-            }
+            // Each class's placement policy, named per variant.
+            let pins = match class.get(s).copied().unwrap_or(ServerClass::Edge) {
+                ServerClass::Relay => continue, // relays admit everything; bitmap unused
+                ServerClass::Edge => false,
+                ServerClass::Keeper => true,
+            };
             for &node in assignment.owned_by(ServerId(s as u32)) {
                 let Some(&r) = region_of.get(node.index()) else {
                     continue;
@@ -126,7 +128,7 @@ impl RoleMap {
                         *slot = true;
                     }
                 }
-                if c == ServerClass::Keeper {
+                if pins {
                     if let Some(slot) = pinned.get_mut(idx) {
                         *slot = true;
                     }
@@ -297,12 +299,6 @@ impl TenantMap {
 }
 
 #[cfg(test)]
-#[allow(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::indexing_slicing,
-    clippy::panic
-)]
 mod tests {
     use super::*;
     use crate::config::{Config, TenantSpec};

@@ -903,14 +903,14 @@ impl ServerState {
                 // List queries also return the children with the maps from
                 // our routing context (hosting the node guarantees one per
                 // child).
-                let children: Vec<(NodeId, NodeMap)> = if p.kind == QueryKind::List {
-                    self.ns
+                let children: Vec<(NodeId, NodeMap)> = match p.kind {
+                    QueryKind::List => self
+                        .ns
                         .children(p.target)
                         .iter()
                         .filter_map(|&c| self.neighbor_maps.get(&c).map(|m| (c, m.clone()))) // xtask: allow(alloc): List result owns its child maps
-                        .collect()
-                } else {
-                    Vec::new()
+                        .collect(),
+                    QueryKind::Lookup => Vec::new(),
                 };
                 p.push_path(p.target, map, config::PATH_CAP);
                 out.push(Outgoing::Send {
@@ -1643,12 +1643,10 @@ impl ServerState {
 
 #[cfg(test)]
 #[allow(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::indexing_slicing,
-    clippy::panic
+    clippy::wildcard_enum_match_arm,
+    clippy::match_wildcard_for_single_variants,
+    reason = "each test matches out the one variant it asserts on"
 )]
-#[allow(clippy::match_wildcard_for_single_variants)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;

@@ -114,12 +114,6 @@ pub fn replica_targets(
 }
 
 #[cfg(test)]
-#[allow(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::indexing_slicing,
-    clippy::panic
-)]
 mod tests {
     use super::*;
     use terradir_namespace::balanced_tree;

@@ -290,7 +290,6 @@ impl System {
         let queue_caps: Vec<usize> = (0..cfg.n_servers)
             .map(|i| match &roles {
                 Some(r) if r.class_of(ServerId(i)) == crate::config::ServerClass::Relay => {
-                    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
                     let cap =
                         (cfg.queue_capacity as f64 * cfg.roles.relay_queue_factor).round() as usize;
                     cap.max(cfg.queue_capacity)
@@ -351,7 +350,6 @@ impl System {
                 .iter()
                 .enumerate()
                 .map(|(t, spec)| {
-                    #[allow(clippy::cast_possible_truncation)]
                     // xtask: allow(alloc): construction, runs once per run
                     let members = tm.members(t as u16).to_vec();
                     (members, spec.weight, spec.zipf_theta)
@@ -508,7 +506,6 @@ impl System {
                 z ^ (z >> 31)
             };
             for i in (1..order.len()).rev() {
-                #[allow(clippy::cast_possible_truncation)]
                 let j = (next() % (i as u64 + 1)) as usize;
                 order.swap(i, j);
             }
@@ -1971,9 +1968,12 @@ impl System {
             // resolving. If nothing queued is strictly worse than the
             // arrival, the arrival itself is shed.
             let ttl = i64::from(config::TTL_HOPS);
-            let badness = |m: &Message| match m {
-                Message::Query(p) => ttl - i64::from(p.hops),
-                _ => -1,
+            let badness = |m: &Message| {
+                if let Message::Query(p) = m {
+                    ttl - i64::from(p.hops)
+                } else {
+                    -1
+                }
             };
             let incoming = badness(&msg);
             let victim = q
@@ -2019,12 +2019,13 @@ impl System {
             return;
         };
         let mut d = self.service.sample(&mut self.rng_service) / ctx.speed;
-        match &msg {
-            Message::Query(_) => self.stats.query_messages += 1,
+        if matches!(msg, Message::Query(_)) {
+            self.stats.query_messages += 1;
+        } else {
             // Result delivery and control traffic are lightweight: the
             // paper's service time models routing steps, not the direct
             // response to the querier.
-            _ => d *= config::CONTROL_SERVICE_FACTOR,
+            d *= config::CONTROL_SERVICE_FACTOR;
         }
         ctx.server.record_busy(now, d);
         ctx.util.record_busy(now, d);
@@ -2346,12 +2347,6 @@ impl std::fmt::Debug for System {
 }
 
 #[cfg(test)]
-#[allow(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::indexing_slicing,
-    clippy::panic
-)]
 mod tests {
     use super::*;
     use terradir_namespace::balanced_tree;

@@ -81,8 +81,8 @@ pub mod tags {
 /// Every sampling path in the vendored `rand` (ranges, floats, shuffles,
 /// `choose`) bottoms out in `next_u64`, so the counter is an exact ledger
 /// of the stream's consumption. Two replays of the same run must agree on
-/// every per-tag count — the runtime cross-check behind `cargo xtask
-/// analyze`'s static stream discipline (DESIGN.md §15).
+/// every per-tag count — the runtime cross-check behind the static ban
+/// on ambient randomness in `clippy.toml` (DESIGN.md §15).
 #[derive(Debug, Clone)]
 pub struct TaggedRng {
     tag: u64,
@@ -132,12 +132,6 @@ pub fn ledger_add(ledger: &mut Vec<u64>, tag: u64, n: u64) {
 }
 
 #[cfg(test)]
-#[allow(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::indexing_slicing,
-    clippy::panic
-)]
 mod tests {
     use super::*;
     use rand::Rng;

@@ -322,15 +322,9 @@ impl QueryStream {
 }
 
 #[cfg(test)]
-#[allow(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::indexing_slicing,
-    clippy::panic
-)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
+    use std::collections::{BTreeMap, BTreeSet};
 
     #[test]
     fn plan_durations_and_reshuffle_times() {
@@ -349,8 +343,8 @@ mod tests {
     #[test]
     fn uniform_stream_covers_nodes_and_servers() {
         let mut qs = QueryStream::new(StreamPlan::unif(10.0), 16, 4, 1);
-        let mut nodes = std::collections::HashSet::new();
-        let mut servers = std::collections::HashSet::new();
+        let mut nodes = BTreeSet::new();
+        let mut servers = BTreeSet::new();
         for i in 0..2000 {
             let (s, d) = qs.next_query(i as f64 * 0.001);
             nodes.insert(d);
@@ -363,7 +357,7 @@ mod tests {
     #[test]
     fn zipf_stream_skews_to_head() {
         let mut qs = QueryStream::new(StreamPlan::uzipf(1.5, 10.0), 1000, 8, 2);
-        let mut counts: HashMap<NodeId, u32> = HashMap::new();
+        let mut counts: BTreeMap<NodeId, u32> = BTreeMap::new();
         for i in 0..20_000 {
             let (_, d) = qs.next_query(i as f64 * 1e-4);
             *counts.entry(d).or_default() += 1;
@@ -397,7 +391,7 @@ mod tests {
         let plan = StreamPlan::adaptation(1.5, 1.0, 1, 1.0);
         let mut qs = QueryStream::new(plan, 10_000, 4, 4);
         // Warm-up is uniform; jump into the zipf segment.
-        let mut first: HashMap<NodeId, u32> = HashMap::new();
+        let mut first: BTreeMap<NodeId, u32> = BTreeMap::new();
         for _ in 0..5_000 {
             let (_, d) = qs.next_query(1.5);
             *first.entry(d).or_default() += 1;
@@ -406,7 +400,7 @@ mod tests {
         // No way to reshuffle within a segment; rebuild with two shifts.
         let plan = StreamPlan::adaptation(1.5, 1.0, 2, 1.0);
         let mut qs = QueryStream::new(plan, 10_000, 4, 4);
-        let mut second: HashMap<NodeId, u32> = HashMap::new();
+        let mut second: BTreeMap<NodeId, u32> = BTreeMap::new();
         for _ in 0..5_000 {
             let (_, d) = qs.next_query(2.5);
             *second.entry(d).or_default() += 1;

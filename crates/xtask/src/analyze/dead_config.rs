@@ -26,6 +26,8 @@
 //! a live field; combined with the docs check in `checks.rs` they keep the
 //! config and stats surfaces honest.
 
+use std::collections::BTreeSet;
+
 use crate::checks::{struct_fields, Violation};
 use crate::lexer::{cfg_test_ranges, scrub};
 
@@ -68,20 +70,15 @@ fn is_ident_byte(b: u8) -> bool {
     b.is_ascii_alphanumeric() || b == b'_'
 }
 
-/// Whether `.field` appears as a complete token (field access) in `text`.
-pub fn has_field_access(text: &str, field: &str) -> bool {
-    let pat = format!(".{field}");
-    text.match_indices(&pat).any(|(pos, _)| {
-        !text
-            .as_bytes()
-            .get(pos + pat.len())
-            .is_some_and(|b| is_ident_byte(*b))
+/// Every identifier that follows a `.` in `text` (a field access or a
+/// method name), paired with whether a `(` follows it (a method call).
+fn dot_idents(text: &str) -> impl Iterator<Item = (&str, bool)> {
+    text.match_indices('.').filter_map(move |(pos, _)| {
+        let rest = text.get(pos + 1..)?;
+        let len = rest.bytes().take_while(|b| is_ident_byte(*b)).count();
+        let ident = rest.get(..len).filter(|id| !id.is_empty())?;
+        Some((ident, rest.as_bytes().get(len) == Some(&b'(')))
     })
-}
-
-/// Whether `.name(` appears in `text` (a method call on something).
-pub fn has_method_call(text: &str, name: &str) -> bool {
-    text.contains(&format!(".{name}("))
 }
 
 /// Index of the `}` closing the brace group opened at `open`.
@@ -103,17 +100,15 @@ fn matching_brace(bytes: &[u8], open: usize) -> Option<usize> {
 }
 
 /// `(name, body)` for every `fn` with a block body in scrubbed source.
-pub fn fn_bodies(scrubbed: &str) -> Vec<(String, String)> {
+fn fn_bodies(scrubbed: &str) -> Vec<(&str, &str)> {
     let bytes = scrubbed.as_bytes();
     let mut out = Vec::new();
     for (pos, _) in scrubbed.match_indices("fn ") {
         if pos > 0 && bytes.get(pos - 1).is_some_and(|b| is_ident_byte(*b)) {
             continue;
         }
-        let name: String = scrubbed[pos + 3..]
-            .chars()
-            .take_while(|c| c.is_alphanumeric() || *c == '_')
-            .collect();
+        let rest = &scrubbed[pos + 3..];
+        let name = &rest[..rest.bytes().take_while(|b| is_ident_byte(*b)).count()];
         if name.is_empty() {
             continue;
         }
@@ -134,7 +129,7 @@ pub fn fn_bodies(scrubbed: &str) -> Vec<(String, String)> {
         }
         let Some(open) = open else { continue };
         let close = matching_brace(bytes, open).unwrap_or(bytes.len() - 1);
-        out.push((name, scrubbed[open..=close].to_string()));
+        out.push((name, &scrubbed[open..=close]));
     }
     out
 }
@@ -154,7 +149,7 @@ pub fn runstats_rows(stats_src: &str) -> Vec<(String, usize)> {
         return Vec::new();
     };
     body.match_indices("runstats ")
-        .filter(|(pos, _)| *pos == 0 || !is_ident_byte(body.as_bytes()[pos - 1]))
+        .filter(|(pos, _)| !body[..*pos].ends_with(|c: char| c.is_ascii_alphanumeric() || c == '_'))
         .filter_map(|(pos, kw)| {
             let name: String = body[pos + kw.len()..]
                 .chars()
@@ -166,36 +161,46 @@ pub fn runstats_rows(stats_src: &str) -> Vec<(String, usize)> {
         .collect()
 }
 
-/// Runs the dead-config pass over one struct.
+/// Runs the dead-config pass over each struct in `struct_names`.
 ///
 /// `readers` holds `(label, source)` for every non-test source file that
-/// may legitimately consume config — everything except `config.rs`.
+/// may legitimately consume config — everything except `config.rs`. The
+/// readers are scrubbed and indexed once for all the structs.
 pub fn check_dead_config(
     config_src: &str,
-    struct_name: &str,
+    struct_names: &[&str],
     readers: &[(String, String)],
 ) -> Vec<Violation> {
-    let fields = struct_fields(config_src, struct_name);
-    if fields.is_empty() {
-        return vec![Violation {
-            file: "crates/terradir/src/config.rs".into(),
-            line: 1,
-            what: format!("auditor found no `pub struct {struct_name}` fields (parser drift?)"),
-        }];
-    }
-    let names: Vec<(String, usize)> = fields.into_iter().map(|f| (f.name, f.line)).collect();
+    let config_label = "crates/terradir/src/config.rs";
     let reader_texts: Vec<String> = readers.iter().map(|(_, s)| behavior_text(s)).collect();
-    unread(config_src, &names, &reader_texts)
-        .into_iter()
-        .map(|(name, line)| Violation {
-            file: "crates/terradir/src/config.rs".into(),
-            line,
-            what: format!(
-                "{struct_name} field `{name}` is dead: no non-test code outside \
-                 config.rs reads it"
-            ),
-        })
-        .collect()
+    let owner_text = behavior_text(config_src);
+    let read = read_names(&owner_text, &reader_texts);
+    let mut out = Vec::new();
+    for struct_name in struct_names {
+        let fields = struct_fields(config_src, struct_name);
+        if fields.is_empty() {
+            out.push(Violation {
+                file: config_label.into(),
+                line: 1,
+                what: format!("auditor found no `pub struct {struct_name}` fields (parser drift?)"),
+            });
+        }
+        out.extend(
+            fields
+                .into_iter()
+                .filter(|f| !read.contains(f.name.as_str()))
+                .map(|f| Violation {
+                    file: config_label.into(),
+                    line: f.line,
+                    what: format!(
+                        "{struct_name} field `{}` is dead: no non-test code outside \
+                         config.rs reads it",
+                        f.name
+                    ),
+                }),
+        );
+    }
+    out
 }
 
 /// Runs the emitted pass: every `runstats` row of the stats table in
@@ -211,12 +216,14 @@ pub fn check_emitted(stats_src: &str, emitters: &[(String, String)]) -> Vec<Viol
             what: "auditor found no `runstats` rows in `stats_table!` (parser drift?)".into(),
         }];
     }
+    let owner_text = behavior_text(stats_src);
     let mut reader_texts: Vec<String> = emitters.iter().map(|(_, s)| behavior_text(s)).collect();
-    if let Some((_, body)) = stats_table_body(&behavior_text(stats_src)) {
+    if let Some((_, body)) = stats_table_body(&owner_text) {
         reader_texts.push(body.to_string());
     }
-    unread(stats_src, &rows, &reader_texts)
-        .into_iter()
+    let read = read_names(&owner_text, &reader_texts);
+    rows.into_iter()
+        .filter(|(name, _)| !read.contains(name.as_str()))
         .map(|(name, line)| Violation {
             file: stats_label.into(),
             line,
@@ -228,28 +235,24 @@ pub fn check_emitted(stats_src: &str, emitters: &[(String, String)]) -> Vec<Viol
         .collect()
 }
 
-/// The `(name, line)` fields of `owner_src` that no reader text accesses,
-/// directly or inside an `owner_src` fn that a reader calls.
-fn unread<'a>(
-    owner_src: &str,
-    fields: &'a [(String, usize)],
-    reader_texts: &[String],
-) -> Vec<(&'a str, usize)> {
-    let called: Vec<String> = fn_bodies(&behavior_text(owner_src))
-        .into_iter()
-        .filter(|(name, _)| reader_texts.iter().any(|t| has_method_call(t, name)))
-        .map(|(_, body)| body)
-        .collect();
-    let readers: Vec<&str> = reader_texts
-        .iter()
-        .map(String::as_str)
-        .chain(called.iter().map(String::as_str))
-        .collect();
-    fields
-        .iter()
-        .filter(|(name, _)| !readers.iter().any(|t| has_field_access(t, name)))
-        .map(|(name, line)| (name.as_str(), *line))
-        .collect()
+/// Every name the readers read: each `.ident` in a reader text, plus each
+/// `.ident` inside an owner-file fn that a reader calls as `.name(`.
+/// `owner_text` is the audited file's `behavior_text`.
+fn read_names<'a>(owner_text: &'a str, reader_texts: &'a [String]) -> BTreeSet<&'a str> {
+    let mut read = BTreeSet::new();
+    let mut called = BTreeSet::new();
+    for (ident, is_call) in reader_texts.iter().flat_map(|t| dot_idents(t)) {
+        read.insert(ident);
+        if is_call {
+            called.insert(ident);
+        }
+    }
+    for (name, body) in fn_bodies(owner_text) {
+        if called.contains(name) {
+            read.extend(dot_idents(body).map(|(ident, _)| ident));
+        }
+    }
+    read
 }
 
 #[cfg(test)]
@@ -265,7 +268,7 @@ mod tests {
     #[test]
     fn live_knobs_pass_dead_knobs_fail() {
         let r = readers("fn f(cfg: &Config) { let _ = cfg.alpha; }");
-        let vs = check_dead_config(CONFIG, "Config", &r);
+        let vs = check_dead_config(CONFIG, &["Config"], &r);
         assert_eq!(vs.len(), 1, "{vs:?}");
         assert!(vs[0].what.contains("`orphan_knob` is dead"));
         assert_eq!(vs[0].line, 5);
@@ -276,7 +279,7 @@ mod tests {
         let r = readers(
             "#[cfg(test)]\nmod tests { fn t(cfg: &Config) { let _ = cfg.orphan_knob; } }\nfn f(cfg: &Config) { let _ = cfg.alpha; }",
         );
-        let vs = check_dead_config(CONFIG, "Config", &r);
+        let vs = check_dead_config(CONFIG, &["Config"], &r);
         assert_eq!(vs.len(), 1, "{vs:?}");
         assert!(vs[0].what.contains("orphan_knob"));
     }
@@ -285,7 +288,7 @@ mod tests {
     fn prefix_field_names_are_not_confused() {
         // `cfg.alpha_scale` must not satisfy `alpha`.
         let r = readers("fn f(c: &Other) { let _ = c.alpha_scale; let _ = c.orphan_knob; }");
-        let vs = check_dead_config(CONFIG, "Config", &r);
+        let vs = check_dead_config(CONFIG, &["Config"], &r);
         assert_eq!(vs.len(), 1, "{vs:?}");
         assert!(vs[0].what.contains("`alpha` is dead"));
     }
@@ -294,17 +297,17 @@ mod tests {
     fn field_behind_a_called_accessor_is_live() {
         let config = "pub struct Config {\n    /// Gated.\n    pub gated: bool,\n}\nimpl Config {\n    pub fn gated_active(&self) -> bool { self.gated }\n}\n";
         let live = readers("fn f(cfg: &Config) { if cfg.gated_active() {} }");
-        assert!(check_dead_config(config, "Config", &live).is_empty());
+        assert!(check_dead_config(config, &["Config"], &live).is_empty());
         // An accessor nobody calls does not launder the field.
         let dead = readers("fn f() {}");
-        let vs = check_dead_config(config, "Config", &dead);
+        let vs = check_dead_config(config, &["Config"], &dead);
         assert_eq!(vs.len(), 1, "{vs:?}");
         assert!(vs[0].what.contains("`gated` is dead"));
     }
 
     #[test]
     fn missing_struct_is_loud_not_vacuous() {
-        let vs = check_dead_config(CONFIG, "RetryConfig", &readers(""));
+        let vs = check_dead_config(CONFIG, &["RetryConfig"], &readers(""));
         assert_eq!(vs.len(), 1);
         assert!(vs[0].what.contains("parser drift"));
     }

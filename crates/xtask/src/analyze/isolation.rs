@@ -6,21 +6,11 @@
 //! `StatelessContext`; cross-server effects travel only as returned
 //! `Outgoing` values that the deterministic calendar dispatch applies.
 //! The split is worthless if shared mutability or multi-server `&mut`
-//! access creeps back in, so this pass denies both:
-//!
-//! - **Rule A — shared mutability.** `Rc<`, `RefCell`, `Cell<`,
-//!   `UnsafeCell`, `Mutex`, `RwLock`, `thread_local!`, and `static mut`
-//!   are banned in behavior crates. Every one either defeats `Send +
-//!   Sync` outright or smuggles in cross-thread mutation that the
-//!   shadow-exec replay test cannot see. A genuinely required use is
-//!   justified in place:
-//!
-//!   ```text
-//!   // xtask: allow(isolation): <reason>
-//!   ```
-//!
-//!   on the violating line or the line above. A bare marker (no reason)
-//!   is itself a violation.
+//! access creeps back in. Shared mutability (Rule A: `Rc`, `RefCell`,
+//! `Cell`, `UnsafeCell`, `Mutex`, `RwLock`, `thread_local!`) is denied by
+//! clippy through the root `clippy.toml`; `static mut` needs `unsafe`,
+//! which the workspace denies. This pass enforces the rule no lint can
+//! express:
 //!
 //! - **Rule B — cross-server mutation.** Direct indexed or `&mut`
 //!   access into the per-server context table ([`CROSS_SERVER`] tokens)
@@ -37,36 +27,20 @@
 //!   reason, a `begin` without a matching `end`, an `end` without a
 //!   `begin`, and a region declared anywhere else are all violations.
 //!
-//! `#[cfg(test)]` modules are exempt from both rules (tests reach into
-//! state deliberately), and matching is token-boundary-safe: `Arc<`
-//! never trips the `Rc<` rule and `OnceCell<` never trips `Cell<`.
-//! Markers and region fences live in comments, which scrubbing blanks —
-//! so they are parsed from the *raw* source while tokens are scanned in
-//! the scrubbed one.
+//! `#[cfg(test)]` modules are exempt (tests reach into state
+//! deliberately). Region fences live in comments, which scrubbing
+//! blanks — so they are parsed from the *raw* source while tokens are
+//! scanned in the scrubbed one.
 
 use crate::checks::Violation;
 use crate::lexer::{cfg_test_ranges, line_of, scrub};
 
 /// Crates whose `src/` trees must uphold the state-isolation split.
-/// Mirrors the determinism pass's behavior-crate set: `net` is absent
-/// because the live thread-per-peer substrate legitimately shares
-/// state across threads (that is its job), and `xtask` is tooling.
+/// `net` is absent because the live thread-per-peer substrate
+/// legitimately shares state across threads (that is its job), and
+/// `xtask` is tooling.
 pub const BEHAVIOR_CRATES: &[&str] =
     &["namespace", "bloom", "workload", "sim", "terradir", "bench"];
-
-/// Rule A: shared-mutability constructs denied outside `#[cfg(test)]`.
-/// `Rc<` and `Cell<` keep their `<` so `Arc<` / `OnceCell<` (which are
-/// fine) need the boundary check only for the prefix byte.
-pub const SHARED_MUTABILITY: &[&str] = &[
-    "Rc<",
-    "RefCell",
-    "Cell<",
-    "UnsafeCell",
-    "Mutex",
-    "RwLock",
-    "thread_local!",
-    "static mut",
-];
 
 /// Rule B: multi-server mutable access tokens. Read-only iteration
 /// (`.ctxs.get(`, `.ctxs.iter()`) is deliberately not matched — the
@@ -80,11 +54,6 @@ pub const CROSS_SERVER: &[&str] = &[
     "&mut self.ctxs",
 ];
 
-/// The escape-hatch marker for Rule A (and, exceptionally, Rule B): a
-/// violation on line `L` is suppressed when line `L` or `L - 1` of the
-/// raw source carries the marker followed by a non-empty justification.
-pub const ALLOW_MARKER: &str = "xtask: allow(isolation)";
-
 /// Opens a dispatch region. Everything after `begin` (an em-dash or
 /// colon separator is tolerated) is the mandatory reason.
 pub const REGION_BEGIN: &str = "xtask: region(dispatch): begin";
@@ -96,62 +65,19 @@ pub const REGION_END: &str = "xtask: region(dispatch): end";
 /// dispatch itself.
 pub const DISPATCH_FILE: &str = "crates/terradir/src/system.rs";
 
-/// Is `src[pos..]` preceded by an identifier boundary? Tokens anchored
-/// by a leading `.` or `&` skip the check.
-fn bounded_before(scrubbed: &str, pos: usize, token: &str) -> bool {
-    if token.starts_with('.') || token.starts_with('&') {
-        return true;
-    }
-    pos == 0
-        || !scrubbed
-            .as_bytes()
-            .get(pos - 1)
-            .is_some_and(|b| b.is_ascii_alphanumeric() || *b == b'_')
+fn is_ident_byte(b: Option<&u8>) -> bool {
+    b.is_some_and(|b| b.is_ascii_alphanumeric() || *b == b'_')
 }
 
-/// Is the byte *after* the token a non-identifier byte? Keeps `Mutex`
-/// from matching `MutexGuard`-like idents and `.ctxs.get_mut` from
-/// matching a hypothetical `.ctxs.get_mutation`. Tokens whose own last
-/// byte is a non-identifier char (`Rc<`, `thread_local!`, `.ctxs[`) are
-/// self-delimiting: the type or body that follows is part of the match.
-fn bounded_after(scrubbed: &str, end: usize, token: &str) -> bool {
-    if !token
-        .as_bytes()
-        .last()
-        .is_some_and(|b| b.is_ascii_alphanumeric() || *b == b'_')
-    {
-        return true;
-    }
-    !scrubbed
-        .as_bytes()
-        .get(end)
-        .is_some_and(|b| b.is_ascii_alphanumeric() || *b == b'_')
-}
-
-/// Parses `allow(isolation)` markers out of the raw source: returns the
-/// line numbers carrying a justified marker and flags bare ones.
-fn allow_lines(file_label: &str, src: &str, out: &mut Vec<Violation>) -> Vec<usize> {
-    let mut allowed = Vec::new();
-    for (i, raw_line) in src.lines().enumerate() {
-        let line_no = i + 1;
-        let Some(rest) = raw_line.split(ALLOW_MARKER).nth(1) else {
-            continue;
-        };
-        let reason = rest.strip_prefix(':').map_or("", str::trim);
-        if reason.is_empty() {
-            out.push(Violation {
-                file: file_label.to_string(),
-                line: line_no,
-                what: format!(
-                    "`{ALLOW_MARKER}` marker without a justification \
-                     (write `// {ALLOW_MARKER}: <reason>`)"
-                ),
-            });
-        } else {
-            allowed.push(line_no);
-        }
-    }
-    allowed
+/// Does the token at `pos` stand on identifier boundaries? Keeps
+/// `myself.servers[` from matching `self.servers[` and `.ctxs.get_mut`
+/// from matching a hypothetical `.ctxs.get_mutation`. Tokens starting
+/// with `.` or `&`, or ending in `[`, delimit themselves on that side.
+fn bounded(scrubbed: &str, pos: usize, token: &str) -> bool {
+    let bytes = scrubbed.as_bytes();
+    let before = token.starts_with(['.', '&']) || pos == 0 || !is_ident_byte(bytes.get(pos - 1));
+    let after = token.ends_with('[') || !is_ident_byte(bytes.get(pos + token.len()));
+    before && after
 }
 
 /// Parses dispatch-region fences out of the raw source. Returns the
@@ -161,164 +87,97 @@ fn allow_lines(file_label: &str, src: &str, out: &mut Vec<Violation>) -> Vec<usi
 fn dispatch_regions(file_label: &str, src: &str, out: &mut Vec<Violation>) -> Vec<(usize, usize)> {
     let mut regions = Vec::new();
     let mut open: Option<usize> = None;
+    let mut flag = |line: usize, what: String| {
+        out.push(Violation {
+            file: file_label.to_string(),
+            line,
+            what,
+        });
+    };
     for (i, raw_line) in src.lines().enumerate() {
         let line_no = i + 1;
-        if let Some(rest) = raw_line.split(REGION_BEGIN).nth(1) {
-            if file_label != DISPATCH_FILE {
-                out.push(Violation {
-                    file: file_label.to_string(),
-                    line: line_no,
-                    what: format!(
-                        "dispatch region declared outside `{DISPATCH_FILE}` \
-                         (only the calendar dispatch may open one)"
-                    ),
-                });
-            }
+        let begin = raw_line.split(REGION_BEGIN).nth(1);
+        if begin.is_none() && !raw_line.contains(REGION_END) {
+            continue;
+        }
+        if file_label != DISPATCH_FILE {
+            flag(
+                line_no,
+                format!(
+                    "dispatch region declared outside `{DISPATCH_FILE}` \
+                     (only the calendar dispatch may open one)"
+                ),
+            );
+        }
+        if let Some(rest) = begin {
             let reason = rest.trim_start_matches([' ', ':', '\u{2014}', '-']).trim();
             if reason.is_empty() {
-                out.push(Violation {
-                    file: file_label.to_string(),
-                    line: line_no,
-                    what: format!(
+                flag(
+                    line_no,
+                    format!(
                         "`{REGION_BEGIN}` without a reason \
                          (write `// {REGION_BEGIN} — <why this executor needs it>`)"
                     ),
-                });
+                );
             }
             if open.is_some() {
-                out.push(Violation {
-                    file: file_label.to_string(),
-                    line: line_no,
-                    what: "nested dispatch region (close the previous one first)".to_string(),
-                });
+                flag(
+                    line_no,
+                    "nested dispatch region (close the previous one first)".to_string(),
+                );
             } else {
                 open = Some(line_no);
             }
-        } else if raw_line.contains(REGION_END) {
-            if file_label != DISPATCH_FILE {
-                out.push(Violation {
-                    file: file_label.to_string(),
-                    line: line_no,
-                    what: format!(
-                        "dispatch region declared outside `{DISPATCH_FILE}` \
-                         (only the calendar dispatch may open one)"
-                    ),
-                });
-            }
-            match open.take() {
-                Some(begin) => regions.push((begin, line_no)),
-                None => out.push(Violation {
-                    file: file_label.to_string(),
-                    line: line_no,
-                    what: format!("`{REGION_END}` with no open region"),
-                }),
-            }
+        } else if let Some(begin) = open.take() {
+            regions.push((begin, line_no));
+        } else {
+            flag(line_no, format!("`{REGION_END}` with no open region"));
         }
     }
     if let Some(begin) = open {
-        out.push(Violation {
-            file: file_label.to_string(),
-            line: begin,
-            what: format!("`{REGION_BEGIN}` is never closed (add `// {REGION_END}`)"),
-        });
+        flag(
+            begin,
+            format!("`{REGION_BEGIN}` is never closed (add `// {REGION_END}`)"),
+        );
     }
     regions
 }
 
-/// Scans one token family over the scrubbed source, pushing a violation
-/// for every boundary-clean hit outside `#[cfg(test)]` that is neither
-/// allow-marked nor (when `regions` applies) inside a dispatch region.
-#[allow(clippy::too_many_arguments)]
-fn scan(
-    file_label: &str,
-    src: &str,
-    scrubbed: &str,
-    exempt: &[(usize, usize)],
-    allowed: &[usize],
-    regions: Option<&[(usize, usize)]>,
-    tokens: &[&str],
-    what: impl Fn(&str) -> String,
-    out: &mut Vec<Violation>,
-) {
-    for token in tokens {
-        let mut search = 0;
-        while let Some(rel) = scrubbed.get(search..).and_then(|s| s.find(token)) {
-            let pos = search + rel;
-            search = pos + 1;
-            if exempt.iter().any(|&(lo, hi)| pos >= lo && pos < hi) {
-                continue;
-            }
-            if !bounded_before(scrubbed, pos, token)
-                || !bounded_after(scrubbed, pos + token.len(), token)
-            {
-                continue;
-            }
-            let line = line_of(src, pos);
-            if allowed.contains(&line) || (line > 1 && allowed.contains(&(line - 1))) {
-                continue;
-            }
-            if let Some(rs) = regions {
-                if rs.iter().any(|&(lo, hi)| line > lo && line < hi) {
-                    continue;
-                }
-            }
-            out.push(Violation {
-                file: file_label.to_string(),
-                line,
-                what: what(token),
-            });
-        }
-    }
-}
-
-/// Scans one behavior-crate source file for both isolation rules.
+/// Scans one behavior-crate source file for cross-server mutable access
+/// outside `#[cfg(test)]` and outside the dispatch file's regions.
 pub fn check_isolation(file_label: &str, src: &str) -> Vec<Violation> {
     let scrubbed = scrub(src);
     let exempt = cfg_test_ranges(&scrubbed);
     let mut out = Vec::new();
-    let allowed = allow_lines(file_label, src, &mut out);
     let mut regions = dispatch_regions(file_label, src, &mut out);
     if file_label != DISPATCH_FILE {
         // A region declared elsewhere is flagged above; it must not
         // *also* grant the access it was illegally wrapped around.
         regions.clear();
     }
-    scan(
-        file_label,
-        src,
-        &scrubbed,
-        &exempt,
-        &allowed,
-        None,
-        SHARED_MUTABILITY,
-        |token| {
-            format!(
-                "shared-mutability construct `{token}` breaks the \
-                 stateful/stateless context split (keep per-server state in \
-                 `StatefulContext`, share read-only data by `Arc`; if truly \
-                 required, justify with `// {ALLOW_MARKER}: <reason>`)"
-            )
-        },
-        &mut out,
-    );
-    scan(
-        file_label,
-        src,
-        &scrubbed,
-        &exempt,
-        &allowed,
-        Some(&regions),
-        CROSS_SERVER,
-        |token| {
-            format!(
-                "cross-server mutable access `{token}` outside a dispatch \
-                 region (express the effect as a returned `Outgoing`, or move \
-                 the code inside a `// {REGION_BEGIN} — <why>` fence in \
-                 `{DISPATCH_FILE}`)"
-            )
-        },
-        &mut out,
-    );
+    for token in CROSS_SERVER {
+        for (pos, _) in scrubbed.match_indices(token) {
+            if exempt.iter().any(|&(lo, hi)| pos >= lo && pos < hi)
+                || !bounded(&scrubbed, pos, token)
+            {
+                continue;
+            }
+            let line = line_of(src, pos);
+            if regions.iter().any(|&(lo, hi)| line > lo && line < hi) {
+                continue;
+            }
+            out.push(Violation {
+                file: file_label.to_string(),
+                line,
+                what: format!(
+                    "cross-server mutable access `{token}` outside a dispatch \
+                     region (express the effect as a returned `Outgoing`, or move \
+                     the code inside a `// {REGION_BEGIN} — <why>` fence in \
+                     `{DISPATCH_FILE}`)"
+                ),
+            });
+        }
+    }
     out.sort_by(|a, b| a.line.cmp(&b.line).then(a.what.cmp(&b.what)));
     out
 }
@@ -326,40 +185,6 @@ pub fn check_isolation(file_label: &str, src: &str) -> Vec<Violation> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn shared_mutability_is_caught_at_exact_lines() {
-        let src = "use std::rc::Rc;\npub fn bad() {\n    let a: Rc<u32> = Rc::new(0);\n    let b = std::cell::RefCell::new(1);\n    let c = std::sync::Mutex::new(2);\n    let _ = (a, b, c);\n}\nstatic mut GLOBAL: u32 = 0;\n";
-        let vs = check_isolation("crates/terradir/src/bad.rs", src);
-        let got: Vec<(usize, &str)> = vs.iter().map(|v| (v.line, v.what.as_str())).collect();
-        assert_eq!(vs.len(), 4, "{got:#?}");
-        assert_eq!(vs[0].line, 3);
-        assert!(vs[0].what.contains("Rc<"));
-        assert_eq!(vs[1].line, 4);
-        assert!(vs[1].what.contains("RefCell"));
-        assert_eq!(vs[2].line, 5);
-        assert!(vs[2].what.contains("Mutex"));
-        assert_eq!(vs[3].line, 8);
-        assert!(vs[3].what.contains("static mut"));
-    }
-
-    #[test]
-    fn arc_and_once_cell_do_not_trip_the_prefix_rules() {
-        let src =
-            "use std::sync::Arc;\npub struct S { a: Arc<u32>, b: once_cell::OnceCell<u32> }\n";
-        assert!(check_isolation("crates/terradir/src/good.rs", src).is_empty());
-    }
-
-    #[test]
-    fn justified_allow_markers_suppress_but_bare_ones_report() {
-        let ok = "pub struct S {\n    // xtask: allow(isolation): interior mutability confined to one thread\n    inner: std::cell::RefCell<u32>,\n}\n";
-        assert!(check_isolation("crates/sim/src/s.rs", ok).is_empty());
-        let bare = "pub struct S {\n    // xtask: allow(isolation)\n    inner: std::cell::RefCell<u32>,\n}\n";
-        let vs = check_isolation("crates/sim/src/s.rs", bare);
-        assert_eq!(vs.len(), 2, "{vs:?}");
-        assert!(vs[0].what.contains("without a justification"));
-        assert!(vs[1].what.contains("RefCell"));
-    }
 
     #[test]
     fn cross_server_access_needs_a_region_in_the_dispatch_file() {
@@ -371,6 +196,14 @@ mod tests {
 
         let fenced = "impl System {\n    fn f(&mut self) {\n        // xtask: region(dispatch): begin — test executor\n        let c = self.ctxs.get_mut(0);\n        let _ = c;\n        // xtask: region(dispatch): end\n    }\n}\n";
         assert!(check_isolation(DISPATCH_FILE, fenced).is_empty());
+    }
+
+    #[test]
+    fn token_ends_need_an_identifier_boundary() {
+        let src = "fn f(s: &mut S) { s.ctxs.get_mutation(); s.ctxs.iter(); myself.servers[0]; }\n";
+        assert!(check_isolation(DISPATCH_FILE, src).is_empty());
+        let src = "fn f(s: &mut S) { s.ctxs[0].epoch += 1; }\n";
+        assert_eq!(check_isolation(DISPATCH_FILE, src).len(), 1);
     }
 
     #[test]
@@ -412,9 +245,9 @@ mod tests {
 
     #[test]
     fn cfg_test_modules_strings_and_comments_are_exempt() {
-        let src = "#[cfg(test)]\nmod tests {\n    fn t() { let _ = std::sync::Mutex::new(sys.ctxs[0].epoch); }\n}\n";
+        let src = "#[cfg(test)]\nmod tests {\n    fn t() { let _ = sys.ctxs[0].epoch; }\n}\n";
         assert!(check_isolation(DISPATCH_FILE, src).is_empty());
-        let noise = "// Mutex and RefCell are banned; .ctxs[0] too\npub fn f() -> &'static str { \"static mut\" }\n";
+        let noise = "// .ctxs[0] is banned\npub fn f() -> &'static str { \"self.servers[0]\" }\n";
         assert!(check_isolation("crates/bloom/src/z.rs", noise).is_empty());
     }
 }

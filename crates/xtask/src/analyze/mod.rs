@@ -1,33 +1,33 @@
 //! The `cargo xtask analyze` driver: wires every pass to the workspace.
 //!
-//! Eight passes run as one suite (`lint` and `analyze` are synonyms —
-//! CI gates on the union), **cheapest first** so a dirty tree fails in
-//! milliseconds instead of waiting out the expensive scans. Measured on
-//! this workspace (`cargo xtask analyze --timings`, debug build, 2-core
-//! host): exhaustive ≈ 31 ms, panic-free ≈ 39 ms, determinism ≈ 41 ms,
-//! config-docs ≈ 31 ms, hotpath ≈ 67 ms, isolation ≈ 79 ms, emitted
-//! ≈ 50 ms, dead-config ≈ 2.0 s.
+//! Five passes run as one suite (`lint` and `analyze` are synonyms),
+//! **cheapest first** so a dirty tree fails fast. Each holds a rule no
+//! rustc or clippy lint can express; the rules a lint can carry
+//! (determinism, panic-freedom, exhaustive matches, shared mutability)
+//! live in the root `clippy.toml` and `[workspace.lints.clippy]`
+//! (DESIGN.md §15.1).
 //!
-//! 1. enum exhaustiveness ([`exhaustive`]) — generalizes and subsumes
-//!    the original message-handler and drop-taxonomy checks,
-//! 2. panic-free library code ([`crate::checks::check_no_panics`]),
-//! 3. determinism lint ([`determinism`]),
-//! 4. config docs ↔ DESIGN.md ([`crate::checks::check_struct_docs`]),
-//! 5. hot-path allocation discipline ([`hotpath`]),
-//! 6. state isolation ([`isolation`]) — the concurrency-readiness
-//!    wall over the stateful/stateless context split,
-//! 7. emitted statistics ([`dead_config::check_emitted`]) — every
+//! 1. emitted statistics ([`dead_config::check_emitted`]) — every
 //!    `RunStats`-only row of the stats table is read by a harness or a
 //!    derived row,
-//! 8. dead config ([`dead_config`]).
+//! 2. config docs ↔ DESIGN.md ([`crate::checks::check_struct_docs`]),
+//! 3. hot-path allocation discipline ([`hotpath`]),
+//! 4. state isolation ([`isolation`]) — cross-server `&mut` access only
+//!    inside the fenced dispatch regions,
+//! 5. dead config ([`dead_config`]).
+//!
+//! Measured on this workspace (`cargo xtask analyze --timings`, debug
+//! build, 2-core host): emitted ≈ 17 ms, config-docs ≈ 38 ms, hotpath
+//! ≈ 72 ms, isolation ≈ 80 ms, dead-config ≈ 84 ms; ≈ 0.3 s for the whole
+//! run. dead-config took ≈ 2.25 s of a ≈ 2.6 s run while it re-scrubbed
+//! every reader once per audited struct (14 times); it now scrubs and
+//! indexes the readers once.
 //!
 //! Every pass is timed; `cargo xtask analyze --timings` prints the
 //! per-pass wall clock so CI output shows which pass is slow as the
 //! suite grows (CI always passes `--timings` for exactly that reason).
 
 pub mod dead_config;
-pub mod determinism;
-pub mod exhaustive;
 pub mod hotpath;
 pub mod isolation;
 
@@ -35,7 +35,7 @@ use std::path::Path;
 use std::time::{Duration, Instant};
 
 use crate::checks::{self, Violation};
-use crate::{load_sources, read, LIB_CRATES};
+use crate::{load_sources, read};
 
 /// Everything one suite run produced.
 #[derive(Debug, Default)]
@@ -98,87 +98,12 @@ fn non_test_sources(
 /// cheapest pass first (timings in the module docs).
 pub fn run(root: &Path) -> Report {
     let mut report = Report::default();
+    let config_label = "crates/terradir/src/config.rs";
+    let config = read(root, config_label)
+        .map_err(|e| report.io_errors.push(e))
+        .ok();
 
-    // Pass 1: enum exhaustiveness (subsumes the original message-handler
-    // and drop-taxonomy checks via the Message and DropKind rules).
-    let t = Instant::now();
-    let mut vs = Vec::new();
-    for rule in exhaustive::ENUM_RULES {
-        match read(root, rule.def_file) {
-            Ok(def) => {
-                let mut consumers = Vec::new();
-                for rel in rule.use_files {
-                    match read(root, rel) {
-                        Ok(src) => consumers.push(((*rel).to_string(), src)),
-                        Err(e) => report.io_errors.push(e),
-                    }
-                }
-                vs.extend(exhaustive::check_enum_rule(rule, &def, &consumers));
-            }
-            Err(e) => report.io_errors.push(e),
-        }
-    }
-    report.record("exhaustive", vs, t);
-
-    // Pass 2: panic-free library code.
-    let t = Instant::now();
-    let lib_sources = non_test_sources(root, LIB_CRATES, &mut report.io_errors);
-    let mut vs = Vec::new();
-    for (label, src) in &lib_sources {
-        vs.extend(checks::check_no_panics(label, src));
-    }
-    report.record("panic-free", vs, t);
-
-    // Pass 3: determinism lint over behavior crates. The loaded sources
-    // are shared with the isolation pass below.
-    let t = Instant::now();
-    let behavior = non_test_sources(root, determinism::BEHAVIOR_CRATES, &mut report.io_errors);
-    let mut vs = Vec::new();
-    for (label, src) in &behavior {
-        vs.extend(determinism::check_determinism(label, src));
-    }
-    report.record("determinism", vs, t);
-
-    // Pass 4: config docs ↔ DESIGN.md.
-    let t = Instant::now();
-    let mut vs = Vec::new();
-    match (
-        read(root, "crates/terradir/src/config.rs"),
-        read(root, "DESIGN.md"),
-    ) {
-        (Ok(config), Ok(design)) => {
-            for name in dead_config::CONFIG_STRUCTS {
-                vs.extend(checks::check_struct_docs(&config, &design, name));
-            }
-        }
-        (a, b) => {
-            report.io_errors.extend(a.err());
-            report.io_errors.extend(b.err());
-        }
-    }
-    report.record("config-docs", vs, t);
-
-    // Pass 5: hot-path allocation discipline.
-    let t = Instant::now();
-    let mut vs = Vec::new();
-    for rel in hotpath::HOT_PATH_FILES {
-        match read(root, rel) {
-            Ok(src) => vs.extend(hotpath::check_hotpath(rel, &src)),
-            Err(e) => report.io_errors.push(e),
-        }
-    }
-    report.record("hotpath", vs, t);
-
-    // Pass 6: state isolation over the same behavior-crate sources the
-    // determinism pass loaded (the two share BEHAVIOR_CRATES).
-    let t = Instant::now();
-    let mut vs = Vec::new();
-    for (label, src) in &behavior {
-        vs.extend(isolation::check_isolation(label, src));
-    }
-    report.record("isolation", vs, t);
-
-    // Pass 7: emitted statistics.
+    // Pass 1: emitted statistics.
     let t = Instant::now();
     let mut vs = Vec::new();
     match read(root, "crates/terradir/src/stats.rs") {
@@ -190,33 +115,63 @@ pub fn run(root: &Path) -> Report {
     }
     report.record("emitted", vs, t);
 
-    // Pass 8: dead config (the expensive one — a full cross-reference
-    // of every knob against every reader — so it runs last).
+    // Pass 2: config docs ↔ DESIGN.md.
     let t = Instant::now();
     let mut vs = Vec::new();
-    match read(root, "crates/terradir/src/config.rs") {
-        Ok(config) => {
-            let config_label = "crates/terradir/src/config.rs";
-            let reader_crates = [
-                "namespace",
-                "bloom",
-                "workload",
-                "sim",
-                "terradir",
-                "net",
-                "bench",
-                "cli",
-            ];
-            let readers: Vec<(String, String)> =
-                non_test_sources(root, &reader_crates, &mut report.io_errors)
-                    .into_iter()
-                    .filter(|(label, _)| label != config_label)
-                    .collect();
+    match (&config, read(root, "DESIGN.md")) {
+        (Some(config), Ok(design)) => {
             for name in dead_config::CONFIG_STRUCTS {
-                vs.extend(dead_config::check_dead_config(&config, name, &readers));
+                vs.extend(checks::check_struct_docs(config, &design, name));
             }
         }
-        Err(e) => report.io_errors.push(e),
+        (_, design) => report.io_errors.extend(design.err()),
+    }
+    report.record("config-docs", vs, t);
+
+    // Pass 3: hot-path allocation discipline.
+    let t = Instant::now();
+    let mut vs = Vec::new();
+    for rel in hotpath::HOT_PATH_FILES {
+        match read(root, rel) {
+            Ok(src) => vs.extend(hotpath::check_hotpath(rel, &src)),
+            Err(e) => report.io_errors.push(e),
+        }
+    }
+    report.record("hotpath", vs, t);
+
+    // Pass 4: state isolation (Rule B, fenced dispatch regions).
+    let t = Instant::now();
+    let mut vs = Vec::new();
+    let behavior = non_test_sources(root, isolation::BEHAVIOR_CRATES, &mut report.io_errors);
+    for (label, src) in &behavior {
+        vs.extend(isolation::check_isolation(label, src));
+    }
+    report.record("isolation", vs, t);
+
+    // Pass 5: dead config, every knob against every reader.
+    let t = Instant::now();
+    let mut vs = Vec::new();
+    if let Some(config) = &config {
+        let reader_crates = [
+            "namespace",
+            "bloom",
+            "workload",
+            "sim",
+            "terradir",
+            "net",
+            "bench",
+            "cli",
+        ];
+        let readers: Vec<(String, String)> =
+            non_test_sources(root, &reader_crates, &mut report.io_errors)
+                .into_iter()
+                .filter(|(label, _)| label != config_label)
+                .collect();
+        vs.extend(dead_config::check_dead_config(
+            config,
+            dead_config::CONFIG_STRUCTS,
+            &readers,
+        ));
     }
     report.record("dead-config", vs, t);
 

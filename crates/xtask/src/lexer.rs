@@ -1,3 +1,8 @@
+#![allow(
+    clippy::indexing_slicing,
+    reason = "the scanner indexes byte offsets it has just bounds-checked"
+)]
+
 //! A minimal Rust source scrubber.
 //!
 //! The build environment has no access to `syn`, so the auditor works on
@@ -329,12 +334,6 @@ fn find_from(haystack: &str, needle: &str, from: usize) -> Option<usize> {
 }
 
 #[cfg(test)]
-#[allow(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::indexing_slicing,
-    clippy::panic
-)]
 mod tests {
     use super::*;
 

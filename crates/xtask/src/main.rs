@@ -1,17 +1,7 @@
-// Developer tool binary: aborting on unexpected state is the correct
-// failure mode.
-#![allow(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::indexing_slicing,
-    clippy::panic
-)]
-
 //! Repository auditor CLI: `cargo xtask lint` / `cargo xtask analyze`.
 //!
-//! Both subcommands run the full static-analysis suite (the protocol-
-//! invariant checks plus the determinism & accounting passes — see
-//! `xtask::analyze` and DESIGN.md §15–16). Exit status is 0 when clean,
+//! Both subcommands run the full static-analysis suite (the five passes
+//! in `xtask::analyze`; see DESIGN.md §15–16). Exit status is 0 when clean,
 //! 1 otherwise, so CI can gate on it. `--timings` prints per-pass wall
 //! time so CI output shows which pass is slow as the suite grows.
 

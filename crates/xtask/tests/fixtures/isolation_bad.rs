@@ -1,24 +1,6 @@
 //! Known-bad isolation fixture: every annotated line below must be
 //! reported by the isolation pass at exactly that `path:line`.
 
-pub struct SharedBad {
-    counter: std::rc::Rc<u32>,
-    flag: std::cell::RefCell<bool>,
-    slot: std::cell::Cell<u8>,
-}
-
-pub static mut GLOBAL_TICKS: u64 = 0;
-
-thread_local! {
-    static SCRATCH: Vec<u8> = Vec::new();
-}
-
-pub fn locks() {
-    let m = std::sync::Mutex::new(0_u32);
-    let r = std::sync::RwLock::new(0_u32);
-    let _ = (m, r);
-}
-
 pub struct System {
     ctxs: Vec<u32>,
 }
@@ -32,20 +14,11 @@ impl System {
     }
 }
 
-// xtask: allow(isolation)
-pub fn bare_marker() {
-    let _ = std::cell::RefCell::new(1_u8);
-}
-
-pub fn justified() {
-    // xtask: allow(isolation): fixture proves justified markers suppress
-    let _ = std::cell::RefCell::new(2_u8);
-}
-
 #[cfg(test)]
 mod tests {
     #[test]
-    fn tests_may_share_state() {
-        let _ = std::sync::Mutex::new(std::rc::Rc::new(0_u32));
+    fn tests_may_reach_into_state() {
+        let mut sys = super::System { ctxs: vec![0] };
+        let _ = sys.ctxs.get_mut(0);
     }
 }

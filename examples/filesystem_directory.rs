@@ -1,11 +1,3 @@
-// Integration surface: panicking on unexpected state is the correct failure mode here.
-#![allow(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::indexing_slicing,
-    clippy::panic
-)]
-
 //! A distributed file-system directory — the workload TerraDir's
 //! introduction motivates: a hierarchical namespace of files served by a
 //! federation of peers, queried with heavy skew (some files are hot).

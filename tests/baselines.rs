@@ -1,11 +1,3 @@
-// Integration surface: panicking on unexpected state is the correct failure mode here.
-#![allow(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::indexing_slicing,
-    clippy::panic
-)]
-
 //! The Fig. 5 ordering as an integration test: B ≥ BC ≥ BCR in drops on a
 //! skewed workload, and the latency benefit of caching.
 

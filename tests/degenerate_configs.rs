@@ -1,11 +1,3 @@
-// Integration surface: panicking on unexpected state is the correct failure mode here.
-#![allow(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::indexing_slicing,
-    clippy::panic
-)]
-
 //! Regression tests for degenerate configurations that once sat on latent
 //! panic paths (zero-slot caches, single-server fleets, `R_map = 1` maps).
 //! Each runs a whole system end to end and audits the final state with the

@@ -1,11 +1,3 @@
-// Integration surface: panicking on unexpected state is the correct failure mode here.
-#![allow(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::indexing_slicing,
-    clippy::panic
-)]
-
 //! End-to-end tests for partition faults, the scripted chaos-scenario
 //! engine, and graceful degradation (DESIGN.md §13): group cuts sever
 //! remote deliveries, scripted scenarios replay byte-identically from a
@@ -252,25 +244,24 @@ fn shed_and_overflow_drops_never_mix() {
     }
 }
 
-/// Every [`DropKind`] variant is accounted: the exhaustive match breaks
-/// this test at compile time when a variant is added, and the xtask
-/// exhaustiveness pass's `DropKind` rule requires each variant to be
-/// named here, so the accounting identity can never silently lose a
-/// drop class. Variants covered: DropKind::Queue, DropKind::Ttl,
-/// DropKind::Stuck, DropKind::Timeout, DropKind::Lost, DropKind::Shed,
-/// DropKind::Partition.
+/// Every [`DropKind`] variant is accounted. The variants are listed by
+/// an exhaustive match (each names the next, in declaration order), and
+/// each is read back through a second exhaustive match, so a new variant
+/// is a build error here until it joins the list and its counter is
+/// checked: the accounting identity can never silently lose a drop class.
 #[test]
 fn drop_taxonomy_is_fully_accounted() {
     use terradir_repro::protocol::stats::RunStats;
-    let kinds = [
-        DropKind::Queue,
-        DropKind::Ttl,
-        DropKind::Stuck,
-        DropKind::Timeout,
-        DropKind::Lost,
-        DropKind::Shed,
-        DropKind::Partition,
-    ];
+    let next = |k: DropKind| match k {
+        DropKind::Queue => Some(DropKind::Ttl),
+        DropKind::Ttl => Some(DropKind::Stuck),
+        DropKind::Stuck => Some(DropKind::Timeout),
+        DropKind::Timeout => Some(DropKind::Lost),
+        DropKind::Lost => Some(DropKind::Shed),
+        DropKind::Shed => Some(DropKind::Partition),
+        DropKind::Partition => None,
+    };
+    let kinds: Vec<DropKind> = std::iter::successors(Some(DropKind::Queue), |&k| next(k)).collect();
     let mut st = RunStats::new(8);
     for &k in &kinds {
         st.on_lost(0.5, k, false, None);

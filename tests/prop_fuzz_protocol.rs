@@ -1,11 +1,3 @@
-// Integration surface: panicking on unexpected state is the correct failure mode here.
-#![allow(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::indexing_slicing,
-    clippy::panic
-)]
-
 //! Protocol fuzzing: arbitrary (including nonsensical) message sequences
 //! delivered to a server must never panic, never violate the replica cap,
 //! and never corrupt the Table-1 state invariants. Soft-state protocols

@@ -1,11 +1,3 @@
-// Integration surface: panicking on unexpected state is the correct failure mode here.
-#![allow(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::indexing_slicing,
-    clippy::panic
-)]
-
 //! Property tests for the anti-entropy layer (DESIGN.md §18): the
 //! windowed digest's one-sided-error and fallback contracts, wrapping
 //! generation order, idempotence of a digest exchange, and bitwise

@@ -1,11 +1,3 @@
-// Integration surface: panicking on unexpected state is the correct failure mode here.
-#![allow(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::indexing_slicing,
-    clippy::panic
-)]
-
 //! Property tests for the runtime invariant auditors (`terradir::invariants`):
 //! whole simulated systems under randomized configurations, workloads, and
 //! failure injection must audit clean at every checkpoint — during the run,

@@ -1,11 +1,3 @@
-// Integration surface: panicking on unexpected state is the correct failure mode here.
-#![allow(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::indexing_slicing,
-    clippy::panic
-)]
-
 //! Property tests for node-map invariants: the soft-state rules every map
 //! operation must preserve (bounded size, no duplicates, head preservation,
 //! never-empty filtering).

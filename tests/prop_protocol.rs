@@ -1,11 +1,3 @@
-// Integration surface: panicking on unexpected state is the correct failure mode here.
-#![allow(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::indexing_slicing,
-    clippy::panic
-)]
-
 //! Property tests on protocol invariants driven through whole simulated
 //! systems: conservation of queries, capacity bounds, owner authority, and
 //! determinism, across random configurations and workloads.

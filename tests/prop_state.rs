@@ -1,11 +1,3 @@
-// Integration surface: panicking on unexpected state is the correct failure mode here.
-#![allow(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::indexing_slicing,
-    clippy::panic
-)]
-
 //! Property tests for per-server state machinery: the load meter's busy
 //! accounting, the LRU route cache checked against a reference model, and
 //! meta-data version monotonicity.

@@ -1,11 +1,3 @@
-// Integration surface: panicking on unexpected state is the correct failure mode here.
-#![allow(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::indexing_slicing,
-    clippy::panic
-)]
-
 //! Property tests for the replicated object store (DESIGN.md §17):
 //! the last-writer-wins merge must be a true join (idempotent,
 //! commutative, associative, deterministic) so replicas converge

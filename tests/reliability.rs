@@ -1,11 +1,3 @@
-// Integration surface: panicking on unexpected state is the correct failure mode here.
-#![allow(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::indexing_slicing,
-    clippy::panic
-)]
-
 //! End-to-end tests for the failure model and source-side reliability
 //! layer (DESIGN.md §12): message loss, churn, retry/backoff, negative
 //! caching, and the exact accounting identity `resolved + dropped ==

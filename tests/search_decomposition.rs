@@ -1,11 +1,3 @@
-// Integration surface: panicking on unexpected state is the correct failure mode here.
-#![allow(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::indexing_slicing,
-    clippy::panic
-)]
-
 //! Integration tests of §2.1's hierarchical query decomposition: complex
 //! (subtree) searches executed as sequences of List lookups.
 

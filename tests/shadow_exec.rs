@@ -1,11 +1,3 @@
-// Integration surface: panicking on unexpected state is the correct failure mode here.
-#![allow(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::indexing_slicing,
-    clippy::panic
-)]
-
 //! Shadow-exec order-independence (DESIGN.md §20): stepping same-timestep
 //! servers in a permuted (but deterministic) order must produce a
 //! byte-identical run. This is the exact property a parallel executor

@@ -1,9 +1,6 @@
-// Integration surface: panicking on unexpected state is the correct failure mode here.
 #![allow(
-    clippy::unwrap_used,
     clippy::expect_used,
-    clippy::indexing_slicing,
-    clippy::panic
+    reason = "fixture helpers outside #[test] abort on a broken fixture"
 )]
 
 //! Integration tests of the paper's two-step access (§2.1): lookup
