@@ -7,19 +7,18 @@
 //! query to populate a cache, and then reports which state each
 //! relationship actually carries in the implementation.
 
-use std::sync::Arc;
-
 use rand::SeedableRng;
-use terradir::{Config, Message, QueryPacket, ServerId, ServerState};
+use terradir::{Config, Message, QueryPacket, ServerId, ServerState, StatelessContext};
 use terradir_bench::{Args, ShapeChecks};
 use terradir_namespace::{balanced_tree, OwnerAssignment};
 
 pub fn run(_: Args, checks: &mut ShapeChecks) {
-    let ns = Arc::new(balanced_tree(2, 4));
-    let cfg = Arc::new(Config::paper_default(4).with_seed(1));
+    let ns = balanced_tree(2, 4);
     let asg = OwnerAssignment::round_robin(&ns, 4);
+    let (fleet, _) = StatelessContext::new(ns, Config::paper_default(4).with_seed(1), asg);
+    let (ns, asg) = (fleet.namespace(), fleet.assignment());
     let mut servers: Vec<ServerState> = (0..4)
-        .map(|i| ServerState::new(ServerId(i), Arc::clone(&ns), Arc::clone(&cfg), &asg))
+        .map(|i| ServerState::new(ServerId(i), &fleet))
         .collect();
     let mut rng = rand::rngs::StdRng::seed_from_u64(9);
     let mut out = Vec::new();

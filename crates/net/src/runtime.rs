@@ -5,7 +5,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use terradir::{Config, NodeId, ProtocolEvent, ServerId, ServerState};
+use terradir::{Config, NodeId, ProtocolEvent, ServerId, ServerState, StatelessContext};
 use terradir_namespace::{Namespace, OwnerAssignment};
 use terradir_workload::{seed::tags, seeded_rng};
 
@@ -73,9 +73,7 @@ pub struct Runtime {
     resolved_ids: Arc<Mutex<HashMap<u64, u32>>>, // query id → hops
     listings: Arc<Mutex<HashMap<u64, Vec<NodeId>>>>, // list query id → children
     next_query: AtomicU64,
-    n_peers: u32,
-    ns: Arc<Namespace>,
-    assignment: OwnerAssignment,
+    fleet: Arc<StatelessContext>,
 }
 
 impl Runtime {
@@ -86,12 +84,11 @@ impl Runtime {
     /// protocol configuration or if a fleet thread cannot be spawned.
     pub fn start(ns: Namespace, cfg: RuntimeConfig) -> Result<Runtime, NetError> {
         cfg.protocol.validate().map_err(NetError::InvalidConfig)?;
-        let ns = Arc::new(ns);
-        let protocol = Arc::new(cfg.protocol.clone());
-        let mut map_rng = seeded_rng(protocol.seed, tags::MAPPING);
-        let assignment = OwnerAssignment::uniform_random(&ns, protocol.n_servers, &mut map_rng);
+        let mut map_rng = seeded_rng(cfg.protocol.seed, tags::MAPPING);
+        let assignment = OwnerAssignment::uniform_random(&ns, cfg.protocol.n_servers, &mut map_rng);
+        let (fleet, _) = StatelessContext::new(ns, cfg.protocol, assignment);
 
-        let n = protocol.n_servers;
+        let n = fleet.config().n_servers;
         let mut inboxes = Vec::with_capacity(n as usize);
         let mut receivers = Vec::with_capacity(n as usize);
         for _ in 0..n {
@@ -106,7 +103,7 @@ impl Runtime {
         let mut handles = Vec::with_capacity(n as usize);
         for (i, inbox) in receivers.into_iter().enumerate() {
             let id = ServerId(i as u32);
-            let state = ServerState::new(id, Arc::clone(&ns), Arc::clone(&protocol), &assignment);
+            let state = ServerState::new(id, &fleet);
             let harness = PeerHarness {
                 state,
                 inbox,
@@ -115,7 +112,7 @@ impl Runtime {
                 network_delay: cfg.network_delay,
                 maintenance_every: cfg.maintenance_every,
                 epoch,
-                rng_seed: protocol.seed ^ (0x9e37 + i as u64),
+                rng_seed: fleet.config().seed ^ (0x9e37 + i as u64),
             };
             handles.push(
                 std::thread::Builder::new()
@@ -181,25 +178,23 @@ impl Runtime {
             resolved_ids,
             listings,
             next_query: AtomicU64::new(0),
-            n_peers: n,
-            ns,
-            assignment,
+            fleet,
         })
     }
 
     /// The namespace the fleet serves.
     pub fn namespace(&self) -> &Namespace {
-        &self.ns
+        self.fleet.namespace()
     }
 
     /// The ownership assignment.
     pub fn assignment(&self) -> &OwnerAssignment {
-        &self.assignment
+        self.fleet.assignment()
     }
 
     /// Number of peers.
     pub fn peers(&self) -> u32 {
-        self.n_peers
+        self.fleet.config().n_servers
     }
 
     /// Injects a lookup at `origin` for `target`; returns the query id.
@@ -274,7 +269,7 @@ impl Runtime {
         key: impl Into<String>,
         value: impl Into<String>,
     ) -> Result<(), NetError> {
-        let owner = self.assignment.owner(node);
+        let owner = self.fleet.assignment().owner(node);
         self.transport.command(
             owner,
             PeerCommand::UpdateMeta {
@@ -291,7 +286,7 @@ impl Runtime {
         node: NodeId,
         data: impl Into<std::sync::Arc<[u8]>>,
     ) -> Result<(), NetError> {
-        let owner = self.assignment.owner(node);
+        let owner = self.fleet.assignment().owner(node);
         self.transport.command(
             owner,
             PeerCommand::SetData {
@@ -363,7 +358,7 @@ impl Runtime {
 
     /// Stops every peer and joins all threads.
     pub fn shutdown(mut self) {
-        for i in 0..self.n_peers {
+        for i in 0..self.peers() {
             let _ = self.transport.command(ServerId(i), PeerCommand::Shutdown);
         }
         for h in self.handles.drain(..) {

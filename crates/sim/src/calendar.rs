@@ -42,8 +42,9 @@ impl<E> PartialOrd for Entry<E> {
 #[derive(Debug)]
 pub struct Calendar<E> {
     heap: BinaryHeap<Entry<E>>,
+    /// Sequence number of the next push, which is also the lifetime push
+    /// count.
     next_seq: u64,
-    pushed: u64,
     popped: u64,
 }
 
@@ -53,7 +54,6 @@ impl<E> Calendar<E> {
         Calendar {
             heap: BinaryHeap::new(),
             next_seq: 0,
-            pushed: 0,
             popped: 0,
         }
     }
@@ -69,7 +69,6 @@ impl<E> Calendar<E> {
             payload,
         });
         self.next_seq += 1;
-        self.pushed += 1;
     }
 
     /// Removes and returns the earliest event as `(time, payload)`.
@@ -97,7 +96,7 @@ impl<E> Calendar<E> {
     /// Lifetime counters `(pushed, popped)` — cheap sanity probes for tests
     /// and progress reporting.
     pub fn counters(&self) -> (u64, u64) {
-        (self.pushed, self.popped)
+        (self.next_seq, self.popped)
     }
 }
 

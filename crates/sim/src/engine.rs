@@ -27,7 +27,6 @@ use crate::calendar::Calendar;
 pub struct Engine<E> {
     calendar: Calendar<E>,
     now: f64,
-    processed: u64,
 }
 
 impl<E> Engine<E> {
@@ -36,7 +35,6 @@ impl<E> Engine<E> {
         Engine {
             calendar: Calendar::new(),
             now: 0.0,
-            processed: 0,
         }
     }
 
@@ -69,7 +67,6 @@ impl<E> Engine<E> {
     pub fn pop(&mut self) -> Option<E> {
         let (t, ev) = self.calendar.pop()?;
         self.now = t;
-        self.processed += 1;
         Some(ev)
     }
 
@@ -97,9 +94,10 @@ impl<E> Engine<E> {
         self.calendar.len()
     }
 
-    /// Number of events processed so far.
+    /// Number of events processed so far: the calendar's pop count, as
+    /// only the engine pops its calendar.
     pub fn processed(&self) -> u64 {
-        self.processed
+        self.calendar.counters().1
     }
 }
 

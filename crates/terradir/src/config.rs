@@ -678,11 +678,6 @@ impl Config {
         self.leases.enabled && self.leases.misroute
     }
 
-    /// Whether the heterogeneous role subsystem is active.
-    pub fn roles_active(&self) -> bool {
-        self.roles.enabled
-    }
-
     /// Whether the multi-tenant namespace partition is active.
     pub fn tenants_active(&self) -> bool {
         self.tenants.enabled && !self.tenants.specs.is_empty()
@@ -1132,7 +1127,6 @@ mod tests {
         let c = Config::paper_default(4);
         assert_eq!(c.roles, RoleConfig::default());
         assert!(!c.roles.enabled);
-        assert!(!c.roles_active());
         assert_eq!(c.tenants, TenantConfig::default());
         assert!(!c.tenants.enabled);
         assert!(!c.tenants_active());

@@ -3,22 +3,25 @@
 //! Concurrency-readiness for a parallel executor (parked under
 //! ROADMAP's "Deliberately not next"): everything a server step may
 //! mutate lives in its own [`StatefulContext`]; everything shared
-//! across the fleet lives in the read-only [`StatelessContext`]. A
-//! server function receives its own context plus the shared one and
-//! expresses every cross-server effect as returned [`Outgoing`] values
-//! that only the deterministic calendar dispatch in `system.rs` may
-//! apply. clippy (`clippy.toml`: no shared-mutability types) and the
-//! `isolation` xtask pass (no cross-server `&mut` outside the dispatch
-//! regions) enforce the discipline statically; the compile-time
-//! `Send + Sync` assertions below prove both halves are shippable
-//! across threads once a parallel executor exists.
+//! across the fleet lives in the read-only [`StatelessContext`], which
+//! every server reads through one shared `Arc` handle. A server step
+//! mutates only its own context and expresses every cross-server effect
+//! as returned [`Outgoing`] values that only the deterministic calendar
+//! dispatch in `system.rs` may apply. clippy (`clippy.toml`: no
+//! shared-mutability types) and the `isolation` xtask pass (no
+//! cross-server `&mut` outside the dispatch regions) enforce the
+//! discipline statically; the compile-time `Send + Sync` assertions
+//! below prove both halves are shippable across threads once a parallel
+//! executor exists.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 
 use terradir_namespace::{Namespace, NodeId, OwnerAssignment, ServerId};
+use terradir_workload::seed::tags;
+use terradir_workload::tagged_rng;
 
-use crate::config::Config;
+use crate::config::{self, Config, ServerClass};
 use crate::load::LoadMeter;
 use crate::messages::Message;
 use crate::roles::{RoleMap, TenantMap};
@@ -46,37 +49,92 @@ pub struct StatefulContext {
     /// Service epoch, bumped at each failure (stale-filters
     /// `ServiceDone` events scheduled before a crash).
     pub(crate) epoch: u64,
-    /// Speed factor (service time divides by this).
-    pub(crate) speed: f64,
     /// Queue admission bound (relays get a deeper queue).
     pub(crate) queue_cap: usize,
 }
 
-/// Fleet-wide read-only state: built once at construction, never
-/// mutated during a run, shareable by reference (or cheap `Arc` clone)
-/// with every server step.
+/// Fleet-wide read-only state: built once by [`StatelessContext::new`],
+/// never mutated during a run, and shared by every server through one
+/// `Arc`. The parts are held by value, so a server reads any of them
+/// through that one pointer.
 #[derive(Debug)]
 pub struct StatelessContext {
     /// The namespace tree.
-    pub(crate) ns: Arc<Namespace>,
+    pub(crate) ns: Namespace,
     /// The run configuration.
-    pub(crate) cfg: Arc<Config>,
+    pub(crate) cfg: Config,
     /// The static node→server ownership assignment.
-    pub(crate) assignment: Arc<OwnerAssignment>,
+    pub(crate) assignment: OwnerAssignment,
     /// Fleet role map (DESIGN.md §19); `None` with roles off.
-    pub(crate) roles: Option<Arc<RoleMap>>,
+    pub(crate) roles: Option<RoleMap>,
     /// Tenant partition (DESIGN.md §19); `None` with tenants off.
-    pub(crate) tenants: Option<Arc<TenantMap>>,
-    /// Per-server speed factors (replica-partner tie-breaking reads
-    /// these; the per-context `speed` is the same value).
-    pub(crate) speeds: Arc<[f64]>,
+    pub(crate) tenants: Option<TenantMap>,
+    /// Per-server speed factors, id-indexed: service time divides by
+    /// them, and replica-partner ranking breaks load ties by them. All
+    /// 1.0 at `speed_spread ≤ 1`.
+    pub(crate) speeds: Vec<f64>,
 }
 
 impl StatelessContext {
+    /// Builds the fleet's read-only state from its three inputs: the role
+    /// and tenant maps when enabled (pure functions of the inputs, no
+    /// randomness) and the speed table (DESIGN.md §16). Returns the
+    /// shared handle and the RNG draws the speed table spent (the
+    /// ledger's `speeds` slot).
+    pub fn new(
+        ns: Namespace,
+        cfg: Config,
+        assignment: OwnerAssignment,
+    ) -> (Arc<StatelessContext>, u64) {
+        let roles = cfg
+            .roles
+            .enabled
+            .then(|| RoleMap::build(&ns, &assignment, &cfg.roles, cfg.n_servers));
+        let tenants = cfg
+            .tenants_active()
+            .then(|| TenantMap::build(&ns, &cfg.tenants));
+        let (mut speeds, speed_draws) = draw_speeds(&cfg);
+        // Relays run faster hardware: scale their drawn speed by
+        // `RELAY_SPEED_FACTOR` (no extra RNG; deliberately breaks the
+        // mean-1 normalization — the fleet's aggregate capacity grows
+        // with its relay count, DESIGN.md §19).
+        if let Some(r) = &roles {
+            for (i, sp) in speeds.iter_mut().enumerate() {
+                if r.class_of(ServerId(i as u32)) == ServerClass::Relay {
+                    *sp *= config::RELAY_SPEED_FACTOR;
+                }
+            }
+        }
+        let fleet = StatelessContext {
+            ns,
+            cfg,
+            assignment,
+            roles,
+            tenants,
+            speeds,
+        };
+        (Arc::new(fleet), speed_draws)
+    }
+
+    /// The namespace tree.
+    pub fn namespace(&self) -> &Namespace {
+        &self.ns
+    }
+
+    /// The run configuration.
+    pub fn config(&self) -> &Config {
+        &self.cfg
+    }
+
+    /// The static ownership assignment.
+    pub fn assignment(&self) -> &OwnerAssignment {
+        &self.assignment
+    }
+
     /// Tenant owning a lookup target: `None` for spine nodes or with
     /// tenants off.
     pub(crate) fn tenant_of(&self, node: NodeId) -> Option<u16> {
-        self.tenants.as_deref()?.tenant_of(node)
+        self.tenants.as_ref()?.tenant_of(node)
     }
 
     /// Tenant of a query-traffic message's lookup target: `None` for
@@ -96,10 +154,33 @@ impl StatelessContext {
             &self.ns,
             &self.assignment,
             &self.cfg.storage,
-            self.roles.as_deref(),
+            self.roles.as_ref(),
             out,
         );
     }
+}
+
+/// Draws normalized per-server speed factors (log-uniform in
+/// `[1/spread, spread]`, rescaled to mean exactly 1 so aggregate
+/// capacity is invariant across spreads) from the `speeds` tagged
+/// stream. Returns the factors and the number of RNG draws spent; a
+/// spread ≤ 1 gives an all-1.0 table and draws nothing.
+fn draw_speeds(cfg: &Config) -> (Vec<f64>, u64) {
+    use rand::Rng;
+    let n = cfg.n_servers as usize;
+    if cfg.speed_spread <= 1.0 {
+        return (vec![1.0; n], 0);
+    }
+    let mut rng = tagged_rng(cfg.seed, tags::SPEEDS);
+    let ln = cfg.speed_spread.ln();
+    let mut speeds: Vec<f64> = (0..n)
+        .map(|_| (rng.gen::<f64>() * 2.0 * ln - ln).exp())
+        .collect();
+    let mean = speeds.iter().sum::<f64>() / n as f64;
+    for s in &mut speeds {
+        *s /= mean;
+    }
+    (speeds, rng.draws())
 }
 
 /// Compile-time proof that a type can cross threads: a parallel executor
@@ -116,3 +197,18 @@ const _: () = {
     assert_send_sync::<crate::server::Outgoing>();
     assert_send_sync::<crate::server::ProtocolEvent>();
 };
+
+/// A test fleet: `ns` under round-robin ownership, and its servers in id
+/// order.
+#[cfg(test)]
+pub(crate) fn round_robin_fleet(
+    ns: Namespace,
+    cfg: Config,
+) -> (Arc<StatelessContext>, Vec<ServerState>) {
+    let assignment = OwnerAssignment::round_robin(&ns, cfg.n_servers);
+    let (fleet, _) = StatelessContext::new(ns, cfg, assignment);
+    let servers = (0..fleet.cfg.n_servers)
+        .map(|i| ServerState::new(ServerId(i), &fleet))
+        .collect();
+    (fleet, servers)
+}

@@ -19,9 +19,10 @@
 
 use crate::det::DetHashSet;
 
-use terradir_namespace::{Namespace, ServerId};
+use terradir_namespace::ServerId;
 
 use crate::config;
+use crate::context::StatelessContext;
 use crate::map::NodeMap;
 use crate::messages::QueryPacket;
 use crate::server::ServerState;
@@ -76,7 +77,7 @@ pub fn check_incremental_progress(sender: &ServerState, packet: &QueryPacket) ->
 /// remove the last host of a map (`NodeMap::remove` with `allow_empty`),
 /// and routing treats such maps as unusable rather than invalid.
 pub fn check_map_bounds(server: &ServerState) -> Vec<String> {
-    let bound = server.cfg.r_map.max(1);
+    let bound = server.fleet.cfg.r_map.max(1);
     let mut v = Vec::new();
     let mut check = |kind: &str, node: u32, map: &NodeMap| {
         if map.len() > bound {
@@ -100,8 +101,8 @@ pub fn check_map_bounds(server: &ServerState) -> Vec<String> {
     for (n, rec) in &server.replicas {
         check("replica", n.0, &rec.map);
     }
-    for (n, map) in &server.neighbor_maps {
-        check("context", n.0, map);
+    for (n, e) in &server.neighbor_maps {
+        check("context", n.0, &e.map);
     }
     for (n, map) in server.cache.iter() {
         check("cache", n.0, map);
@@ -114,7 +115,7 @@ pub fn check_map_bounds(server: &ServerState) -> Vec<String> {
 /// replica set stays disjoint from the owned set — a server must not
 /// count a node it owns as a replica.
 pub fn check_replica_budget(server: &ServerState) -> Vec<String> {
-    let cap = server.cfg.replica_cap(server.owned_count());
+    let cap = server.fleet.cfg.replica_cap(server.owned_count());
     let mut v = Vec::new();
     if server.replica_count() > cap {
         v.push(format!(
@@ -122,7 +123,7 @@ pub fn check_replica_budget(server: &ServerState) -> Vec<String> {
             server.id.0,
             server.replica_count(),
             cap,
-            server.cfg.r_fact,
+            server.fleet.cfg.r_fact,
             server.owned_count()
         ));
     }
@@ -149,8 +150,8 @@ pub fn check_cache_capacity(server: &ServerState) -> Vec<String> {
             server.cache.slots()
         ));
     }
-    let expected = if server.cfg.caching {
-        server.cfg.cache_slots
+    let expected = if server.fleet.cfg.caching {
+        server.fleet.cfg.cache_slots
     } else {
         0
     };
@@ -173,10 +174,11 @@ pub fn check_cache_capacity(server: &ServerState) -> Vec<String> {
 /// digest is rebuilt lazily at maintenance, so while `digest_dirty` is
 /// set the snapshot legitimately lags the host set and the check is
 /// skipped.
-pub fn check_digest_no_false_negative(ns: &Namespace, server: &ServerState) -> Vec<String> {
+pub fn check_digest_no_false_negative(server: &ServerState) -> Vec<String> {
     if server.digest_dirty {
         return Vec::new();
     }
+    let ns = &server.fleet.ns;
     let mut v = Vec::new();
     for n in server.hosted_ids() {
         if !server.digest.test(ns.name(n).as_str()) {
@@ -199,7 +201,8 @@ pub fn check_digest_no_false_negative(ns: &Namespace, server: &ServerState) -> V
 /// a copy the server already holds, defeating idempotence. Skipped while
 /// the digest is stale (`gossip.dirty`) or not yet built: the seal is
 /// lazy, fired at the server's next gossip round.
-pub fn check_gossip_digest_no_false_negative(ns: &Namespace, server: &ServerState) -> Vec<String> {
+pub fn check_gossip_digest_no_false_negative(server: &ServerState) -> Vec<String> {
+    let ns = &server.fleet.ns;
     let mut v = Vec::new();
     let digest = match &server.gossip.digest {
         Some(d) if !server.gossip.dirty => d,
@@ -258,8 +261,8 @@ pub fn check_negative_cache(server: &ServerState) -> Vec<String> {
                 ));
             }
         }
-        for (n, map) in &server.neighbor_maps {
-            if map.contains(h) && map.len() > 1 {
+        for (n, e) in &server.neighbor_maps {
+            if e.map.contains(h) && e.map.len() > 1 {
                 v.push(format!(
                     "server {}: context map for node {} lists dead host {} alongside others",
                     server.id.0, n.0, h.0
@@ -317,12 +320,9 @@ pub fn check_cut_delivery(side: &[bool], from: ServerId, to: ServerId) -> Vec<St
 }
 
 /// Lease freshness (DESIGN.md §14): lease stamps are bookkeeping about the
-/// *past* — no stored record, context map, or cache entry may carry a
-/// stamp from the future, and the context-lease table must mirror the
-/// neighbor-context map set exactly (a stamp without a map is a leak; a
-/// map without a stamp would never expire). Stamps are maintained
-/// unconditionally, so this checker runs whether or not leases are
-/// enabled.
+/// *past* — no stored record, context entry, or cache entry may carry a
+/// stamp from the future. Stamps are maintained unconditionally, so this
+/// checker runs whether or not leases are enabled.
 pub fn check_lease_freshness(server: &ServerState, now: f64) -> Vec<String> {
     let mut v = Vec::new();
     let eps = 1e-9;
@@ -334,39 +334,20 @@ pub fn check_lease_freshness(server: &ServerState, now: f64) -> Vec<String> {
             ));
         }
     }
-    for (n, &stamp) in &server.context_lease {
-        if stamp > now + eps {
+    for (n, e) in &server.neighbor_maps {
+        if e.lease_at > now + eps {
             v.push(format!(
                 "server {}: context lease for node {} stamped {} > now {}",
-                server.id.0, n.0, stamp, now
-            ));
-        }
-        if !server.neighbor_maps.contains_key(n) {
-            v.push(format!(
-                "server {}: context lease for node {} has no context map",
-                server.id.0, n.0
-            ));
-        }
-    }
-    for n in server.neighbor_maps.keys() {
-        if !server.context_lease.contains_key(n) {
-            v.push(format!(
-                "server {}: context map for node {} carries no lease stamp",
-                server.id.0, n.0
+                server.id.0, n.0, e.lease_at, now
             ));
         }
     }
     for (n, _) in server.cache.iter() {
-        match server.cache.lease_of(n) {
-            Some(stamp) if stamp > now + eps => v.push(format!(
+        if let Some(stamp) = server.cache.lease_of(n).filter(|&at| at > now + eps) {
+            v.push(format!(
                 "server {}: cache entry for node {} leased at {} > now {}",
                 server.id.0, n.0, stamp, now
-            )),
-            Some(_) => {}
-            None => v.push(format!(
-                "server {}: cache entry for node {} carries no lease stamp",
-                server.id.0, n.0
-            )),
+            ));
         }
     }
     v
@@ -411,14 +392,7 @@ pub fn check_pending_hygiene(
 /// was fabricated and one at 0 was never written. `committed` is the
 /// substrate's per-object version vector (index = object id); nodes
 /// outside it must hold no copies at all.
-pub fn check_storage_soundness(
-    ns: &Namespace,
-    assignment: &terradir_namespace::OwnerAssignment,
-    storage: &crate::config::StorageConfig,
-    roles: Option<&crate::roles::RoleMap>,
-    committed: &[u64],
-    server: &ServerState,
-) -> Vec<String> {
+pub fn check_storage_soundness(committed: &[u64], server: &ServerState) -> Vec<String> {
     let mut v = Vec::new();
     let mut targets = Vec::new();
     for (node, obj) in server.stored_objects() {
@@ -431,7 +405,7 @@ pub fn check_storage_soundness(
             ));
             continue;
         };
-        crate::storage::replica_targets(node, ns, assignment, storage, roles, &mut targets);
+        server.fleet.replica_targets(node, &mut targets);
         if !targets.contains(&server.id) {
             v.push(format!(
                 "server {}: holds a copy for node {} but is not in its replica set {targets:?}",
@@ -455,10 +429,7 @@ pub fn check_storage_soundness(
 /// additionally catches a replica set computed inconsistently between
 /// writers.
 pub fn check_storage_replica_counts<'a, I>(
-    ns: &Namespace,
-    assignment: &terradir_namespace::OwnerAssignment,
-    storage: &crate::config::StorageConfig,
-    roles: Option<&crate::roles::RoleMap>,
+    fleet: &StatelessContext,
     n_objects: usize,
     servers: I,
 ) -> Vec<String>
@@ -471,7 +442,7 @@ where
     let mut targets = Vec::new();
     for o in 0..n_objects {
         let node = terradir_namespace::NodeId(o as u32);
-        crate::storage::replica_targets(node, ns, assignment, storage, roles, &mut targets);
+        fleet.replica_targets(node, &mut targets);
         let copies = servers
             .clone()
             .filter(|s| s.stored_object(node).is_some())
@@ -519,12 +490,12 @@ pub fn check_role_placement(roles: &crate::roles::RoleMap, server: &ServerState)
 
 /// Runs every per-server structural checker and returns the combined
 /// violation list.
-pub fn audit_server(ns: &Namespace, server: &ServerState) -> Vec<String> {
+pub fn audit_server(server: &ServerState) -> Vec<String> {
     let mut v = check_map_bounds(server);
     v.extend(check_replica_budget(server));
     v.extend(check_cache_capacity(server));
-    v.extend(check_digest_no_false_negative(ns, server));
-    v.extend(check_gossip_digest_no_false_negative(ns, server));
+    v.extend(check_digest_no_false_negative(server));
+    v.extend(check_gossip_digest_no_false_negative(server));
     v.extend(check_negative_cache(server));
     v.extend(check_context_anchored(server));
     v
@@ -532,22 +503,23 @@ pub fn audit_server(ns: &Namespace, server: &ServerState) -> Vec<String> {
 
 #[cfg(test)]
 mod tests {
-    use std::sync::Arc;
-
-    use terradir_namespace::{balanced_tree, NodeId, OwnerAssignment};
+    use terradir_namespace::{balanced_tree, Namespace, NodeId, OwnerAssignment};
 
     use super::*;
     use crate::cache::RouteCache;
     use crate::config::Config;
+    use crate::context::round_robin_fleet;
     use crate::meta::Meta;
     use crate::records::NodeRecord;
+    use crate::server::ContextEntry;
 
-    fn fixture() -> (Arc<Namespace>, ServerState) {
-        let ns = Arc::new(balanced_tree(2, 4)); // 31 nodes
-        let cfg = Arc::new(Config::paper_default(4));
-        let asg = OwnerAssignment::round_robin(&ns, 4);
-        let s = ServerState::new(ServerId(0), Arc::clone(&ns), cfg, &asg);
-        (ns, s)
+    fn fixture() -> (Namespace, ServerState) {
+        let (f, mut servers) = round_robin_fleet(balanced_tree(2, 4), Config::paper_default(4));
+        (f.ns.clone(), servers.swap_remove(0))
+    }
+
+    fn context_entry(map: NodeMap) -> ContextEntry {
+        ContextEntry { map, lease_at: 0.0 }
     }
 
     fn non_hosted(ns: &Namespace, s: &ServerState) -> NodeId {
@@ -556,18 +528,18 @@ mod tests {
 
     #[test]
     fn clean_bootstrap_passes_every_check() {
-        let (ns, s) = fixture();
-        assert!(audit_server(&ns, &s).is_empty());
+        let (_ns, s) = fixture();
+        assert!(audit_server(&s).is_empty());
     }
 
     #[test]
     fn oversized_map_is_caught() {
         let (ns, mut s) = fixture();
-        let bound = s.cfg.r_map;
+        let bound = s.fleet.cfg.r_map;
         let fat = NodeMap::from_entries((0..=bound as u32).map(ServerId));
         assert!(fat.len() > bound);
         let far = non_hosted(&ns, &s);
-        s.neighbor_maps.insert(far, fat);
+        s.neighbor_maps.insert(far, context_entry(fat));
         let v = check_map_bounds(&s);
         assert_eq!(v.len(), 1);
         assert!(v[0].contains("R_map bound"), "{v:?}");
@@ -576,7 +548,7 @@ mod tests {
     #[test]
     fn replica_over_budget_is_caught() {
         let (ns, mut s) = fixture();
-        let cap = s.cfg.replica_cap(s.owned_count());
+        let cap = s.fleet.cfg.replica_cap(s.owned_count());
         let extras: Vec<NodeId> = ns.ids().filter(|&n| !s.hosts(n)).take(cap + 1).collect();
         for n in extras {
             s.replicas.insert(
@@ -609,7 +581,7 @@ mod tests {
     fn cache_slot_mismatch_is_caught() {
         let (_ns, mut s) = fixture();
         assert!(check_cache_capacity(&s).is_empty());
-        s.cache = RouteCache::new(s.cfg.cache_slots + 1);
+        s.cache = RouteCache::new(s.fleet.cfg.cache_slots + 1);
         let v = check_cache_capacity(&s);
         assert_eq!(v.len(), 1);
         assert!(v[0].contains("config implies"), "{v:?}");
@@ -626,20 +598,20 @@ mod tests {
         // The digest was built over the owned set only, so the new replica
         // is a false negative — but while dirty, the lag is legitimate.
         s.digest_dirty = true;
-        assert!(check_digest_no_false_negative(&ns, &s).is_empty());
+        assert!(check_digest_no_false_negative(&s).is_empty());
         s.digest_dirty = false;
-        let v = check_digest_no_false_negative(&ns, &s);
+        let v = check_digest_no_false_negative(&s);
         assert_eq!(v.len(), 1);
         assert!(v[0].contains("false negative"), "{v:?}");
     }
 
     #[test]
     fn gossip_digest_false_negative_caught_only_when_sealed() {
-        let (ns, mut s) = fixture();
+        let (_ns, mut s) = fixture();
         // No digest yet (gossip never ran): the check is silent.
-        assert!(check_gossip_digest_no_false_negative(&ns, &s).is_empty());
+        assert!(check_gossip_digest_no_false_negative(&s).is_empty());
         let _ = s.gossip_digest();
-        assert!(check_gossip_digest_no_false_negative(&ns, &s).is_empty());
+        assert!(check_gossip_digest_no_false_negative(&s).is_empty());
         // Sneak in an object after the seal. With gossip disabled in the
         // fixture config, `merge_object` does not mark the digest dirty,
         // so the unclaimed `#v` key is a genuine false negative.
@@ -651,7 +623,7 @@ mod tests {
                 payload: 7,
             },
         );
-        let v = check_gossip_digest_no_false_negative(&ns, &s);
+        let v = check_gossip_digest_no_false_negative(&s);
         assert_eq!(v.len(), 1);
         assert!(v[0].contains("#v3"), "{v:?}");
     }
@@ -682,8 +654,9 @@ mod tests {
             .ids()
             .find(|&n| !s.hosts(n) && s.hosted_neighbor(n).is_none())
             .unwrap();
-        s.neighbor_maps.insert(far, NodeMap::singleton(ServerId(1)));
-        let v = audit_server(&ns, &s);
+        s.neighbor_maps
+            .insert(far, context_entry(NodeMap::singleton(ServerId(1))));
+        let v = audit_server(&s);
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(v[0].contains("belongs to no hosted node"), "{v:?}");
         // A hosted node missing one neighbor's map is fine.
@@ -720,7 +693,7 @@ mod tests {
     }
 
     #[test]
-    fn lease_freshness_catches_future_stamps_and_orphans() {
+    fn lease_freshness_catches_future_stamps() {
         let (_ns, mut s) = fixture();
         assert!(check_lease_freshness(&s, 0.0).is_empty());
         // Future record stamp.
@@ -730,18 +703,13 @@ mod tests {
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(v[0].contains("leased at"), "{v:?}");
         assert!(check_lease_freshness(&s, 5.0).is_empty(), "stamp == now ok");
-        // Context stamp without a map, and a map without a stamp.
-        let (&ctx, _) = s.neighbor_maps.iter().next().unwrap();
-        s.context_lease.remove(&ctx);
+        // Future context-entry stamp.
+        let ctx = s.neighbor_maps.values_mut().next().unwrap();
+        ctx.lease_at = 7.0;
         let v = check_lease_freshness(&s, 5.0);
         assert_eq!(v.len(), 1, "{v:?}");
-        assert!(v[0].contains("no lease stamp"), "{v:?}");
-        s.neighbor_maps.remove(&ctx);
-        assert!(check_lease_freshness(&s, 5.0).is_empty());
-        s.context_lease.insert(ctx, 0.0);
-        let v = check_lease_freshness(&s, 5.0);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert!(v[0].contains("no context map"), "{v:?}");
+        assert!(v[0].contains("context lease"), "{v:?}");
+        assert!(check_lease_freshness(&s, 7.0).is_empty(), "stamp == now ok");
     }
 
     #[test]

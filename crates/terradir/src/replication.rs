@@ -23,7 +23,7 @@ use terradir_namespace::{NodeId, ServerId};
 use crate::config;
 use crate::messages::{Message, ReplicaPayload};
 use crate::records::NodeRecord;
-use crate::server::{Outgoing, ProtocolEvent, ServerState};
+use crate::server::{ContextEntry, Outgoing, ProtocolEvent, ServerState};
 
 /// Profiled load information about other servers, bounded LRU-by-age.
 #[derive(Debug, Clone)]
@@ -93,11 +93,6 @@ impl KnownLoads {
             .map(|(&s, _)| s)
     }
 
-    /// Number of tracked servers.
-    pub(crate) fn len(&self) -> usize {
-        self.entries.len()
-    }
-
     /// Drops the observation for a server (negative caching: a dead host
     /// must not win partner selection on a stale low-load reading).
     pub(crate) fn forget(&mut self, server: ServerId) {
@@ -146,7 +141,7 @@ impl ServerState {
         rng: &mut impl RngCore,
         out: &mut Vec<Outgoing>,
     ) {
-        if !self.cfg.replication || self.session.is_some() || now < self.cooldown_until {
+        if !self.fleet.cfg.replication || self.session.is_some() || now < self.cooldown_until {
             return;
         }
         // Trigger on *sustained* overload (two consecutive windows): a
@@ -156,7 +151,7 @@ impl ServerState {
         // sudden hot-spot shifts shed load a window earlier.
         let sustained = self.load.effective_sustained(now);
         let saturated = self.load.measured() >= 0.98;
-        if sustained < self.cfg.t_high && !saturated {
+        if sustained < self.fleet.cfg.t_high && !saturated {
             return;
         }
         let ls = self.load.effective(now);
@@ -211,9 +206,9 @@ impl ServerState {
         // would ship, so it is excluded up front — covering both the
         // profiled ranking and the random fallback. Gated on the role map
         // handle so the roles-off path is byte-identical.
-        if let Some(roles) = self.role_map() {
+        if let Some(roles) = &self.fleet.roles {
             if let Some(home) = self.home_node() {
-                for s in 0..self.cfg.n_servers {
+                for s in 0..self.fleet.cfg.n_servers {
                     let sid = ServerId(s);
                     if sid != self.id && !roles.admits(sid, home) && !exclude.contains(&sid) {
                         exclude.push(sid);
@@ -225,7 +220,7 @@ impl ServerState {
             now,
             config::LOAD_STALE_AFTER,
             &exclude,
-            self.static_speeds(),
+            &self.fleet.speeds,
         ) {
             let ls = self.load.effective(now);
             let known = self
@@ -239,12 +234,12 @@ impl ServerState {
             // probes, let the cooldown retry later.
             return None;
         }
-        if self.cfg.n_servers <= 1 {
+        if self.fleet.cfg.n_servers <= 1 {
             return None;
         }
         // Uniform random fallback, rejecting excluded ids (bounded tries).
         for _ in 0..16 {
-            let s = ServerId(rng.gen_range(0..self.cfg.n_servers));
+            let s = ServerId(rng.gen_range(0..self.fleet.cfg.n_servers));
             if !exclude.contains(&s) {
                 return Some(s);
             }
@@ -347,13 +342,14 @@ impl ServerState {
             // Ensure the shipped map advertises us as a host.
             let mut map = rec.map.clone();
             if !map.contains(self.id) {
-                map.advertise(self.id, self.cfg.r_map);
+                map.advertise(self.id, self.fleet.cfg.r_map);
             }
             let neighbors: Vec<(NodeId, crate::map::NodeMap)> = self
+                .fleet
                 .ns
                 .neighbors(node)
                 .into_iter()
-                .filter_map(|nb| self.neighbor_maps.get(&nb).map(|m| (nb, m.clone())))
+                .filter_map(|nb| self.neighbor_map(nb).map(|m| (nb, m.clone())))
                 .collect();
             payloads.push(ReplicaPayload {
                 node,
@@ -385,7 +381,7 @@ impl ServerState {
         // "A server will agree to host new replicas if there is a
         // difference of at least δ_min between the load of the requester
         // and its own load" (§3.1).
-        if !self.cfg.replication || sender_load - ld < config::DELTA_MIN {
+        if !self.fleet.cfg.replication || sender_load - ld < config::DELTA_MIN {
             out.push(Outgoing::Send {
                 to: from,
                 msg: Message::ReplicateDeny {
@@ -397,7 +393,7 @@ impl ServerState {
         }
         let installed = self.install_replicas(now, payloads, rng, out);
         let shift = (sender_load - ld) / 2.0;
-        if !installed.is_empty() && self.cfg.hysteresis {
+        if !installed.is_empty() && self.fleet.cfg.hysteresis {
             self.load.add_bias(now, shift);
         }
         out.push(Outgoing::Send {
@@ -420,7 +416,7 @@ impl ServerState {
         rng: &mut impl RngCore,
         out: &mut Vec<Outgoing>,
     ) -> Vec<NodeId> {
-        let cap = self.cfg.replica_cap(self.owned.len());
+        let cap = self.fleet.cfg.replica_cap(self.owned.len());
         let mut installed = Vec::new();
         for p in payloads {
             if self.owned.contains_key(&p.node) {
@@ -476,7 +472,7 @@ impl ServerState {
             let mut map = p.map.clone();
             self.strip_negative(&mut map);
             if !map.contains(self.id) {
-                map.advertise(self.id, self.cfg.r_map);
+                map.advertise(self.id, self.fleet.cfg.r_map);
             }
             let mut rec = NodeRecord::new(p.node, map, p.meta.clone(), now);
             rec.advertised_at = now; // we are the fresh advertisement
@@ -488,26 +484,27 @@ impl ServerState {
                 if m.is_empty() {
                     continue;
                 }
+                // Shipped context is fresh evidence for the lease.
                 if let Some(mine) = self.neighbor_maps.get_mut(nb) {
-                    let mut merged = mine.merge(&m, self.cfg.r_map, rng);
+                    let mut merged = mine.map.merge(&m, self.fleet.cfg.r_map, rng);
                     // A tolerated sole dead entry in the existing map must
                     // not survive a merge that brings in live hosts.
                     for &h in self.negative.keys() {
                         merged.remove(h, false);
                     }
-                    *mine = merged;
+                    mine.map = merged;
+                    mine.refresh_lease(now);
                 } else {
-                    m.truncate(self.cfg.r_map);
-                    self.neighbor_maps.insert(*nb, m);
-                }
-                // Shipped context is fresh evidence for the lease.
-                let stamp = self.context_lease.entry(*nb).or_insert(now);
-                if now > *stamp {
-                    *stamp = now;
+                    m.truncate(self.fleet.cfg.r_map);
+                    let entry = ContextEntry {
+                        map: m,
+                        lease_at: now,
+                    };
+                    self.neighbor_maps.insert(*nb, entry);
                 }
             }
             self.digest_dirty = true;
-            if self.cfg.gossip.enabled {
+            if self.fleet.cfg.gossip.enabled {
                 self.gossip.mark(p.node);
             }
             installed.push(p.node);
@@ -533,10 +530,10 @@ impl ServerState {
         if sess.target != from {
             return;
         }
-        if !installed.is_empty() && self.cfg.hysteresis {
+        if !installed.is_empty() && self.fleet.cfg.hysteresis {
             self.load.add_bias(now, -shift);
         }
-        let r_map = self.cfg.r_map;
+        let r_map = self.fleet.cfg.r_map;
         for node in &installed {
             if let Some(rec) = self.host_record_mut(*node) {
                 rec.map.advertise(from, r_map);
@@ -578,20 +575,36 @@ impl ServerState {
 )]
 mod tests {
     use super::*;
-    use crate::config::Config;
+    use crate::config::{Config, RoleConfig};
+    use crate::context::{round_robin_fleet, StatelessContext};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::sync::Arc;
-    use terradir_namespace::{balanced_tree, Namespace, OwnerAssignment};
+    use terradir_namespace::{balanced_tree, OwnerAssignment};
 
-    fn world(n_servers: u32) -> (Arc<Namespace>, OwnerAssignment, Vec<ServerState>) {
-        let ns = Arc::new(balanced_tree(2, 4));
-        let cfg = Arc::new(Config::paper_default(n_servers));
-        let asg = OwnerAssignment::round_robin(&ns, n_servers);
-        let servers = (0..n_servers)
-            .map(|i| ServerState::new(ServerId(i), Arc::clone(&ns), Arc::clone(&cfg), &asg))
-            .collect();
-        (ns, asg, servers)
+    /// Every server of `fleet`, in id order.
+    fn servers_of(fleet: &Arc<StatelessContext>) -> Vec<ServerState> {
+        (0..fleet.cfg.n_servers)
+            .map(|i| ServerState::new(ServerId(i), fleet))
+            .collect()
+    }
+
+    fn world_with(cfg: Config) -> (Arc<StatelessContext>, Vec<ServerState>) {
+        round_robin_fleet(balanced_tree(2, 4), cfg)
+    }
+
+    fn world(n_servers: u32) -> (Arc<StatelessContext>, Vec<ServerState>) {
+        world_with(Config::paper_default(n_servers))
+    }
+
+    /// A roles-on configuration of 4 servers.
+    fn roles_on(roles: RoleConfig) -> Config {
+        let mut cfg = Config::paper_default(4);
+        cfg.roles = RoleConfig {
+            enabled: true,
+            ..roles
+        };
+        cfg
     }
 
     fn overload(s: &mut ServerState, now: f64) {
@@ -622,7 +635,7 @@ mod tests {
         assert_eq!(k.best_candidate(100.0, 5.0, &[], &[]), None);
         // Bound: inserting a third evicts the oldest.
         k.observe(ServerId(3), 0.5, 1.0);
-        assert_eq!(k.len(), 2);
+        assert_eq!(k.entries.len(), 2);
         assert!(k.get_fresh(ServerId(3), 1.0, 5.0).is_some());
     }
 
@@ -646,7 +659,7 @@ mod tests {
 
     #[test]
     fn session_starts_only_above_threshold() {
-        let (_, _, mut servers) = world(4);
+        let (_, mut servers) = world(4);
         let mut rng = StdRng::seed_from_u64(1);
         let mut out = Vec::new();
         servers[0].maybe_start_session(1.0, &mut rng, &mut out);
@@ -665,7 +678,7 @@ mod tests {
 
     #[test]
     fn full_session_round_trip_creates_replicas() {
-        let (_, _, mut servers) = world(4);
+        let (_, mut servers) = world(4);
         let mut rng = StdRng::seed_from_u64(2);
         let now = 1.0;
         overload(&mut servers[0], now);
@@ -765,7 +778,7 @@ mod tests {
 
     #[test]
     fn destination_denies_when_gap_too_small() {
-        let (_, _, mut servers) = world(4);
+        let (_, mut servers) = world(4);
         let mut rng = StdRng::seed_from_u64(3);
         let now = 1.0;
         // Destination is itself busy.
@@ -791,7 +804,7 @@ mod tests {
 
     #[test]
     fn transfer_rule_takes_smallest_sufficient_prefix() {
-        let (_, _, mut servers) = world(4);
+        let (_, mut servers) = world(4);
         let now = 1.0;
         let hosted: Vec<NodeId> = servers[0].hosted_ids().collect();
         // Weights 8, 4, 2, 1, ... on hosted nodes.
@@ -816,10 +829,11 @@ mod tests {
 
     #[test]
     fn capacity_eviction_prefers_lowest_rank() {
-        let (ns, _, mut servers) = world(4);
+        let (f, mut servers) = world(4);
+        let ns = &f.ns;
         let mut rng = StdRng::seed_from_u64(4);
         let now = 1.0;
-        let cap = servers[1].cfg.replica_cap(servers[1].owned_count());
+        let cap = servers[1].fleet.cfg.replica_cap(servers[1].owned_count());
         assert!(cap >= 2);
         // Fill to capacity with ascending weights.
         let candidates: Vec<NodeId> = ns.ids().filter(|&n| !servers[1].hosts(n)).collect();
@@ -858,9 +872,7 @@ mod tests {
 
     #[test]
     fn edges_refuse_foreign_region_payloads() {
-        use crate::config::RoleConfig;
-        use crate::roles::RoleMap;
-        let ns = Arc::new(balanced_tree(2, 4));
+        let ns = balanced_tree(2, 4);
         // Round-robin ownership, except that server 1 hands its nodes in
         // the first depth-1 region to server 0: server 1 is an edge whose
         // owned admission covers only the second region.
@@ -880,18 +892,14 @@ mod tests {
             })
             .collect();
         let asg = OwnerAssignment::from_owner_vec(owners, 4);
-        let cfg = Arc::new(Config::paper_default(4));
-        let mut servers: Vec<ServerState> = (0..4)
-            .map(|i| ServerState::new(ServerId(i), Arc::clone(&ns), Arc::clone(&cfg), &asg))
-            .collect();
-        let roles_cfg = RoleConfig {
-            enabled: true,
+        let cfg = roles_on(RoleConfig {
             relay_every: 0,
             keeper_every: 0,
             ..RoleConfig::default()
-        };
-        let map = Arc::new(RoleMap::build(&ns, &asg, &roles_cfg, 4));
-        servers[1].set_role_map(Arc::clone(&map));
+        });
+        let (f, _) = StatelessContext::new(ns, cfg, asg);
+        let mut servers = servers_of(&f);
+        let (ns, map) = (&f.ns, f.roles.as_ref().unwrap());
         let mut rng = StdRng::seed_from_u64(7);
         let mut out = Vec::new();
         let payload = |node: NodeId| ReplicaPayload {
@@ -921,22 +929,17 @@ mod tests {
 
     #[test]
     fn keeper_pinned_replicas_resist_displacement() {
-        use crate::config::RoleConfig;
-        use crate::roles::RoleMap;
-        let (ns, asg, mut servers) = world(4);
         // Everyone is a keeper: server 1 pins (and admits) the regions
         // holding its owned nodes.
-        let roles_cfg = RoleConfig {
-            enabled: true,
+        let (f, mut servers) = world_with(roles_on(RoleConfig {
             relay_every: 0,
             keeper_every: 1,
             ..RoleConfig::default()
-        };
-        let map = Arc::new(RoleMap::build(&ns, &asg, &roles_cfg, 4));
-        servers[1].set_role_map(Arc::clone(&map));
+        }));
+        let (ns, map) = (&f.ns, f.roles.as_ref().unwrap());
         let mut rng = StdRng::seed_from_u64(9);
         let now = 1.0;
-        let cap = servers[1].cfg.replica_cap(servers[1].owned_count());
+        let cap = servers[1].fleet.cfg.replica_cap(servers[1].owned_count());
         let candidates: Vec<NodeId> = ns
             .ids()
             .filter(|&n| {
@@ -980,21 +983,15 @@ mod tests {
 
     #[test]
     fn pick_partner_skips_non_admitting_servers() {
-        use crate::config::RoleConfig;
-        use crate::roles::RoleMap;
-        let (ns, asg, mut servers) = world(4);
         // All-edge fleet with empty allowlists: nobody admits server 0's
         // home region, so there is no partner at all — neither via the
         // profiled ranking nor the random fallback.
-        let roles_cfg = RoleConfig {
-            enabled: true,
+        let (_, mut servers) = world_with(roles_on(RoleConfig {
             relay_every: 0,
             keeper_every: 0,
             owned_admission: false,
             ..RoleConfig::default()
-        };
-        let map = Arc::new(RoleMap::build(&ns, &asg, &roles_cfg, 4));
-        servers[0].set_role_map(map);
+        }));
         let now = 1.0;
         servers[0].known_loads.observe(ServerId(2), 0.0, now);
         let mut rng = StdRng::seed_from_u64(8);
@@ -1009,11 +1006,9 @@ mod tests {
         // abort the session on the spot, not strand it until
         // `SESSION_TIMEOUT` — otherwise the overloaded server cannot shed
         // load for the whole timeout window.
-        let (_, _, mut servers) = world(4);
         let mut cfg = Config::paper_default(4);
         cfg.retry.enabled = true; // negative caching active
-        let cfg = Arc::new(cfg);
-        servers[0].cfg = Arc::clone(&cfg);
+        let (_, mut servers) = world_with(cfg);
         let now = 1.0;
         servers[0].session = Some(Session::new_for_tests(ServerId(2), now));
         let mut out = Vec::new();
@@ -1032,10 +1027,9 @@ mod tests {
 
     #[test]
     fn dead_hosts_are_never_picked_as_partners() {
-        let (_, _, mut servers) = world(4);
         let mut cfg = Config::paper_default(4);
         cfg.retry.enabled = true;
-        servers[0].cfg = Arc::new(cfg);
+        let (_, mut servers) = world_with(cfg);
         let now = 1.0;
         // Everybody except server 3 is observed dead; the fallback must
         // only ever pick 3.
@@ -1052,7 +1046,7 @@ mod tests {
 
     #[test]
     fn retry_moves_to_next_candidate_then_aborts() {
-        let (_, _, mut servers) = world(8);
+        let (_, mut servers) = world(8);
         let mut rng = StdRng::seed_from_u64(5);
         let now = 1.0;
         overload(&mut servers[0], now);

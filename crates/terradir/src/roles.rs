@@ -498,7 +498,7 @@ mod tests {
     #[test]
     fn disabled_config_gates_build_at_the_caller() {
         let c = Config::paper_default(8);
-        assert!(!c.roles_active());
+        assert!(!c.roles.enabled);
         assert!(!c.tenants_active());
     }
 }

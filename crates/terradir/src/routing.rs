@@ -260,7 +260,7 @@ impl ServerState {
     /// all sit one step further from the target than `h`. A node reached
     /// from two hosted contexts gets two equal keys (DESIGN.md §16.3).
     fn rank_keys(&self, target: NodeId, keys: &mut Vec<Reverse<u64>>) {
-        let ns = &*self.ns;
+        let ns = &self.fleet.ns;
         let path = ns.root_path(target);
         for h in self.hosted_ids() {
             let d = distance(ns, h, target);
@@ -281,7 +281,7 @@ impl ServerState {
                 keys.push(Reverse(pack(d + 1, h, Key::Children)));
             }
         }
-        if self.cfg.caching {
+        if self.fleet.cfg.caching {
             keys.extend(
                 self.cache
                     .iter()
@@ -302,7 +302,7 @@ impl ServerState {
         dir: NodeId,
         target: NodeId,
     ) {
-        let children = self.ns.children(dir);
+        let children = self.fleet.ns.children(dir);
         debug_assert!(
             children.windows(2).all(|w| w.first() < w.last())
                 && children.first().is_none_or(|&c| c > dir),
@@ -312,9 +312,10 @@ impl ServerState {
         // ranked on its own one step closer; any other entry of the root
         // path is no child of `dir`.
         let on_path = self
+            .fleet
             .ns
             .root_path(target)
-            .get(usize::from(self.ns.depth(dir)) + 1);
+            .get(usize::from(self.fleet.ns.depth(dir)) + 1);
         for &c in children {
             if Some(&c) != on_path {
                 heap.push(Reverse(pack(dist, c, Key::Neighbor)));
@@ -399,7 +400,7 @@ impl ServerState {
             HopKind::Neighbor => {
                 if let Some(stored) = self.neighbor_maps.get_mut(&via) {
                     // clone_from reuses the stored map's buffer.
-                    stored.clone_from(&map);
+                    stored.map.clone_from(&map);
                 }
                 self.hosted_neighbor(via)
             }
@@ -440,8 +441,8 @@ impl ServerState {
     ) -> Option<(NodeId, ServerId)> {
         let store = &self.digest_store;
         let stored = store.len();
-        let budget = self.cfg.digest_test_budget;
-        let name = self.ns.name(target).as_str();
+        let budget = self.fleet.cfg.digest_test_budget;
+        let name = self.fleet.ns.name(target).as_str();
         // Name `j` is reached only while it beats the classical candidate
         // and the budget has not run out before its first test.
         scratch.chain.clear();
@@ -452,14 +453,14 @@ impl ServerState {
             if j as u64 >= u64::from(best_dist) || j.saturating_mul(stored) >= budget {
                 break;
             }
-            let ancestor = self.ns.name(node).as_str();
+            let ancestor = self.fleet.ns.name(node).as_str();
             debug_assert!(
                 name.as_bytes().starts_with(ancestor.as_bytes()),
                 "an ancestor's name is a byte prefix of its descendant's"
             );
             scratch.chain.push(node);
             scratch.lens.push(ancestor.len());
-            next = self.ns.parent(node);
+            next = self.fleet.ns.parent(node);
         }
         // Windows go nearest first, so the first one with a hit holds the
         // nearest hit overall.
@@ -524,7 +525,7 @@ impl ServerState {
         // The best candidate's distance bounds the digest scan.
         let best_dist = self.settle(heap, target).map_or(u32::MAX, |k| unpack(k).0);
 
-        let digest_hit = if self.cfg.digests && !self.digest_store.is_empty() {
+        let digest_hit = if self.fleet.cfg.digests && !self.digest_store.is_empty() {
             self.digest_shortcut(target, best_dist, avoid, rng, scratch)
         } else {
             None
@@ -547,12 +548,11 @@ impl ServerState {
             // detaches the borrow so filter_map may mutate server state;
             // the packet takes ownership of the survivor below.
             let (_, via, kind) = unpack(key);
+            // xtask: allow(alloc): detached working copy of the candidate's map
             let (kind, map) = match kind {
-                // xtask: allow(alloc): detached working copy, cache side
                 Key::Cache => (HopKind::Cache, self.cache.peek(via).cloned()),
                 Key::Neighbor | Key::Children => {
-                    // xtask: allow(alloc): detached working copy, see above
-                    (HopKind::Neighbor, self.neighbor_maps.get(&via).cloned())
+                    (HopKind::Neighbor, self.neighbor_map(via).cloned())
                 }
             };
             let Some(mut map) = map else {
@@ -604,30 +604,16 @@ impl ServerState {
 mod tests {
     use super::*;
     use crate::config::Config;
+    use crate::context::{round_robin_fleet, StatelessContext};
     use crate::messages::{Message, QueryPacket};
-    use crate::server::Outgoing;
+    use crate::server::{ContextEntry, Outgoing};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use std::sync::Arc;
     use terradir_namespace::{balanced_tree, Namespace, OwnerAssignment};
 
-    fn world(
-        n_servers: u32,
-        levels: u16,
-        cfg: Config,
-    ) -> (
-        Arc<Namespace>,
-        Arc<Config>,
-        OwnerAssignment,
-        Vec<ServerState>,
-    ) {
-        let ns = Arc::new(balanced_tree(2, levels));
-        let cfg = Arc::new(cfg);
-        let asg = OwnerAssignment::round_robin(&ns, n_servers);
-        let servers: Vec<ServerState> = (0..n_servers)
-            .map(|i| ServerState::new(ServerId(i), Arc::clone(&ns), Arc::clone(&cfg), &asg))
-            .collect();
-        (ns, cfg, asg, servers)
+    fn world(levels: u16, cfg: Config) -> (Namespace, Config, OwnerAssignment, Vec<ServerState>) {
+        let (f, servers) = round_robin_fleet(balanced_tree(2, levels), cfg);
+        (f.ns.clone(), f.cfg.clone(), f.assignment.clone(), servers)
     }
 
     #[test]
@@ -662,7 +648,7 @@ mod tests {
 
     #[test]
     fn resolves_hosted_target() {
-        let (_, _, asg, mut servers) = world(4, 3, Config::paper_default(4));
+        let (_, _, asg, mut servers) = world(3, Config::paper_default(4));
         let mut rng = StdRng::seed_from_u64(1);
         let target = asg.owned_by(ServerId(0))[0];
         assert!(matches!(
@@ -676,7 +662,7 @@ mod tests {
         // With bootstrap-only state (neighbor maps with true owners) every
         // hop must reduce distance by exactly 1 — the incremental-progress
         // guarantee.
-        let (ns, _, asg, mut servers) = world(4, 4, Config::base_system(4));
+        let (ns, _, asg, mut servers) = world(4, Config::base_system(4));
         let mut rng = StdRng::seed_from_u64(2);
         for target in ns.ids() {
             for start in 0..4u32 {
@@ -705,7 +691,7 @@ mod tests {
 
     #[test]
     fn cache_pointer_shortcuts_routing() {
-        let (ns, _, asg, mut servers) = world(8, 4, Config::caching_only(8));
+        let (ns, _, asg, mut servers) = world(4, Config::caching_only(8));
         let mut rng = StdRng::seed_from_u64(3);
         // Pick a target far from server 0's owned nodes and cache a direct
         // pointer for it.
@@ -734,7 +720,7 @@ mod tests {
 
     #[test]
     fn digest_hit_beats_classical_candidate() {
-        let (ns, _, _, mut servers) = world(8, 4, Config::paper_default(8));
+        let (ns, _, _, mut servers) = world(4, Config::paper_default(8));
         let mut rng = StdRng::seed_from_u64(4);
         // Give server 0 a digest for a fake server 7 claiming to host the
         // target itself — distance 0 beats anything classical.
@@ -755,7 +741,7 @@ mod tests {
 
     #[test]
     fn weight_charged_to_context_owner() {
-        let (ns, _, _, mut servers) = world(4, 4, Config::base_system(4));
+        let (ns, _, _, mut servers) = world(4, Config::base_system(4));
         let mut rng = StdRng::seed_from_u64(5);
         // Find a target not hosted by server 0.
         let target = ns.ids().find(|&n| !servers[0].hosts(n)).unwrap();
@@ -777,7 +763,7 @@ mod tests {
         // Route a query hop by hop through the real decision procedure on
         // bootstrap state and verify it reaches the owner in exactly
         // d(start_best, target) hops.
-        let (ns, _, asg, mut servers) = world(4, 5, Config::base_system(4));
+        let (ns, _, asg, mut servers) = world(5, Config::base_system(4));
         let mut rng = StdRng::seed_from_u64(6);
         let target = ns.lookup_str("/1/0/1/0/1").unwrap();
         let mut at = ServerId(0);
@@ -843,7 +829,7 @@ mod tests {
         avoid: &[ServerId],
         rng: &mut impl RngCore,
     ) -> Option<(NodeId, ServerId)> {
-        let mut budget = s.cfg.digest_test_budget;
+        let mut budget = s.fleet.cfg.digest_test_budget;
         let mut chain = Some(target);
         let mut dist = 0u32;
         let mut hits = Vec::new();
@@ -851,7 +837,7 @@ mod tests {
             if dist >= best_dist || budget == 0 {
                 break;
             }
-            let name = s.ns.name(node).as_str();
+            let name = s.fleet.ns.name(node).as_str();
             for (srv, digest) in s.digest_store.iter() {
                 if budget == 0 {
                     break;
@@ -868,7 +854,7 @@ mod tests {
             if !hits.is_empty() {
                 return pick_hit(&mut hits, avoid, rng).map(|srv| (node, srv));
             }
-            chain = s.ns.parent(node);
+            chain = s.fleet.ns.parent(node);
             dist += 1;
         }
         None
@@ -930,7 +916,7 @@ mod tests {
     fn budget_cuts_the_third_name_at_store_index_56() {
         // 100 stored digests and a budget of 256: names 0 and 1 are tested
         // against every digest, name 2 only against store indices 0..56.
-        let (ns, cfg, _, servers) = world(4, 6, Config::paper_default(4));
+        let (ns, cfg, _, servers) = world(6, Config::paper_default(4));
         assert_eq!((cfg.digest_test_budget, cfg.digest_store_slots), (256, 128));
         let target = ns.lookup_str("/0/1/1/0/1/0").unwrap();
         let grand = ancestor(&ns, target, 2);
@@ -979,7 +965,7 @@ mod tests {
 
     #[test]
     fn own_digest_is_skipped_but_counts_against_the_budget() {
-        let (ns, _, _, servers) = world(4, 6, Config::paper_default(4));
+        let (ns, _, _, servers) = world(6, Config::paper_default(4));
         let target = ns.lookup_str("/1/0/0/1/1/0").unwrap();
         let parent = ancestor(&ns, target, 1);
         let mut s = servers[0].clone();
@@ -1018,7 +1004,7 @@ mod tests {
 
     #[test]
     fn denied_hits_fall_through_to_the_next_name() {
-        let (ns, _, _, servers) = world(4, 6, Config::paper_default(4));
+        let (ns, _, _, servers) = world(6, Config::paper_default(4));
         let target = ns.lookup_str("/0/0/1/1/0/1").unwrap();
         let parent = ancestor(&ns, target, 1);
         let grand = ancestor(&ns, target, 2);
@@ -1061,10 +1047,11 @@ mod tests {
         // A unary tree 100 levels deep: the target's chain has 101 names,
         // more than one mask holds. One stored digest, so the budget
         // reaches every name.
-        let ns = Arc::new(balanced_tree(1, 100));
-        let cfg = Arc::new(Config::paper_default(4));
+        let ns = balanced_tree(1, 100);
         let asg = OwnerAssignment::round_robin(&ns, 4);
-        let server = ServerState::new(ServerId(0), Arc::clone(&ns), cfg, &asg);
+        let (fleet, _) = StatelessContext::new(ns, Config::paper_default(4), asg);
+        let ns = &fleet.ns;
+        let server = ServerState::new(ServerId(0), &fleet);
         let target = ns.ids().find(|&n| ns.depth(n) == 100).unwrap();
         let dists = [1, 60, 63, 64, 65, 90, 91, 100, u32::MAX];
         for claimed_depth in [
@@ -1079,11 +1066,11 @@ mod tests {
         ] {
             let mut s = server.clone();
             let hosted: Vec<NodeId> = claimed_depth
-                .map(|d| ancestor(&ns, target, 100 - d))
+                .map(|d| ancestor(ns, target, 100 - d))
                 .into_iter()
                 .collect();
             s.digest_store
-                .observe(ServerId(2), &claim(&ns, ServerId(2), &hosted, 1));
+                .observe(ServerId(2), &claim(ns, ServerId(2), &hosted, 1));
             let avoids: [&[ServerId]; 2] = [&[], &[ServerId(2)]];
             let choices = assert_scans_agree(&s, &[target], &dists, &avoids);
             let found = choices.iter().flatten().count();
@@ -1098,10 +1085,10 @@ mod tests {
         // j = 85 (depth 15), where only store index 0 is tested.
         for (claimed_depth, reachable) in [(16, true), (15, true), (14, false), (10, false)] {
             let mut s = server.clone();
-            let node = ancestor(&ns, target, 100 - claimed_depth);
+            let node = ancestor(ns, target, 100 - claimed_depth);
             for k in 1..=3 {
                 s.digest_store
-                    .observe(ServerId(k), &claim(&ns, ServerId(k), &[node], 1));
+                    .observe(ServerId(k), &claim(ns, ServerId(k), &[node], 1));
             }
             let choices = assert_scans_agree(&s, &[target], &[u32::MAX], &[&[]]);
             let found = choices.iter().flatten().count();
@@ -1114,7 +1101,7 @@ mod tests {
         // Random hosted sets in small, loaded filters (many false
         // positives), random denials, the server's own digest in some
         // stores, and store sizes on both sides of the budget's cuts.
-        let (ns, _, _, servers) = world(4, 7, Config::paper_default(4));
+        let (ns, _, _, servers) = world(7, Config::paper_default(4));
         let mut rng = StdRng::seed_from_u64(20);
         let nodes: Vec<NodeId> = ns.ids().collect();
         for round in 0..12 {
@@ -1155,13 +1142,13 @@ mod tests {
     /// The flat key build the hosted-set build replaced, kept as its
     /// reference: one distance per context map and cache entry.
     fn flat_keys(s: &ServerState, target: NodeId) -> Vec<Reverse<u64>> {
-        let ns = &*s.ns;
+        let ns = &s.fleet.ns;
         let mut keys: Vec<Reverse<u64>> = s
             .neighbor_maps
             .keys()
             .map(|&n| Reverse(pack(distance(ns, n, target), n, Key::Neighbor)))
             .collect();
-        if s.cfg.caching {
+        if s.fleet.cfg.caching {
             keys.extend(
                 s.cache
                     .iter()
@@ -1259,10 +1246,11 @@ mod tests {
             node,
             NodeRecord::new(node, NodeMap::singleton(s.id), Meta::new(), 0.0),
         );
-        for nb in s.ns.neighbors(node) {
-            s.neighbor_maps
-                .entry(nb)
-                .or_insert_with(|| NodeMap::singleton(asg.owner(nb)));
+        for nb in s.fleet.ns.neighbors(node) {
+            s.neighbor_maps.entry(nb).or_insert_with(|| ContextEntry {
+                map: NodeMap::singleton(asg.owner(nb)),
+                lease_at: 0.0,
+            });
         }
     }
 
@@ -1270,22 +1258,15 @@ mod tests {
     fn tc_world(
         n_servers: u32,
         nodes: usize,
-    ) -> (Arc<Namespace>, OwnerAssignment, Vec<ServerState>, NodeId) {
+    ) -> (Namespace, OwnerAssignment, Vec<ServerState>, NodeId) {
         let params = terradir_namespace::CodaParams {
             nodes,
             ..terradir_namespace::CodaParams::default()
         };
-        let ns = Arc::new(terradir_namespace::coda_like(
-            &params,
-            &mut StdRng::seed_from_u64(42),
-        ));
-        let cfg = Arc::new(Config::paper_default(n_servers));
-        let asg = OwnerAssignment::round_robin(&ns, n_servers);
-        let servers = (0..n_servers)
-            .map(|i| ServerState::new(ServerId(i), Arc::clone(&ns), Arc::clone(&cfg), &asg))
-            .collect();
-        let widest = ns.ids().max_by_key(|&n| ns.children(n).len()).unwrap();
-        (ns, asg, servers, widest)
+        let ns = terradir_namespace::coda_like(&params, &mut StdRng::seed_from_u64(42));
+        let (f, servers) = round_robin_fleet(ns, Config::paper_default(n_servers));
+        let widest = f.ns.ids().max_by_key(|&n| f.ns.children(n).len()).unwrap();
+        (f.ns.clone(), f.assignment.clone(), servers, widest)
     }
 
     #[test]
@@ -1323,7 +1304,7 @@ mod tests {
 
     #[test]
     fn hosted_ancestors_rank_their_on_path_child_closer() {
-        let (ns, _, asg, mut servers) = world(8, 5, Config::paper_default(8));
+        let (ns, _, asg, mut servers) = world(5, Config::paper_default(8));
         let s = &mut servers[0];
         let a = ns.lookup_str("/1/0").unwrap();
         host(s, &asg, a);
@@ -1341,7 +1322,7 @@ mod tests {
 
     #[test]
     fn duplicate_keys_from_related_hosted_nodes_are_one_candidate() {
-        let (ns, _, asg, mut servers) = world(8, 5, Config::paper_default(8));
+        let (ns, _, asg, mut servers) = world(5, Config::paper_default(8));
         let s = &mut servers[0];
         // A parent and its child hosted see each other; two siblings share
         // their parent and a cache pointer duplicates a context neighbor.
@@ -1378,7 +1359,7 @@ mod tests {
         // `install_replicas` may drop a context map that negative caching
         // emptied: the hosted-set build still ranks that neighbor, and the
         // membership check must keep it out.
-        let (ns, _, asg, mut servers) = world(8, 5, Config::paper_default(8));
+        let (ns, _, asg, mut servers) = world(5, Config::paper_default(8));
         let s = &mut servers[0];
         let h = ns.lookup_str("/0/0/1").unwrap();
         host(s, &asg, h);
@@ -1433,8 +1414,8 @@ mod tests {
             .iter()
             .rfind(|c| !ns.root_path(target).contains(c))
             .unwrap();
-        for (&n, map) in &mut s.neighbor_maps {
-            *map = NodeMap::singleton(ServerId(if n == child { 9 } else { 1 }));
+        for (&n, e) in &mut s.neighbor_maps {
+            e.map = NodeMap::singleton(ServerId(if n == child { 9 } else { 1 }));
         }
         let choices = assert_builds_agree(&s, &[target], &[&[ServerId(1)]]);
         assert!(choices.iter().all(|c| matches!(
@@ -1445,15 +1426,15 @@ mod tests {
 
     #[test]
     fn hosted_root_and_stuck_rank_like_the_flat_build() {
-        let (ns, _, asg, mut servers) = world(8, 4, Config::paper_default(8));
+        let (ns, _, asg, mut servers) = world(4, Config::paper_default(8));
         let s = &mut servers[2];
         host(s, &asg, ns.root());
         let targets: Vec<NodeId> = ns.ids().collect();
         assert_builds_agree(s, &targets, &[&[], &[ServerId(0), ServerId(1)]]);
         // Every map a stale self-pointer: nothing is usable.
         let id = s.id;
-        for map in s.neighbor_maps.values_mut() {
-            *map = NodeMap::singleton(id);
+        for e in s.neighbor_maps.values_mut() {
+            e.map = NodeMap::singleton(id);
         }
         let choices = assert_builds_agree(s, &targets, &[&[]]);
         assert!(!choices.is_empty());
@@ -1471,7 +1452,7 @@ mod tests {
                 let (ns, asg, servers, _) = tc_world(16, 600);
                 (ns, asg, servers)
             } else {
-                let (ns, _, asg, servers) = world(16, 7, Config::paper_default(16));
+                let (ns, _, asg, servers) = world(7, Config::paper_default(16));
                 (ns, asg, servers)
             };
             let nodes: Vec<NodeId> = ns.ids().collect();

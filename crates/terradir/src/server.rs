@@ -12,10 +12,11 @@ use std::sync::Arc;
 use rand::RngCore;
 
 use terradir_bloom::Digest;
-use terradir_namespace::{Namespace, NodeId, OwnerAssignment, ServerId};
+use terradir_namespace::{NodeId, ServerId};
 
 use crate::cache::RouteCache;
 use crate::config::{self, Config};
+use crate::context::StatelessContext;
 use crate::digests::{build_digest, DigestStore};
 use crate::load::LoadMeter;
 use crate::map::NodeMap;
@@ -171,21 +172,17 @@ pub enum ProtocolEvent {
 #[derive(Debug, Clone)]
 pub struct ServerState {
     pub(crate) id: ServerId,
-    pub(crate) ns: Arc<Namespace>,
-    pub(crate) cfg: Arc<Config>,
+    /// The fleet's shared read-only state (namespace, config,
+    /// assignment, role and tenant maps, speed table; DESIGN.md §20.1).
+    pub(crate) fleet: Arc<StatelessContext>,
     /// Nodes this server owns (full records; never evicted).
     pub(crate) owned: DetHashMap<NodeId, NodeRecord>,
     /// Soft-state replicas (bounded by `R_fact · |owned|`).
     pub(crate) replicas: DetHashMap<NodeId, NodeRecord>,
     /// Maps for the topological neighbors of every hosted node (the
-    /// routing *context* guaranteeing incremental progress).
-    pub(crate) neighbor_maps: DetHashMap<NodeId, NodeMap>,
-    /// Lease stamps for `neighbor_maps` entries (DESIGN.md §14): one
-    /// stamp per context map, refreshed on fresh evidence or routing use.
-    /// Always maintained (stamping is pure bookkeeping); the sweep only
-    /// acts on it when `Config::leases` is enabled. Key set mirrors
-    /// `neighbor_maps` exactly (checked by `check_lease_freshness`).
-    pub(crate) context_lease: DetHashMap<NodeId, f64>,
+    /// routing *context* guaranteeing incremental progress), each with
+    /// its lease stamp.
+    pub(crate) neighbor_maps: DetHashMap<NodeId, ContextEntry>,
     /// LRU route cache (pointer state, no context).
     pub(crate) cache: RouteCache,
     /// Freshest inverse-mapping digest per remote server.
@@ -200,7 +197,6 @@ pub struct ServerState {
     /// hosted set changed).
     pub(crate) digest: Digest,
     pub(crate) digest_dirty: bool,
-    pub(crate) digest_gen: u64,
     /// In-flight replication session, if any.
     pub(crate) session: Option<Session>,
     /// No new session may start before this time.
@@ -229,16 +225,45 @@ pub struct ServerState {
     /// digest over hosted names and object-version keys, its change
     /// tracking, and per-peer delta bases. Inert while gossip is off.
     pub(crate) gossip: crate::gossip::GossipState,
-    /// Fleet role map handle (DESIGN.md §19): `None` while roles are
-    /// off, so every admission check short-circuits to "allowed" and
-    /// the roles-off path stays byte-identical.
-    pub(crate) roles: Option<Arc<crate::roles::RoleMap>>,
-    /// The substrate's static per-server speed table (empty when speed
-    /// heterogeneity is off). Used only for deterministic tie-breaking
-    /// in replication partner ranking — never consulted for timing.
-    pub(crate) speeds: Arc<[f64]>,
     /// Reusable buffers of the route decision (never read across calls).
     pub(crate) route_scratch: crate::routing::RouteScratch,
+}
+
+/// One routing-context map plus its lease stamp (DESIGN.md §14): the
+/// stamp is refreshed on fresh evidence or routing use. It is always
+/// maintained (stamping is pure bookkeeping); the sweep only acts on it
+/// when `Config::leases` is enabled.
+#[derive(Debug, Clone)]
+pub(crate) struct ContextEntry {
+    pub(crate) map: NodeMap,
+    pub(crate) lease_at: f64,
+}
+
+impl ContextEntry {
+    /// Renews the lease to `now`; stamps never move backwards.
+    pub(crate) fn refresh_lease(&mut self, now: f64) {
+        if now > self.lease_at {
+            self.lease_at = now;
+        }
+    }
+}
+
+/// The static bootstrap context of `owned`: a map for every topological
+/// neighbor, pointing at its true owner and stamped `now`.
+fn bootstrap_context(
+    fleet: &StatelessContext,
+    owned: impl Iterator<Item = NodeId>,
+    now: f64,
+    maps: &mut DetHashMap<NodeId, ContextEntry>,
+) {
+    for node in owned {
+        for nb in fleet.ns.neighbors(node) {
+            maps.entry(nb).or_insert_with(|| ContextEntry {
+                map: NodeMap::singleton(fleet.assignment.owner(nb)),
+                lease_at: now,
+            });
+        }
+    }
 }
 
 /// Client-side state of one in-progress data fetch.
@@ -250,38 +275,28 @@ pub(crate) struct FetchState {
 }
 
 impl ServerState {
-    /// Bootstraps a server from the global ownership assignment: owned
-    /// records with singleton self maps, neighbor maps pointing at the true
-    /// owners (the static bootstrap state of the paper's system), and an
-    /// initial digest over the owned set.
-    pub fn new(
-        id: ServerId,
-        ns: Arc<Namespace>,
-        cfg: Arc<Config>,
-        assignment: &OwnerAssignment,
-    ) -> ServerState {
+    /// Bootstraps server `id` of `fleet` from its ownership assignment:
+    /// owned records with singleton self maps, neighbor maps pointing at
+    /// the true owners (the static bootstrap state of the paper's system),
+    /// and an initial digest over the owned set. Both substrates build
+    /// their servers here.
+    pub fn new(id: ServerId, fleet: &Arc<StatelessContext>) -> ServerState {
+        let (ns, cfg) = (&fleet.ns, &fleet.cfg);
         let mut owned = DetHashMap::default();
-        let mut neighbor_maps: DetHashMap<NodeId, NodeMap> = DetHashMap::default();
-        for &node in assignment.owned_by(id) {
+        for &node in fleet.assignment.owned_by(id) {
             owned.insert(
                 node,
                 NodeRecord::new(node, NodeMap::singleton(id), Meta::new(), 0.0),
             );
-            for nb in ns.neighbors(node) {
-                neighbor_maps
-                    .entry(nb)
-                    .or_insert_with(|| NodeMap::singleton(assignment.owner(nb)));
-            }
         }
-        let mut context_lease: DetHashMap<NodeId, f64> = DetHashMap::default();
-        for &nb in neighbor_maps.keys() {
-            context_lease.insert(nb, 0.0);
-        }
+        let mut neighbor_maps = DetHashMap::default();
+        let owned_ids = fleet.assignment.owned_by(id).iter().copied();
+        bootstrap_context(fleet, owned_ids, 0.0, &mut neighbor_maps);
         let digest = build_digest(
-            &ns,
+            ns,
             id,
             owned.keys(),
-            Self::digest_capacity(&cfg, owned.len()),
+            Self::digest_capacity(cfg, owned.len()),
             config::DIGEST_FPR,
             0,
         );
@@ -290,7 +305,6 @@ impl ServerState {
             owned,
             replicas: DetHashMap::default(),
             neighbor_maps,
-            context_lease,
             cache: RouteCache::new(if cfg.caching { cfg.cache_slots } else { 0 }),
             digest_store: DigestStore::new(if cfg.digests {
                 cfg.digest_store_slots
@@ -302,7 +316,6 @@ impl ServerState {
             known_loads: KnownLoads::new(config::KNOWN_LOAD_SLOTS),
             digest,
             digest_dirty: false,
-            digest_gen: 0,
             session: None,
             cooldown_until: 0.0,
             hop_checks: 0,
@@ -312,55 +325,34 @@ impl ServerState {
             pending_fetches: DetHashMap::default(),
             negative: DetHashMap::default(),
             gossip: crate::gossip::GossipState::default(),
-            roles: None,
-            speeds: Arc::new([]),
             route_scratch: crate::routing::RouteScratch::default(),
-            ns,
-            cfg,
+            fleet: Arc::clone(fleet),
         }
-    }
-
-    /// Installs the fleet role map (built once by the substrate when
-    /// `Config::roles.enabled`; never installed otherwise).
-    pub fn set_role_map(&mut self, roles: Arc<crate::roles::RoleMap>) {
-        self.roles = Some(roles);
-    }
-
-    /// The installed role map, if roles are on.
-    pub(crate) fn role_map(&self) -> Option<&crate::roles::RoleMap> {
-        self.roles.as_deref()
-    }
-
-    /// Shares the substrate's static speed table (partner-ranking
-    /// tie-breaks under speed heterogeneity; DESIGN.md §16).
-    pub fn set_static_speeds(&mut self, speeds: Arc<[f64]>) {
-        self.speeds = speeds;
-    }
-
-    /// The shared static speed table (empty when heterogeneity is off).
-    pub(crate) fn static_speeds(&self) -> &[f64] {
-        &self.speeds
     }
 
     /// May this server hold soft state for `node`? Always true with
     /// roles off (DESIGN.md §19).
     pub(crate) fn admits_node(&self, node: NodeId) -> bool {
-        self.roles
-            .as_deref()
+        self.fleet
+            .roles
+            .as_ref()
             .is_none_or(|r| r.admits(self.id, node))
     }
 
     /// Is `node` pinned here (a keeper protecting its owned region
     /// against lease expiry, idle eviction, and displacement)?
     pub(crate) fn pins_node(&self, node: NodeId) -> bool {
-        self.roles.as_deref().is_some_and(|r| r.pins(self.id, node))
+        self.fleet
+            .roles
+            .as_ref()
+            .is_some_and(|r| r.pins(self.id, node))
     }
 
     /// The representative owned node for role-aware partner ranking:
     /// the lowest-id owned node below the spine. Spine nodes are
     /// admitted by everyone, so they say nothing about our region.
     pub(crate) fn home_node(&self) -> Option<NodeId> {
-        let roles = self.role_map()?;
+        let roles = self.fleet.roles.as_ref()?;
         self.owned
             .keys()
             .copied()
@@ -427,9 +419,9 @@ impl ServerState {
     /// fan-out, so a directory with hundreds of entries costs no more
     /// than a leaf.
     pub(crate) fn hosted_neighbor(&self, node: NodeId) -> Option<NodeId> {
-        let parent = self.ns.parent(node);
+        let parent = self.fleet.ns.parent(node);
         self.hosted_ids()
-            .filter(|&h| Some(h) == parent || self.ns.parent(h) == Some(node))
+            .filter(|&h| Some(h) == parent || self.fleet.ns.parent(h) == Some(node))
             .min()
     }
 
@@ -463,14 +455,15 @@ impl ServerState {
 
     /// The stored map for a topological neighbor of a hosted node, if any.
     pub fn neighbor_map(&self, node: NodeId) -> Option<&NodeMap> {
-        self.neighbor_maps.get(&node)
+        self.neighbor_maps.get(&node).map(|e| &e.map)
     }
 
     /// Whether this server keeps the full routing context for `node`
     /// (a map for every topological neighbor) — the Table 1 "Context"
     /// column.
     pub fn has_context(&self, node: NodeId) -> bool {
-        self.ns
+        self.fleet
+            .ns
             .neighbors(node)
             .iter()
             .all(|nb| self.neighbor_maps.contains_key(nb))
@@ -558,7 +551,7 @@ impl ServerState {
                 // both proves the sender alive and pins the eviction at
                 // its current generation, then the stale per-(node, host)
                 // entry is dropped exactly as for `NotHosting`.
-                if self.cfg.digests {
+                if self.fleet.cfg.digests {
                     self.digest_store.observe(from, &digest);
                 }
                 self.drop_stale_host(node, from);
@@ -593,7 +586,7 @@ impl ServerState {
                 // class is a hosted-set snapshot, so prune every stale
                 // entry naming the gossiper — the PR-4 `purge_disclaimed`
                 // machinery — and feed the shortcut store.
-                if self.cfg.digests {
+                if self.fleet.cfg.digests {
                     self.digest_store.observe(from, digest.full());
                 }
                 self.purge_disclaimed(from, digest.full());
@@ -651,7 +644,7 @@ impl ServerState {
         // A genuinely new version changes this server's object key, so
         // the gossip digest must be resealed (no-op churn stays silent —
         // that is what keeps digest rounds idempotent).
-        if self.cfg.gossip.enabled && prev != Some(merged) {
+        if self.fleet.cfg.gossip.enabled && prev != Some(merged) {
             self.gossip.mark(node);
         }
     }
@@ -663,11 +656,11 @@ impl ServerState {
     /// forget its digest and load observations so shortcuts and partner
     /// selection stop targeting it.
     pub(crate) fn mark_host_dead(&mut self, now: f64, host: ServerId, out: &mut Vec<Outgoing>) {
-        if host == self.id || !self.cfg.retry.enabled {
+        if host == self.id || !self.fleet.cfg.retry.enabled {
             return;
         }
         let newly = self.negative.insert(host, now).is_none();
-        let r_map = self.cfg.r_map;
+        let r_map = self.fleet.cfg.r_map;
         let my_id = self.id;
         for rec in self.owned.values_mut().chain(self.replicas.values_mut()) {
             if rec.map.contains(host) {
@@ -677,8 +670,8 @@ impl ServerState {
                 }
             }
         }
-        for m in self.neighbor_maps.values_mut() {
-            m.remove(host, false);
+        for e in self.neighbor_maps.values_mut() {
+            e.map.remove(host, false);
         }
         let emptied: Vec<NodeId> = self
             .cache
@@ -747,8 +740,8 @@ impl ServerState {
             rec.map.remove(stale, false);
             return;
         }
-        if let Some(m) = self.neighbor_maps.get_mut(&node) {
-            m.remove(stale, false);
+        if let Some(e) = self.neighbor_maps.get_mut(&node) {
+            e.map.remove(stale, false);
             return;
         }
         let mut drop_entry = false;
@@ -771,8 +764,9 @@ impl ServerState {
             return;
         }
         let my_id = self.id;
-        let r_map = self.cfg.r_map;
-        let ns = Arc::clone(&self.ns);
+        let r_map = self.fleet.cfg.r_map;
+        let fleet = Arc::clone(&self.fleet);
+        let ns = &fleet.ns;
         for rec in self.owned.values_mut().chain(self.replicas.values_mut()) {
             if rec.map.contains(from) && !digest.test(ns.name(rec.node).as_str()) {
                 rec.map.remove(from, true);
@@ -781,9 +775,9 @@ impl ServerState {
                 }
             }
         }
-        for (&n, m) in &mut self.neighbor_maps {
-            if m.contains(from) && !digest.test(ns.name(n).as_str()) {
-                m.remove(from, false);
+        for (&n, e) in &mut self.neighbor_maps {
+            if e.map.contains(from) && !digest.test(ns.name(n).as_str()) {
+                e.map.remove(from, false);
             }
         }
         let stale_cached: Vec<NodeId> = self
@@ -807,7 +801,7 @@ impl ServerState {
     /// Sends the record's map upstream if it was freshly advertised and the
     /// rate limit allows.
     fn maybe_backprop(&mut self, now: f64, node: NodeId, prev: ServerId, out: &mut Vec<Outgoing>) {
-        if !self.cfg.replication || prev == self.id {
+        if !self.fleet.cfg.replication || prev == self.id {
             return;
         }
         let Some(rec) = self.host_record_mut(node) else {
@@ -857,7 +851,7 @@ impl ServerState {
                 out.push(Outgoing::Event(ProtocolEvent::Misrouted { at: self.id }));
                 if let Some(prev) = p.prev_hop {
                     if prev != self.id {
-                        if self.cfg.misroute_active() {
+                        if self.fleet.cfg.misroute_active() {
                             self.rebuild_digest_if_dirty();
                             out.push(Outgoing::Send {
                                 to: prev,
@@ -885,7 +879,7 @@ impl ServerState {
         match self.decide_route(p.target, &p.recent, rng) {
             RouteChoice::Resolve => {
                 self.weights.bump(p.target, now, 1.0);
-                if self.cfg.leases.enabled {
+                if self.fleet.cfg.leases.enabled {
                     if let Some(rec) = self.host_record_mut(p.target) {
                         rec.refresh_lease(now);
                     }
@@ -903,12 +897,14 @@ impl ServerState {
                 // List queries also return the children with the maps from
                 // our routing context (hosting the node guarantees one per
                 // child).
+                // xtask: allow(alloc): List result owns its child maps
                 let children: Vec<(NodeId, NodeMap)> = match p.kind {
                     QueryKind::List => self
+                        .fleet
                         .ns
                         .children(p.target)
                         .iter()
-                        .filter_map(|&c| self.neighbor_maps.get(&c).map(|m| (c, m.clone()))) // xtask: allow(alloc): List result owns its child maps
+                        .filter_map(|&c| self.neighbor_map(c).map(|m| (c, m.clone())))
                         .collect(),
                     QueryKind::Lookup => Vec::new(),
                 };
@@ -932,10 +928,10 @@ impl ServerState {
                 if let Some(h) = used_context_of {
                     self.weights.bump(h, now, 1.0);
                 }
-                if self.cfg.leases.enabled {
+                if self.fleet.cfg.leases.enabled {
                     self.refresh_lease_of(via, now);
                 }
-                if self.cfg.path_propagation {
+                if self.fleet.cfg.path_propagation {
                     p.push_path(via, map_snapshot, config::PATH_CAP);
                 }
                 p.hops += 1;
@@ -953,7 +949,7 @@ impl ServerState {
                 p.prev_hop = Some(self.id);
                 p.push_recent(self.id);
                 p.sender_load = Some((self.id, self.load.effective(now)));
-                p.sender_digest = if self.cfg.digests {
+                p.sender_digest = if self.fleet.cfg.digests {
                     // xtask: allow(alloc): Digest is Arc-backed — a refcount bump
                     Some((self.id, self.digest.clone()))
                 } else {
@@ -1022,7 +1018,7 @@ impl ServerState {
                 self.known_loads.observe(s, l, now);
             }
         }
-        if self.cfg.digests {
+        if self.fleet.cfg.digests {
             if let Some((s, d)) = &p.sender_digest {
                 if *s != self.id {
                     self.digest_store.observe(*s, d);
@@ -1041,7 +1037,7 @@ impl ServerState {
             }
             !map.is_empty()
         });
-        if self.cfg.path_propagation {
+        if self.fleet.cfg.path_propagation {
             for (node, map) in &path {
                 self.absorb_mapping(*node, map, now, rng);
             }
@@ -1067,7 +1063,7 @@ impl ServerState {
         now: f64,
         rng: &mut impl RngCore,
     ) {
-        let r_map = self.cfg.r_map;
+        let r_map = self.fleet.cfg.r_map;
         // xtask: allow(alloc): detached working copy — filtered and merged in place
         let mut incoming = incoming.clone();
         self.filter_map(node, &mut incoming);
@@ -1096,8 +1092,8 @@ impl ServerState {
         if incoming.is_empty() {
             return;
         }
-        if let Some(m) = self.neighbor_maps.get_mut(&node) {
-            let mut merged = m.merge(&incoming, r_map, rng);
+        if let Some(e) = self.neighbor_maps.get_mut(&node) {
+            let mut merged = e.map.merge(&incoming, r_map, rng);
             merged.remove(my_id, true);
             // The *existing* map may hold a negatively cached host as its
             // tolerated sole entry; once the merge brings in live hosts,
@@ -1106,16 +1102,12 @@ impl ServerState {
                 merged.remove(h, false);
             }
             if !merged.is_empty() {
-                *m = merged;
+                e.map = merged;
             }
-            if let Some(stamp) = self.context_lease.get_mut(&node) {
-                if now > *stamp {
-                    *stamp = now;
-                }
-            }
+            e.refresh_lease(now);
             return;
         }
-        if self.cfg.caching {
+        if self.fleet.cfg.caching {
             if let Some(m) = self.cache.get_mut(node) {
                 let mut merged = m.merge(&incoming, r_map, rng);
                 merged.remove(my_id, true);
@@ -1137,10 +1129,8 @@ impl ServerState {
             rec.refresh_lease(now);
             return;
         }
-        if let Some(stamp) = self.context_lease.get_mut(&node) {
-            if now > *stamp {
-                *stamp = now;
-            }
+        if let Some(e) = self.neighbor_maps.get_mut(&node) {
+            e.refresh_lease(now);
             return;
         }
         self.cache.refresh_lease(node, now);
@@ -1151,11 +1141,11 @@ impl ServerState {
     /// proves they do not host `node`, and hosts currently in the negative
     /// cache. Never empties the map.
     pub(crate) fn filter_map(&self, node: NodeId, map: &mut NodeMap) {
-        if !self.cfg.digests && self.negative.is_empty() {
+        if !self.fleet.cfg.digests && self.negative.is_empty() {
             return;
         }
-        let digests = self.cfg.digests;
-        let name = self.ns.name(node).as_str();
+        let digests = self.fleet.cfg.digests;
+        let name = self.fleet.ns.name(node).as_str();
         map.filter_stale(|h| {
             h != self.id
                 && ((digests && self.digest_store.test(h, name) == Some(false))
@@ -1171,7 +1161,7 @@ impl ServerState {
         if !self.negative.is_empty() {
             self.negative.retain(|_, at| now - *at <= config::DEAD_TTL);
         }
-        if self.cfg.replication {
+        if self.fleet.cfg.replication {
             self.evict_idle_replicas(now, out);
             if let Some(s) = &self.session {
                 if now - s.started_at > config::SESSION_TIMEOUT {
@@ -1183,7 +1173,7 @@ impl ServerState {
                 }
             }
         }
-        if self.cfg.leases.enabled {
+        if self.fleet.cfg.leases.enabled {
             self.sweep_leases(now, out);
         }
         if self.digest_dirty {
@@ -1198,7 +1188,7 @@ impl ServerState {
     /// required by a hosted node's routing context are restamped instead
     /// of evicted (routing totality outranks freshness).
     fn sweep_leases(&mut self, now: f64, out: &mut Vec<Outgoing>) {
-        let ttl = self.cfg.leases.ttl;
+        let ttl = self.fleet.cfg.leases.ttl;
         let mut expired: u64 = 0;
         let mut victims: Vec<NodeId> = self
             .replicas
@@ -1213,21 +1203,20 @@ impl ServerState {
             expired += 1;
         }
         let mut stale_ctx: Vec<NodeId> = self
-            .context_lease
+            .neighbor_maps
             .iter()
-            .filter(|&(_, &at)| now - at > ttl)
+            .filter(|&(_, e)| now - e.lease_at > ttl)
             .map(|(&n, _)| n)
             .collect(); // xtask: allow(alloc): periodic maintenance sweep, not per event
         stale_ctx.sort_unstable();
         for n in stale_ctx {
             if self.hosted_neighbor(n).is_some() {
-                if let Some(at) = self.context_lease.get_mut(&n) {
-                    *at = now;
+                if let Some(e) = self.neighbor_maps.get_mut(&n) {
+                    e.lease_at = now;
                 }
                 continue;
             }
             self.neighbor_maps.remove(&n);
-            self.context_lease.remove(&n);
             expired += 1;
         }
         expired += self.cache.sweep_expired(now, ttl).len() as u64;
@@ -1240,13 +1229,13 @@ impl ServerState {
     }
 
     fn evict_idle_replicas(&mut self, now: f64, out: &mut Vec<Outgoing>) {
-        let cfg = Arc::clone(&self.cfg);
+        let threshold = self.fleet.cfg.evict_weight_threshold;
         let mut victims: Vec<NodeId> = self
             .replicas
             .values()
             .filter(|r| {
                 now - r.installed_at > config::EVICT_MIN_AGE
-                    && self.weights.value(r.node, now) < cfg.evict_weight_threshold
+                    && self.weights.value(r.node, now) < threshold
                     // Keeper-pinned replicas never idle out (§19).
                     && !self.pins_node(r.node)
             })
@@ -1266,13 +1255,12 @@ impl ServerState {
         }
         self.weights.remove(node);
         self.digest_dirty = true;
-        if self.cfg.gossip.enabled {
+        if self.fleet.cfg.gossip.enabled {
             self.gossip.mark(node);
         }
-        for nb in self.ns.neighbors(node) {
+        for nb in self.fleet.ns.neighbors(node) {
             if self.hosted_neighbor(nb).is_none() {
                 self.neighbor_maps.remove(&nb);
-                self.context_lease.remove(&nb);
             }
         }
         out.push(Outgoing::Event(ProtocolEvent::ReplicaDeleted {
@@ -1289,14 +1277,13 @@ impl ServerState {
     }
 
     pub(crate) fn rebuild_digest(&mut self) {
-        self.digest_gen += 1;
         self.digest = build_digest(
-            &self.ns,
+            &self.fleet.ns,
             self.id,
             self.owned.keys().chain(self.replicas.keys()),
-            Self::digest_capacity(&self.cfg, self.owned.len()),
+            Self::digest_capacity(&self.fleet.cfg, self.owned.len()),
             config::DIGEST_FPR,
-            self.digest_gen,
+            self.digest.generation() + 1,
         );
         self.digest_dirty = false;
     }
@@ -1337,14 +1324,14 @@ impl ServerState {
     /// behind peers onto the full filter.
     fn reseal_gossip_digest(&mut self) {
         use terradir_bloom::{DigestBuilder, WindowedDigest};
-        let capacity = Self::digest_capacity(&self.cfg, self.owned.len()) + self.store.len();
+        let capacity = Self::digest_capacity(&self.fleet.cfg, self.owned.len()) + self.store.len();
         let mut filter = DigestBuilder::new(self.gossip_params(capacity));
         let mut key_buf = std::mem::take(&mut self.gossip.key_buf);
         for &n in self.owned.keys().chain(self.replicas.keys()) {
-            filter.add(self.ns.name(n).as_str());
+            filter.add(self.fleet.ns.name(n).as_str());
         }
         for (&node, obj) in &self.store {
-            crate::gossip::object_key(&mut key_buf, self.ns.name(node).as_str(), obj.version);
+            crate::gossip::object_key(&mut key_buf, self.fleet.ns.name(node).as_str(), obj.version);
             filter.add(&key_buf);
         }
         let prev_gen = self
@@ -1363,7 +1350,7 @@ impl ServerState {
             let mut changed_keys = std::mem::take(&mut self.gossip.changed_keys);
             changed_keys.clear();
             for &node in &changed {
-                let name = self.ns.name(node).as_str();
+                let name = self.fleet.ns.name(node).as_str();
                 if self.hosts(node) {
                     // xtask: allow(alloc): bounded by the per-round change set
                     changed_keys.push(name.to_string());
@@ -1378,7 +1365,7 @@ impl ServerState {
                 prev,
                 filter,
                 changed_keys.iter().map(String::as_str),
-                self.cfg.gossip.window as usize,
+                self.fleet.cfg.gossip.window as usize,
             );
             changed.clear();
             self.gossip.changed = changed;
@@ -1401,10 +1388,9 @@ impl ServerState {
     /// and rebuilt from the static bootstrap assignment, exactly as at
     /// construction. The digest generation stays monotone so peers'
     /// freshest-generation-wins logic accepts the rejoined server's digest.
-    pub fn reset_soft_state(&mut self, now: f64, assignment: &OwnerAssignment) {
+    pub fn reset_soft_state(&mut self, now: f64) {
         self.replicas.clear();
         self.neighbor_maps.clear();
-        self.context_lease.clear();
         for rec in self.owned.values_mut() {
             rec.map = NodeMap::singleton(self.id);
             rec.advertised_at = f64::NEG_INFINITY;
@@ -1412,25 +1398,15 @@ impl ServerState {
             rec.installed_at = now;
             rec.lease_at = now;
         }
-        let owned: Vec<NodeId> = self.owned.keys().copied().collect(); // xtask: allow(alloc): rejoin-only soft-state rebuild
-        for node in owned {
-            for nb in self.ns.neighbors(node) {
-                self.neighbor_maps
-                    .entry(nb)
-                    .or_insert_with(|| NodeMap::singleton(assignment.owner(nb)));
-            }
-        }
-        let ctx: Vec<NodeId> = self.neighbor_maps.keys().copied().collect(); // xtask: allow(alloc): rejoin-only soft-state rebuild
-        for nb in ctx {
-            self.context_lease.insert(nb, now);
-        }
-        self.cache = RouteCache::new(if self.cfg.caching {
-            self.cfg.cache_slots
+        let owned = self.owned.keys().copied();
+        bootstrap_context(&self.fleet, owned, now, &mut self.neighbor_maps);
+        self.cache = RouteCache::new(if self.fleet.cfg.caching {
+            self.fleet.cfg.cache_slots
         } else {
             0
         });
-        self.digest_store = DigestStore::new(if self.cfg.digests {
-            self.cfg.digest_store_slots
+        self.digest_store = DigestStore::new(if self.fleet.cfg.digests {
+            self.fleet.cfg.digest_store_slots
         } else {
             0
         });
@@ -1451,7 +1427,7 @@ impl ServerState {
         // A reset is a change the gossip window cannot express: break
         // the window so behind peers take the next full snapshot, and
         // forget what was shipped where (DESIGN.md §18).
-        if self.cfg.gossip.enabled {
+        if self.fleet.cfg.gossip.enabled {
             self.gossip.mark_all();
             self.gossip.sent_gen.clear();
         }
@@ -1549,10 +1525,11 @@ impl ServerState {
             }
         }
         // Candidate hosts from any map we keep for the node.
+        // xtask: allow(alloc): fetch candidate list, owned for retry iteration
         let mut candidates: Vec<ServerId> = self
             .host_record(node)
-            .map(|r| r.map.entries().to_vec()) // xtask: allow(alloc): fetch candidate list, owned for retry iteration
-            .or_else(|| self.neighbor_maps.get(&node).map(|m| m.entries().to_vec())) // xtask: allow(alloc): fetch candidate list, owned for retry iteration
+            .map(|r| r.map.entries().to_vec())
+            .or_else(|| self.neighbor_map(node).map(|m| m.entries().to_vec()))
             .or_else(|| self.cache.peek(node).map(|m| m.entries().to_vec()))
             .unwrap_or_default();
         candidates.retain(|&h| h != self.id);
@@ -1633,12 +1610,6 @@ impl ServerState {
     pub fn accuracy_counters(&self) -> (u64, u64) {
         (self.hop_checks, self.hop_accurate)
     }
-
-    /// How many other servers this server currently has profiled load
-    /// information about.
-    pub fn known_load_count(&self) -> usize {
-        self.known_loads.len()
-    }
 }
 
 #[cfg(test)]
@@ -1651,26 +1622,29 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use terradir_namespace::balanced_tree;
+    use terradir_namespace::{balanced_tree, Namespace, OwnerAssignment};
 
-    fn fixture(n_servers: u32) -> (Arc<Namespace>, Arc<Config>, OwnerAssignment) {
-        let ns = Arc::new(balanced_tree(2, 4)); // 31 nodes
-        let cfg = Arc::new(Config::paper_default(n_servers));
-        let assignment = OwnerAssignment::round_robin(&ns, n_servers);
-        (ns, cfg, assignment)
+    /// A fleet over a 31-node tree with round-robin ownership.
+    fn fleet(cfg: Config) -> Arc<StatelessContext> {
+        crate::context::round_robin_fleet(balanced_tree(2, 4), cfg).0
+    }
+
+    fn fixture(n_servers: u32) -> Arc<StatelessContext> {
+        fleet(Config::paper_default(n_servers))
     }
 
     #[test]
     fn bootstrap_covers_owned_and_context() {
-        let (ns, cfg, asg) = fixture(4);
-        let s = ServerState::new(ServerId(0), Arc::clone(&ns), cfg, &asg);
+        let f = fixture(4);
+        let (ns, asg) = (&f.ns, &f.assignment);
+        let s = ServerState::new(ServerId(0), &f);
         assert_eq!(s.owned_count(), asg.owned_by(ServerId(0)).len());
         assert_eq!(s.replica_count(), 0);
         // Every neighbor of every owned node has a bootstrap map pointing
         // at its true owner.
         for node in s.owned_ids().collect::<Vec<_>>() {
             for nb in ns.neighbors(node) {
-                let m = s.neighbor_maps.get(&nb).expect("context present");
+                let m = s.neighbor_map(nb).expect("context present");
                 assert!(m.contains(asg.owner(nb)));
             }
         }
@@ -1678,8 +1652,9 @@ mod tests {
 
     #[test]
     fn bootstrap_digest_matches_owned_set() {
-        let (ns, cfg, asg) = fixture(4);
-        let s = ServerState::new(ServerId(1), Arc::clone(&ns), cfg, &asg);
+        let f = fixture(4);
+        let ns = &f.ns;
+        let s = ServerState::new(ServerId(1), &f);
         for node in s.owned_ids().collect::<Vec<_>>() {
             assert!(s.digest().test(ns.name(node).as_str()));
         }
@@ -1687,8 +1662,9 @@ mod tests {
 
     #[test]
     fn absorb_mapping_routes_to_right_structure() {
-        let (ns, cfg, asg) = fixture(4);
-        let mut s = ServerState::new(ServerId(0), Arc::clone(&ns), cfg, &asg);
+        let f = fixture(4);
+        let ns = &f.ns;
+        let mut s = ServerState::new(ServerId(0), &f);
         let mut rng = StdRng::seed_from_u64(1);
         let owned: Vec<NodeId> = s.owned_ids().collect();
         let own = owned[0];
@@ -1716,8 +1692,9 @@ mod tests {
 
     #[test]
     fn remove_replica_gcs_context() {
-        let (ns, cfg, asg) = fixture(4);
-        let mut s = ServerState::new(ServerId(0), Arc::clone(&ns), cfg, &asg);
+        let f = fixture(4);
+        let ns = &f.ns;
+        let mut s = ServerState::new(ServerId(0), &f);
         // Install a replica for a node far from everything owned.
         let far = ns
             .ids()
@@ -1734,9 +1711,10 @@ mod tests {
             NodeRecord::new(far, NodeMap::singleton(ServerId(0)), Meta::new(), 0.0),
         );
         for nb in ns.neighbors(far) {
-            s.neighbor_maps
-                .entry(nb)
-                .or_insert_with(|| NodeMap::singleton(asg.owner(nb)));
+            s.neighbor_maps.entry(nb).or_insert_with(|| ContextEntry {
+                map: NodeMap::singleton(f.assignment.owner(nb)),
+                lease_at: 0.0,
+            });
         }
         let mut out = Vec::new();
         s.remove_replica(far, &mut out);
@@ -1765,10 +1743,10 @@ mod tests {
                 at = ns.add_child(at, &format!("c{d}")).unwrap();
             }
         }
-        let ns = Arc::new(ns);
-        let cfg = Arc::new(Config::paper_default(4));
         let asg = OwnerAssignment::round_robin(&ns, 4);
-        let template = ServerState::new(ServerId(0), Arc::clone(&ns), cfg, &asg);
+        let (f, _) = StatelessContext::new(ns, Config::paper_default(4), asg);
+        let ns = &f.ns;
+        let template = ServerState::new(ServerId(0), &f);
         let ids: Vec<NodeId> = ns.ids().collect();
         let mut rng = StdRng::seed_from_u64(11);
         let mut adjacent = 0usize;
@@ -1808,8 +1786,7 @@ mod tests {
 
     #[test]
     fn load_probe_replies_with_effective_load() {
-        let (ns, cfg, asg) = fixture(4);
-        let mut s = ServerState::new(ServerId(0), ns, cfg, &asg);
+        let mut s = ServerState::new(ServerId(0), &fixture(4));
         let mut rng = StdRng::seed_from_u64(2);
         let mut out = Vec::new();
         s.handle_message(
@@ -1835,8 +1812,9 @@ mod tests {
 
     #[test]
     fn maintenance_rebuilds_dirty_digest() {
-        let (ns, cfg, asg) = fixture(4);
-        let mut s = ServerState::new(ServerId(0), Arc::clone(&ns), cfg, &asg);
+        let f = fixture(4);
+        let ns = &f.ns;
+        let mut s = ServerState::new(ServerId(0), &f);
         let far = ns.ids().find(|&n| !s.hosts(n)).unwrap();
         s.replicas.insert(
             far,
@@ -1852,9 +1830,10 @@ mod tests {
 
     #[test]
     fn misroute_detection_is_unconditional_and_nack_is_gated() {
-        let (ns, cfg, asg) = fixture(4);
+        let f = fixture(4);
+        let ns = &f.ns;
         let mut rng = StdRng::seed_from_u64(7);
-        let mut s = ServerState::new(ServerId(0), Arc::clone(&ns), cfg, &asg);
+        let mut s = ServerState::new(ServerId(0), &f);
         let far = ns.ids().find(|&n| !s.hosts(n)).unwrap();
         let mut p = QueryPacket::new(1, ServerId(1), far, 0.0);
         p.intended_via = Some(far);
@@ -1879,7 +1858,7 @@ mod tests {
         let mut cfg2 = Config::paper_default(4);
         cfg2.leases.enabled = true;
         cfg2.leases.misroute = true;
-        let mut s = ServerState::new(ServerId(0), Arc::clone(&ns), Arc::new(cfg2), &asg);
+        let mut s = ServerState::new(ServerId(0), &fleet(cfg2));
         let mut out = Vec::new();
         s.handle_message(1.0, Message::Query(p), &mut rng, &mut out);
         assert!(out.iter().any(|o| matches!(
@@ -1898,9 +1877,10 @@ mod tests {
 
     #[test]
     fn misroute_handler_evicts_stale_entry() {
-        let (ns, cfg, asg) = fixture(4);
+        let f = fixture(4);
+        let ns = &f.ns;
         let mut rng = StdRng::seed_from_u64(8);
-        let mut s = ServerState::new(ServerId(0), Arc::clone(&ns), cfg, &asg);
+        let mut s = ServerState::new(ServerId(0), &f);
         let far = ns
             .ids()
             .find(|&n| !s.hosts(n) && !s.neighbor_maps.contains_key(&n))
@@ -1929,9 +1909,10 @@ mod tests {
 
     #[test]
     fn misroute_digest_purges_all_disclaimed_pointers() {
-        let (ns, cfg, asg) = fixture(4);
+        let f = fixture(4);
+        let ns = &f.ns;
         let mut rng = StdRng::seed_from_u64(9);
-        let mut s = ServerState::new(ServerId(0), Arc::clone(&ns), cfg, &asg);
+        let mut s = ServerState::new(ServerId(0), &f);
         let stale = ServerId(2);
         let mut fars = ns
             .ids()
@@ -1947,7 +1928,7 @@ mod tests {
         // The NACK's digest claims only `kept`: every other local pointer
         // at the sender is authoritatively disclaimed and purged in the
         // same stroke, not just the pair that misrouted.
-        let digest = build_digest(&ns, stale, [kept].iter(), 8, 0.01, 1);
+        let digest = build_digest(ns, stale, [kept].iter(), 8, 0.01, 1);
         let mut out = Vec::new();
         s.handle_message(
             1.0,
@@ -1969,13 +1950,51 @@ mod tests {
     }
 
     #[test]
+    fn roles_on_config_alone_gates_replica_admission() {
+        // The live runtime builds each server from the fleet constructor
+        // and nothing else: a roles-on config must reach admission
+        // without any further set-up call. All-edge, no owned admission:
+        // nothing below the spine is admitted.
+        let mut cfg = Config::paper_default(4);
+        cfg.roles.enabled = true;
+        (cfg.roles.relay_every, cfg.roles.keeper_every) = (0, 0);
+        cfg.roles.owned_admission = false;
+        let f = fleet(cfg);
+        let mut s = ServerState::new(ServerId(1), &f);
+        let foreign =
+            f.ns.ids()
+                .find(|&n| !s.hosts(n) && !s.admits_node(n))
+                .unwrap();
+        let replica = crate::messages::ReplicaPayload {
+            node: foreign,
+            map: NodeMap::singleton(ServerId(0)),
+            meta: Meta::new(),
+            neighbors: vec![],
+            weight: 5.0,
+        };
+        let replicas = vec![replica];
+        let request = Message::ReplicateRequest {
+            from: ServerId(0),
+            sender_load: 1.0,
+            replicas,
+        };
+        let mut out = Vec::new();
+        s.handle_message(1.0, request, &mut StdRng::seed_from_u64(3), &mut out);
+        assert!(!s.hosts(foreign), "foreign-region replica refused");
+        assert!(matches!(&out[..], [Outgoing::Send {
+            msg: Message::ReplicateAck { installed, .. }, ..
+        }] if installed.is_empty()));
+    }
+
+    #[test]
     fn lease_sweep_evicts_expired_soft_state_but_not_owned() {
-        let (ns, _, asg) = fixture(4);
         let mut cfg = Config::paper_default(4);
         cfg.leases.enabled = true;
         cfg.leases.ttl = 5.0;
         cfg.replication = false; // isolate the lease sweep from idle eviction
-        let mut s = ServerState::new(ServerId(0), Arc::clone(&ns), Arc::new(cfg), &asg);
+        let f = fleet(cfg);
+        let ns = &f.ns;
+        let mut s = ServerState::new(ServerId(0), &f);
         let owned_before = s.owned_count();
         let far = ns
             .ids()

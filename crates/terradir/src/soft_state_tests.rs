@@ -2,26 +2,20 @@
 //! stale-entry corrections, digest denial, in-flight path correction, and
 //! the sustained replication trigger (DESIGN.md §9).
 
-use std::sync::Arc;
-
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use terradir_namespace::{balanced_tree, Namespace, NodeId, OwnerAssignment, ServerId};
 
 use crate::config::Config;
+use crate::context::round_robin_fleet;
 use crate::map::NodeMap;
 use crate::messages::{Message, QueryPacket};
 use crate::server::{Outgoing, ProtocolEvent, ServerState};
 
-fn world(n_servers: u32) -> (Arc<Namespace>, OwnerAssignment, Vec<ServerState>) {
-    let ns = Arc::new(balanced_tree(2, 4));
-    let cfg = Arc::new(Config::paper_default(n_servers));
-    let asg = OwnerAssignment::round_robin(&ns, n_servers);
-    let servers = (0..n_servers)
-        .map(|i| ServerState::new(ServerId(i), Arc::clone(&ns), Arc::clone(&cfg), &asg))
-        .collect();
-    (ns, asg, servers)
+fn world(n_servers: u32) -> (Namespace, OwnerAssignment, Vec<ServerState>) {
+    let (f, servers) = round_robin_fleet(balanced_tree(2, 4), Config::paper_default(n_servers));
+    (f.ns.clone(), f.assignment.clone(), servers)
 }
 
 fn sends_of(out: &[Outgoing]) -> Vec<(ServerId, &Message)> {

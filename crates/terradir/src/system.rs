@@ -118,8 +118,8 @@ fn exp_draw<R: rand::RngCore>(rng: &mut R, mean: f64) -> f64 {
 /// enforces that boundary statically).
 pub struct System {
     /// Fleet-wide read-only state (namespace, config, assignment,
-    /// role/tenant maps, speed table).
-    shared: StatelessContext,
+    /// role/tenant maps, speed table), the same handle every server holds.
+    shared: Arc<StatelessContext>,
     /// Per-server mutable state, indexed by server id.
     ctxs: Vec<StatefulContext>,
     engine: Engine<Event>,
@@ -162,8 +162,6 @@ pub struct System {
     /// Reusable per-server gossip peer-pool buffers (phase 2 of the
     /// gossip sweep shuffles/truncates/sends in canonical id order).
     gossip_peer_bufs: Vec<Vec<ServerId>>,
-    /// Reachability group of each server (`id mod partitions.n_groups`).
-    group_of: Vec<u32>,
     /// Active partition cut: each server's side of the relation. `None`
     /// while the network is whole. A delivery between different sides is
     /// dropped (DESIGN.md §13).
@@ -234,61 +232,19 @@ impl System {
         assert!(valid.is_ok(), "invalid configuration: {valid:?}");
         assert_eq!(assignment.n_servers(), cfg.n_servers);
         assert_eq!(assignment.n_nodes(), ns.len());
-        let ns = Arc::new(ns);
-        let cfg = Arc::new(cfg);
+        let (fleet, speed_draws) = StatelessContext::new(ns, cfg, assignment);
+        let (ns, cfg) = (&fleet.ns, &fleet.cfg);
         let n = cfg.n_servers as usize;
+        // xtask: allow(alloc): construction, runs once per run
         let mut servers: Vec<ServerState> = (0..cfg.n_servers)
-            .map(|i| ServerState::new(ServerId(i), Arc::clone(&ns), Arc::clone(&cfg), &assignment))
-            .collect(); // xtask: allow(alloc): construction, runs once per run
-                        // Fleet roles and tenant partition (DESIGN.md §19). Both maps are
-                        // pure functions of (namespace, assignment, config) — zero RNG —
-                        // and both stay `None` when disabled so this block is inert for
-                        // baseline runs.
-        let roles = if cfg.roles_active() {
-            Some(Arc::new(crate::roles::RoleMap::build(
-                &ns,
-                &assignment,
-                &cfg.roles,
-                cfg.n_servers,
-            )))
-        } else {
-            None
-        };
-        let tenants = if cfg.tenants_active() {
-            Some(crate::roles::TenantMap::build(&ns, &cfg.tenants))
-        } else {
-            None
-        };
-        if let Some(r) = &roles {
-            for s in &mut servers {
-                s.set_role_map(Arc::clone(r));
-            }
-        }
+            .map(|i| ServerState::new(ServerId(i), &fleet))
+            .collect();
         // xtask: allow(alloc): construction, runs once per run
         let mut setup_draws = vec![0u64; tags::LEDGER_SLOTS];
-        let (mut speeds, speed_draws) = Self::draw_speeds(&cfg);
         ledger_add(&mut setup_draws, tags::SPEEDS, speed_draws);
-        // Relays run faster hardware: scale their drawn speed by
-        // `RELAY_SPEED_FACTOR` (no extra RNG; deliberately breaks the
-        // mean-1 normalization — the fleet's aggregate capacity grows
-        // with its relay count, DESIGN.md §19).
-        if let Some(r) = &roles {
-            for (i, sp) in speeds.iter_mut().enumerate() {
-                if r.class_of(ServerId(i as u32)) == crate::config::ServerClass::Relay {
-                    *sp *= config::RELAY_SPEED_FACTOR;
-                }
-            }
-        }
-        // Shared read-only speed table for replica-partner tie-breaking
-        // (an all-1.0 table degrades the tie-break to server id, so
-        // installing it unconditionally changes nothing at spread 1.0).
-        let shared_speeds: Arc<[f64]> = Arc::from(speeds.as_slice());
-        for s in &mut servers {
-            s.set_static_speeds(Arc::clone(&shared_speeds));
-        }
         // Per-server queue capacities: relays get a deeper queue.
         let queue_caps: Vec<usize> = (0..cfg.n_servers)
-            .map(|i| match &roles {
+            .map(|i| match &fleet.roles {
                 Some(r) if r.class_of(ServerId(i)) == crate::config::ServerClass::Relay => {
                     let cap =
                         (cfg.queue_capacity as f64 * cfg.roles.relay_queue_factor).round() as usize;
@@ -298,8 +254,7 @@ impl System {
             })
             .collect(); // xtask: allow(alloc): construction, runs once per run
         if cfg.static_top_levels > 0 {
-            let static_draws =
-                Self::bootstrap_static_replicas(&ns, &cfg, &assignment, &mut servers);
+            let static_draws = Self::bootstrap_static_replicas(&fleet, &mut servers);
             ledger_add(&mut setup_draws, tags::STATIC, static_draws);
         }
         // Pre-seeded stored objects (DESIGN.md §17): every object exists
@@ -318,17 +273,10 @@ impl System {
         let mut store_targets = Vec::new();
         for o in 0..effective_objects {
             let node = NodeId(o as u32);
-            crate::storage::replica_targets(
-                node,
-                &ns,
-                &assignment,
-                &cfg.storage,
-                roles.as_deref(),
-                &mut store_targets,
-            );
+            fleet.replica_targets(node, &mut store_targets);
             let obj = crate::storage::StoredObject {
                 version: 1,
-                writer: assignment.owner(node),
+                writer: fleet.assignment.owner(node),
                 payload: (o as u32).wrapping_add(1),
             };
             for &t in &store_targets {
@@ -339,7 +287,7 @@ impl System {
         }
         let mut stream = QueryStream::new(plan, ns.len(), cfg.n_servers, cfg.seed);
         let mut stats = RunStats::new(ns.max_depth());
-        if let Some(tm) = &tenants {
+        if let Some(tm) = &fleet.tenants {
             // Per-tenant destination mix (DESIGN.md §19): the stream keeps
             // drawing from the same three tagged streams, so tenants-off
             // runs are byte-identical to pre-tenant baselines.
@@ -403,7 +351,6 @@ impl System {
         if cfg.gossip.enabled {
             engine.schedule(cfg.gossip.interval, Event::GossipRound);
         }
-        let groups = cfg.partitions.n_groups.max(1);
         // Zip the per-server pieces into one StatefulContext each
         // (DESIGN.md §20): from here on, only the dispatch regions of
         // this file may reach into another server's context.
@@ -411,31 +358,18 @@ impl System {
         let ctxs: Vec<StatefulContext> = servers
             .into_iter()
             .zip(queue_caps)
-            .enumerate()
-            .map(|(i, (server, queue_cap))| StatefulContext {
+            .map(|(server, queue_cap)| StatefulContext {
                 server,
                 queue: VecDeque::new(),
                 in_service: None,
                 util: crate::load::LoadMeter::new(1.0, 1.0),
                 failed: false,
                 epoch: 0,
-                speed: speeds.get(i).copied().unwrap_or(1.0),
                 queue_cap,
             })
             .collect(); // xtask: allow(alloc): construction, runs once
-        let shared = StatelessContext {
-            ns,
-            cfg: Arc::clone(&cfg),
-            assignment: Arc::new(assignment),
-            roles,
-            tenants: tenants.map(Arc::new),
-            speeds: shared_speeds,
-        };
         let mut sys = System {
-            shared,
             ctxs,
-            // xtask: allow(alloc): construction, runs once per run
-            group_of: (0..cfg.n_servers).map(|i| i % groups).collect(),
             cut_side: None,
             // xtask: allow(alloc): construction, runs once per run
             minority: vec![false; n],
@@ -469,6 +403,7 @@ impl System {
             gossip_objects: Vec::new(),
             gossip_changed: Vec::new(),
             gossip_key_buf: String::new(),
+            shared: fleet,
         };
         sys.sync_draw_ledger();
         sys
@@ -513,41 +448,14 @@ impl System {
         order
     }
 
-    /// Draws normalized per-server speed factors (log-uniform in
-    /// `[1/spread, spread]`, rescaled to mean exactly 1 so aggregate
-    /// capacity is invariant across spreads). Returns the factors and the
-    /// number of RNG draws spent (the ledger's `speeds` slot).
-    fn draw_speeds(cfg: &Config) -> (Vec<f64>, u64) {
-        use rand::Rng;
-        let n = cfg.n_servers as usize;
-        if cfg.speed_spread <= 1.0 {
-            // xtask: allow(alloc): construction, runs once per run
-            return (vec![1.0; n], 0);
-        }
-        let mut rng = tagged_rng(cfg.seed, tags::SPEEDS);
-        let ln = cfg.speed_spread.ln();
-        let mut speeds: Vec<f64> = (0..n)
-            .map(|_| (rng.gen::<f64>() * 2.0 * ln - ln).exp())
-            .collect(); // xtask: allow(alloc): construction, runs once
-        let mean = speeds.iter().sum::<f64>() / n as f64;
-        for s in &mut speeds {
-            *s /= mean;
-        }
-        (speeds, rng.draws())
-    }
-
     /// Installs the §2.3 static bootstrap replicas: every node at depth
     /// below `static_top_levels` gets `static_replicas_per_node` replicas
     /// on random non-owner servers, with owner maps advertising them.
     /// Returns the RNG draws spent (the ledger's `static` slot).
-    fn bootstrap_static_replicas(
-        ns: &Arc<Namespace>,
-        cfg: &Arc<Config>,
-        assignment: &OwnerAssignment,
-        servers: &mut [ServerState],
-    ) -> u64 {
+    fn bootstrap_static_replicas(fleet: &StatelessContext, servers: &mut [ServerState]) -> u64 {
         use rand::seq::SliceRandom;
         use rand::Rng;
+        let (ns, cfg, assignment) = (&fleet.ns, &fleet.cfg, &fleet.assignment);
         let mut rng = tagged_rng(cfg.seed, tags::STATIC);
         let mut scratch = Vec::new();
         for node in ns.ids() {
@@ -668,7 +576,7 @@ impl System {
         if ctx.server.session.is_some() {
             self.stats.sessions_aborted += 1;
         }
-        ctx.server.reset_soft_state(now, &self.shared.assignment);
+        ctx.server.reset_soft_state(now);
         ctx.util = crate::load::LoadMeter::new(1.0, 1.0);
         ctx.util.roll(now);
         debug_assert!(ctx.queue.is_empty());
@@ -781,7 +689,8 @@ impl System {
     /// Draws no randomness itself; `validate` guarantees a role map is
     /// present when the scenario script names a class.
     fn class_wave(&mut self, class: crate::config::ServerClass, crash: bool) {
-        let Some(roles) = self.shared.roles.as_ref().map(Arc::clone) else {
+        let fleet = Arc::clone(&self.shared);
+        let Some(roles) = &fleet.roles else {
             return;
         };
         for i in 0..self.shared.cfg.n_servers {
@@ -808,8 +717,11 @@ impl System {
     /// (nothing to sever), though the cut still counts as applied.
     fn apply_cut(&mut self, groups: &[u32]) {
         self.stats.cuts_applied += 1;
+        let n_groups = self.shared.cfg.partitions.n_groups.max(1);
         // xtask: allow(alloc): cut application, a scripted handful per run
-        let side: Vec<bool> = self.group_of.iter().map(|g| groups.contains(g)).collect();
+        let side: Vec<bool> = (0..self.shared.cfg.n_servers)
+            .map(|i| groups.contains(&(i % n_groups)))
+            .collect();
         let cut_count = side.iter().filter(|&&s| s).count();
         if cut_count == 0 || cut_count == side.len() {
             self.cut_side = None;
@@ -858,22 +770,7 @@ impl System {
             return;
         };
         let mut peers: Vec<ServerId> = Vec::new();
-        for node in server.owned_ids() {
-            for nb in self.shared.ns.neighbors(node) {
-                let owner = self.shared.assignment.owner(nb);
-                if owner != id && !self.is_failed(owner) {
-                    peers.push(owner);
-                }
-            }
-        }
-        peers.sort_unstable();
-        peers.dedup();
-        // Role gate (DESIGN.md §19): advertisements go only to peers that
-        // could serve the pusher's subtrees. Runs before the shuffle, so
-        // roles-off runs spend identical fault-stream draws.
-        if let Some(roles) = self.shared.roles.as_deref() {
-            peers.retain(|&p| roles.gossip_compatible(id, p));
-        }
+        self.peer_pool(server, &mut peers);
         peers.shuffle(&mut self.rng_faults);
         peers.truncate(self.shared.cfg.reconcile.fanout as usize);
         // xtask: allow(alloc): reconcile push, fires only on heal/rejoin
@@ -892,6 +789,30 @@ impl System {
                 let map = NodeMap::singleton(id);
                 self.send_direct(id, peer, Message::MapUpdate { node, map });
             }
+        }
+    }
+
+    /// The peer pool of reconcile pushes and gossip rounds: appends the
+    /// live owners of the namespace neighbors of `server`'s owned nodes
+    /// to `peers` (which may already hold caller-specific extras), then
+    /// sorts, deduplicates and role-gates the whole pool. Role gate
+    /// (DESIGN.md §19): peers must share an admitted region with
+    /// `server`; relays are unrestricted. It runs before the caller's
+    /// shuffle, so roles-off runs spend identical fault-stream draws.
+    fn peer_pool(&self, server: &ServerState, peers: &mut Vec<ServerId>) {
+        let id = server.id();
+        for node in server.owned_ids() {
+            for nb in self.shared.ns.neighbors(node) {
+                let owner = self.shared.assignment.owner(nb);
+                if owner != id && !self.is_failed(owner) {
+                    peers.push(owner);
+                }
+            }
+        }
+        peers.sort_unstable();
+        peers.dedup();
+        if let Some(roles) = &self.shared.roles {
+            peers.retain(|&p| roles.gossip_compatible(id, p));
         }
     }
 
@@ -1116,20 +1037,17 @@ impl System {
                 continue;
             }
             let id = ServerId(oi);
-            for node in ctx.server.owned_ids() {
-                for nb in self.shared.ns.neighbors(node) {
-                    let owner = self.shared.assignment.owner(nb);
-                    if owner != id && !self.is_failed(owner) {
-                        peers.push(owner);
-                    }
-                    // Fellow replica-set members — the other
-                    // neighbor-owners of the same node — hold the
-                    // only live copy when that node's owner is down;
-                    // without these 2-hop links a wiped replica can
-                    // never re-pull from them. Routing-only runs skip
-                    // them: no objects, so the extra candidates would
-                    // only dilute the neighbor mix.
-                    if self.shared.cfg.storage.enabled {
+            // Storage-only extras; routing-only runs skip them: no
+            // objects, so the extra candidates would only dilute the
+            // neighbor mix.
+            if self.shared.cfg.storage.enabled {
+                // Fellow replica-set members — the other
+                // neighbor-owners of the same node — hold the only live
+                // copy when that node's owner is down; without these
+                // 2-hop links a wiped replica can never re-pull from
+                // them.
+                for node in ctx.server.owned_ids() {
+                    for nb in self.shared.ns.neighbors(node) {
                         for nb2 in self.shared.ns.neighbors(nb) {
                             let fellow = self.shared.assignment.owner(nb2);
                             if fellow != id && !self.is_failed(fellow) {
@@ -1138,13 +1056,11 @@ impl System {
                         }
                     }
                 }
-            }
-            // Filler replicas live on consecutive server ids from the
-            // owner (`storage::replica_targets`), not on namespace
-            // neighbors — without these links a wiped filler can never
-            // solicit the owners it backs, and digest-driven repair
-            // silently excludes every filler-placed copy.
-            if self.shared.cfg.storage.enabled {
+                // Filler replicas live on consecutive server ids from the
+                // owner (`storage::replica_targets`), not on namespace
+                // neighbors — without these links a wiped filler can
+                // never solicit the owners it backs, and digest-driven
+                // repair silently excludes every filler-placed copy.
                 let fleet = n as u32;
                 for k in 1..self.shared.cfg.storage.replication_factor.min(fleet) {
                     for cand in [
@@ -1157,15 +1073,7 @@ impl System {
                     }
                 }
             }
-            peers.sort_unstable();
-            peers.dedup();
-            // Role gate (DESIGN.md §19): an edge's digests stay within
-            // servers sharing an admitted region; relays are unrestricted.
-            // Runs before the shuffle so roles-off draw counts are
-            // untouched.
-            if let Some(roles) = self.shared.roles.as_deref() {
-                peers.retain(|&p| roles.gossip_compatible(id, p));
-            }
+            self.peer_pool(&ctx.server, peers);
         }
         // Phase 2 — apply (canonical id order): the per-server shuffle
         // draws from the shared fault stream and the sends schedule
@@ -1559,12 +1467,12 @@ impl System {
 
     /// The fleet role map (`None` with roles off).
     pub fn roles(&self) -> Option<&crate::roles::RoleMap> {
-        self.shared.roles.as_deref()
+        self.shared.roles.as_ref()
     }
 
     /// The tenant partition (`None` with tenants off).
     pub fn tenants(&self) -> Option<&crate::roles::TenantMap> {
-        self.shared.tenants.as_deref()
+        self.shared.tenants.as_ref()
     }
 
     /// Total replicas currently hosted across all servers.
@@ -1597,9 +1505,9 @@ impl System {
         for ctx in &self.ctxs {
             if !ctx.failed {
                 let server = &ctx.server;
-                v.extend(crate::invariants::audit_server(&self.shared.ns, server));
+                v.extend(crate::invariants::audit_server(server));
                 v.extend(crate::invariants::check_lease_freshness(server, now));
-                if let Some(roles) = self.shared.roles.as_deref() {
+                if let Some(roles) = self.shared.roles.as_ref() {
                     v.extend(crate::invariants::check_role_placement(roles, server));
                 }
             }
@@ -1615,20 +1523,13 @@ impl System {
             for ctx in &self.ctxs {
                 if !ctx.failed {
                     v.extend(crate::invariants::check_storage_soundness(
-                        &self.shared.ns,
-                        &self.shared.assignment,
-                        &self.shared.cfg.storage,
-                        self.shared.roles.as_deref(),
                         &self.committed,
                         &ctx.server,
                     ));
                 }
             }
             v.extend(crate::invariants::check_storage_replica_counts(
-                &self.shared.ns,
-                &self.shared.assignment,
-                &self.shared.cfg.storage,
-                self.shared.roles.as_deref(),
+                &self.shared,
                 self.committed.len(),
                 self.ctxs.iter().map(|c| &c.server),
             ));
@@ -2018,7 +1919,8 @@ impl System {
         let Some(msg) = ctx.queue.pop_front() else {
             return;
         };
-        let mut d = self.service.sample(&mut self.rng_service) / ctx.speed;
+        let speed = self.shared.speeds.get(i).copied().unwrap_or(1.0);
+        let mut d = self.service.sample(&mut self.rng_service) / speed;
         if matches!(msg, Message::Query(_)) {
             self.stats.query_messages += 1;
         } else {
@@ -2914,14 +2816,8 @@ mod tests {
             .expect("storage pre-seeds copies");
         let obj = sys.ctxs[i].server.store.get_mut(&node).expect("present");
         obj.version = u64::MAX;
-        let direct = crate::invariants::check_storage_soundness(
-            &sys.shared.ns,
-            &sys.shared.assignment,
-            &sys.shared.cfg.storage,
-            sys.shared.roles.as_deref(),
-            &sys.committed,
-            &sys.ctxs[i].server,
-        );
+        let direct =
+            crate::invariants::check_storage_soundness(&sys.committed, &sys.ctxs[i].server);
         assert!(
             direct.iter().any(|m| m.contains("outside 1..=")),
             "{direct:?}"

@@ -14,7 +14,9 @@
 //!
 //! Escape hatch: a copy that is genuinely required (protocol messages
 //! carry owned payloads; construction code runs once) is justified in
-//! place with a marker on the same line or the line above:
+//! place with a marker, either trailing the line it covers or on a
+//! comment-only line of its own, where it covers the one statement or
+//! match arm that follows, however many lines rustfmt gives it:
 //!
 //! ```text
 //! // xtask: allow(alloc): map snapshot travels in the packet
@@ -63,10 +65,10 @@ pub const FORBIDDEN: &[&str] = &[
     "Box::new",
 ];
 
-/// The escape-hatch marker. A violation on line `L` is suppressed when
-/// line `L` or line `L - 1` of the *raw* source (markers live in
-/// comments, which scrubbing blanks) carries the marker followed by a
-/// non-empty justification.
+/// The escape-hatch marker, followed by a non-empty justification. It
+/// lives in a comment of the *raw* source (scrubbing blanks comments). A
+/// marker after code covers its own line; a marker on a comment-only
+/// line covers the next statement or match arm and nothing after it.
 pub const ALLOW_MARKER: &str = "xtask: allow(alloc)";
 
 /// Is `src[pos..]` preceded by an identifier boundary? Tokens that start
@@ -92,12 +94,46 @@ fn bounded_after(scrubbed: &str, end: usize) -> bool {
         .is_some_and(|b| b.is_ascii_alphanumeric() || *b == b'_')
 }
 
-/// Parses allow markers out of the raw source. Returns the set of line
-/// numbers carrying a *justified* marker, and appends a violation for
-/// every bare marker (no reason after the colon).
-fn allow_lines(file_label: &str, src: &str, out: &mut Vec<Violation>) -> Vec<usize> {
+/// The last line (0-based) of the statement or match arm starting on
+/// the first non-blank line after line `marker`, read off rustfmt's
+/// layout (CI checks it): the statement runs on while lines are blank,
+/// indented deeper than its first line, or open at that indent with a
+/// closer (`}`, `)`, `]`) — the end of its own block, as in `};` or
+/// `} else {`.
+fn statement_last_line(lines: &[&str], marker: usize) -> usize {
+    let indent = |l: &str| l.len() - l.trim_start().len();
+    let mut rest = lines
+        .iter()
+        .enumerate()
+        .skip(marker + 1)
+        .filter(|(_, l)| !l.trim().is_empty());
+    let Some((mut last, first)) = rest.next() else {
+        return marker;
+    };
+    for (i, line) in rest {
+        let deeper = indent(line) > indent(first);
+        let closer =
+            indent(line) == indent(first) && line.trim_start().starts_with(['}', ')', ']']);
+        if !(deeper || closer) {
+            break;
+        }
+        last = i;
+    }
+    last
+}
+
+/// Parses allow markers out of the raw source. Returns the inclusive line
+/// ranges (1-based) that *justified* markers cover, and appends a
+/// violation for every bare marker (no reason after the colon).
+fn allowed_ranges(
+    file_label: &str,
+    src: &str,
+    scrubbed: &str,
+    out: &mut Vec<Violation>,
+) -> Vec<(usize, usize)> {
+    let clean: Vec<&str> = scrubbed.lines().collect();
     let mut allowed = Vec::new();
-    for (i, raw_line) in src.lines().enumerate() {
+    for (i, (raw_line, clean_line)) in src.lines().zip(&clean).enumerate() {
         let line_no = i + 1;
         let Some(rest) = raw_line.split(ALLOW_MARKER).nth(1) else {
             continue;
@@ -112,8 +148,10 @@ fn allow_lines(file_label: &str, src: &str, out: &mut Vec<Violation>) -> Vec<usi
                      (write `// {ALLOW_MARKER}: <reason>`)"
                 ),
             });
+        } else if clean_line.trim().is_empty() {
+            allowed.push((line_no, statement_last_line(&clean, i) + 1));
         } else {
-            allowed.push(line_no);
+            allowed.push((line_no, line_no));
         }
     }
     allowed
@@ -121,12 +159,12 @@ fn allow_lines(file_label: &str, src: &str, out: &mut Vec<Violation>) -> Vec<usi
 
 /// Scans one hot-path source file for allocation-heavy idioms outside
 /// `#[cfg(test)]` modules, honoring justified `xtask: allow(alloc)`
-/// markers on the violating line or the line above.
+/// markers.
 pub fn check_hotpath(file_label: &str, src: &str) -> Vec<Violation> {
     let scrubbed = scrub(src);
     let exempt = cfg_test_ranges(&scrubbed);
     let mut out = Vec::new();
-    let allowed = allow_lines(file_label, src, &mut out);
+    let allowed = allowed_ranges(file_label, src, &scrubbed, &mut out);
     for token in FORBIDDEN {
         let mut search = 0;
         while let Some(rel) = scrubbed.get(search..).and_then(|s| s.find(token)) {
@@ -141,7 +179,7 @@ pub fn check_hotpath(file_label: &str, src: &str) -> Vec<Violation> {
                 continue;
             }
             let line = line_of(src, pos);
-            if allowed.contains(&line) || (line > 1 && allowed.contains(&(line - 1))) {
+            if allowed.iter().any(|&(lo, hi)| (lo..=hi).contains(&line)) {
                 continue;
             }
             out.push(Violation {
@@ -183,9 +221,20 @@ mod tests {
     }
 
     #[test]
-    fn justified_markers_suppress_same_and_next_line() {
-        let src = "pub fn f(v: &Vec<u32>) -> Vec<u32> {\n    // xtask: allow(alloc): snapshot travels in the packet\n    let a = v.clone();\n    let b = a.clone(); // xtask: allow(alloc): second owner required\n    b\n}\n";
+    fn justified_markers_suppress_their_line_or_next_statement() {
+        // The match arm is the reflowed case: rustfmt made it a block, so
+        // its copy sits one line below the arm's first line.
+        let src = "pub fn f(k: u8, v: &Vec<u32>, c: bool) -> Vec<u32> {\n    // xtask: allow(alloc): snapshot travels in the packet\n    let a = v\n        .iter()\n        .map(|&x| x + 1)\n        .collect::<Vec<u32>>();\n    let b = a.clone(); // xtask: allow(alloc): second owner required\n    // xtask: allow(alloc): both branches own their copy\n    let w = if c {\n        v.to_vec()\n    } else {\n        b.clone()\n    };\n    match k {\n        // xtask: allow(alloc): detached working copy\n        0 => {\n            w.iter().rev().cloned().collect()\n        }\n        _ => w,\n    }\n}\n";
         assert!(check_hotpath("crates/terradir/src/routing.rs", src).is_empty());
+    }
+
+    #[test]
+    fn comment_line_marker_never_covers_the_statement_after() {
+        let src = "pub fn f(k: u8, v: &Vec<u32>) -> Vec<u32> {\n    // xtask: allow(alloc): the first copy is required\n    let a = v\n        .to_vec();\n    let b = a.clone();\n    match k {\n        // xtask: allow(alloc): this arm's copy is required\n        0 => b.clone(),\n        _ => b.clone(),\n    }\n}\n";
+        let vs = check_hotpath("crates/terradir/src/routing.rs", src);
+        let lines: Vec<usize> = vs.iter().map(|v| v.line).collect();
+        assert_eq!(lines, [5, 9], "{vs:?}");
+        assert!(vs.iter().all(|v| v.what.contains(".clone")));
     }
 
     #[test]

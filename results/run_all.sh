@@ -4,7 +4,11 @@
 set -u
 cd "$(dirname "$0")/.."
 failed=()
-for bin in fig3 fig4 fig5 fig6 fig7 fig8 fig9 tab1 rfact resilience ablate_static heterogeneity ablate_cache ablate_digests ablate_hysteresis speed durability antientropy tenants; do
+# The experiments are the modules of crates/bench/src/bin/terradir-bench/
+# other than main.rs (the list smoke_manifest.sh walks too).
+for src in crates/bench/src/bin/terradir-bench/*.rs; do
+  bin=$(basename "$src" .rs)
+  [ "$bin" = main ] && continue
   echo "=== $bin ==="
   ./target/release/terradir-bench $bin "$@" > results/$bin.tsv 2> results/$bin.log
   code=$?

@@ -6,12 +6,11 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::Arc;
 
 use terradir_repro::namespace::{balanced_tree, NodeId, OwnerAssignment, ServerId};
 use terradir_repro::protocol::{
     messages::{Message, ReplicaPayload},
-    Config, Meta, NodeMap, Outgoing, QueryPacket, ServerState,
+    Config, Meta, NodeMap, Outgoing, QueryPacket, ServerState, StatelessContext,
 };
 
 const N_SERVERS: u32 = 6;
@@ -121,10 +120,11 @@ proptest! {
         ops in proptest::collection::vec(arb_op(), 1..120),
         seed in 0u64..1000,
     ) {
-        let ns = Arc::new(balanced_tree(2, 4));
-        let cfg = Arc::new(Config::paper_default(N_SERVERS));
+        let ns = balanced_tree(2, 4);
         let asg = OwnerAssignment::round_robin(&ns, N_SERVERS);
-        let mut s = ServerState::new(ServerId(0), Arc::clone(&ns), Arc::clone(&cfg), &asg);
+        let (fleet, _) = StatelessContext::new(ns, Config::paper_default(N_SERVERS), asg);
+        let (ns, cfg, asg) = (fleet.namespace(), fleet.config(), fleet.assignment());
+        let mut s = ServerState::new(ServerId(0), &fleet);
         let owned_before: Vec<NodeId> = {
             let mut v: Vec<NodeId> = s.owned_ids().collect();
             v.sort_unstable();

@@ -102,7 +102,7 @@ proptest! {
         let mut sys = System::new(ns, cfg, plan, rate);
         sys.run_until(dur);
         for s in sys.servers() {
-            let v = invariants::audit_server(sys.namespace(), s);
+            let v = invariants::audit_server(s);
             prop_assert!(v.is_empty(), "server violations: {:?}", v);
         }
     }
