@@ -26,7 +26,7 @@ fn bench_advertise(c: &mut Criterion) {
     let (a, _) = maps();
     c.bench_function("map_advertise", |bch| {
         bch.iter(|| {
-            let mut m = a.clone();
+            let mut m = a;
             m.advertise(ServerId(99), 5);
             black_box(m)
         });
@@ -37,7 +37,7 @@ fn bench_filter(c: &mut Criterion) {
     let (a, _) = maps();
     c.bench_function("map_filter_stale", |bch| {
         bch.iter(|| {
-            let mut m = a.clone();
+            let mut m = a;
             m.filter_stale(|h| h.0 % 2 == 0);
             black_box(m)
         });

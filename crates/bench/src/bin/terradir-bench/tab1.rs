@@ -32,7 +32,7 @@ pub fn run(_: Args, checks: &mut ShapeChecks) {
     let rec = servers[0].host_record(node).expect("owner record");
     let payload = terradir::messages::ReplicaPayload {
         node,
-        map: rec.map.clone(),
+        map: rec.map,
         meta: rec.meta.clone(),
         neighbors: ns
             .neighbors(node)
@@ -62,7 +62,7 @@ pub fn run(_: Args, checks: &mut ShapeChecks) {
         })
         .expect("some server tracks the node only via its cache");
     let mut packet = QueryPacket::new(7, cache_server, node, 0.0);
-    packet.push_path(node, servers[0].host_record(node).unwrap().map.clone(), 8);
+    packet.push_path(node, servers[0].host_record(node).unwrap().map, 8);
     servers[cache_server.index()].handle_message(
         0.1,
         Message::QueryResult {

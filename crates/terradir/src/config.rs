@@ -1,5 +1,7 @@
 //! Protocol and simulation configuration.
 
+use crate::map::NODE_MAP_CAP;
+
 // ---- Fixed protocol parameters ----
 //
 // The paper fixes these once (§3, §4.1) and no workload varies them, so
@@ -701,6 +703,9 @@ impl Config {
         if self.r_map == 0 {
             return Err("r_map must be at least 1".into());
         }
+        if self.r_map > NODE_MAP_CAP {
+            return Err(format!("r_map must be at most {NODE_MAP_CAP}"));
+        }
         if self.speed_spread.is_nan() || self.speed_spread < 1.0 {
             return Err("speed_spread must be ≥ 1".into());
         }
@@ -874,6 +879,11 @@ mod tests {
         let mut c = Config::paper_default(4);
         c.caching = false;
         assert!(c.validate().is_err(), "R without C should be rejected");
+        let mut c = Config::paper_default(4);
+        c.r_map = NODE_MAP_CAP;
+        assert_eq!(c.validate(), Ok(()));
+        c.r_map = NODE_MAP_CAP + 1;
+        assert!(c.validate().is_err(), "r_map beyond the map array");
     }
 
     #[test]

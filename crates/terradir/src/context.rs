@@ -190,12 +190,22 @@ fn draw_speeds(cfg: &Config) -> (Vec<f64>, u64) {
 /// run.
 pub(crate) const fn assert_send_sync<T: Send + Sync>() {}
 
+/// Compile-time proof that a whole simulated fleet can move to a worker
+/// thread (one independent run per thread).
+const fn assert_send<T: Send>() {}
+
+/// The largest a [`Message`] may grow: every queued event carries one, so
+/// an inline field that widens it taxes the whole calendar.
+const MESSAGE_MAX_BYTES: usize = 200;
+
 const _: () = {
     assert_send_sync::<StatefulContext>();
     assert_send_sync::<StatelessContext>();
     assert_send_sync::<Message>();
     assert_send_sync::<crate::server::Outgoing>();
     assert_send_sync::<crate::server::ProtocolEvent>();
+    assert_send::<crate::system::System>();
+    assert!(std::mem::size_of::<Message>() <= MESSAGE_MAX_BYTES);
 };
 
 /// A test fleet: `ns` under round-robin ownership, and its servers in id

@@ -82,7 +82,7 @@ pub use config::{
     ServerClass, StorageConfig, TenantConfig, TenantSpec,
 };
 pub use context::{StatefulContext, StatelessContext};
-pub use map::NodeMap;
+pub use map::{NodeMap, NODE_MAP_CAP};
 pub use messages::{Message, QueryPacket};
 pub use meta::Meta;
 pub use records::NodeRecord;

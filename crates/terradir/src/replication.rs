@@ -340,7 +340,7 @@ impl ServerState {
                 continue;
             };
             // Ensure the shipped map advertises us as a host.
-            let mut map = rec.map.clone();
+            let mut map = rec.map;
             if !map.contains(self.id) {
                 map.advertise(self.id, self.fleet.cfg.r_map);
             }
@@ -349,7 +349,7 @@ impl ServerState {
                 .ns
                 .neighbors(node)
                 .into_iter()
-                .filter_map(|nb| self.neighbor_map(nb).map(|m| (nb, m.clone())))
+                .filter_map(|nb| self.neighbor_map(nb).map(|m| (nb, *m)))
                 .collect();
             payloads.push(ReplicaPayload {
                 node,
@@ -421,7 +421,7 @@ impl ServerState {
         for p in payloads {
             if self.owned.contains_key(&p.node) {
                 // We own it already; just absorb the incoming map.
-                self.absorb_mapping(p.node, &p.map, now, rng);
+                self.absorb_mapping(p.node, p.map, now, rng);
                 continue;
             }
             // Receiver-side role admission (DESIGN.md §19): an edge or
@@ -434,8 +434,7 @@ impl ServerState {
                 rec.absorb_meta(&p.meta);
                 // A re-shipped payload is fresh evidence: renew the lease.
                 rec.refresh_lease(now);
-                let map = p.map.clone();
-                self.absorb_mapping(p.node, &map, now, rng);
+                self.absorb_mapping(p.node, p.map, now, rng);
                 continue;
             }
             if cap == 0 {
@@ -469,7 +468,7 @@ impl ServerState {
             if self.replicas.len() >= cap {
                 continue; // at capacity and the incoming node is not hotter
             }
-            let mut map = p.map.clone();
+            let mut map = p.map;
             self.strip_negative(&mut map);
             if !map.contains(self.id) {
                 map.advertise(self.id, self.fleet.cfg.r_map);
@@ -479,7 +478,7 @@ impl ServerState {
             self.replicas.insert(p.node, rec);
             self.weights.set(p.node, now, p.weight);
             for (nb, m) in &p.neighbors {
-                let mut m = m.clone();
+                let mut m = *m;
                 self.strip_negative(&mut m);
                 if m.is_empty() {
                     continue;

@@ -284,8 +284,9 @@ impl ServerState {
         if self.fleet.cfg.caching {
             keys.extend(
                 self.cache
+                    .nodes()
                     .iter()
-                    .map(|(n, _)| Reverse(pack(distance(ns, n, target), n, Key::Cache))),
+                    .map(|&n| Reverse(pack(distance(ns, n, target), n, Key::Cache))),
             );
         }
     }
@@ -399,15 +400,13 @@ impl ServerState {
         let used_context_of = match kind {
             HopKind::Neighbor => {
                 if let Some(stored) = self.neighbor_maps.get_mut(&via) {
-                    // clone_from reuses the stored map's buffer.
-                    stored.map.clone_from(&map);
+                    stored.map = map;
                 }
                 self.hosted_neighbor(via)
             }
             HopKind::Cache => {
                 if let Some(m) = self.cache.get_mut(via) {
-                    // clone_from reuses the cached map's buffer.
-                    m.clone_from(&map);
+                    *m = map;
                 }
                 None
             }
@@ -548,11 +547,10 @@ impl ServerState {
             // detaches the borrow so filter_map may mutate server state;
             // the packet takes ownership of the survivor below.
             let (_, via, kind) = unpack(key);
-            // xtask: allow(alloc): detached working copy of the candidate's map
             let (kind, map) = match kind {
-                Key::Cache => (HopKind::Cache, self.cache.peek(via).cloned()),
+                Key::Cache => (HopKind::Cache, self.cache.peek(via).copied()),
                 Key::Neighbor | Key::Children => {
-                    (HopKind::Neighbor, self.neighbor_map(via).cloned())
+                    (HopKind::Neighbor, self.neighbor_map(via).copied())
                 }
             };
             let Some(mut map) = map else {

@@ -541,7 +541,7 @@ impl ServerState {
                 self.on_replicate_deny(now, from, load, rng, out);
             }
             Message::MapUpdate { node, map } => {
-                self.absorb_mapping(node, &map, now, rng);
+                self.absorb_mapping(node, map, now, rng);
             }
             Message::NotHosting { node, from } => {
                 self.drop_stale_host(node, from);
@@ -607,7 +607,7 @@ impl ServerState {
                 // Chatty/hybrid eager push: records merge exactly like
                 // MapUpdates, objects exactly like write propagation.
                 for (node, map) in &records {
-                    self.absorb_mapping(*node, map, now, rng);
+                    self.absorb_mapping(*node, *map, now, rng);
                 }
                 for (node, obj) in objects {
                     self.merge_object(node, obj);
@@ -814,11 +814,9 @@ impl ServerState {
             return;
         }
         rec.backprop_at = now;
-        // xtask: allow(alloc): rate-limited backprop; the MapUpdate message owns its map
-        let map = rec.map.clone();
         out.push(Outgoing::Send {
             to: prev,
-            msg: Message::MapUpdate { node, map },
+            msg: Message::MapUpdate { node, map: rec.map },
         });
     }
 
@@ -888,8 +886,8 @@ impl ServerState {
                 // a missing record is a protocol bug; answer with an empty
                 // map rather than dying mid-query.
                 let (map, meta) = if let Some(rec) = self.host_record(p.target) {
-                    // xtask: allow(alloc): QueryResult owns its map and meta payloads
-                    (rec.map.clone(), rec.meta.clone())
+                    // xtask: allow(alloc): QueryResult owns its meta payload
+                    (rec.map, rec.meta.clone())
                 } else {
                     debug_assert!(false, "decide said hosted but no record");
                     (NodeMap::singleton(self.id), crate::meta::Meta::new())
@@ -904,7 +902,7 @@ impl ServerState {
                         .ns
                         .children(p.target)
                         .iter()
-                        .filter_map(|&c| self.neighbor_map(c).map(|m| (c, m.clone())))
+                        .filter_map(|&c| self.neighbor_map(c).map(|m| (c, *m)))
                         .collect(),
                     QueryKind::Lookup => Vec::new(),
                 };
@@ -995,7 +993,7 @@ impl ServerState {
         // with direct pointers.
         let child_ids: Vec<NodeId> = children.iter().map(|(c, _)| *c).collect(); // xtask: allow(alloc): Resolved event owns its child list
         for (c, m) in &children {
-            self.absorb_mapping(*c, m, now, rng);
+            self.absorb_mapping(*c, *m, now, rng);
         }
         out.push(Outgoing::Event(ProtocolEvent::Resolved {
             id: p.id,
@@ -1039,14 +1037,14 @@ impl ServerState {
         });
         if self.fleet.cfg.path_propagation {
             for (node, map) in &path {
-                self.absorb_mapping(*node, map, now, rng);
+                self.absorb_mapping(*node, *map, now, rng);
             }
         } else {
             // Endpoint-only caching (the strawman of §2.4): only the
             // looked-up target's map is absorbed, and only at the origin
             // when the result returns.
             if let Some((node, map)) = path.iter().find(|(n, _)| *n == p.target) {
-                self.absorb_mapping(*node, map, now, rng);
+                self.absorb_mapping(*node, *map, now, rng);
             }
         }
         p.path = path;
@@ -1059,13 +1057,11 @@ impl ServerState {
     pub(crate) fn absorb_mapping(
         &mut self,
         node: NodeId,
-        incoming: &NodeMap,
+        mut incoming: NodeMap,
         now: f64,
         rng: &mut impl RngCore,
     ) {
         let r_map = self.fleet.cfg.r_map;
-        // xtask: allow(alloc): detached working copy — filtered and merged in place
-        let mut incoming = incoming.clone();
         self.filter_map(node, &mut incoming);
         self.strip_negative(&mut incoming);
         if incoming.is_empty() {
@@ -1219,7 +1215,7 @@ impl ServerState {
             self.neighbor_maps.remove(&n);
             expired += 1;
         }
-        expired += self.cache.sweep_expired(now, ttl).len() as u64;
+        expired += self.cache.sweep_expired(now, ttl) as u64;
         if expired > 0 {
             out.push(Outgoing::Event(ProtocolEvent::LeaseExpired {
                 at: self.id,
@@ -1671,7 +1667,7 @@ mod tests {
         // Merging into an owned record keeps self.
         s.absorb_mapping(
             own,
-            &NodeMap::from_entries([ServerId(2), ServerId(3)]),
+            NodeMap::from_entries([ServerId(2), ServerId(3)]),
             1.5,
             &mut rng,
         );
@@ -1685,7 +1681,7 @@ mod tests {
             .ids()
             .find(|&n| !s.hosts(n) && !s.neighbor_maps.contains_key(&n))
             .unwrap();
-        s.absorb_mapping(far, &NodeMap::singleton(ServerId(3)), 2.0, &mut rng);
+        s.absorb_mapping(far, NodeMap::singleton(ServerId(3)), 2.0, &mut rng);
         assert!(s.cache.peek(far).is_some());
         assert_eq!(s.cache.lease_of(far), Some(2.0));
     }

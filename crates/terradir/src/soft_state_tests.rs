@@ -65,7 +65,7 @@ fn not_hosting_removes_entry_and_denies_digest() {
         .unwrap();
     servers[0].absorb_mapping(
         far,
-        &NodeMap::from_entries([ServerId(2), ServerId(3)]),
+        NodeMap::from_entries([ServerId(2), ServerId(3)]),
         0.0,
         &mut rng,
     );
@@ -169,7 +169,7 @@ fn map_update_merges_into_neighbor_map() {
         .ids()
         .find(|&n| !servers[0].hosts(n) && servers[0].neighbor_map(n).is_some())
         .unwrap();
-    let before = servers[0].neighbor_map(nb).unwrap().clone();
+    let before = *servers[0].neighbor_map(nb).unwrap();
     let mut out = Vec::new();
     servers[0].handle_message(
         0.0,
@@ -325,7 +325,7 @@ fn data_fetch_succeeds_at_owner_and_skips_replicas() {
     let rec = servers[0].host_record(node).unwrap();
     let payload = crate::messages::ReplicaPayload {
         node,
-        map: rec.map.clone(),
+        map: rec.map,
         meta: rec.meta.clone(),
         neighbors: ns
             .neighbors(node)
@@ -353,7 +353,7 @@ fn data_fetch_succeeds_at_owner_and_skips_replicas() {
     let mut client_out = Vec::new();
     servers[2].absorb_mapping(
         node,
-        &NodeMap::from_entries([ServerId(1), ServerId(0)]),
+        NodeMap::from_entries([ServerId(1), ServerId(0)]),
         0.0,
         &mut rng,
     );

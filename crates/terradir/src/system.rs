@@ -477,14 +477,14 @@ impl System {
             if let Some(tail) = hosts.get_mut(1..) {
                 tail.shuffle(&mut rng);
             }
-            let map = crate::map::NodeMap::from_entries(hosts.iter().copied());
-            // Owner's record advertises the static replicas.
+            // Owner's record advertises the static replicas, as many as
+            // the R_map bound lets a map hold.
+            let map = crate::map::NodeMap::from_entries(hosts.iter().copied().take(cfg.r_map));
             if let Some(rec) = servers
                 .get_mut(owner.index())
                 .and_then(|s| s.host_record_mut(node))
             {
-                // xtask: allow(alloc): static bootstrap, runs once per run
-                rec.map.clone_from(&map);
+                rec.map = map;
             }
             // Install at each replica host through the normal install path
             // (capacity caps and digest dirtying apply as usual).
@@ -502,8 +502,7 @@ impl System {
             for &h in hosts.iter().skip(1) {
                 let payload = crate::messages::ReplicaPayload {
                     node,
-                    // xtask: allow(alloc): static bootstrap, runs once per run
-                    map: map.clone(),
+                    map,
                     // xtask: allow(alloc): static bootstrap, runs once per run
                     meta: meta.clone(),
                     // xtask: allow(alloc): static bootstrap, runs once per run
@@ -1443,11 +1442,6 @@ impl System {
         &self.shared.assignment
     }
 
-    /// The per-server speed-factor table (id-indexed).
-    pub fn speed_table(&self) -> &[f64] {
-        &self.shared.speeds
-    }
-
     /// Read access to a server's protocol state. Out-of-range ids (only
     /// constructible by hand) degrade to the first server.
     pub fn server(&self, id: ServerId) -> &ServerState {
@@ -1468,11 +1462,6 @@ impl System {
     /// The fleet role map (`None` with roles off).
     pub fn roles(&self) -> Option<&crate::roles::RoleMap> {
         self.shared.roles.as_ref()
-    }
-
-    /// The tenant partition (`None` with tenants off).
-    pub fn tenants(&self) -> Option<&crate::roles::TenantMap> {
-        self.shared.tenants.as_ref()
     }
 
     /// Total replicas currently hosted across all servers.
@@ -2419,14 +2408,12 @@ mod tests {
         let mut cfg = Config::paper_default(8).with_seed(9);
         cfg.speed_spread = 3.0;
         let sys = System::new(ns, cfg, StreamPlan::unif(10.0), 10.0);
-        let mean: f64 = sys.speed_table().iter().sum::<f64>() / sys.speed_table().len() as f64;
+        let speeds = &sys.shared.speeds;
+        let mean: f64 = speeds.iter().sum::<f64>() / speeds.len() as f64;
         assert!((mean - 1.0).abs() < 1e-9, "speed mean {mean}");
-        assert!(sys.speed_table().iter().any(|&s| s > 1.2));
-        assert!(sys.speed_table().iter().any(|&s| s < 0.8));
-        assert!(sys
-            .speed_table()
-            .iter()
-            .all(|&s| (1.0 / 3.5..=3.5).contains(&s)));
+        assert!(speeds.iter().any(|&s| s > 1.2));
+        assert!(speeds.iter().any(|&s| s < 0.8));
+        assert!(speeds.iter().all(|&s| (1.0 / 3.5..=3.5).contains(&s)));
     }
 
     #[test]
@@ -2895,7 +2882,7 @@ mod tests {
         );
         let avail = st.tenant_availability();
         assert!(avail.iter().all(|&a| (0.0..=1.0).contains(&a)));
-        assert!(sys.tenants().is_some());
+        assert!(sys.shared.tenants.is_some());
     }
 
     #[test]

@@ -41,7 +41,9 @@ pub const HOT_PATH_FILES: &[&str] = &[
     "crates/namespace/src/distance.rs",
     "crates/namespace/src/tree.rs",
     "crates/sim/src/calendar.rs",
+    "crates/terradir/src/cache.rs",
     "crates/terradir/src/gossip.rs",
+    "crates/terradir/src/map.rs",
     "crates/terradir/src/roles.rs",
     "crates/terradir/src/routing.rs",
     "crates/terradir/src/server.rs",

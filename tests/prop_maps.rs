@@ -7,10 +7,12 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use terradir_repro::namespace::ServerId;
-use terradir_repro::protocol::NodeMap;
+use terradir_repro::protocol::{NodeMap, NODE_MAP_CAP};
 
+/// Up to `NODE_MAP_CAP` host ids, duplicates allowed: a map holds at most
+/// that many distinct hosts.
 fn arb_map() -> impl Strategy<Value = NodeMap> {
-    proptest::collection::vec(0u32..64, 1..12)
+    proptest::collection::vec(0u32..64, 1..NODE_MAP_CAP + 1)
         .prop_map(|ids| NodeMap::from_entries(ids.into_iter().map(ServerId)))
 }
 
@@ -107,7 +109,7 @@ proptest! {
 
     #[test]
     fn remove_respects_last_entry_guard(m in arb_map(), victim in 0u32..64) {
-        let mut m2 = m.clone();
+        let mut m2 = m;
         m2.remove(ServerId(victim), false);
         prop_assert!(!m2.is_empty());
         let mut m3 = m;
