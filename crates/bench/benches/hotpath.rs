@@ -4,10 +4,10 @@
     reason = "benchmark harness: a broken setup aborts the bench"
 )]
 
-//! Hot-path microbenchmarks (DESIGN.md §16): the three operations the
+//! Hot-path microbenchmarks (DESIGN.md §16): the operations the
 //! steady-state event loop performs per forwarded query — a route-step
-//! decision, a route-cache lookup, and the digest scan over a target's
-//! ancestor chain. The
+//! decision, a route-cache lookup, a context-map lookup, and the digest
+//! scan over a target's ancestor chain. The
 //! `hotpath` analyze pass keeps allocations out of these paths statically;
 //! these benches price what remains.
 
@@ -122,17 +122,51 @@ fn bench_route_step(c: &mut Criterion) {
 fn bench_cache_lookup(c: &mut Criterion) {
     let mut g = c.benchmark_group("cache_lookup");
     g.throughput(Throughput::Elements(1));
-    // A full cache (every slot live) probed with a mix of hits and misses,
-    // like a warm origin server resolving a Zipf stream.
-    g.bench_function("get_128_slots", |b| {
-        let mut cache = RouteCache::new(128);
-        for i in 0..128u32 {
+    g.sample_size(200_000);
+    // A full cache of the configured size (every slot live) probed with
+    // a mix of hits and misses, like a warm origin server resolving a
+    // Zipf stream.
+    let slots = Scale::for_servers(256, 1.0).config(WARM_SEED).cache_slots as u32;
+    g.bench_function(format!("get_{slots}_slots"), |b| {
+        let mut cache = RouteCache::new(slots as usize);
+        for i in 0..slots {
             cache.insert(NodeId(i), NodeMap::singleton(ServerId(i % 64)), 0.0);
         }
         let mut probe = 0u32;
         b.iter(|| {
-            probe = (probe + 1) % 256; // half hit, half miss
+            probe = (probe + 1) % (2 * slots); // half hit, half miss
             black_box(cache.get(NodeId(black_box(probe))).is_some())
+        });
+    });
+    g.finish();
+}
+
+fn bench_context_lookup(c: &mut Criterion) {
+    let mut g = c.benchmark_group("context_lookup");
+    g.throughput(Throughput::Elements(1));
+    g.sample_size(200_000);
+    // The warmed T_C server with the most context maps, probed with its
+    // own map nodes (hits) interleaved with as many nodes it keeps no
+    // map for (misses): the lookup `forward`, repair and replica
+    // installation make.
+    let (server, _, ns) = warmed_tc_256();
+    let hits: Vec<NodeId> = ns
+        .ids()
+        .filter(|&n| server.neighbor_map(n).is_some())
+        .collect();
+    let misses = ns.ids().filter(|&n| server.neighbor_map(n).is_none());
+    let probes: Vec<NodeId> = hits.iter().zip(misses).flat_map(|(&h, m)| [h, m]).collect();
+    println!(
+        "context_lookup: server {} with {} context maps, {} probes",
+        server.id().0,
+        hits.len(),
+        probes.len()
+    );
+    g.bench_function("neighbor_map_tc_256_servers", |b| {
+        let mut i = 0usize;
+        b.iter(|| {
+            i = (i + 1) % probes.len();
+            black_box(server.neighbor_map(black_box(probes[i])).is_some())
         });
     });
     g.finish();
@@ -215,6 +249,7 @@ criterion_group!(
     benches,
     bench_route_step,
     bench_cache_lookup,
+    bench_context_lookup,
     bench_digest_check
 );
 criterion_main!(benches);

@@ -146,6 +146,50 @@ impl StatelessContext {
         self.tenant_of(packet.target)
     }
 
+    /// The peer candidates of `id`'s gossip rounds (`storage` on:
+    /// DESIGN.md §18) or reconcile pushes (`storage` off: §14), into
+    /// `out`: the owners of the namespace neighbors of its owned nodes,
+    /// plus, with `storage`, its fellow replica-set members (the owners
+    /// of its neighbors' neighbors, which hold the only live copy of a
+    /// node whose owner is down) and the servers on consecutive ids
+    /// that hold its filler replicas (`storage::replica_targets`;
+    /// without them a wiped filler could never solicit the owners it
+    /// backs). Routing-only runs leave the storage extras out: with no
+    /// objects they would only dilute the neighbor mix. The list is
+    /// sorted, deduplicated, without `id`, and role-gated (§19: peers
+    /// share an admitted region; relays are unrestricted). It depends
+    /// only on ownership, the namespace and roles, none of which change
+    /// during a run, so a caller may keep it and drop only the
+    /// candidates that are down.
+    pub(crate) fn peer_candidates(&self, id: ServerId, storage: bool, out: &mut Vec<ServerId>) {
+        let (ns, asg) = (&self.ns, &self.assignment);
+        let neighbors = |node: NodeId| {
+            ns.parent(node)
+                .into_iter()
+                .chain(ns.children(node).iter().copied())
+        };
+        out.clear();
+        for &node in asg.owned_by(id) {
+            for nb in neighbors(node) {
+                out.push(asg.owner(nb));
+                if storage {
+                    out.extend(neighbors(nb).map(|nb2| asg.owner(nb2)));
+                }
+            }
+        }
+        if storage {
+            let n = self.cfg.n_servers;
+            for k in 1..self.cfg.storage.replication_factor.min(n) {
+                out.push(ServerId((id.0 + n - k) % n));
+                out.push(ServerId((id.0 + k) % n));
+            }
+        }
+        let roles = self.roles.as_ref();
+        out.retain(|&p| p != id && roles.is_none_or(|r| r.gossip_compatible(id, p)));
+        out.sort_unstable();
+        out.dedup();
+    }
+
     /// The replica set of stored object `node`, into `out`
     /// (`storage::replica_targets` over this fleet).
     pub(crate) fn replica_targets(&self, node: NodeId, out: &mut Vec<ServerId>) {

@@ -58,6 +58,7 @@ pub mod config;
 pub mod context;
 pub mod det;
 pub mod digests;
+pub(crate) mod flat;
 pub(crate) mod gossip;
 pub mod invariants;
 pub mod load;

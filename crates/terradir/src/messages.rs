@@ -64,9 +64,12 @@ pub struct QueryPacket {
     /// The server that forwarded this packet last (back-propagation
     /// target).
     pub prev_hop: Option<ServerId>,
-    /// The last few servers this packet visited (loop damping: selection
-    /// prefers hosts not in this ring). Bounded to [`RECENT_HOPS`].
-    pub recent: Vec<ServerId>,
+    /// The last few servers this packet visited, oldest first (loop
+    /// damping: selection prefers hosts not in this ring), inline: the
+    /// first `recent_len` slots are live. Read through
+    /// [`QueryPacket::recent`].
+    recent: [ServerId; RECENT_HOPS],
+    recent_len: u8,
     /// Whether any hop of this attempt landed on a server that did not
     /// host the node it was routed via (pure observation, set regardless
     /// of configuration; feeds the reconvergence curve, DESIGN.md §14).
@@ -94,18 +97,36 @@ impl QueryPacket {
             sender_digest: None,
             intended_via: None,
             prev_hop: None,
-            recent: Vec::new(),
+            recent: [ServerId(0); RECENT_HOPS],
+            recent_len: 0,
             misrouted: false,
             detour_hops: 0,
         }
     }
 
-    /// Records a visited server in the bounded recent-hop ring.
+    /// Records a visited server in the bounded recent-hop ring, dropping
+    /// the oldest when it is full.
     pub fn push_recent(&mut self, server: ServerId) {
-        if self.recent.len() >= RECENT_HOPS {
-            self.recent.remove(0);
+        let len = usize::from(self.recent_len);
+        if len < RECENT_HOPS {
+            if let Some(slot) = self.recent.get_mut(len) {
+                *slot = server;
+                self.recent_len += 1;
+            }
+        } else {
+            self.recent.rotate_left(1);
+            if let Some(last) = self.recent.last_mut() {
+                *last = server;
+            }
         }
-        self.recent.push(server);
+    }
+
+    /// The last few servers this packet visited, oldest first (at most
+    /// [`RECENT_HOPS`]).
+    pub fn recent(&self) -> &[ServerId] {
+        self.recent
+            .get(..usize::from(self.recent_len))
+            .unwrap_or_default()
     }
 
     /// Appends a path entry, keeping the path within `cap` entries. When
@@ -379,7 +400,7 @@ fn packet_bytes(p: &QueryPacket) -> u64 {
         + p.sender_digest
             .as_ref()
             .map_or(0, |(_, d)| ID_BYTES + d.byte_size() as u64)
-        + ID_BYTES * p.recent.len() as u64
+        + ID_BYTES * p.recent().len() as u64
 }
 
 /// Modeled bytes of one replica payload: node, map, meta, routing

@@ -13,30 +13,31 @@
 //! learn about deletions lazily, or never — stale maps are tolerated and
 //! pruned by digests.
 
-use crate::det::DetHashMap;
-
 use rand::Rng;
 use rand::RngCore;
 
 use terradir_namespace::{NodeId, ServerId};
 
 use crate::config;
+use crate::flat::FlatMap;
 use crate::messages::{Message, ReplicaPayload};
 use crate::records::NodeRecord;
 use crate::server::{ContextEntry, Outgoing, ProtocolEvent, ServerState};
 
 /// Profiled load information about other servers, bounded LRU-by-age.
+/// Kept sorted by server id; eviction and partner choice break every tie
+/// by id, so neither depends on where an entry sits.
 #[derive(Debug, Clone)]
 pub(crate) struct KnownLoads {
     slots: usize,
-    entries: DetHashMap<ServerId, (f64, f64)>, // load, observed-at
+    entries: FlatMap<ServerId, (f64, f64)>, // load, observed-at
 }
 
 impl KnownLoads {
     pub(crate) fn new(slots: usize) -> KnownLoads {
         KnownLoads {
             slots,
-            entries: DetHashMap::default(),
+            entries: FlatMap::default(),
         }
     }
 
@@ -636,6 +637,140 @@ mod tests {
         k.observe(ServerId(3), 0.5, 1.0);
         assert_eq!(k.entries.len(), 2);
         assert!(k.get_fresh(ServerId(3), 1.0, 5.0).is_some());
+    }
+
+    /// The hash-backed known-load table the flat one replaced, kept as
+    /// the reference whose contents, eviction victims and partner picks
+    /// it must match.
+    struct HashKnownLoads {
+        slots: usize,
+        entries: crate::det::DetHashMap<ServerId, (f64, f64)>,
+    }
+
+    impl HashKnownLoads {
+        fn observe(&mut self, server: ServerId, load: f64, now: f64) {
+            if self.slots == 0 {
+                return;
+            }
+            if self.entries.len() >= self.slots && !self.entries.contains_key(&server) {
+                if let Some(victim) = self
+                    .entries
+                    .iter()
+                    .min_by(|a, b| a.1 .1.total_cmp(&b.1 .1).then(a.0.cmp(b.0)))
+                    .map(|(&s, _)| s)
+                {
+                    self.entries.remove(&victim);
+                }
+            }
+            self.entries.insert(server, (load, now));
+        }
+
+        fn best_candidate(
+            &self,
+            now: f64,
+            stale_after: f64,
+            exclude: &[ServerId],
+            speeds: &[f64],
+        ) -> Option<ServerId> {
+            let speed = |s: ServerId| speeds.get(s.0 as usize).copied().unwrap_or(1.0);
+            self.entries
+                .iter()
+                .filter(|(s, (_, at))| now - at <= stale_after && !exclude.contains(s))
+                .min_by(|a, b| {
+                    a.1 .0
+                        .total_cmp(&b.1 .0)
+                        .then(speed(*b.0).total_cmp(&speed(*a.0)))
+                        .then(a.0.cmp(b.0))
+                })
+                .map(|(&s, _)| s)
+        }
+
+        fn rows(&self) -> Vec<(ServerId, f64, f64)> {
+            let mut v: Vec<_> = self
+                .entries
+                .iter()
+                .map(|(&s, &(l, at))| (s, l, at))
+                .collect();
+            v.sort_by_key(|r| r.0);
+            v
+        }
+    }
+
+    /// Random observe/forget/lookup sequences over small slot counts,
+    /// with tied loads, tied observation times and tied speeds, give the
+    /// same entries (so the same eviction victims), the same fresh loads
+    /// and the same `best_candidate` picks as the hash-backed reference.
+    #[test]
+    fn known_loads_match_the_hash_reference() {
+        let mut ops = StdRng::seed_from_u64(2705);
+        let (mut evictions, mut ties) = (0, 0);
+        for _ in 0..60 {
+            let slots = ops.gen_range(0..12);
+            let mut new = KnownLoads::new(slots);
+            let mut old = HashKnownLoads {
+                slots,
+                entries: crate::det::DetHashMap::default(),
+            };
+            let speeds: Vec<f64> = (0..24).map(|_| f64::from(ops.gen_range(1..3u8))).collect();
+            let mut now = 0.0;
+            for step in 0..400 {
+                if ops.gen_range(0..3) == 0 {
+                    now += 1.0;
+                }
+                let s = ServerId(ops.gen_range(0..24));
+                let load = f64::from(ops.gen_range(0..4u8)) / 4.0;
+                match ops.gen_range(0..6) {
+                    0..=2 => {
+                        let before = old.entries.len();
+                        new.observe(s, load, now);
+                        old.observe(s, load, now);
+                        if old.entries.len() == before && before == slots && slots > 0 {
+                            evictions += 1;
+                        }
+                    }
+                    3 => {
+                        new.forget(s);
+                        old.entries.remove(&s);
+                    }
+                    _ => {
+                        let exclude: Vec<ServerId> = (0..ops.gen_range(0..4))
+                            .map(|_| ServerId(ops.gen_range(0..24)))
+                            .collect();
+                        let stale = f64::from(ops.gen_range(0..6u8));
+                        for table in [&speeds[..], &[]] {
+                            let pick = new.best_candidate(now, stale, &exclude, table);
+                            assert_eq!(
+                                pick,
+                                old.best_candidate(now, stale, &exclude, table),
+                                "step {step}"
+                            );
+                            let tied = pick
+                                .and_then(|p| new.get_fresh(p, now, stale))
+                                .map_or(0, |l| {
+                                    new.entries.iter().filter(|&(_, &(x, _))| x == l).count()
+                                });
+                            ties += usize::from(tied > 1);
+                        }
+                    }
+                }
+                let rows: Vec<_> = new
+                    .entries
+                    .iter()
+                    .map(|(&s, &(l, at))| (s, l, at))
+                    .collect();
+                assert_eq!(rows, old.rows(), "step {step}");
+                let fresh = old
+                    .entries
+                    .get(&s)
+                    .filter(|(_, at)| now - at <= 3.0)
+                    .map(|(l, _)| *l);
+                assert_eq!(new.get_fresh(s, now, 3.0), fresh);
+            }
+        }
+        assert!(
+            evictions > 0 && ties > 0,
+            "the sequences must reach eviction and ties"
+        );
     }
 
     #[test]

@@ -1245,7 +1245,7 @@ mod tests {
             NodeRecord::new(node, NodeMap::singleton(s.id), Meta::new(), 0.0),
         );
         for nb in s.fleet.ns.neighbors(node) {
-            s.neighbor_maps.entry(nb).or_insert_with(|| ContextEntry {
+            s.neighbor_maps.get_or_insert_with(nb, || ContextEntry {
                 map: NodeMap::singleton(asg.owner(nb)),
                 lease_at: 0.0,
             });

@@ -7,6 +7,7 @@
 //! and the live `terradir-net` runtime both drive it.
 
 use crate::det::DetHashMap;
+use crate::flat::FlatMap;
 use std::sync::Arc;
 
 use rand::RngCore;
@@ -182,7 +183,7 @@ pub struct ServerState {
     /// Maps for the topological neighbors of every hosted node (the
     /// routing *context* guaranteeing incremental progress), each with
     /// its lease stamp.
-    pub(crate) neighbor_maps: DetHashMap<NodeId, ContextEntry>,
+    pub(crate) neighbor_maps: FlatMap<NodeId, ContextEntry>,
     /// LRU route cache (pointer state, no context).
     pub(crate) cache: RouteCache,
     /// Freshest inverse-mapping digest per remote server.
@@ -254,11 +255,11 @@ fn bootstrap_context(
     fleet: &StatelessContext,
     owned: impl Iterator<Item = NodeId>,
     now: f64,
-    maps: &mut DetHashMap<NodeId, ContextEntry>,
+    maps: &mut FlatMap<NodeId, ContextEntry>,
 ) {
     for node in owned {
         for nb in fleet.ns.neighbors(node) {
-            maps.entry(nb).or_insert_with(|| ContextEntry {
+            maps.get_or_insert_with(nb, || ContextEntry {
                 map: NodeMap::singleton(fleet.assignment.owner(nb)),
                 lease_at: now,
             });
@@ -289,7 +290,7 @@ impl ServerState {
                 NodeRecord::new(node, NodeMap::singleton(id), Meta::new(), 0.0),
             );
         }
-        let mut neighbor_maps = DetHashMap::default();
+        let mut neighbor_maps = FlatMap::default();
         let owned_ids = fleet.assignment.owned_by(id).iter().copied();
         bootstrap_context(fleet, owned_ids, 0.0, &mut neighbor_maps);
         let digest = build_digest(
@@ -874,7 +875,7 @@ impl ServerState {
                 }
             }
         }
-        match self.decide_route(p.target, &p.recent, rng) {
+        match self.decide_route(p.target, p.recent(), rng) {
             RouteChoice::Resolve => {
                 self.weights.bump(p.target, now, 1.0);
                 if self.fleet.cfg.leases.enabled {
@@ -1707,7 +1708,7 @@ mod tests {
             NodeRecord::new(far, NodeMap::singleton(ServerId(0)), Meta::new(), 0.0),
         );
         for nb in ns.neighbors(far) {
-            s.neighbor_maps.entry(nb).or_insert_with(|| ContextEntry {
+            s.neighbor_maps.get_or_insert_with(nb, || ContextEntry {
                 map: NodeMap::singleton(f.assignment.owner(nb)),
                 lease_at: 0.0,
             });

@@ -275,10 +275,10 @@ fn recent_ring_is_bounded_and_fifo() {
     for i in 0..6 {
         p.push_recent(ServerId(i));
     }
-    assert_eq!(p.recent.len(), crate::messages::RECENT_HOPS);
+    assert_eq!(p.recent().len(), crate::messages::RECENT_HOPS);
     assert_eq!(
-        p.recent,
-        vec![ServerId(2), ServerId(3), ServerId(4), ServerId(5)]
+        p.recent(),
+        [ServerId(2), ServerId(3), ServerId(4), ServerId(5)]
     );
 }
 

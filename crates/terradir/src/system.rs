@@ -159,9 +159,14 @@ pub struct System {
     /// Reusable per-server maintenance effect buffers (phase 2 of the
     /// Maintain sweep drains them in canonical id order).
     maint_bufs: Vec<Vec<Outgoing>>,
-    /// Reusable per-server gossip peer-pool buffers (phase 2 of the
-    /// gossip sweep shuffles/truncates/sends in canonical id order).
-    gossip_peer_bufs: Vec<Vec<ServerId>>,
+    /// Each server's gossip peer candidates
+    /// (`StatelessContext::peer_candidates`), built at the first round:
+    /// they never change during a run, so a round only drops the ones
+    /// that are down.
+    gossip_candidates: Vec<Vec<ServerId>>,
+    /// Reusable gossip peer-pool buffer (each server's round fills,
+    /// shuffles, truncates and sends it in canonical id order).
+    gossip_peers: Vec<ServerId>,
     /// Active partition cut: each server's side of the relation. `None`
     /// while the network is whole. A delivery between different sides is
     /// dropped (DESIGN.md §13).
@@ -394,8 +399,8 @@ impl System {
             perm_buf: Vec::new(),
             // xtask: allow(alloc): construction, runs once per run
             maint_bufs: (0..n).map(|_| Vec::new()).collect(),
-            // xtask: allow(alloc): construction, runs once per run
-            gossip_peer_bufs: (0..n).map(|_| Vec::new()).collect(),
+            gossip_candidates: Vec::new(),
+            gossip_peers: Vec::new(),
             committed,
             reads: crate::det::DetHashMap::default(),
             next_read_id: 0,
@@ -769,7 +774,8 @@ impl System {
             return;
         };
         let mut peers: Vec<ServerId> = Vec::new();
-        self.peer_pool(server, &mut peers);
+        self.shared.peer_candidates(id, false, &mut peers);
+        peers.retain(|&p| !self.is_failed(p));
         peers.shuffle(&mut self.rng_faults);
         peers.truncate(self.shared.cfg.reconcile.fanout as usize);
         // xtask: allow(alloc): reconcile push, fires only on heal/rejoin
@@ -788,30 +794,6 @@ impl System {
                 let map = NodeMap::singleton(id);
                 self.send_direct(id, peer, Message::MapUpdate { node, map });
             }
-        }
-    }
-
-    /// The peer pool of reconcile pushes and gossip rounds: appends the
-    /// live owners of the namespace neighbors of `server`'s owned nodes
-    /// to `peers` (which may already hold caller-specific extras), then
-    /// sorts, deduplicates and role-gates the whole pool. Role gate
-    /// (DESIGN.md §19): peers must share an admitted region with
-    /// `server`; relays are unrestricted. It runs before the caller's
-    /// shuffle, so roles-off runs spend identical fault-stream draws.
-    fn peer_pool(&self, server: &ServerState, peers: &mut Vec<ServerId>) {
-        let id = server.id();
-        for node in server.owned_ids() {
-            for nb in self.shared.ns.neighbors(node) {
-                let owner = self.shared.assignment.owner(nb);
-                if owner != id && !self.is_failed(owner) {
-                    peers.push(owner);
-                }
-            }
-        }
-        peers.sort_unstable();
-        peers.dedup();
-        if let Some(roles) = &self.shared.roles {
-            peers.retain(|&p| roles.gossip_compatible(id, p));
         }
     }
 
@@ -1016,69 +998,21 @@ impl System {
             .schedule_in(self.shared.cfg.gossip.interval, Event::GossipRound);
         let culture = self.shared.cfg.gossip.culture;
         let n = self.ctxs.len();
-        // Phase 1 — compute (order-independent): every live server
-        // builds its candidate peer pool from its own state and the
-        // frozen fleet snapshot, into its own buffer. No RNG, no
-        // mutation of any context, so the shadow-exec permutation may
-        // step this sweep in any order.
-        let order = self.sweep_order(n);
-        let mut peer_bufs = std::mem::take(&mut self.gossip_peer_bufs);
-        for &oi in &order {
-            let i = oi as usize;
-            let Some(peers) = peer_bufs.get_mut(i) else {
-                continue;
-            };
-            peers.clear();
-            let Some(ctx) = self.ctxs.get(i) else {
-                continue;
-            };
-            if ctx.failed {
-                continue;
+        if self.gossip_candidates.is_empty() {
+            let storage = self.shared.cfg.storage.enabled;
+            let mut row = Vec::new();
+            for i in 0..n {
+                self.shared
+                    .peer_candidates(ServerId(i as u32), storage, &mut row);
+                // xtask: allow(alloc): built once, at the first gossip round
+                self.gossip_candidates.push(row.clone());
             }
-            let id = ServerId(oi);
-            // Storage-only extras; routing-only runs skip them: no
-            // objects, so the extra candidates would only dilute the
-            // neighbor mix.
-            if self.shared.cfg.storage.enabled {
-                // Fellow replica-set members — the other
-                // neighbor-owners of the same node — hold the only live
-                // copy when that node's owner is down; without these
-                // 2-hop links a wiped replica can never re-pull from
-                // them.
-                for node in ctx.server.owned_ids() {
-                    for nb in self.shared.ns.neighbors(node) {
-                        for nb2 in self.shared.ns.neighbors(nb) {
-                            let fellow = self.shared.assignment.owner(nb2);
-                            if fellow != id && !self.is_failed(fellow) {
-                                peers.push(fellow);
-                            }
-                        }
-                    }
-                }
-                // Filler replicas live on consecutive server ids from the
-                // owner (`storage::replica_targets`), not on namespace
-                // neighbors — without these links a wiped filler can
-                // never solicit the owners it backs, and digest-driven
-                // repair silently excludes every filler-placed copy.
-                let fleet = n as u32;
-                for k in 1..self.shared.cfg.storage.replication_factor.min(fleet) {
-                    for cand in [
-                        ServerId((id.0 + fleet - k) % fleet),
-                        ServerId((id.0 + k) % fleet),
-                    ] {
-                        if cand != id && !self.is_failed(cand) {
-                            peers.push(cand);
-                        }
-                    }
-                }
-            }
-            self.peer_pool(&ctx.server, peers);
         }
-        // Phase 2 — apply (canonical id order): the per-server shuffle
-        // draws from the shared fault stream and the sends schedule
-        // calendar events, so this half must run in id order for
+        // The shuffles draw from the shared fault stream and the sends
+        // schedule calendar events, so the round runs in id order for
         // byte-identical replay.
-        // xtask: region(dispatch): begin — gossip apply phase: shuffles and sends drain every server's peer pool
+        // xtask: region(dispatch): begin — gossip round: shuffles and sends drain every server's peer pool
+        let mut peers = std::mem::take(&mut self.gossip_peers);
         for i in 0..n {
             if self.ctxs.get(i).is_none_or(|c| c.failed) {
                 continue;
@@ -1098,17 +1032,16 @@ impl System {
                     || (!matches!(culture, GossipCulture::Chatty)
                         && c.server.gossip.digest.is_none())
             });
-            let Some(slot) = peer_bufs.get_mut(i) else {
-                continue;
-            };
-            slot.shuffle(&mut self.rng_faults);
+            peers.clear();
+            let row = self.gossip_candidates.get(i).map_or(&[][..], Vec::as_slice);
+            peers.extend(row.iter().copied().filter(|&p| !self.is_failed(p)));
+            peers.shuffle(&mut self.rng_faults);
             if !burst {
-                slot.truncate(self.shared.cfg.gossip.fanout as usize);
+                peers.truncate(self.shared.cfg.gossip.fanout as usize);
             }
-            if slot.is_empty() {
+            if peers.is_empty() {
                 continue;
             }
-            let peers = std::mem::take(slot);
             match culture {
                 GossipCulture::Chatty => {
                     self.gossip_push(id, &peers, None);
@@ -1144,13 +1077,9 @@ impl System {
                     self.gossip_changed = changed;
                 }
             }
-            if let Some(slot) = peer_bufs.get_mut(i) {
-                *slot = peers;
-            }
         }
         // xtask: region(dispatch): end
-        self.gossip_peer_bufs = peer_bufs;
-        self.perm_buf = order;
+        self.gossip_peers = peers;
     }
 
     /// Ships `id`'s current windowed digest to each round peer, tagging

@@ -42,6 +42,7 @@ pub const HOT_PATH_FILES: &[&str] = &[
     "crates/namespace/src/tree.rs",
     "crates/sim/src/calendar.rs",
     "crates/terradir/src/cache.rs",
+    "crates/terradir/src/flat.rs",
     "crates/terradir/src/gossip.rs",
     "crates/terradir/src/map.rs",
     "crates/terradir/src/roles.rs",
