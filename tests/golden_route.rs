@@ -6,9 +6,10 @@
 //! Golden summaries: one short small-fleet run of each benchmark shape
 //! (T_S adaptation, T_C Zipf, T_S storage + churn + gossip), plus one run
 //! with every optional subsystem on (roles, tenants, leases, reconcile,
-//! faults, heterogeneous speeds) and one with retries off so every loss
+//! faults, heterogeneous speeds), one with retries off so every loss
 //! is a final drop (tenants, shedding, a partition cut, transport loss, a
-//! flash crowd), pinned field for field.
+//! flash crowd) and one with hybrid gossip under churn on 256 servers,
+//! pinned field for field.
 //!
 //! The route decision's speed work (rank-first candidate build, path-table
 //! distance, Bloom-first denial lookups) is equivalent by construction:
@@ -21,7 +22,7 @@
 //! A deliberate behaviour change (a new digest hash, say) re-pins these
 //! values in the same change and says why.
 //!
-//! The same five runs, plus two extra drives that reach the paths none of
+//! The first five runs, plus two extra drives that reach the paths none of
 //! them takes (a hop walk past the TTL, stranded origins, a data fetch,
 //! retries under chaos, stale reads), must between them feed every row
 //! of the stats table (`every_statistic_is_fed_by_some_run`).
@@ -241,6 +242,41 @@ fn final_drop_attribution_summary_is_pinned() {
     assert_eq!(got, FINAL_DROPS, "a drop's attribution or a draw changed");
 }
 
+/// Hybrid gossip under churn on 256 servers with storage: every periodic
+/// sweep (maintenance, utilization sampling, gossip rounds) runs while
+/// liveness changes between sweeps, and the hybrid culture's eager push
+/// runs on top of the taciturn digest exchange. No other pinned run
+/// takes the hybrid path. The per-second load series are pinned too,
+/// since the summary carries neither.
+fn hybrid_gossip_churn() -> System {
+    let ns = balanced_tree(2, 7);
+    let mut cfg = Config::paper_default(256).with_seed(42);
+    cfg.storage.enabled = true;
+    cfg.gossip.enabled = true;
+    cfg.gossip.culture = GossipCulture::Hybrid;
+    cfg.gossip.interval = 0.5;
+    cfg.churn.enabled = true;
+    cfg.churn.mean_uptime = 4.0;
+    cfg.churn.mean_downtime = 1.5;
+    cfg.churn.stop = 5.0;
+    let mut sys = System::new(ns, cfg, StreamPlan::uzipf(1.2, 60.0), 120.0);
+    sys.run_until(6.0);
+    sys
+}
+
+#[test]
+fn hybrid_gossip_churn_summary_is_pinned() {
+    let sys = hybrid_gossip_churn();
+    let st = sys.stats();
+    let got = format!(
+        "{} load_mean={:?} load_max={:?}",
+        render(st),
+        st.load_mean_per_sec,
+        st.load_max_per_sec,
+    );
+    assert_eq!(got, HYBRID_GOSSIP, "a routed hop, sweep or draw changed");
+}
+
 /// A unary chain of 121 nodes on 160 servers, round-robin: node `i`
 /// lives alone on server `i`, so a query climbs or descends one level per
 /// hop and the long walks outgrow the hop TTL, while servers 121–159 host
@@ -437,4 +473,31 @@ const FINAL_DROPS: &str = concat!(
     r#""rng_draws":22589} draws=[0, 493, 1464, 2926, 5804, 506, 2903,"#,
     r#" 1463, 0, 0, 0, 7030] tenants=[983, 1840]/[806, 587]/[177,"#,
     r#" 1253] minority=617/273 majority=2206/1120"#,
+);
+const HYBRID_GOSSIP: &str = concat!(
+    r#"{"injected":784,"resolved":360,"dropped":394,"#,
+    r#""drop_fraction":0.502551,"latency_mean_s":0.237501,"#,
+    r#""latency_p99_s":0.770000,"hops_mean":3.2778,"replicas_created":2,"#,
+    r#""replicas_deleted":0,"sessions_completed":2,"#,
+    r#""control_messages":8791,"data_fetches_ok":0,"retries":0,"#,
+    r#""messages_lost":0,"churn_failures":246,"churn_recoveries":202,"#,
+    r#""dropped_shed":0,"dropped_partition":0,"messages_cut":0,"#,
+    r#""cuts_applied":0,"heals_applied":0,"flash_injected":0,"#,
+    r#""misroutes":7,"detour_hops":13,"lease_evictions":0,"#,
+    r#""reconcile_pushes":0,"objects_written":64,"objects_alive":43,"#,
+    r#""objects_lost":21,"object_puts":119,"object_reads":68,"#,
+    r#""reads_failed":11,"stale_reads":0,"bytes_on_wire":760485,"#,
+    r#""gossip_bytes":364541,"query_messages":2644,"sessions_aborted":0,"#,
+    r#""data_fetches_failed":0,"messages_to_dead":526,"#,
+    r#""attempts_lost_queue":0,"attempts_lost_ttl":0,"#,
+    r#""attempts_lost_stuck":0,"attempts_lost_dead":0,"#,
+    r#""attempts_lost_transport":0,"attempts_lost_shed":0,"#,
+    r#""attempts_lost_partition":0,"scenario_crashes":0,"tenant_count":0,"#,
+    r#""tenant_worst_availability":1.000000,"tenant_slo_misses":0,"#,
+    r#""rng_draws":27880} draws=[0, 254, 785, 784, 12015, 254, 2249, 784,"#,
+    r#" 0, 0, 0, 10755] load_mean=[0.06431538625555437,"#,
+    r#" 0.04593181543575593, 0.03719845432959393, 0.041251531196978004,"#,
+    r#" 0.03966855973339066] load_max=[0.5993273657228672,"#,
+    r#" 0.7429603030500775, 0.6723391797893554, 0.42138641795643617,"#,
+    r#" 0.6442423847760468]"#,
 );
