@@ -90,15 +90,6 @@ impl NodeName {
         }
     }
 
-    /// The last path segment, or `None` for the root.
-    pub fn last_segment(&self) -> Option<&str> {
-        if self.is_root() {
-            None
-        } else {
-            self.0.rsplit('/').next()
-        }
-    }
-
     /// Iterator over the segments from the top down (empty for the root).
     pub fn segments(&self) -> impl Iterator<Item = &str> {
         let body = if self.is_root() { "" } else { &self.0[1..] };
@@ -186,7 +177,6 @@ mod tests {
         assert!(r.is_root());
         assert_eq!(r.depth(), 0);
         assert_eq!(r.parent(), None);
-        assert_eq!(r.last_segment(), None);
         assert_eq!(r.segments().count(), 0);
         assert!(r.ancestors().is_empty());
     }
@@ -205,7 +195,6 @@ mod tests {
         assert!(NodeName::parse("/").unwrap().is_root());
         let n = NodeName::parse("/university/public/people").unwrap();
         assert_eq!(n.depth(), 3);
-        assert_eq!(n.last_segment(), Some("people"));
         let segs: Vec<_> = n.segments().collect();
         assert_eq!(segs, vec!["university", "public", "people"]);
     }

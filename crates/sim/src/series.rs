@@ -111,11 +111,6 @@ impl BinnedMean {
             .collect()
     }
 
-    /// Per-bin means with empty bins reported as 0.
-    pub fn means_or_zero(&self) -> Vec<f64> {
-        self.means().into_iter().map(|m| m.unwrap_or(0.0)).collect()
-    }
-
     /// Bin width in seconds.
     pub fn dt(&self) -> f64 {
         self.dt
@@ -224,7 +219,6 @@ mod tests {
         m.record(0.8, 3.0);
         m.record(2.0, 10.0);
         assert_eq!(m.means(), vec![Some(2.0), None, Some(10.0)]);
-        assert_eq!(m.means_or_zero(), vec![2.0, 0.0, 10.0]);
     }
 
     #[test]

@@ -1,18 +1,18 @@
 //! The stage/executor state split (DESIGN.md §20).
 //!
-//! Concurrency-readiness for a parallel executor (parked under
-//! ROADMAP's "Deliberately not next"): everything a server step may
-//! mutate lives in its own [`StatefulContext`]; everything shared
-//! across the fleet lives in the read-only [`StatelessContext`], which
-//! every server reads through one shared `Arc` handle. A server step
-//! mutates only its own context and expresses every cross-server effect
-//! as returned [`Outgoing`] values that only the deterministic calendar
-//! dispatch in `system.rs` may apply. clippy (`clippy.toml`: no
-//! shared-mutability types) and the `isolation` xtask pass (no
-//! cross-server `&mut` outside the dispatch regions) enforce the
-//! discipline statically; the compile-time `Send + Sync` assertions
-//! below prove both halves are shippable across threads once a parallel
-//! executor exists.
+//! Everything a server step may mutate lives in its own
+//! [`StatefulContext`]; everything shared across the fleet lives in the
+//! read-only [`StatelessContext`], which every server reads through one
+//! shared `Arc` handle. A server step mutates only its own context and
+//! expresses every cross-server effect as returned [`Outgoing`] values
+//! that only the deterministic calendar dispatch in `system.rs` may
+//! apply. clippy (`clippy.toml`: no shared-mutability types) and the
+//! `isolation` xtask pass (no cross-server `&mut` outside the dispatch
+//! regions) enforce the discipline statically. The compile-time
+//! `Send + Sync` assertions below keep both halves shippable across
+//! threads, which two users need: the live `crates/net` runtime runs
+//! each peer's `ServerState` on its own thread, and ROADMAP item 1 runs
+//! whole `System`s, one per experiment arm, on worker threads.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -227,11 +227,11 @@ fn draw_speeds(cfg: &Config) -> (Vec<f64>, u64) {
     (speeds, rng.draws())
 }
 
-/// Compile-time proof that a type can cross threads: a parallel executor
-/// (ROADMAP, "Deliberately not next") would move contexts and messages
-/// between worker threads, so a non-`Send + Sync` field sneaking into
-/// either context half must fail the build, not the first multi-core
-/// run.
+/// Compile-time proof that a type can cross threads: the live
+/// `crates/net` runtime moves servers and messages between peer threads,
+/// and ROADMAP item 1's per-arm worker threads each take a whole
+/// `System`, so a non-`Send + Sync` field sneaking into either context
+/// half must fail the build, not the first multi-threaded run.
 pub(crate) const fn assert_send_sync<T: Send + Sync>() {}
 
 /// Compile-time proof that a whole simulated fleet can move to a worker

@@ -88,11 +88,6 @@ impl NodeWeights {
         v.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
         v
     }
-
-    /// Sum of decayed weights over a node subset.
-    pub fn total_of<'a, I: IntoIterator<Item = &'a NodeId>>(&self, nodes: I, now: f64) -> f64 {
-        nodes.into_iter().map(|&n| self.value(n, now)).sum()
-    }
 }
 
 #[cfg(test)]
@@ -150,11 +145,10 @@ mod tests {
     }
 
     #[test]
-    fn remove_and_total() {
+    fn remove_clears_the_weight() {
         let mut w = NodeWeights::new(10.0);
         w.bump(n(1), 0.0, 1.0);
         w.bump(n(2), 0.0, 3.0);
-        assert!((w.total_of([n(1), n(2)].iter(), 0.0) - 4.0).abs() < 1e-12);
         w.remove(n(2));
         assert_eq!(w.value(n(2), 0.0), 0.0);
     }

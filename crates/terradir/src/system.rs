@@ -100,14 +100,6 @@ struct ReadState {
     issued_version: u64,
 }
 
-/// An exponential holding-time draw with the given mean (inverse-CDF on a
-/// uniform; `1 - u` keeps the argument of `ln` in `(0, 1]`).
-fn exp_draw<R: rand::RngCore>(rng: &mut R, mean: f64) -> f64 {
-    use rand::Rng;
-    let u: f64 = rng.gen();
-    -mean * (1.0 - u).ln()
-}
-
 /// A complete simulated TerraDir system.
 ///
 /// State is split per DESIGN.md §20: `shared` is the fleet-wide
@@ -143,22 +135,6 @@ pub struct System {
     injecting: bool,
     /// Outstanding queries under the retry layer, by query id.
     pending: crate::det::DetHashMap<u64, Pending>,
-    /// Shadow-exec permutation seed (DESIGN.md §20): when set, the
-    /// compute half of every same-timestep per-server sweep
-    /// (maintenance, utilization rolls, gossip peer-pool builds) steps
-    /// servers in a deterministic pseudo-random order instead of id
-    /// order, while effects still apply in id order. The replay test
-    /// asserts byte-identical summaries either way — the exact
-    /// order-independence a parallel executor needs.
-    shadow_seed: Option<u64>,
-    /// Per-run counter of permuted sweeps, mixed into the permutation
-    /// so each sweep uses a different order.
-    shadow_rounds: u64,
-    /// Reusable sweep-order scratch buffer.
-    perm_buf: Vec<u32>,
-    /// Reusable per-server maintenance effect buffers (phase 2 of the
-    /// Maintain sweep drains them in canonical id order).
-    maint_bufs: Vec<Vec<Outgoing>>,
     /// Each server's gossip peer candidates
     /// (`StatelessContext::peer_candidates`), built at the first round:
     /// they never change during a run, so a round only drops the ones
@@ -201,9 +177,10 @@ pub struct System {
     gossip_key_buf: String,
 }
 
-/// Event types cross threads with the parallel executor's calendar, so
-/// they must be `Send + Sync` too (`Event` is private, so the assertion
-/// lives here rather than in `context.rs`).
+/// The calendar's events move with their `System` onto a worker thread
+/// (ROADMAP item 1 runs one simulation per experiment arm on its own
+/// thread), so they must be `Send + Sync` too (`Event` is private, so
+/// the assertion lives here rather than in `context.rs`).
 const _: () = crate::context::assert_send_sync::<Event>();
 
 impl System {
@@ -323,7 +300,8 @@ impl System {
         let mut rng_faults = tagged_rng(cfg.seed, tags::FAULTS);
         if cfg.churn.enabled {
             for i in 0..cfg.n_servers {
-                let at = cfg.churn.start + exp_draw(&mut rng_faults, cfg.churn.mean_uptime);
+                let at = cfg.churn.start
+                    + ExpService::new(cfg.churn.mean_uptime).sample(&mut rng_faults);
                 engine.schedule(
                     at,
                     Event::ChurnFail {
@@ -342,11 +320,11 @@ impl System {
         // stay byte-identical to pre-storage baselines.
         if cfg.storage.enabled {
             if cfg.storage.write_rate > 0.0 {
-                let gap = exp_draw(&mut rng_faults, 1.0 / cfg.storage.write_rate);
+                let gap = ExpService::new(1.0 / cfg.storage.write_rate).sample(&mut rng_faults);
                 engine.schedule(gap, Event::StorePut);
             }
             if cfg.storage.read_rate > 0.0 {
-                let gap = exp_draw(&mut rng_faults, 1.0 / cfg.storage.read_rate);
+                let gap = ExpService::new(1.0 / cfg.storage.read_rate).sample(&mut rng_faults);
                 engine.schedule(gap, Event::StoreGet);
             }
         }
@@ -394,11 +372,6 @@ impl System {
             out_buf: Vec::new(),
             injecting: true,
             pending: crate::det::DetHashMap::default(),
-            shadow_seed: None,
-            shadow_rounds: 0,
-            perm_buf: Vec::new(),
-            // xtask: allow(alloc): construction, runs once per run
-            maint_bufs: (0..n).map(|_| Vec::new()).collect(),
             gossip_candidates: Vec::new(),
             gossip_peers: Vec::new(),
             committed,
@@ -412,45 +385,6 @@ impl System {
         };
         sys.sync_draw_ledger();
         sys
-    }
-
-    /// Enables (`Some(seed)`) or disables (`None`) shadow-exec sweep
-    /// permutation (DESIGN.md §20). With a seed set, every same-timestep
-    /// per-server compute sweep runs in a deterministic pseudo-random
-    /// order derived from the seed and a per-run sweep counter; effects
-    /// still apply in canonical id order, so a run's observable output
-    /// must be byte-identical to the unpermuted run. The permutation
-    /// draws no tagged randomness, so the RNG draw ledger is untouched.
-    pub fn set_shadow_permutation(&mut self, seed: Option<u64>) {
-        self.shadow_seed = seed;
-    }
-
-    /// The order the next per-server compute sweep steps servers in:
-    /// identity without a shadow seed, a Fisher–Yates permutation of a
-    /// private splitmix64 stream with one. Returns the reusable order
-    /// buffer; callers hand it back by reassigning `perm_buf`.
-    fn sweep_order(&mut self, n: usize) -> Vec<u32> {
-        let mut order = std::mem::take(&mut self.perm_buf);
-        order.clear();
-        order.extend(0..n as u32);
-        if let Some(seed) = self.shadow_seed {
-            self.shadow_rounds += 1;
-            // splitmix64 over (seed, sweep index): deterministic,
-            // ledger-free, and different every sweep.
-            let mut state = seed ^ self.shadow_rounds.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            let mut next = move || {
-                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-                let mut z = state;
-                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-                z ^ (z >> 31)
-            };
-            for i in (1..order.len()).rev() {
-                let j = (next() % (i as u64 + 1)) as usize;
-                order.swap(i, j);
-            }
-        }
-        order
     }
 
     /// Installs the §2.3 static bootstrap replicas: every node at depth
@@ -634,12 +568,12 @@ impl System {
         let n = self.shared.cfg.n_servers as usize;
         let over_budget = (self.failed_count() + 1) as f64 / n.max(1) as f64 > max_down_fraction;
         if self.is_failed(s) || over_budget {
-            let gap = exp_draw(&mut self.rng_faults, mean_uptime);
+            let gap = ExpService::new(mean_uptime).sample(&mut self.rng_faults);
             self.engine.schedule_in(gap, Event::ChurnFail { server: s });
             return;
         }
         self.fail_server(s);
-        let down = exp_draw(&mut self.rng_faults, mean_downtime);
+        let down = ExpService::new(mean_downtime).sample(&mut self.rng_faults);
         self.engine
             .schedule_in(down, Event::ChurnRecover { server: s });
     }
@@ -650,7 +584,8 @@ impl System {
         self.recover_server(s);
         let now = self.engine.now();
         if now < self.shared.cfg.churn.stop {
-            let up = exp_draw(&mut self.rng_faults, self.shared.cfg.churn.mean_uptime);
+            let up =
+                ExpService::new(self.shared.cfg.churn.mean_uptime).sample(&mut self.rng_faults);
             self.engine.schedule_in(up, Event::ChurnFail { server: s });
         }
     }
@@ -862,7 +797,7 @@ impl System {
             return None;
         }
         if rate > 0.0 {
-            let gap = exp_draw(&mut self.rng_faults, 1.0 / rate);
+            let gap = ExpService::new(1.0 / rate).sample(&mut self.rng_faults);
             self.engine.schedule_in(gap, next);
         }
         let n = self.committed.len();
@@ -1278,17 +1213,13 @@ impl System {
             // without re-arming) and resume with it.
             if self.shared.cfg.storage.enabled {
                 if self.shared.cfg.storage.write_rate > 0.0 {
-                    let gap = exp_draw(
-                        &mut self.rng_faults,
-                        1.0 / self.shared.cfg.storage.write_rate,
-                    );
+                    let gap = ExpService::new(1.0 / self.shared.cfg.storage.write_rate)
+                        .sample(&mut self.rng_faults);
                     self.engine.schedule_in(gap, Event::StorePut);
                 }
                 if self.shared.cfg.storage.read_rate > 0.0 {
-                    let gap = exp_draw(
-                        &mut self.rng_faults,
-                        1.0 / self.shared.cfg.storage.read_rate,
-                    );
+                    let gap = ExpService::new(1.0 / self.shared.cfg.storage.read_rate)
+                        .sample(&mut self.rng_faults);
                     self.engine.schedule_in(gap, Event::StoreGet);
                 }
             }
@@ -1493,60 +1424,34 @@ impl System {
             // xtask: region(dispatch): begin — periodic sweeps: maintenance/sampling step every server's context
             Event::Maintain => {
                 let now = self.engine.now();
-                let n = self.ctxs.len();
-                // Phase 1 — compute (order-independent): each live
-                // server's maintenance touches only its own context and
-                // draws no randomness, writing its effects into its own
-                // buffer. The shadow-exec permutation may step this
-                // sweep in any order.
-                let order = self.sweep_order(n);
-                let mut bufs = std::mem::take(&mut self.maint_bufs);
-                for &oi in &order {
-                    let i = oi as usize;
+                // One pass in id order: each live server's maintenance
+                // touches only its own context and draws no randomness;
+                // dispatch then draws loss/jitter randomness and schedules
+                // calendar events, so the id order pins replay.
+                let mut effects = std::mem::take(&mut self.out_buf);
+                for i in 0..self.ctxs.len() {
                     let Some(ctx) = self.ctxs.get_mut(i) else {
                         continue;
                     };
                     if ctx.failed {
                         continue;
                     }
-                    let Some(buf) = bufs.get_mut(i) else {
-                        continue;
-                    };
-                    debug_assert!(buf.is_empty());
-                    ctx.server.maintenance(now, buf);
+                    ctx.server.maintenance(now, &mut effects);
+                    self.dispatch_effects(ServerId(i as u32), &mut effects);
                 }
-                // Phase 2 — apply (canonical id order): dispatch draws
-                // loss/jitter randomness and schedules calendar events,
-                // so effects apply in id order for byte-identical replay.
-                for i in 0..n {
-                    let Some(buf) = bufs.get_mut(i) else {
-                        continue;
-                    };
-                    self.dispatch_effects(ServerId(i as u32), buf);
-                }
-                self.maint_bufs = bufs;
-                self.perm_buf = order;
+                self.out_buf = effects;
                 self.engine
                     .schedule_in(config::LOAD_WINDOW, Event::Maintain);
             }
             Event::Sample => {
                 let now = self.engine.now();
-                let n = self.ctxs.len();
-                // Phase 1 — compute: each meter rolls its own window
-                // (no RNG, own context only), in shadow-permutable order.
-                let order = self.sweep_order(n);
-                for &oi in &order {
-                    if let Some(ctx) = self.ctxs.get_mut(oi as usize) {
-                        ctx.util.roll(now);
-                    }
-                }
-                self.perm_buf = order;
-                // Phase 2 — accumulate in canonical id order: float
-                // addition is not associative, so the reduction order is
-                // pinned regardless of the sweep permutation.
+                // Each meter rolls its own window (no RNG, own context
+                // only); the sum runs in id order because float addition
+                // is not associative.
                 let mut sum = 0.0;
                 let mut max = 0.0f64;
-                for ctx in &self.ctxs {
+                for ctx in &mut self.ctxs {
+                    ctx.util.roll(now);
                     let v = ctx.util.measured();
                     sum += v;
                     max = max.max(v);
@@ -1944,7 +1849,7 @@ impl System {
     }
 
     /// Applies a drained effect buffer (the buffer keeps its capacity —
-    /// the Maintain sweep and `dispatch` reuse theirs every round).
+    /// `dispatch` and the Maintain sweep both reuse `out_buf`).
     fn dispatch_effects(&mut self, from: ServerId, effects: &mut Vec<Outgoing>) {
         let now = self.engine.now();
         if cfg!(debug_assertions) {

@@ -5,8 +5,7 @@ use rand::Rng;
 /// A homogeneous Poisson arrival process with rate λ (events per second).
 ///
 /// Inter-arrival gaps are exponential with mean `1/λ`, generated by inverse
-/// transform. The rate can be changed mid-run (the scalability experiment
-/// scales λ with system size; some streams ramp load).
+/// transform (the scalability experiment scales λ with system size).
 #[derive(Debug, Clone)]
 pub struct PoissonArrivals {
     rate: f64,
@@ -23,12 +22,6 @@ impl PoissonArrivals {
     #[inline]
     pub fn rate(&self) -> f64 {
         self.rate
-    }
-
-    /// Replaces the rate (affects subsequent gaps only).
-    pub fn set_rate(&mut self, rate: f64) {
-        assert!(rate > 0.0 && rate.is_finite(), "rate must be positive");
-        self.rate = rate;
     }
 
     /// Draws the next inter-arrival gap in seconds.
@@ -79,15 +72,6 @@ mod tests {
         let var = gaps.iter().map(|g| (g - mean).powi(2)).sum::<f64>() / n as f64;
         let cv = var.sqrt() / mean;
         assert!((cv - 1.0).abs() < 0.05, "CV {cv} should be ~1");
-    }
-
-    #[test]
-    fn set_rate_takes_effect() {
-        let mut p = PoissonArrivals::new(1.0);
-        p.set_rate(1000.0);
-        let mut rng = StdRng::seed_from_u64(7);
-        let mean: f64 = (0..10_000).map(|_| p.next_gap(&mut rng)).sum::<f64>() / 10_000.0;
-        assert!(mean < 0.0015);
     }
 
     #[test]
