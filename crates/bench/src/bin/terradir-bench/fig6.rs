@@ -7,6 +7,7 @@
 //! load falls back below T_high between shifts; the 11 s-smoothed maximum
 //! approaches the mean, showing that highly-loaded servers are transient.
 
+use terradir::config::T_HIGH;
 use terradir::System;
 use terradir_bench::{series_tsv, Args, ShapeChecks};
 use terradir_sim::rolling_mean;
@@ -55,7 +56,6 @@ pub fn run(args: Args, checks: &mut ShapeChecks) {
     let cols: Vec<&str> = cols.iter().map(String::as_str).collect();
     series_tsv("time", &cols, &flat, 0.0);
 
-    let t_high = scale.config(args.seed).t_high;
     for (label, mean, max, max11) in &curves {
         // Mean load ordering sanity: higher λ → higher mean utilization.
         let steady_mean =
@@ -73,7 +73,7 @@ pub fn run(args: Args, checks: &mut ShapeChecks) {
             }
             windows += 1;
             let m = max[lo..hi].iter().copied().fold(0.0, f64::max);
-            if max[lo..hi].iter().copied().fold(f64::INFINITY, f64::min) < t_high {
+            if max[lo..hi].iter().copied().fold(f64::INFINITY, f64::min) < T_HIGH {
                 recovered += 1;
             } else {
                 eprintln!("# window before shift {k}: min max-load {m:.3}");

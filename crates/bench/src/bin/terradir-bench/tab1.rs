@@ -36,7 +36,6 @@ pub fn run(_: Args, checks: &mut ShapeChecks) {
         meta: rec.meta.clone(),
         neighbors: ns
             .neighbors(node)
-            .into_iter()
             .map(|nb| (nb, terradir::NodeMap::singleton(asg.owner(nb))))
             .collect(),
         weight: 1.0,
@@ -94,7 +93,7 @@ pub fn run(_: Args, checks: &mut ShapeChecks) {
             .is_some_and(|r| r.meta.version() == 0),
         context: servers[1].has_context(node),
     };
-    let neighbor_node = ns.neighbors(node)[0];
+    let neighbor_node = ns.neighbors(node).next().expect("a neighbor");
     let neighboring = Row {
         relationship: "Neighboring",
         name: true,

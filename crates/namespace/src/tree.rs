@@ -231,14 +231,9 @@ impl Namespace {
     /// The topological neighbors of a node: its parent (if any) followed by
     /// its children. This is exactly the *routing context* a host must keep
     /// for the node (paper §2.2.2).
-    pub fn neighbors(&self, id: NodeId) -> Vec<NodeId> {
+    pub fn neighbors(&self, id: NodeId) -> impl Iterator<Item = NodeId> + '_ {
         let info = self.info(id);
-        let mut out = Vec::with_capacity(info.children.len() + 1);
-        if let Some(p) = info.parent {
-            out.push(p);
-        }
-        out.extend_from_slice(&info.children);
-        out
+        info.parent.into_iter().chain(info.children.iter().copied())
     }
 
     /// The range of `id`'s root-to-node path in `paths`; an out-of-range
@@ -357,8 +352,8 @@ mod tests {
         let a = ns.add_child(ns.root(), "a").unwrap();
         let b = ns.add_child(a, "b").unwrap();
         let c = ns.add_child(a, "c").unwrap();
-        assert_eq!(ns.neighbors(a), vec![ns.root(), b, c]);
-        assert_eq!(ns.neighbors(ns.root()), vec![a]);
+        assert!(ns.neighbors(a).eq([ns.root(), b, c]));
+        assert!(ns.neighbors(ns.root()).eq([a]));
         assert!(ns.is_leaf(b));
     }
 

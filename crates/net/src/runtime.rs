@@ -147,7 +147,7 @@ impl Runtime {
                         }
                         ProtocolEvent::ReplicaCreated { .. } => s.replicas_created += 1,
                         ProtocolEvent::ReplicaDeleted { .. } => s.replicas_deleted += 1,
-                        ProtocolEvent::SessionCompleted { .. } => s.sessions_completed += 1,
+                        ProtocolEvent::SessionCompleted => s.sessions_completed += 1,
                         ProtocolEvent::DataFetched { ok, .. } => {
                             if ok {
                                 s.data_fetches_ok += 1;
@@ -158,10 +158,10 @@ impl Runtime {
                         // Named, not wildcarded: a new protocol event is
                         // a build error here until the live fleet decides
                         // whether to count it.
-                        ProtocolEvent::SessionStarted { .. }
-                        | ProtocolEvent::SessionAborted { .. }
-                        | ProtocolEvent::HostMarkedDead { .. }
-                        | ProtocolEvent::Misrouted { .. }
+                        ProtocolEvent::SessionStarted
+                        | ProtocolEvent::SessionAborted
+                        | ProtocolEvent::HostMarkedDead
+                        | ProtocolEvent::Misrouted
                         | ProtocolEvent::LeaseExpired { .. }
                         | ProtocolEvent::StorageReadReply { .. }
                         | ProtocolEvent::GossipSolicited { .. } => {}

@@ -7,6 +7,14 @@ use crate::map::NODE_MAP_CAP;
 // The paper fixes these once (§3, §4.1) and no workload varies them, so
 // they are constants rather than `Config` fields.
 
+/// Constant application-layer network delay per hop, seconds (§4.1).
+pub const NETWORK_DELAY: f64 = 0.025;
+/// Per-server request queue capacity; queries arriving beyond it drop
+/// (§4.1). Relays scale it by `roles.relay_queue_factor`.
+pub const QUEUE_CAPACITY: usize = 32;
+/// High-water load threshold T_high triggering replication sessions
+/// (§3.3, §4.1).
+pub const T_HIGH: f64 = 0.75;
 /// Mean of the exponential per-message service time, seconds.
 pub const MEAN_SERVICE: f64 = 0.020;
 /// Load-metric window W, seconds ("e.g. half a second").
@@ -50,6 +58,9 @@ pub const EVICT_DISPLACE_FACTOR: f64 = 1.5;
 /// How long a negative-cache entry ("host observed dead") is kept
 /// before the host may re-enter maps via normal soft-state spread.
 pub const DEAD_TTL: f64 = 10.0;
+/// Maximum distinct neighbor owners a rejoining server pushes its
+/// owned-record advertisements to (reconcile, DESIGN.md §14).
+pub const RECONCILE_FANOUT: u32 = 8;
 /// Maximum owned-record advertisements a rejoining server sends to each
 /// chosen reconcile peer.
 pub const RECONCILE_BATCH: u32 = 16;
@@ -85,10 +96,6 @@ pub const RETRY_CAP: f64 = 8.0;
 pub struct Config {
     /// Number of participating servers.
     pub n_servers: u32,
-    /// Constant application-layer network delay per hop, seconds.
-    pub network_delay: f64,
-    /// Per-server request queue capacity; queries arriving beyond it drop.
-    pub queue_capacity: usize,
     /// Route-cache slots per server.
     pub cache_slots: usize,
     /// Enable route caching with path propagation (the "C" in BC/BCR).
@@ -104,8 +111,6 @@ pub struct Config {
     /// Apply the hysteresis load adjustment of §3.3 step 4. Disabling it
     /// is the ablation for replica thrashing.
     pub hysteresis: bool,
-    /// High-water load threshold T_high triggering replication sessions.
-    pub t_high: f64,
     /// Replication factor R_fact: max replicas hosted per server relative
     /// to the number of owned nodes.
     pub r_fact: f64,
@@ -311,21 +316,11 @@ impl Default for LeaseConfig {
 /// map, which could propagate exactly the staleness being repaired. Peer
 /// selection draws only from the `tags::FAULTS` stream, so scripted chaos
 /// replays stay byte-identical. The default is inert.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ReconcileConfig {
-    /// Master switch for warm-rejoin / post-heal advertisement pushes.
+    /// Master switch for warm-rejoin / post-heal advertisement pushes
+    /// (to at most [`RECONCILE_FANOUT`] neighbor owners).
     pub enabled: bool,
-    /// Maximum distinct neighbor owners pushed to per rejoining server.
-    pub fanout: u32,
-}
-
-impl Default for ReconcileConfig {
-    fn default() -> ReconcileConfig {
-        ReconcileConfig {
-            enabled: false,
-            fanout: 8,
-        }
-    }
 }
 
 /// Replicated object storage (DESIGN.md §17): every object is a
@@ -448,8 +443,7 @@ pub enum ServerClass {
     /// [`RELAY_SPEED_FACTOR`]`×` service rate.
     Relay,
     /// Leaf server: accepts replicas/objects only for admission regions
-    /// on its allowlist (the regions containing nodes it owns, unless
-    /// `owned_admission` is off).
+    /// on its allowlist (the regions containing nodes it owns).
     Edge,
     /// An edge that additionally *pins* the replicas of its admitted
     /// regions: pinned records are exempt from lease expiry, idle
@@ -477,12 +471,8 @@ pub struct RoleConfig {
     /// and `s % keeper_every == 0`; otherwise it is a plain edge. `0`
     /// means no keepers.
     pub keeper_every: u32,
-    /// Relay queue depth relative to `queue_capacity` (≥ 1).
+    /// Relay queue depth relative to [`QUEUE_CAPACITY`] (≥ 1).
     pub relay_queue_factor: f64,
-    /// When `false`, edges and keepers do *not* derive admission from
-    /// the regions containing their owned nodes and admit only the
-    /// spine. The all-edge/empty-allowlist degenerate fleet.
-    pub owned_admission: bool,
 }
 
 impl Default for RoleConfig {
@@ -492,7 +482,6 @@ impl Default for RoleConfig {
             relay_every: 4,
             keeper_every: 2,
             relay_queue_factor: 4.0,
-            owned_admission: true,
         }
     }
 }
@@ -611,15 +600,12 @@ impl Config {
     pub fn paper_default(n_servers: u32) -> Config {
         Config {
             n_servers,
-            network_delay: 0.025,
-            queue_capacity: 32,
             cache_slots: 24,
             caching: true,
             replication: true,
             digests: true,
             path_propagation: true,
             hysteresis: true,
-            t_high: 0.75,
             r_fact: 2.0,
             r_map: 5,
             evict_weight_threshold: 0.01,
@@ -691,12 +677,6 @@ impl Config {
         if self.n_servers == 0 {
             return Err("n_servers must be positive".into());
         }
-        if self.network_delay < 0.0 {
-            return Err("network_delay must be non-negative".into());
-        }
-        if !(0.0 < self.t_high && self.t_high <= 1.0) {
-            return Err("t_high must be in (0, 1]".into());
-        }
         if self.r_fact < 0.0 {
             return Err("r_fact must be non-negative".into());
         }
@@ -746,9 +726,6 @@ impl Config {
         if self.leases.enabled && (!self.leases.ttl.is_finite() || self.leases.ttl < 0.0) {
             return Err("leases.ttl must be finite and non-negative".into());
         }
-        if self.reconcile.enabled && self.reconcile.fanout == 0 {
-            return Err("reconcile.fanout must be at least 1".into());
-        }
         if self.storage.enabled {
             if self.storage.n_objects == 0 {
                 return Err("storage.n_objects must be at least 1".into());
@@ -756,11 +733,17 @@ impl Config {
             if self.storage.replication_factor == 0 {
                 return Err("storage.replication_factor must be at least 1".into());
             }
-            if !self.storage.write_rate.is_finite() || self.storage.write_rate < 0.0 {
-                return Err("storage.write_rate must be finite and non-negative".into());
-            }
-            if !self.storage.read_rate.is_finite() || self.storage.read_rate < 0.0 {
-                return Err("storage.read_rate must be finite and non-negative".into());
+            // The drivers draw their gaps from `ExpService::new(1 / rate)`,
+            // so a positive rate needs a finite reciprocal too.
+            for (name, rate) in [
+                ("write_rate", self.storage.write_rate),
+                ("read_rate", self.storage.read_rate),
+            ] {
+                if !(rate == 0.0 || (rate > 0.0 && rate.is_finite() && (1.0 / rate).is_finite())) {
+                    return Err(format!(
+                        "storage.{name} must be 0, or positive with a finite 1/rate"
+                    ));
+                }
             }
             if !self.storage.read_timeout.is_finite() || self.storage.read_timeout <= 0.0 {
                 return Err("storage.read_timeout must be positive".into());
@@ -870,9 +853,6 @@ mod tests {
 
     #[test]
     fn validate_catches_bad_values() {
-        let mut c = Config::paper_default(4);
-        c.t_high = 1.5;
-        assert!(c.validate().is_err());
         let mut c = Config::paper_default(4);
         c.n_servers = 0;
         assert!(c.validate().is_err());
@@ -1024,14 +1004,9 @@ mod tests {
         c.leases.enabled = true;
         c.leases.ttl = -1.0;
         assert!(c.validate().is_err());
-        let mut c = Config::paper_default(4);
-        c.reconcile.enabled = true;
-        c.reconcile.fanout = 0;
-        assert!(c.validate().is_err());
         // Bounds are only enforced when the subsystem is enabled.
         let mut c = Config::paper_default(4);
         c.leases.ttl = -1.0;
-        c.reconcile.fanout = 0;
         assert_eq!(c.validate(), Ok(()));
         // ttl = 0 is a legal degenerate corner: sweep everything.
         let mut c = Config::paper_default(4);
@@ -1073,6 +1048,13 @@ mod tests {
         c.storage.enabled = true;
         c.storage.read_rate = -1.0;
         assert!(c.validate().is_err());
+        // Positive but so small that the mean gap overflows to infinity.
+        for tiny in [1e-310, f64::MIN_POSITIVE / 8.0] {
+            let mut c = Config::paper_default(4);
+            c.storage.enabled = true;
+            c.storage.read_rate = tiny;
+            assert!(c.validate().is_err(), "read_rate {tiny:e}");
+        }
         let mut c = Config::paper_default(4);
         c.storage.enabled = true;
         c.storage.read_timeout = 0.0;

@@ -163,17 +163,12 @@ impl StatelessContext {
     /// candidates that are down.
     pub(crate) fn peer_candidates(&self, id: ServerId, storage: bool, out: &mut Vec<ServerId>) {
         let (ns, asg) = (&self.ns, &self.assignment);
-        let neighbors = |node: NodeId| {
-            ns.parent(node)
-                .into_iter()
-                .chain(ns.children(node).iter().copied())
-        };
         out.clear();
         for &node in asg.owned_by(id) {
-            for nb in neighbors(node) {
+            for nb in ns.neighbors(node) {
                 out.push(asg.owner(nb));
                 if storage {
-                    out.extend(neighbors(nb).map(|nb2| asg.owner(nb2)));
+                    out.extend(ns.neighbors(nb).map(|nb2| asg.owner(nb2)));
                 }
             }
         }

@@ -739,15 +739,15 @@ mod tests {
     fn role_placement_violations_are_caught() {
         use crate::config::RoleConfig;
         use crate::roles::RoleMap;
-        let (ns, mut s) = fixture();
+        // All-edge fleet on a one-level tree: every leaf is its own
+        // region, admitted only by the server that owns it.
+        let (f, mut servers) = round_robin_fleet(balanced_tree(8, 1), Config::paper_default(4));
+        let (ns, mut s) = (f.ns.clone(), servers.swap_remove(0));
         let asg = OwnerAssignment::round_robin(&ns, 4);
-        // All-edge fleet, no owned-derived admission: nothing below the
-        // spine is admitted anywhere.
         let roles_cfg = RoleConfig {
             enabled: true,
             relay_every: 0,
             keeper_every: 0,
-            owned_admission: false,
             ..RoleConfig::default()
         };
         let map = RoleMap::build(&ns, &asg, &roles_cfg, 4);

@@ -52,10 +52,11 @@ pub struct QueryPacket {
     /// origin on completion. Bounded by [`crate::config::PATH_CAP`].
     pub path: Vec<(NodeId, NodeMap)>,
     /// The forwarding server's effective load (piggybacked profiling input
-    /// for partner selection).
-    pub sender_load: Option<(ServerId, f64)>,
-    /// The forwarding server's inverse-mapping digest.
-    pub sender_digest: Option<(ServerId, Digest)>,
+    /// for partner selection); the forwarder is [`QueryPacket::prev_hop`].
+    pub sender_load: Option<f64>,
+    /// The forwarding server's inverse-mapping digest, filed under
+    /// [`QueryPacket::prev_hop`].
+    pub sender_digest: Option<Digest>,
     /// The node the previous hop routed *via* (whose map named the
     /// receiver as a host). The receiver checks it against its actual
     /// hosted set to measure routing accuracy (§4.4's oracle comparison)
@@ -393,13 +394,15 @@ fn meta_bytes(meta: &Meta) -> u64 {
 }
 
 /// Modeled bytes of a query packet: the fixed fields plus the propagated
-/// path, the piggybacked digest, and the recent-hop ring.
+/// path, the piggybacked digest, and the recent-hop ring. The digest
+/// counts its owner's id too: a receiver files it under that id, which
+/// the packet carries as `prev_hop`.
 fn packet_bytes(p: &QueryPacket) -> u64 {
     PACKET_FIXED_BYTES
         + p.path.iter().map(node_map_bytes).sum::<u64>()
         + p.sender_digest
             .as_ref()
-            .map_or(0, |(_, d)| ID_BYTES + d.byte_size() as u64)
+            .map_or(0, |d| ID_BYTES + d.byte_size() as u64)
         + ID_BYTES * p.recent().len() as u64
 }
 

@@ -152,7 +152,7 @@ impl ServerState {
         // sudden hot-spot shifts shed load a window earlier.
         let sustained = self.load.effective_sustained(now);
         let saturated = self.load.measured() >= 0.98;
-        if sustained < self.fleet.cfg.t_high && !saturated {
+        if sustained < config::T_HIGH && !saturated {
             return;
         }
         let ls = self.load.effective(now);
@@ -172,9 +172,7 @@ impl ServerState {
             tried: vec![target],
             pending_shift: None,
         });
-        out.push(Outgoing::Event(ProtocolEvent::SessionStarted {
-            by: self.id,
-        }));
+        out.push(Outgoing::Event(ProtocolEvent::SessionStarted));
         out.push(Outgoing::Send {
             to: target,
             msg: Message::LoadProbe {
@@ -316,9 +314,7 @@ impl ServerState {
     pub(crate) fn abort_session(&mut self, now: f64, out: &mut Vec<Outgoing>) {
         self.session = None;
         self.cooldown_until = now + config::SESSION_COOLDOWN;
-        out.push(Outgoing::Event(ProtocolEvent::SessionAborted {
-            by: self.id,
-        }));
+        out.push(Outgoing::Event(ProtocolEvent::SessionAborted));
     }
 
     /// §3.3 step 3, transfer rule: rank hosted nodes by decayed weight and
@@ -349,7 +345,6 @@ impl ServerState {
                 .fleet
                 .ns
                 .neighbors(node)
-                .into_iter()
                 .filter_map(|nb| self.neighbor_map(nb).map(|m| (nb, *m)))
                 .collect();
             payloads.push(ReplicaPayload {
@@ -510,7 +505,6 @@ impl ServerState {
             installed.push(p.node);
             out.push(Outgoing::Event(ProtocolEvent::ReplicaCreated {
                 node: p.node,
-                at: self.id,
             }));
         }
         installed
@@ -540,10 +534,7 @@ impl ServerState {
                 rec.advertised_at = now;
             }
         }
-        out.push(Outgoing::Event(ProtocolEvent::SessionCompleted {
-            by: self.id,
-            installed: installed.len(),
-        }));
+        out.push(Outgoing::Event(ProtocolEvent::SessionCompleted));
         self.session = None;
     }
 
@@ -899,7 +890,7 @@ mod tests {
         assert!(servers[0].effective_load(now) < load_before);
         assert!(out5
             .iter()
-            .any(|o| matches!(o, Outgoing::Event(ProtocolEvent::SessionCompleted { .. }))));
+            .any(|o| matches!(o, Outgoing::Event(ProtocolEvent::SessionCompleted))));
         // The shipped nodes' maps at the source now advertise server 2.
         let replicated: Vec<NodeId> = servers[2].replica_ids().collect();
         for n in replicated {
@@ -1001,7 +992,7 @@ mod tests {
         assert!(!servers[1].hosts(lowest), "lowest-ranked replica evicted");
         assert!(out
             .iter()
-            .any(|o| matches!(o, Outgoing::Event(ProtocolEvent::ReplicaDeleted { node, .. }) if *node == lowest)));
+            .any(|o| matches!(o, Outgoing::Event(ProtocolEvent::ReplicaDeleted { node }) if *node == lowest)));
     }
 
     #[test]
@@ -1117,15 +1108,21 @@ mod tests {
 
     #[test]
     fn pick_partner_skips_non_admitting_servers() {
-        // All-edge fleet with empty allowlists: nobody admits server 0's
-        // home region, so there is no partner at all — neither via the
-        // profiled ranking nor the random fallback.
-        let (_, mut servers) = world_with(roles_on(RoleConfig {
-            relay_every: 0,
-            keeper_every: 0,
-            owned_admission: false,
-            ..RoleConfig::default()
-        }));
+        // All-edge fleet on a one-level tree: every leaf is its own
+        // region, admitted only by its owner, so nobody else admits
+        // server 0's home region and there is no partner at all —
+        // neither via the profiled ranking nor the random fallback.
+        let (f, mut servers) = round_robin_fleet(
+            balanced_tree(8, 1),
+            roles_on(RoleConfig {
+                relay_every: 0,
+                keeper_every: 0,
+                ..RoleConfig::default()
+            }),
+        );
+        let home = servers[0].home_node().unwrap();
+        let roles = f.roles.as_ref().unwrap();
+        assert!((1..4).all(|s| !roles.admits(ServerId(s), home)));
         let now = 1.0;
         servers[0].known_loads.observe(ServerId(2), 0.0, now);
         let mut rng = StdRng::seed_from_u64(8);
@@ -1151,7 +1148,7 @@ mod tests {
         assert!(servers[0].cooldown_until > now, "cooldown armed");
         assert!(out
             .iter()
-            .any(|o| matches!(o, Outgoing::Event(ProtocolEvent::SessionAborted { .. }))));
+            .any(|o| matches!(o, Outgoing::Event(ProtocolEvent::SessionAborted))));
         // A session targeting a different host survives.
         servers[0].session = Some(Session::new_for_tests(ServerId(3), now));
         out.clear();
@@ -1208,6 +1205,6 @@ mod tests {
         assert!(servers[0].cooldown_until > now);
         assert!(out
             .iter()
-            .any(|o| matches!(o, Outgoing::Event(ProtocolEvent::SessionAborted { .. }))));
+            .any(|o| matches!(o, Outgoing::Event(ProtocolEvent::SessionAborted))));
     }
 }

@@ -62,9 +62,8 @@ impl RoleMap {
 
     /// Builds the role map for a fleet of `n_servers` servers over `ns`.
     ///
-    /// Edges and keepers admit the regions containing nodes they own
-    /// (when `owned_admission` is set). Keepers pin the regions
-    /// containing their owned nodes regardless of `owned_admission`.
+    /// Edges and keepers admit the regions containing nodes they own;
+    /// keepers also pin them.
     pub fn build(
         ns: &Namespace,
         assignment: &OwnerAssignment,
@@ -123,10 +122,8 @@ impl RoleMap {
                     continue;
                 }
                 let idx = s * n_regions + r as usize;
-                if roles.owned_admission {
-                    if let Some(slot) = admit.get_mut(idx) {
-                        *slot = true;
-                    }
+                if let Some(slot) = admit.get_mut(idx) {
+                    *slot = true;
                 }
                 if pins {
                     if let Some(slot) = pinned.get_mut(idx) {
@@ -403,20 +400,21 @@ mod tests {
     }
 
     #[test]
-    fn empty_allowlists_admit_nothing_below_the_spine() {
-        let ns = balanced_tree(2, 4);
-        let asg = OwnerAssignment::round_robin(&ns, 8);
+    fn all_edge_fleet_admits_the_spine_and_owned_leaves_only() {
+        // A one-level tree makes every leaf its own region, so an edge
+        // admits the root and the leaves it owns, and nothing else.
+        let ns = balanced_tree(8, 1);
+        let asg = OwnerAssignment::round_robin(&ns, 4);
         let cfg = RoleConfig {
             relay_every: 0,
             keeper_every: 0,
-            owned_admission: false,
             ..roles_on()
         };
-        let map = RoleMap::build(&ns, &asg, &cfg, 8);
-        for s in 0..8 {
+        let map = RoleMap::build(&ns, &asg, &cfg, 4);
+        for s in (0..4).map(ServerId) {
             for node in ns.ids() {
-                let deep = ns.depth(node) >= 1;
-                assert_eq!(map.admits(ServerId(s), node), !deep);
+                let admitted = ns.depth(node) == 0 || asg.owner(node) == s;
+                assert_eq!(map.admits(s, node), admitted, "{s} {node}");
             }
         }
     }

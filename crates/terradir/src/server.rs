@@ -56,8 +56,6 @@ pub enum ProtocolEvent {
         hops: u32,
         /// Time the query entered the system.
         issued_at: f64,
-        /// Meta-data version returned with the result.
-        meta_version: u64,
         /// Children returned by a List query (empty for plain lookups).
         children: Vec<NodeId>,
         /// Whether this attempt hit at least one stale pointer on its way
@@ -68,16 +66,12 @@ pub enum ProtocolEvent {
     },
     /// A query exceeded the hop TTL and was discarded.
     DroppedTtl {
-        /// Query id.
-        id: u64,
         /// Lookup target (tenant attribution; DESIGN.md §19).
         target: NodeId,
     },
     /// A query could not be routed (no usable candidate — should not occur
     /// with a connected namespace).
     DroppedStuck {
-        /// Query id.
-        id: u64,
         /// Lookup target (tenant attribution; DESIGN.md §19).
         target: NodeId,
     },
@@ -85,59 +79,34 @@ pub enum ProtocolEvent {
     ReplicaCreated {
         /// The replicated node.
         node: NodeId,
-        /// The installing server.
-        at: ServerId,
     },
     /// A replica was evicted from this server.
     ReplicaDeleted {
         /// The evicted node.
         node: NodeId,
-        /// The evicting server.
-        at: ServerId,
     },
-    /// A replication session started (probe sent).
-    SessionStarted {
-        /// The initiating (overloaded) server.
-        by: ServerId,
-    },
-    /// A replication session completed with `installed` new replicas.
-    SessionCompleted {
-        /// The initiating server.
-        by: ServerId,
-        /// Replicas installed at the partner.
-        installed: usize,
-    },
-    /// A replication session gave up (no eligible partner).
-    SessionAborted {
-        /// The initiating server.
-        by: ServerId,
-    },
+    /// A replication session started at this server (probe sent).
+    SessionStarted,
+    /// A replication session of this server completed.
+    SessionCompleted,
+    /// A replication session of this server gave up (no eligible
+    /// partner).
+    SessionAborted,
     /// A host was newly marked dead in this server's negative cache
     /// (transport-failure feedback; DESIGN.md §12).
-    HostMarkedDead {
-        /// The unreachable server.
-        host: ServerId,
-    },
-    /// A forwarded query arrived at a server that does not host the node
-    /// it was routed via (stale soft state; DESIGN.md §14). Emitted
+    HostMarkedDead,
+    /// A forwarded query arrived at this server, which does not host the
+    /// node it was routed via (stale soft state; DESIGN.md §14). Emitted
     /// regardless of configuration — it is pure observation.
-    Misrouted {
-        /// The server the stale pointer named.
-        at: ServerId,
-    },
-    /// The lease sweep evicted stale soft state (DESIGN.md §14).
+    Misrouted,
+    /// This server's lease sweep evicted stale soft state (DESIGN.md
+    /// §14).
     LeaseExpired {
-        /// The sweeping server.
-        at: ServerId,
         /// Replica records, context maps, and cache entries evicted.
         count: u64,
     },
     /// A data fetch finished (step two of the two-step access).
     DataFetched {
-        /// Fetch id passed to [`ServerState::begin_fetch`].
-        id: u64,
-        /// The node.
-        node: NodeId,
         /// Whether data was obtained.
         ok: bool,
         /// Size of the data in bytes (0 on failure).
@@ -466,8 +435,7 @@ impl ServerState {
         self.fleet
             .ns
             .neighbors(node)
-            .iter()
-            .all(|nb| self.neighbor_maps.contains_key(nb))
+            .all(|nb| self.neighbor_maps.contains_key(&nb))
     }
 
     /// The server's current digest snapshot.
@@ -699,7 +667,7 @@ impl ServerState {
             self.abort_session(now, out);
         }
         if newly {
-            out.push(Outgoing::Event(ProtocolEvent::HostMarkedDead { host }));
+            out.push(Outgoing::Event(ProtocolEvent::HostMarkedDead));
         }
     }
 
@@ -847,7 +815,7 @@ impl ServerState {
                 // measure its detours — while the NACK upgrade below is
                 // the gated repair half.
                 p.misrouted = true;
-                out.push(Outgoing::Event(ProtocolEvent::Misrouted { at: self.id }));
+                out.push(Outgoing::Event(ProtocolEvent::Misrouted));
                 if let Some(prev) = p.prev_hop {
                     if prev != self.id {
                         if self.fleet.cfg.misroute_active() {
@@ -939,7 +907,6 @@ impl ServerState {
                 }
                 if p.hops > config::TTL_HOPS {
                     out.push(Outgoing::Event(ProtocolEvent::DroppedTtl {
-                        id: p.id,
                         target: p.target,
                     }));
                     return;
@@ -947,10 +914,10 @@ impl ServerState {
                 p.intended_via = Some(via);
                 p.prev_hop = Some(self.id);
                 p.push_recent(self.id);
-                p.sender_load = Some((self.id, self.load.effective(now)));
+                p.sender_load = Some(self.load.effective(now));
                 p.sender_digest = if self.fleet.cfg.digests {
                     // xtask: allow(alloc): Digest is Arc-backed — a refcount bump
-                    Some((self.id, self.digest.clone()))
+                    Some(self.digest.clone())
                 } else {
                     None
                 };
@@ -961,7 +928,6 @@ impl ServerState {
             }
             RouteChoice::Stuck => {
                 out.push(Outgoing::Event(ProtocolEvent::DroppedStuck {
-                    id: p.id,
                     target: p.target,
                 }));
             }
@@ -1001,26 +967,24 @@ impl ServerState {
             target: p.target,
             hops: p.hops,
             issued_at: p.issued_at,
-            meta_version: meta.version(),
             children: child_ids,
             misrouted: p.misrouted,
             detour_hops: p.detour_hops,
         }));
     }
 
-    /// Absorbs everything a packet carries: sender load, sender digest, and
-    /// the propagated path (merged into hosted records / neighbor maps /
-    /// the cache, whichever tracks the node).
+    /// Absorbs everything a packet carries: the last forwarder's load and
+    /// digest (filed under `prev_hop`), and the propagated path (merged
+    /// into hosted records / neighbor maps / the cache, whichever tracks
+    /// the node).
     fn absorb_piggyback(&mut self, now: f64, p: &mut QueryPacket, rng: &mut impl RngCore) {
-        if let Some((s, l)) = p.sender_load {
-            if s != self.id {
+        if let Some(s) = p.prev_hop.filter(|&s| s != self.id) {
+            if let Some(l) = p.sender_load {
                 self.known_loads.observe(s, l, now);
             }
-        }
-        if self.fleet.cfg.digests {
-            if let Some((s, d)) = &p.sender_digest {
-                if *s != self.id {
-                    self.digest_store.observe(*s, d);
+            if self.fleet.cfg.digests {
+                if let Some(d) = &p.sender_digest {
+                    self.digest_store.observe(s, d);
                 }
             }
         }
@@ -1164,9 +1128,7 @@ impl ServerState {
                 if now - s.started_at > config::SESSION_TIMEOUT {
                     self.session = None;
                     self.cooldown_until = now + config::SESSION_COOLDOWN;
-                    out.push(Outgoing::Event(ProtocolEvent::SessionAborted {
-                        by: self.id,
-                    }));
+                    out.push(Outgoing::Event(ProtocolEvent::SessionAborted));
                 }
             }
         }
@@ -1219,7 +1181,6 @@ impl ServerState {
         expired += self.cache.sweep_expired(now, ttl) as u64;
         if expired > 0 {
             out.push(Outgoing::Event(ProtocolEvent::LeaseExpired {
-                at: self.id,
                 count: expired,
             }));
         }
@@ -1260,10 +1221,7 @@ impl ServerState {
                 self.neighbor_maps.remove(&nb);
             }
         }
-        out.push(Outgoing::Event(ProtocolEvent::ReplicaDeleted {
-            node,
-            at: self.id,
-        }));
+        out.push(Outgoing::Event(ProtocolEvent::ReplicaDeleted { node }));
     }
 
     /// Rebuilds the digest only when the hosted set changed.
@@ -1513,8 +1471,6 @@ impl ServerState {
             if let Some(d) = self.data_store.get(&node) {
                 let bytes = d.len();
                 out.push(Outgoing::Event(ProtocolEvent::DataFetched {
-                    id,
-                    node,
                     ok: true,
                     bytes,
                 }));
@@ -1532,8 +1488,6 @@ impl ServerState {
         candidates.retain(|&h| h != self.id);
         if candidates.is_empty() {
             out.push(Outgoing::Event(ProtocolEvent::DataFetched {
-                id,
-                node,
                 ok: false,
                 bytes: 0,
             }));
@@ -1573,8 +1527,6 @@ impl ServerState {
         debug_assert_eq!(st.node, node, "fetch reply for the wrong node");
         if let Some(d) = data {
             out.push(Outgoing::Event(ProtocolEvent::DataFetched {
-                id,
-                node,
                 ok: true,
                 bytes: d.len(),
             }));
@@ -1595,8 +1547,6 @@ impl ServerState {
             return;
         }
         out.push(Outgoing::Event(ProtocolEvent::DataFetched {
-            id,
-            node,
             ok: false,
             bytes: 0,
         }));
@@ -1695,12 +1645,11 @@ mod tests {
         // Install a replica for a node far from everything owned.
         let far = ns
             .ids()
-            .filter(|&n| !s.hosts(n) && ns.neighbors(n).iter().all(|&nb| !s.hosts(nb)))
+            .filter(|&n| !s.hosts(n) && ns.neighbors(n).all(|nb| !s.hosts(nb)))
             .find(|&n| {
                 // also require no owned node adjacent to its neighbors
                 ns.neighbors(n)
-                    .iter()
-                    .all(|&nb| ns.neighbors(nb).iter().all(|&x| !s.hosts(x) || x == n))
+                    .all(|nb| ns.neighbors(nb).all(|x| !s.hosts(x) || x == n))
             });
         let Some(far) = far else { return }; // tree too small: skip
         s.replicas.insert(
@@ -1773,7 +1722,7 @@ mod tests {
                     .min();
                 let got = s.hosted_neighbor(n);
                 assert_eq!(got, scan, "node {n:?}, round {round}");
-                let any = ns.neighbors(n).iter().any(|&h| s.hosts(h));
+                let any = ns.neighbors(n).any(|h| s.hosts(h));
                 assert_eq!(got.is_some(), any, "node {n:?}, round {round}");
                 adjacent += usize::from(any);
             }
@@ -1840,7 +1789,7 @@ mod tests {
         s.handle_message(1.0, Message::Query(p.clone()), &mut rng, &mut out);
         assert!(out
             .iter()
-            .any(|o| matches!(o, Outgoing::Event(ProtocolEvent::Misrouted { .. }))));
+            .any(|o| matches!(o, Outgoing::Event(ProtocolEvent::Misrouted))));
         assert!(out.iter().any(
             |o| matches!(o, Outgoing::Send { to, msg: Message::NotHosting { .. } } if *to == ServerId(1))
         ));
@@ -1950,13 +1899,12 @@ mod tests {
     fn roles_on_config_alone_gates_replica_admission() {
         // The live runtime builds each server from the fleet constructor
         // and nothing else: a roles-on config must reach admission
-        // without any further set-up call. All-edge, no owned admission:
-        // nothing below the spine is admitted.
+        // without any further set-up call. All-edge on a one-level tree:
+        // every leaf is its own region, admitted only by its owner.
         let mut cfg = Config::paper_default(4);
         cfg.roles.enabled = true;
         (cfg.roles.relay_every, cfg.roles.keeper_every) = (0, 0);
-        cfg.roles.owned_admission = false;
-        let f = fleet(cfg);
+        let f = crate::context::round_robin_fleet(balanced_tree(8, 1), cfg).0;
         let mut s = ServerState::new(ServerId(1), &f);
         let foreign =
             f.ns.ids()
@@ -2019,7 +1967,7 @@ mod tests {
         let total: u64 = out
             .iter()
             .filter_map(|o| match o {
-                Outgoing::Event(ProtocolEvent::LeaseExpired { count, .. }) => Some(*count),
+                Outgoing::Event(ProtocolEvent::LeaseExpired { count }) => Some(*count),
                 _ => None,
             })
             .sum();

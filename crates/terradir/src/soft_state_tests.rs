@@ -54,6 +54,33 @@ fn not_hosting_correction_fires_on_inaccurate_via() {
     assert_eq!((checks, accurate), (1, 0));
 }
 
+/// A result reaching its origin carries the last forwarder's load and
+/// digest, and the origin files both under `prev_hop`: the resolver
+/// piggybacks nothing of its own on the result.
+#[test]
+fn result_piggyback_is_filed_under_the_last_forwarder() {
+    let (ns, _, mut servers) = world(4);
+    let (forwarder, resolver) = (ServerId(2), ServerId(3));
+    let target = ns.ids().find(|&n| !servers[0].hosts(n)).unwrap();
+    let mut p = QueryPacket::new(1, ServerId(0), target, 0.0);
+    p.prev_hop = Some(forwarder);
+    p.sender_load = Some(0.6);
+    p.sender_digest = Some(servers[2].digest().clone());
+    let result = Message::QueryResult {
+        packet: p,
+        resolved_by: resolver,
+        meta: crate::meta::Meta::new(),
+        children: vec![],
+    };
+    let mut out = Vec::new();
+    servers[0].handle_message(1.0, result, &mut StdRng::seed_from_u64(5), &mut out);
+    let origin = &mut servers[0];
+    assert_eq!(origin.known_loads.get_fresh(forwarder, 1.0, 5.0), Some(0.6));
+    assert_eq!(origin.known_loads.get_fresh(resolver, 1.0, 5.0), None);
+    assert!(origin.digest_store.get(forwarder).is_some());
+    assert!(origin.digest_store.get(resolver).is_none());
+}
+
 #[test]
 fn not_hosting_removes_entry_and_denies_digest() {
     let (ns, _, mut servers) = world(4);
@@ -329,7 +356,6 @@ fn data_fetch_succeeds_at_owner_and_skips_replicas() {
         meta: rec.meta.clone(),
         neighbors: ns
             .neighbors(node)
-            .into_iter()
             .map(|nb| (nb, NodeMap::singleton(asg.owner(nb))))
             .collect(),
         weight: 1.0,

@@ -197,18 +197,19 @@ mod tests {
     #[test]
     fn role_filter_restricts_targets_to_admitting_servers() {
         use crate::config::RoleConfig;
-        let ns = balanced_tree(2, 4);
+        // A one-level tree: every leaf is its own region, so an edge
+        // admits only the leaves it owns and the relays (every 4th
+        // server) admit the rest.
+        let ns = balanced_tree(8, 1);
         let assignment = OwnerAssignment::round_robin(&ns, 8);
         let cfg = StorageConfig {
             replication_factor: 4,
             ..StorageConfig::default()
         };
-        // Only relays (every 4th server) admit foreign regions.
         let roles_cfg = RoleConfig {
             enabled: true,
             relay_every: 4,
             keeper_every: 0,
-            owned_admission: false,
             ..RoleConfig::default()
         };
         let map = RoleMap::build(&ns, &assignment, &roles_cfg, 8);
@@ -221,9 +222,9 @@ mod tests {
                 assert!(map.admits(s, node), "node {id} placed on {s}");
             }
         }
-        // A deep node: only the owner + the two relays qualify, so the
-        // set comes up short of the factor.
-        let deep = NodeId(ns.len() as u32 - 1);
+        // A leaf owned by an edge: only the owner + the two relays
+        // qualify, so the set comes up short of the factor.
+        let deep = NodeId(7);
         replica_targets(deep, &ns, &assignment, &cfg, Some(&map), &mut out);
         assert!(out.len() <= 3, "owner + relays only, got {out:?}");
         // A role map that admits everything reproduces the unfiltered set.

@@ -228,11 +228,11 @@ impl System {
         let queue_caps: Vec<usize> = (0..cfg.n_servers)
             .map(|i| match &fleet.roles {
                 Some(r) if r.class_of(ServerId(i)) == crate::config::ServerClass::Relay => {
-                    let cap =
-                        (cfg.queue_capacity as f64 * cfg.roles.relay_queue_factor).round() as usize;
-                    cap.max(cfg.queue_capacity)
+                    let cap = (config::QUEUE_CAPACITY as f64 * cfg.roles.relay_queue_factor).round()
+                        as usize;
+                    cap.max(config::QUEUE_CAPACITY)
                 }
-                _ => cfg.queue_capacity,
+                _ => config::QUEUE_CAPACITY,
             })
             .collect(); // xtask: allow(alloc): construction, runs once per run
         if cfg.static_top_levels > 0 {
@@ -435,7 +435,6 @@ impl System {
                 .unwrap_or_default();
             let neighbors: Vec<(NodeId, crate::map::NodeMap)> = ns
                 .neighbors(node)
-                .into_iter()
                 .map(|nb| (nb, crate::map::NodeMap::singleton(assignment.owner(nb))))
                 .collect(); // xtask: allow(alloc): static bootstrap, once
             for &h in hosts.iter().skip(1) {
@@ -696,8 +695,8 @@ impl System {
 
     /// Bounded anti-entropy push (DESIGN.md §14): the server re-advertises
     /// up to [`config::RECONCILE_BATCH`] of its owned records to at most
-    /// `reconcile.fanout` namespace-neighbor owners, chosen from the fault
-    /// RNG so runs replay bit-identically. Inert unless
+    /// [`config::RECONCILE_FANOUT`] namespace-neighbor owners, chosen from
+    /// the fault RNG so runs replay bit-identically. Inert unless
     /// `reconcile.enabled` (and then draws no fault randomness at all, so
     /// disabled runs stay byte-identical to pre-reconcile baselines).
     fn warm_rejoin_push(&mut self, id: ServerId) {
@@ -712,7 +711,7 @@ impl System {
         self.shared.peer_candidates(id, false, &mut peers);
         peers.retain(|&p| !self.is_failed(p));
         peers.shuffle(&mut self.rng_faults);
-        peers.truncate(self.shared.cfg.reconcile.fanout as usize);
+        peers.truncate(config::RECONCILE_FANOUT as usize);
         // xtask: allow(alloc): reconcile push, fires only on heal/rejoin
         let mut nodes: Vec<NodeId> = server.owned_ids().collect();
         nodes.sort_unstable();
@@ -1825,20 +1824,18 @@ impl System {
         if to != from {
             self.charge_wire(&msg);
         }
-        let delay = self.shared.cfg.network_delay;
         let from = Some(from);
         self.engine
-            .schedule_in(delay, Event::Deliver { to, from, msg });
+            .schedule_in(config::NETWORK_DELAY, Event::Deliver { to, from, msg });
     }
 
     /// Substrate feedback (`HostDown`, `NotHosting`) to `to` if it is
     /// live: flat network delay, no sender, never charged to the wire.
     fn notify(&mut self, to: ServerId, msg: Message) {
         if !self.is_failed(to) {
-            let delay = self.shared.cfg.network_delay;
             let from = None;
             self.engine
-                .schedule_in(delay, Event::Deliver { to, from, msg });
+                .schedule_in(config::NETWORK_DELAY, Event::Deliver { to, from, msg });
         }
     }
 
@@ -1874,7 +1871,7 @@ impl System {
                         continue;
                     }
                     self.charge_wire(&msg);
-                    let mut delay = self.shared.cfg.network_delay;
+                    let mut delay = config::NETWORK_DELAY;
                     let loss_prob = self.shared.cfg.faults.loss_prob;
                     let jitter = self.shared.cfg.faults.jitter;
                     if loss_prob > 0.0 {
@@ -1943,27 +1940,27 @@ impl System {
                     }
                 }
             }
-            ProtocolEvent::DroppedTtl { target, .. } => {
+            ProtocolEvent::DroppedTtl { target } => {
                 let tenant = self.shared.tenant_of(target);
                 let retry = self.shared.cfg.retry.enabled;
                 self.stats.on_lost(now, DropKind::Ttl, retry, tenant);
             }
-            ProtocolEvent::DroppedStuck { target, .. } => {
+            ProtocolEvent::DroppedStuck { target } => {
                 let tenant = self.shared.tenant_of(target);
                 let retry = self.shared.cfg.retry.enabled;
                 self.stats.on_lost(now, DropKind::Stuck, retry, tenant);
             }
-            ProtocolEvent::HostMarkedDead { .. } => self.stats.negative_evictions += 1,
-            ProtocolEvent::Misrouted { .. } => self.stats.misroutes += 1,
-            ProtocolEvent::LeaseExpired { count, .. } => self.stats.lease_evictions += count,
-            ProtocolEvent::ReplicaCreated { node, .. } => {
+            ProtocolEvent::HostMarkedDead => self.stats.negative_evictions += 1,
+            ProtocolEvent::Misrouted => self.stats.misroutes += 1,
+            ProtocolEvent::LeaseExpired { count } => self.stats.lease_evictions += count,
+            ProtocolEvent::ReplicaCreated { node } => {
                 let level = self.shared.ns.depth(node);
                 self.stats.on_replica_created(now, level);
             }
             ProtocolEvent::ReplicaDeleted { .. } => self.stats.replicas_deleted += 1,
-            ProtocolEvent::SessionStarted { .. } => self.stats.sessions_started += 1,
-            ProtocolEvent::SessionCompleted { .. } => self.stats.sessions_completed += 1,
-            ProtocolEvent::SessionAborted { .. } => self.stats.sessions_aborted += 1,
+            ProtocolEvent::SessionStarted => self.stats.sessions_started += 1,
+            ProtocolEvent::SessionCompleted => self.stats.sessions_completed += 1,
+            ProtocolEvent::SessionAborted => self.stats.sessions_aborted += 1,
             ProtocolEvent::DataFetched { ok, .. } => {
                 if ok {
                     self.stats.data_fetches_ok += 1;
@@ -2308,10 +2305,9 @@ mod tests {
             sys.stats().reconcile_pushes
         };
         let on = run(true);
-        let cfg = Config::paper_default(8);
         assert!(on > 0, "enabled rejoin must push advertisements");
         assert!(
-            on <= u64::from(cfg.reconcile.fanout) * u64::from(config::RECONCILE_BATCH),
+            on <= u64::from(config::RECONCILE_FANOUT) * u64::from(config::RECONCILE_BATCH),
             "pushes {on} exceed fanout × batch bound"
         );
         assert_eq!(run(false), 0, "disabled reconcile must stay silent");
@@ -2581,15 +2577,14 @@ mod tests {
 
     #[test]
     fn foreign_replica_trips_the_role_placement_checker() {
-        let mut sys = small_system(|c| {
-            // The degenerate all-edge fleet with an empty allowlist: no
-            // server admits any non-spine node, so any planted foreign
-            // replica is guaranteed to violate placement.
-            c.roles.enabled = true;
-            c.roles.relay_every = 0;
-            c.roles.keeper_every = 0;
-            c.roles.owned_admission = false;
-        });
+        // An all-edge fleet on a one-level tree: every leaf is its own
+        // region, admitted only by its owner, so most (server, leaf)
+        // pairs are not admitted.
+        let mut cfg = Config::paper_default(8).with_seed(7);
+        cfg.roles.enabled = true;
+        cfg.roles.relay_every = 0;
+        cfg.roles.keeper_every = 0;
+        let mut sys = System::new(balanced_tree(32, 1), cfg, StreamPlan::unif(60.0), 40.0);
         sys.run_until(5.0);
         assert!(sys.audit().is_empty(), "{:?}", sys.audit());
         let roles = sys.roles().expect("roles on").clone();
@@ -2721,12 +2716,11 @@ mod tests {
 
     #[test]
     fn tenant_drops_are_attributed_under_stress() {
-        // Saturate tiny queues so shed/queue-full drops occur, then
-        // check the per-tenant ledger saw them.
+        // Offer twice the fleet's service capacity so queue-full drops
+        // occur, then check the per-tenant ledger saw them.
         let run = |tenants: bool| {
             let ns = balanced_tree(2, 5);
             let mut cfg = Config::paper_default(4).with_seed(11);
-            cfg.queue_capacity = 2;
             if tenants {
                 cfg.tenants.enabled = true;
                 cfg.tenants.specs.push(crate::config::TenantSpec {
@@ -2735,7 +2729,7 @@ mod tests {
                     slo_availability: 0.999,
                 });
             }
-            let mut sys = System::new(ns, cfg, StreamPlan::unif(900.0), 40.0);
+            let mut sys = System::new(ns, cfg, StreamPlan::unif(900.0), 400.0);
             sys.run_until(20.0);
             (
                 sys.stats().dropped_total(),

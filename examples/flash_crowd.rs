@@ -10,20 +10,20 @@
 //! ```
 
 use terradir_repro::namespace::balanced_tree;
+use terradir_repro::protocol::config::T_HIGH;
 use terradir_repro::protocol::{Config, System};
 use terradir_repro::workload::StreamPlan;
 
 fn main() {
     let ns = balanced_tree(2, 9); // 1023 nodes
     let cfg = Config::paper_default(128).with_seed(3);
-    let t_high = cfg.t_high;
 
     // 20 s of calm uniform traffic, then the crowd arrives: Zipf order 1.5
     // means the most popular node alone draws ~38 % of all lookups.
     let plan = StreamPlan::adaptation(1.5, 20.0, 1, 100.0);
     let mut sys = System::new(ns, cfg, plan, 700.0);
 
-    println!("T_high = {t_high}; flash crowd hits at t = 20 s\n");
+    println!("T_high = {T_HIGH}; flash crowd hits at t = 20 s\n");
     println!("   t   max-load  drops/s  sessions  replicas  hot-node hosts");
     let mut prev_sessions = 0;
     for step in 1..=30 {

@@ -165,7 +165,6 @@ proptest! {
                         meta: Meta::new(),
                         neighbors: ns
                             .neighbors(NodeId(node))
-                            .into_iter()
                             .map(|nb| (nb, NodeMap::singleton(asg.owner(nb))))
                             .collect(),
                         weight,

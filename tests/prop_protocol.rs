@@ -19,20 +19,16 @@ fn arb_cfg() -> impl Strategy<Value = Config> {
         ],
         0.25f64..3.0, // r_fact
         2usize..7,    // r_map
-        0.5f64..0.95, // t_high
     )
-        .prop_map(
-            |(logn, seed, (caching, replication), r_fact, r_map, t_high)| {
-                let mut cfg = Config::paper_default(1 << logn).with_seed(seed);
-                cfg.caching = caching;
-                cfg.replication = replication;
-                cfg.digests = caching;
-                cfg.r_fact = r_fact;
-                cfg.r_map = r_map;
-                cfg.t_high = t_high;
-                cfg
-            },
-        )
+        .prop_map(|(logn, seed, (caching, replication), r_fact, r_map)| {
+            let mut cfg = Config::paper_default(1 << logn).with_seed(seed);
+            cfg.caching = caching;
+            cfg.replication = replication;
+            cfg.digests = caching;
+            cfg.r_fact = r_fact;
+            cfg.r_map = r_map;
+            cfg
+        })
 }
 
 fn arb_plan() -> impl Strategy<Value = (StreamPlan, f64)> {

@@ -58,10 +58,9 @@ fn meta_updates_reach_later_lookups() {
     let rt = fleet(3);
     let node = NodeId(5);
     rt.update_meta(node, "mime", "image/png").unwrap();
-    // Give the owner's inbox a moment, then lookup and check the version
-    // arrives (versions surface via the Resolved event's meta_version; the
-    // public aggregate only counts, so assert indirectly: a lookup still
-    // resolves and the owner snapshot keeps its state).
+    // Give the owner's inbox a moment, then look up the node. The public
+    // aggregate only counts, so assert indirectly: a lookup still
+    // resolves and the owner snapshot keeps its state.
     std::thread::sleep(Duration::from_millis(50));
     let origin = ServerId((rt.assignment().owner(node).0 + 1) % 4);
     rt.inject(origin, node).unwrap();
