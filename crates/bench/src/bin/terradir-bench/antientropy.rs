@@ -4,8 +4,8 @@
 //!
 //! - **Steady-churn wire sweep**: the churn scenario with storage on,
 //!   gossip culture {chatty, taciturn, hybrid}. Chatty re-ships its full
-//!   hosted state every round; taciturn ships a windowed digest whose
-//!   steady-state cost is O(changed); hybrid adds a bounded eager push on
+//!   hosted state every round; taciturn ships a digest its sender prices
+//!   as a delta, O(changed) in steady state; hybrid adds a bounded eager push on
 //!   top of the digest. Taciturn must strictly undercut chatty on gossip
 //!   bytes, and hybrid must cost no more than chatty.
 //! - **Reconvergence sweep**: the scripted cut-heal/crash-recover

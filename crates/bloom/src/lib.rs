@@ -14,11 +14,9 @@
 //!   hashing (Kirsch & Mitzenmacher), sized from a target capacity and
 //!   false-positive rate.
 //! - [`Digest`] — a versioned, immutable snapshot of a server's hosted-name
-//!   set, as shipped in messages.
-//! - [`WindowedDigest`] — a generation-stamped digest with a bounded window
-//!   of recently changed keys, so anti-entropy gossip ships O(changed)
-//!   deltas in steady state and falls back to the full snapshot when the
-//!   window is exceeded (DESIGN.md §18).
+//!   set, as shipped in messages. Anti-entropy gossip (DESIGN.md §18) ships
+//!   the same type over hosted names and object-version keys; its delta
+//!   pricing is sender-side bookkeeping outside this crate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -27,8 +25,6 @@
 pub mod bloom;
 pub mod digest;
 pub mod hashing;
-pub mod windowed;
 
 pub use bloom::{BloomFilter, BloomParams};
 pub use digest::{Digest, DigestBuilder};
-pub use windowed::{generation_newer, WindowedDigest};

@@ -380,7 +380,7 @@ pub enum GossipCulture {
     /// peer. Fast propagation, O(state) bytes per round, and no
     /// stale-entry purging (pushes only add evidence).
     Chatty,
-    /// Digest-driven pull: every round a server ships its windowed
+    /// Digest-driven pull: every round a server ships its gossip
     /// digest; receivers purge entries the digest disclaims and push
     /// back only object versions the digest shows missing or older.
     /// O(changed) bytes in steady state.

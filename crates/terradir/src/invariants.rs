@@ -194,7 +194,7 @@ pub fn check_digest_no_false_negative(server: &ServerState) -> Vec<String> {
 }
 
 /// Gossip-digest soundness (DESIGN.md §18): like the routing digest, the
-/// windowed anti-entropy digest may return false positives but never
+/// anti-entropy digest may return false positives but never
 /// false negatives — once sealed, it must claim every name the server
 /// hosts *and* every `name#v<version>` key for an object it stores. A
 /// false negative would make a peer purge live soft state or pull-reply

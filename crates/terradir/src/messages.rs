@@ -323,7 +323,7 @@ pub enum Message {
         from: ServerId,
     },
     /// Anti-entropy round opener (DESIGN.md §18; taciturn and hybrid
-    /// cultures): the gossiping server ships its windowed digest over
+    /// cultures): the gossiping server ships its gossip digest over
     /// hosted names and stored-object versions to a namespace-neighbor
     /// peer. The receiver purges soft-state entries the digest disclaims
     /// (`purge_disclaimed`) and pulls back — via [`Message::GossipReply`]
@@ -331,13 +331,13 @@ pub enum Message {
     GossipDigest {
         /// The gossiping server.
         from: ServerId,
-        /// Its current windowed digest (hosted names + object keys).
-        digest: terradir_bloom::WindowedDigest,
-        /// The digest generation the sender last shipped to this peer
-        /// (`None` on first contact). Determines the modeled wire cost:
-        /// a delta when the window still covers that generation, the
-        /// full snapshot otherwise.
-        since: Option<u64>,
+        /// Its current gossip digest (hosted names + object keys).
+        digest: terradir_bloom::Digest,
+        /// Modeled wire bytes of the digest, priced by the sender from
+        /// the generation it last shipped to this peer: a delta when its
+        /// window still covers that generation, the full snapshot
+        /// otherwise (`GossipState::wire_bytes`).
+        wire: u64,
     },
     /// Eager anti-entropy push (chatty and hybrid cultures): fresh
     /// singleton advertisements for records the sender hosts, plus
@@ -433,10 +433,10 @@ impl Message {
     /// (DESIGN.md §18). The model charges a fixed envelope per message
     /// plus the variant's payload: 4 bytes per id/map entry, 16 per
     /// stored object, actual string bytes for meta attributes, and the
-    /// Bloom filter's real backing size for digests. Windowed gossip
-    /// digests are charged at delta cost when the receiver's last-seen
-    /// generation is still inside the window — that asymmetry is the
-    /// entire point of the windowed digest.
+    /// Bloom filter's real backing size for digests. A gossip digest
+    /// carries the price its sender computed: delta cost when the
+    /// receiver's last-seen generation is still inside the sender's
+    /// window, the full snapshot otherwise.
     pub fn wire_bytes(&self) -> u64 {
         let payload = match self {
             Message::Query(p) => packet_bytes(p),
@@ -472,9 +472,7 @@ impl Message {
             Message::ObjectReply { obj, .. } => {
                 8 + ID_BYTES + ID_BYTES + obj.map_or(0, |_| OBJECT_BYTES)
             }
-            Message::GossipDigest { digest, since, .. } => {
-                ID_BYTES + digest.wire_bytes_since(*since) as u64
-            }
+            Message::GossipDigest { wire, .. } => ID_BYTES + wire,
             Message::GossipPush {
                 records, objects, ..
             } => {
@@ -687,10 +685,11 @@ mod tests {
         assert_eq!(p.detour_hops, 0);
     }
 
-    fn windowed() -> terradir_bloom::WindowedDigest {
+    fn gossip_digest() -> terradir_bloom::Digest {
         let params = terradir_bloom::BloomParams::for_capacity(8, 0.01, 0);
-        let g0 = terradir_bloom::WindowedDigest::empty(params);
-        terradir_bloom::WindowedDigest::next(&g0, params, ["/a"], ["/a"], 8)
+        let mut b = terradir_bloom::DigestBuilder::new(params);
+        b.add("/a");
+        b.seal(1)
     }
 
     #[test]
@@ -702,8 +701,8 @@ mod tests {
         };
         let dig = Message::GossipDigest {
             from: ServerId(3),
-            digest: windowed(),
-            since: None,
+            digest: gossip_digest(),
+            wire: 0,
         };
         assert!(dig.is_control());
         assert_eq!(dig.sender(), Some(ServerId(3)));
@@ -766,18 +765,16 @@ mod tests {
     }
 
     #[test]
-    fn windowed_digest_delta_undercuts_full_on_wire() {
-        let d = windowed();
-        let delta = Message::GossipDigest {
-            from: ServerId(0),
-            digest: d.clone(),
-            since: Some(d.generation().wrapping_sub(1)),
-        };
-        let full = Message::GossipDigest {
-            from: ServerId(0),
-            digest: d,
-            since: None,
-        };
-        assert!(delta.wire_bytes() < full.wire_bytes());
+    fn gossip_digest_is_charged_its_sender_price() {
+        // The sender prices the digest (delta or full snapshot); the
+        // message adds the sender id and the envelope, nothing else.
+        for wire in [0, 24, 4096] {
+            let msg = Message::GossipDigest {
+                from: ServerId(0),
+                digest: gossip_digest(),
+                wire,
+            };
+            assert_eq!(msg.wire_bytes(), HEADER_BYTES + ID_BYTES + wire);
+        }
     }
 }

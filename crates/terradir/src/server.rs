@@ -131,8 +131,8 @@ pub enum ProtocolEvent {
         at: ServerId,
         /// The gossiping (soliciting) server.
         from: ServerId,
-        /// The solicitor's windowed digest.
-        digest: terradir_bloom::WindowedDigest,
+        /// The solicitor's gossip digest.
+        digest: terradir_bloom::Digest,
     },
 }
 
@@ -191,9 +191,10 @@ pub struct ServerState {
     /// kept out of every stored map; entries expire after
     /// [`config::DEAD_TTL`] or on any message proving the host alive.
     pub(crate) negative: DetHashMap<ServerId, f64>,
-    /// Anti-entropy gossip bookkeeping (DESIGN.md §18): the windowed
-    /// digest over hosted names and object-version keys, its change
-    /// tracking, and per-peer delta bases. Inert while gossip is off.
+    /// Anti-entropy gossip bookkeeping (DESIGN.md §18): the gossip digest
+    /// over hosted names and object-version keys, its delta-window tally,
+    /// change tracking, and per-peer delta bases. Inert while gossip is
+    /// off.
     pub(crate) gossip: crate::gossip::GossipState,
     /// Reusable buffers of the route decision (never read across calls).
     pub(crate) route_scratch: crate::routing::RouteScratch,
@@ -549,16 +550,16 @@ impl ServerState {
             Message::GossipDigest {
                 from,
                 digest,
-                since: _,
+                wire: _,
             } => {
                 // Routing arm (DESIGN.md §18): the digest's plain-name
                 // class is a hosted-set snapshot, so prune every stale
                 // entry naming the gossiper — the PR-4 `purge_disclaimed`
                 // machinery — and feed the shortcut store.
                 if self.fleet.cfg.digests {
-                    self.digest_store.observe(from, digest.full());
+                    self.digest_store.observe(from, &digest);
                 }
-                self.purge_disclaimed(from, digest.full());
+                self.purge_disclaimed(from, &digest);
                 // Object arm: the substrate owns the replica-set
                 // membership math, so hand the digest up for pull
                 // selection (it replies with a `GossipReply`).
@@ -1243,11 +1244,11 @@ impl ServerState {
         self.digest_dirty = false;
     }
 
-    /// The server's current windowed gossip digest (DESIGN.md §18),
-    /// resealed first if the hosted set or object store changed since the
-    /// last round. The returned value is a cheap `Arc`-backed clone, fit
+    /// The server's current gossip digest (DESIGN.md §18), resealed
+    /// first if the hosted set or object store changed since the last
+    /// round. The returned value is a cheap `Arc`-backed clone, fit
     /// for shipping to every peer of the round.
-    pub(crate) fn gossip_digest(&mut self) -> terradir_bloom::WindowedDigest {
+    pub(crate) fn gossip_digest(&mut self) -> terradir_bloom::Digest {
         if self.gossip.dirty || self.gossip.digest.is_none() {
             self.reseal_gossip_digest();
         }
@@ -1256,7 +1257,7 @@ impl ServerState {
             Some(d) => d.clone(),
             // Unreachable (reseal always installs a digest); an empty
             // digest keeps the accessor total without panicking.
-            None => terradir_bloom::WindowedDigest::empty(self.gossip_params(8)),
+            None => terradir_bloom::Digest::empty(self.gossip_params(8)),
         }
     }
 
@@ -1273,14 +1274,13 @@ impl ServerState {
     }
 
     /// Seals the next gossip-digest generation: every hosted name plus an
-    /// `name#v<version>` key per stored object. Per-node changes recorded
-    /// since the last seal become the delta window; a reset (`mark_all`)
-    /// seals a fresh snapshot with a broken window instead, forcing
-    /// behind peers onto the full filter.
+    /// `name#v<version>` key per stored object. The keys of the nodes
+    /// changed since the last seal are tallied into the delta window; a
+    /// reset (`mark_all`) empties the window instead, forcing behind
+    /// peers onto the full filter.
     fn reseal_gossip_digest(&mut self) {
-        use terradir_bloom::{DigestBuilder, WindowedDigest};
         let capacity = Self::digest_capacity(&self.fleet.cfg, self.owned.len()) + self.store.len();
-        let mut filter = DigestBuilder::new(self.gossip_params(capacity));
+        let mut filter = terradir_bloom::DigestBuilder::new(self.gossip_params(capacity));
         let mut key_buf = std::mem::take(&mut self.gossip.key_buf);
         for &n in self.owned.keys().chain(self.replicas.keys()) {
             filter.add(self.fleet.ns.name(n).as_str());
@@ -1289,49 +1289,32 @@ impl ServerState {
             crate::gossip::object_key(&mut key_buf, self.fleet.ns.name(node).as_str(), obj.version);
             filter.add(&key_buf);
         }
-        let prev_gen = self
-            .gossip
-            .digest
-            .as_ref()
-            .map_or(0, WindowedDigest::generation);
-        let next = if let (Some(prev), false) = (&self.gossip.digest, self.gossip.all_changed) {
-            // Render the changed nodes' *current* keys for the delta
-            // window. Removals have no current key and cannot be
-            // expressed — the full filter already disclaims them,
-            // which is the authoritative signal peers act on.
-            let mut changed = std::mem::take(&mut self.gossip.changed);
-            changed.sort_unstable();
-            changed.dedup();
-            let mut changed_keys = std::mem::take(&mut self.gossip.changed_keys);
-            changed_keys.clear();
-            for &node in &changed {
+        let delta = if self.gossip.digest.is_some() && !self.gossip.all_changed {
+            // Tally the changed nodes' *current* keys. Removals have no
+            // current key and cannot be expressed — the full filter
+            // already disclaims them, which is the authoritative signal
+            // peers act on.
+            self.gossip.changed.sort_unstable();
+            self.gossip.changed.dedup();
+            let mut tally = crate::gossip::KeyTally::default();
+            for &node in &self.gossip.changed {
                 let name = self.fleet.ns.name(node).as_str();
                 if self.hosts(node) {
-                    // xtask: allow(alloc): bounded by the per-round change set
-                    changed_keys.push(name.to_string());
+                    tally.add(name);
                 }
                 if let Some(obj) = self.store.get(&node) {
                     crate::gossip::object_key(&mut key_buf, name, obj.version);
-                    // xtask: allow(alloc): bounded by the per-round change set
-                    changed_keys.push(key_buf.clone());
+                    tally.add(&key_buf);
                 }
             }
-            let next = WindowedDigest::seal_next(
-                prev,
-                filter,
-                changed_keys.iter().map(String::as_str),
-                self.fleet.cfg.gossip.window as usize,
-            );
-            changed.clear();
-            self.gossip.changed = changed;
-            self.gossip.changed_keys = changed_keys;
-            next
+            Some(tally)
         } else {
-            self.gossip.changed.clear();
-            WindowedDigest::seal_snapshot(filter, prev_gen.wrapping_add(1))
+            None
         };
+        self.gossip.changed.clear();
         self.gossip.key_buf = key_buf;
-        self.gossip.digest = Some(next);
+        self.gossip
+            .seal(filter, delta, self.fleet.cfg.gossip.window as usize);
         self.gossip.dirty = false;
         self.gossip.all_changed = false;
     }

@@ -918,9 +918,10 @@ impl System {
     /// - **chatty** pushes fresh singleton advertisements for everything
     ///   the server hosts plus its object copies (membership-filtered per
     ///   peer): O(state) bytes every round, nothing ever pruned;
-    /// - **taciturn** ships the windowed digest; each receiver purges the
-    ///   soft state the digest disclaims and pulls back only the object
-    ///   versions it shows missing or older;
+    /// - **taciturn** ships the gossip digest, priced per peer from the
+    ///   sender's delta-window tally; each receiver purges the soft state
+    ///   the digest disclaims and pulls back only the object versions it
+    ///   shows missing or older;
     /// - **hybrid** is taciturn plus an eager push of the keys changed
     ///   since the last round (bounded by `gossip.window`).
     ///
@@ -1016,11 +1017,11 @@ impl System {
         self.gossip_peers = peers;
     }
 
-    /// Ships `id`'s current windowed digest to each round peer, tagging
-    /// each copy with the generation last shipped to that peer — the
-    /// wire-cost model's delta base. The digest itself is identical
-    /// either way; only its charged bytes differ (O(changed) in steady
-    /// state, the full filter after a reset or for a first contact).
+    /// Ships `id`'s current gossip digest to each round peer, priced
+    /// from the generation last shipped to that peer — the wire-cost
+    /// model's delta base. The digest itself is identical either way;
+    /// only its charged bytes differ (O(changed) in steady state, the
+    /// full filter after a reset or for a first contact).
     fn gossip_send_digest(&mut self, id: ServerId, peers: &[ServerId]) {
         // xtask: region(dispatch): begin — gossip send helper: the digest snapshot and per-peer generation stamps mutate the sender's own context
         let digest = match self.ctxs.get_mut(id.index()) {
@@ -1029,16 +1030,19 @@ impl System {
         };
         let gen = digest.generation();
         for &peer in peers {
-            let since = match self.ctxs.get_mut(id.index()) {
-                Some(c) => c.server.gossip.note_sent(peer, gen),
-                None => None,
+            let wire = match self.ctxs.get_mut(id.index()) {
+                Some(c) => {
+                    let since = c.server.gossip.note_sent(peer, gen);
+                    c.server.gossip.wire_bytes(&digest, since)
+                }
+                None => 0,
             };
             // xtask: region(dispatch): end
             let msg = Message::GossipDigest {
                 from: id,
                 // xtask: allow(alloc): Arc-backed digest clone, O(1) per peer
                 digest: digest.clone(),
-                since,
+                wire,
             };
             self.send_direct(id, peer, msg);
         }

@@ -37,14 +37,19 @@ use crate::lexer::{cfg_test_ranges, line_of, scrub};
 /// §16 documents the policy for extending this list.
 pub const HOT_PATH_FILES: &[&str] = &[
     "crates/bloom/src/bloom.rs",
+    "crates/bloom/src/digest.rs",
     "crates/bloom/src/hashing.rs",
     "crates/namespace/src/distance.rs",
     "crates/namespace/src/tree.rs",
     "crates/sim/src/calendar.rs",
     "crates/terradir/src/cache.rs",
+    "crates/terradir/src/digests.rs",
     "crates/terradir/src/flat.rs",
     "crates/terradir/src/gossip.rs",
+    "crates/terradir/src/load.rs",
     "crates/terradir/src/map.rs",
+    "crates/terradir/src/messages.rs",
+    "crates/terradir/src/records.rs",
     "crates/terradir/src/roles.rs",
     "crates/terradir/src/routing.rs",
     "crates/terradir/src/server.rs",
