@@ -306,14 +306,14 @@ pub fn run(args: Args, checks: &mut ShapeChecks) {
     // ---- Replay + inertness arms -------------------------------------
     let replay_a = run_one(
         &scale,
-        churn_cfg(Some(GossipCulture::Hybrid)),
+        churn_cfg(Some(GossipCulture::Chatty)),
         dur,
         dur_drain,
         None,
     );
     let replay_b = run_one(
         &scale,
-        churn_cfg(Some(GossipCulture::Hybrid)),
+        churn_cfg(Some(GossipCulture::Chatty)),
         dur,
         dur_drain,
         None,
@@ -343,7 +343,7 @@ pub fn run(args: Args, checks: &mut ShapeChecks) {
     );
     let inert_b = run_one(
         &scale,
-        inert_cfg(GossipCulture::Hybrid, 7, 512),
+        inert_cfg(GossipCulture::Taciturn, 7, 512),
         dur,
         dur_drain,
         None,

@@ -8,7 +8,7 @@
 //! with every optional subsystem on (roles, tenants, leases, reconcile,
 //! faults, heterogeneous speeds), one with retries off so every loss
 //! is a final drop (tenants, shedding, a partition cut, transport loss, a
-//! flash crowd) and one with hybrid gossip under churn on 256 servers,
+//! flash crowd) and one with chatty gossip under churn on 256 servers,
 //! pinned field for field.
 //!
 //! The route decision's speed work (rank-first candidate build, path-table
@@ -242,18 +242,18 @@ fn final_drop_attribution_summary_is_pinned() {
     assert_eq!(got, FINAL_DROPS, "a drop's attribution or a draw changed");
 }
 
-/// Hybrid gossip under churn on 256 servers with storage: every periodic
+/// Chatty gossip under churn on 256 servers with storage: every periodic
 /// sweep (maintenance, utilization sampling, gossip rounds) runs while
-/// liveness changes between sweeps, and the hybrid culture's eager push
-/// runs on top of the taciturn digest exchange. No other pinned run
-/// takes the hybrid path. The per-second load series are pinned too,
-/// since the summary carries neither.
-fn hybrid_gossip_churn() -> System {
+/// liveness changes between sweeps, and the chatty culture's eager push
+/// of every owned record runs each round. No other pinned run takes the
+/// chatty path. The per-second load series are pinned too, since the
+/// summary carries neither.
+fn chatty_gossip_churn() -> System {
     let ns = balanced_tree(2, 7);
     let mut cfg = Config::paper_default(256).with_seed(42);
     cfg.storage.enabled = true;
     cfg.gossip.enabled = true;
-    cfg.gossip.culture = GossipCulture::Hybrid;
+    cfg.gossip.culture = GossipCulture::Chatty;
     cfg.gossip.interval = 0.5;
     cfg.churn.enabled = true;
     cfg.churn.mean_uptime = 4.0;
@@ -265,8 +265,8 @@ fn hybrid_gossip_churn() -> System {
 }
 
 #[test]
-fn hybrid_gossip_churn_summary_is_pinned() {
-    let sys = hybrid_gossip_churn();
+fn chatty_gossip_churn_summary_is_pinned() {
+    let sys = chatty_gossip_churn();
     let st = sys.stats();
     let got = format!(
         "{} load_mean={:?} load_max={:?}",
@@ -274,7 +274,7 @@ fn hybrid_gossip_churn_summary_is_pinned() {
         st.load_mean_per_sec,
         st.load_max_per_sec,
     );
-    assert_eq!(got, HYBRID_GOSSIP, "a routed hop, sweep or draw changed");
+    assert_eq!(got, CHATTY_GOSSIP, "a routed hop, sweep or draw changed");
 }
 
 /// A unary chain of 121 nodes on 160 servers, round-robin: node `i`
@@ -474,30 +474,29 @@ const FINAL_DROPS: &str = concat!(
     r#" 1463, 0, 0, 0, 7030] tenants=[983, 1840]/[806, 587]/[177,"#,
     r#" 1253] minority=617/273 majority=2206/1120"#,
 );
-const HYBRID_GOSSIP: &str = concat!(
-    r#"{"injected":784,"resolved":360,"dropped":394,"#,
-    r#""drop_fraction":0.502551,"latency_mean_s":0.237501,"#,
-    r#""latency_p99_s":0.770000,"hops_mean":3.2778,"replicas_created":2,"#,
-    r#""replicas_deleted":0,"sessions_completed":2,"#,
-    r#""control_messages":8791,"data_fetches_ok":0,"retries":0,"#,
-    r#""messages_lost":0,"churn_failures":246,"churn_recoveries":202,"#,
-    r#""dropped_shed":0,"dropped_partition":0,"messages_cut":0,"#,
-    r#""cuts_applied":0,"heals_applied":0,"flash_injected":0,"#,
-    r#""misroutes":7,"detour_hops":13,"lease_evictions":0,"#,
-    r#""reconcile_pushes":0,"objects_written":64,"objects_alive":43,"#,
-    r#""objects_lost":21,"object_puts":119,"object_reads":68,"#,
-    r#""reads_failed":11,"stale_reads":0,"bytes_on_wire":760485,"#,
-    r#""gossip_bytes":364541,"query_messages":2644,"sessions_aborted":0,"#,
-    r#""data_fetches_failed":0,"messages_to_dead":526,"#,
+const CHATTY_GOSSIP: &str = concat!(
+    r#"{"injected":784,"resolved":332,"dropped":419,"#,
+    r#""drop_fraction":0.534439,"latency_mean_s":0.239737,"#,
+    r#""latency_p99_s":0.780000,"hops_mean":3.4127,"replicas_created":0,"#,
+    r#""replicas_deleted":0,"sessions_completed":0,"control_messages":7277,"#,
+    r#""data_fetches_ok":0,"retries":0,"messages_lost":0,"#,
+    r#""churn_failures":246,"churn_recoveries":202,"dropped_shed":0,"#,
+    r#""dropped_partition":0,"messages_cut":0,"cuts_applied":0,"#,
+    r#""heals_applied":0,"flash_injected":0,"misroutes":0,"detour_hops":0,"#,
+    r#""lease_evictions":0,"reconcile_pushes":0,"objects_written":64,"#,
+    r#""objects_alive":42,"objects_lost":22,"object_puts":119,"#,
+    r#""object_reads":66,"reads_failed":13,"stale_reads":0,"#,
+    r#""bytes_on_wire":622656,"gossip_bytes":219352,"query_messages":2705,"#,
+    r#""sessions_aborted":0,"data_fetches_failed":0,"messages_to_dead":534,"#,
     r#""attempts_lost_queue":0,"attempts_lost_ttl":0,"#,
     r#""attempts_lost_stuck":0,"attempts_lost_dead":0,"#,
     r#""attempts_lost_transport":0,"attempts_lost_shed":0,"#,
     r#""attempts_lost_partition":0,"scenario_crashes":0,"tenant_count":0,"#,
     r#""tenant_worst_availability":1.000000,"tenant_slo_misses":0,"#,
-    r#""rng_draws":27880} draws=[0, 254, 785, 784, 12015, 254, 2249, 784,"#,
-    r#" 0, 0, 0, 10755] load_mean=[0.06431538625555437,"#,
-    r#" 0.04593181543575593, 0.03719845432959393, 0.041251531196978004,"#,
-    r#" 0.03966855973339066] load_max=[0.5993273657228672,"#,
-    r#" 0.7429603030500775, 0.6723391797893554, 0.42138641795643617,"#,
-    r#" 0.6442423847760468]"#,
+    r#""rng_draws":26494} draws=[0, 254, 785, 784, 10551, 254, 2327, 784,"#,
+    r#" 0, 0, 0, 10755] load_mean=[0.05583465590943002,"#,
+    r#" 0.04629123584743374, 0.037622024198251114, 0.044295948407587236,"#,
+    r#" 0.03938745234401686] load_max=[0.45792092144920554,"#,
+    r#" 0.39230581424210476, 0.5170321590724112, 0.633895485665942,"#,
+    r#" 0.5069301877634844]"#,
 );
