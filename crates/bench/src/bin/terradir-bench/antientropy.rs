@@ -3,11 +3,10 @@
 //! identical seed so runs differ only in the knob under test:
 //!
 //! - **Steady-churn wire sweep**: the churn scenario with storage on,
-//!   gossip culture {chatty, taciturn, hybrid}. Chatty re-ships its full
-//!   hosted state every round; taciturn ships a digest its sender prices
-//!   as a delta, O(changed) in steady state; hybrid adds a bounded eager push on
-//!   top of the digest. Taciturn must strictly undercut chatty on gossip
-//!   bytes, and hybrid must cost no more than chatty.
+//!   gossip culture {chatty, taciturn}. Chatty re-ships its full hosted
+//!   state every round; taciturn ships a digest its sender prices as a
+//!   delta, O(changed) in steady state. Taciturn must strictly undercut
+//!   chatty on gossip bytes.
 //! - **Reconvergence sweep**: the scripted cut-heal/crash-recover
 //!   scenario (the reconverge bench's, minus its crash inside the cut),
 //!   with the repair machinery (leases, NACK repair, warm-rejoin) off in
@@ -17,8 +16,10 @@
 //!   (gossip bytes, TTR) per culture against the gossip-off baseline.
 //!   Taciturn digests *purge* stale pointers the moment a reset server's
 //!   digest disclaims them; chatty only layers fresh advertisements on
-//!   top of stale ones — so the digest cultures must reconverge no
-//!   slower than chatty, at a fraction of the bytes.
+//!   top of stale ones, at several times the bytes. Each culture must
+//!   reconverge no slower than gossip-off; neither is required to beat
+//!   the other (chatty's full pushes re-advertise a recovered server
+//!   sooner at most seeds, EXPERIMENTS.md `antientropy`).
 //! - **Durability arm**: mild churn with the write/read drivers off, so
 //!   object survival depends entirely on re-replication. Digest-driven
 //!   repair (gossip taciturn) must lose no more objects than no repair
@@ -36,10 +37,9 @@ use terradir_bench::{
 };
 use terradir_workload::StreamPlan;
 
-const CULTURES: [(GossipCulture, &str); 3] = [
+const CULTURES: [(GossipCulture, &str); 2] = [
     (GossipCulture::Chatty, "chatty"),
     (GossipCulture::Taciturn, "taciturn"),
-    (GossipCulture::Hybrid, "hybrid"),
 ];
 
 /// Off the scripted scenario the reconvergence reads stay at their
@@ -144,11 +144,6 @@ pub fn run(args: Args, checks: &mut ShapeChecks) {
         churn_bytes[1] < churn_bytes[0],
         format!("taciturn {} vs chatty {}", churn_bytes[1], churn_bytes[0]),
     );
-    checks.check(
-        "hybrid costs no more than chatty on steady-churn bytes",
-        churn_bytes[2] <= churn_bytes[0],
-        format!("hybrid {} vs chatty {}", churn_bytes[2], churn_bytes[0]),
-    );
 
     // ---- Reconvergence sweep: culture vs TTR (the frontier) ----------
     let tl = CutCrashTimeline::new(&scale);
@@ -228,15 +223,7 @@ pub fn run(args: Args, checks: &mut ShapeChecks) {
     // degrade to non-strict (the full-scale CI run keeps the strict
     // form).
     let discriminates = off.summary.misroutes >= 50;
-    let (chatty, hybrid, off) = (&culture_runs[0].reads, &culture_runs[2].reads, &off.reads);
-    checks.check(
-        "hybrid reconverges no slower than chatty",
-        hybrid.ttr_heal <= chatty.ttr_heal && hybrid.ttr_recover <= chatty.ttr_recover,
-        format!(
-            "hybrid ({:.0}s, {:.0}s) vs chatty ({:.0}s, {:.0}s)",
-            hybrid.ttr_heal, hybrid.ttr_recover, chatty.ttr_heal, chatty.ttr_recover
-        ),
-    );
+    let off = &off.reads;
     if discriminates {
         for ((_, label), run) in CULTURES.iter().zip(culture_runs) {
             let r = &run.reads;

@@ -7,7 +7,7 @@
 //! layer feeding [`RouteCache::insert`] with every `(node, map)` pair a
 //! query carries.
 
-use terradir_namespace::NodeId;
+use terradir_namespace::{NodeId, ServerId};
 
 use crate::map::NodeMap;
 
@@ -212,6 +212,18 @@ impl RouteCache {
         }
     }
 
+    /// Removes `host` from `node`'s entry through [`RouteCache::get_mut`]
+    /// (so the entry is touched) and drops the entry if that empties it.
+    pub fn remove_host(&mut self, node: NodeId, host: ServerId) {
+        let emptied = self.get_mut(node).is_some_and(|m| {
+            m.remove(host, true);
+            m.is_empty()
+        });
+        if emptied {
+            self.remove(node);
+        }
+    }
+
     /// Lifetime counters `(hits, misses, evictions)`.
     pub fn counters(&self) -> (u64, u64, u64) {
         (self.hits, self.misses, self.evictions)
@@ -224,7 +236,6 @@ mod tests {
     use crate::det::DetHashMap;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use terradir_namespace::ServerId;
 
     fn m(i: u32) -> NodeMap {
         NodeMap::singleton(ServerId(i))

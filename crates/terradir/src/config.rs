@@ -272,11 +272,12 @@ impl Default for PartitionConfig {
     }
 }
 
-/// Soft-state leases (DESIGN.md §14): every replica record, neighbor
-/// context map, and route-cache entry carries a lease stamp; stamps are
-/// refreshed when fresh evidence arrives and on routing use, and a lazy
-/// sweep at maintenance time evicts entries whose lease has been stale
-/// for longer than `ttl`. The `misroute` flag additionally upgrades the
+/// Soft-state leases (DESIGN.md §14): every replica record and
+/// route-cache entry carries a lease stamp (a neighbor context map
+/// carries none: it goes with its hosted node); stamps are refreshed
+/// when fresh evidence arrives and on routing use, and a lazy sweep at
+/// maintenance time evicts entries whose lease has been stale for
+/// longer than `ttl`. The `misroute` flag additionally upgrades the
 /// `NotHosting` correction into a digest-carrying `Misroute` NACK so one
 /// stale hop repairs every stale entry for that server. The default is
 /// inert: `enabled = false` changes no behavior and consumes
@@ -385,10 +386,6 @@ pub enum GossipCulture {
     /// back only object versions the digest shows missing or older.
     /// O(changed) bytes in steady state.
     Taciturn,
-    /// Taciturn plus an eager push of the keys changed since the last
-    /// round (bounded by `window`): digest economy at steady state,
-    /// chatty-grade propagation for fresh changes.
-    Hybrid,
 }
 
 /// Generalized anti-entropy gossip (DESIGN.md §18): every `interval`
@@ -415,7 +412,7 @@ pub struct GossipConfig {
     pub fanout: u32,
     /// Bounds both the digest's recent-change window (delta entries
     /// kept before falling back to a full digest) and the entries
-    /// exchanged per pull reply or hybrid push.
+    /// exchanged per pull reply.
     pub window: u32,
 }
 
@@ -1102,11 +1099,7 @@ mod tests {
         c.gossip.interval = 0.0;
         c.gossip.window = 0;
         assert_eq!(c.validate(), Ok(()));
-        for culture in [
-            GossipCulture::Chatty,
-            GossipCulture::Taciturn,
-            GossipCulture::Hybrid,
-        ] {
+        for culture in [GossipCulture::Chatty, GossipCulture::Taciturn] {
             let mut c = Config::paper_default(4);
             c.gossip.enabled = true;
             c.gossip.culture = culture;

@@ -109,11 +109,6 @@ impl<K: Ord + Copy, V> FlatMap<K, V> {
         self.keys.iter()
     }
 
-    /// The values, in key order, mutably.
-    pub(crate) fn values_mut(&mut self) -> impl Iterator<Item = &mut V> {
-        self.values.iter_mut()
-    }
-
     /// `(key, value)` pairs in key order.
     pub(crate) fn iter(&self) -> std::iter::Zip<std::slice::Iter<'_, K>, std::slice::Iter<'_, V>> {
         self.keys.iter().zip(self.values.iter())
@@ -150,7 +145,6 @@ mod tests {
     use super::*;
     use crate::det::DetHashMap;
     use crate::map::NodeMap;
-    use crate::server::ContextEntry;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use terradir_namespace::{NodeId, ServerId};
@@ -193,7 +187,7 @@ mod tests {
                         }
                     }
                     6 => {
-                        for x in flat.values_mut() {
+                        for (_, x) in &mut flat {
                             *x = x.wrapping_add(1);
                         }
                         for x in hash.values_mut() {
@@ -217,35 +211,33 @@ mod tests {
     }
 
     fn context_rows<'a>(
-        entries: impl Iterator<Item = (&'a NodeId, &'a ContextEntry)>,
-    ) -> Vec<(NodeId, NodeMap, f64)> {
-        let mut v: Vec<_> = entries.map(|(&n, e)| (n, e.map, e.lease_at)).collect();
+        entries: impl Iterator<Item = (&'a NodeId, &'a NodeMap)>,
+    ) -> Vec<(NodeId, NodeMap)> {
+        let mut v: Vec<_> = entries.map(|(&n, &m)| (n, m)).collect();
         v.sort_by_key(|r| r.0);
         v
     }
 
     /// The context table the flat one replaced: a `DetHashMap`, driven
     /// through the same operations the production sites perform.
-    type HashContext = DetHashMap<NodeId, ContextEntry>;
+    type HashContext = DetHashMap<NodeId, NodeMap>;
 
     /// Random sequences of the context table's production operations —
     /// bootstrap, replica-install merges (which draw RNG), negative
-    /// caching, digest purges, the lease sweep and replica removal — give
-    /// the same entries, stamps and RNG draws on the flat table as on the
-    /// hash-backed reference.
+    /// caching, digest purges and replica removal — give the same
+    /// entries and RNG draws on the flat table as on the hash-backed
+    /// reference.
     #[test]
     fn context_table_matches_the_hash_reference() {
         let mut ops = StdRng::seed_from_u64(2704);
         let r_map = 5;
         for round in 0..30 {
-            let mut flat: FlatMap<NodeId, ContextEntry> = FlatMap::default();
+            let mut flat: FlatMap<NodeId, NodeMap> = FlatMap::default();
             let mut hash = HashContext::default();
             let (mut rng_a, mut rng_b) =
                 (StdRng::seed_from_u64(round), StdRng::seed_from_u64(round));
             let span = ops.gen_range(8..400u32);
-            let mut now = 0.0;
             for step in 0..300 {
-                now += ops.gen_range(0.0..1.0);
                 let map = NodeMap::from_entries(
                     (0..ops.gen_range(1..8)).map(|_| ServerId(ops.gen_range(0..12))),
                 );
@@ -253,103 +245,47 @@ mod tests {
                     .map(|_| NodeId(ops.gen_range(0..span)))
                     .collect();
                 let host = ServerId(ops.gen_range(0..12));
-                match ops.gen_range(0..7) {
+                match ops.gen_range(0..6) {
                     0 => {
                         for &n in &nodes {
-                            let entry = || ContextEntry { map, lease_at: now };
-                            flat.get_or_insert_with(n, entry);
-                            hash.entry(n).or_insert_with(entry);
+                            flat.get_or_insert_with(n, || map);
+                            hash.entry(n).or_insert_with(|| map);
                         }
                     }
                     1 | 2 => {
+                        let mut truncated = map;
+                        truncated.truncate(r_map);
                         for &n in &nodes {
                             if let Some(mine) = flat.get_mut(&n) {
-                                mine.map = mine.map.merge(&map, r_map, &mut rng_a);
-                                mine.refresh_lease(now);
+                                *mine = mine.merge(&map, r_map, &mut rng_a);
                             } else {
-                                let mut m = map;
-                                m.truncate(r_map);
-                                flat.insert(
-                                    n,
-                                    ContextEntry {
-                                        map: m,
-                                        lease_at: now,
-                                    },
-                                );
+                                flat.insert(n, truncated);
                             }
                             if let Some(mine) = hash.get_mut(&n) {
-                                mine.map = mine.map.merge(&map, r_map, &mut rng_b);
-                                mine.refresh_lease(now);
+                                *mine = mine.merge(&map, r_map, &mut rng_b);
                             } else {
-                                let mut m = map;
-                                m.truncate(r_map);
-                                hash.insert(
-                                    n,
-                                    ContextEntry {
-                                        map: m,
-                                        lease_at: now,
-                                    },
-                                );
+                                hash.insert(n, truncated);
                             }
                         }
                     }
-                    3 => {
-                        for e in flat.values_mut() {
-                            e.map.remove(host, false);
-                        }
-                        for e in hash.values_mut() {
-                            e.map.remove(host, false);
-                        }
-                    }
-                    4 => {
-                        // A digest disclaiming the odd node ids.
-                        for (&n, e) in &mut flat {
-                            if e.map.contains(host) && n.0 % 2 == 1 {
-                                e.map.remove(host, false);
+                    3 | 4 => {
+                        // Negative caching (every node) or a digest
+                        // disclaiming the odd node ids.
+                        let odd_only = ops.gen_bool(0.5);
+                        for (&n, m) in &mut flat {
+                            if m.contains(host) && (!odd_only || n.0 % 2 == 1) {
+                                m.remove(host, false);
                             }
                         }
-                        for (&n, e) in &mut hash {
-                            if e.map.contains(host) && n.0 % 2 == 1 {
-                                e.map.remove(host, false);
-                            }
-                        }
-                    }
-                    5 => {
-                        // The lease sweep: stale entries of nodes in
-                        // `nodes` are renewed, the rest dropped.
-                        let ttl = ops.gen_range(0.0..30.0);
-                        let stale = |e: &ContextEntry| now - e.lease_at > ttl;
-                        let mut a: Vec<NodeId> = flat
-                            .iter()
-                            .filter(|&(_, e)| stale(e))
-                            .map(|(&n, _)| n)
-                            .collect();
-                        let mut b: Vec<NodeId> = hash
-                            .iter()
-                            .filter(|&(_, e)| stale(e))
-                            .map(|(&n, _)| n)
-                            .collect();
-                        a.sort_unstable();
-                        b.sort_unstable();
-                        assert_eq!(a, b, "step {step}");
-                        for n in a {
-                            if nodes.contains(&n) {
-                                if let Some(e) = flat.get_mut(&n) {
-                                    e.lease_at = now;
-                                }
-                                if let Some(e) = hash.get_mut(&n) {
-                                    e.lease_at = now;
-                                }
-                            } else {
-                                let (x, y) = (flat.remove(&n), hash.remove(&n));
-                                assert_eq!(x.map(|e| e.map), y.map(|e| e.map));
+                        for (&n, m) in &mut hash {
+                            if m.contains(host) && (!odd_only || n.0 % 2 == 1) {
+                                m.remove(host, false);
                             }
                         }
                     }
                     _ => {
                         for n in &nodes {
-                            let (x, y) = (flat.remove(n), hash.remove(n));
-                            assert_eq!(x.map(|e| e.map), y.map(|e| e.map), "step {step}");
+                            assert_eq!(flat.remove(n), hash.remove(n), "step {step}");
                         }
                     }
                 }
@@ -359,7 +295,7 @@ mod tests {
                     "step {step}"
                 );
                 for n in &nodes {
-                    assert_eq!(flat.get(n).map(|e| e.map), hash.get(n).map(|e| e.map));
+                    assert_eq!(flat.get(n), hash.get(n));
                     assert_eq!(flat.contains_key(n), hash.contains_key(n));
                 }
                 assert_eq!(rng_a.gen::<u64>(), rng_b.gen::<u64>(), "step {step}");

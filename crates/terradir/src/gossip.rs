@@ -14,9 +14,7 @@
 //! - **taciturn** — ships its gossip [`Digest`] over hosted names and
 //!   object-version keys; the receiver purges soft state the digest
 //!   disclaims (`purge_disclaimed`) and replies with only the object
-//!   versions the digest shows missing or older ([`select_pull`]);
-//! - **hybrid** — taciturn plus an eager push of the keys changed since
-//!   the last round.
+//!   versions the digest shows missing or older ([`select_pull`]).
 //!
 //! The round driver lives in `system.rs` (it owns the calendar, the
 //! assignment, and the fault RNG stream); the digest rebuild lives in

@@ -101,8 +101,8 @@ pub fn check_map_bounds(server: &ServerState) -> Vec<String> {
     for (n, rec) in &server.replicas {
         check("replica", n.0, &rec.map);
     }
-    for (n, e) in &server.neighbor_maps {
-        check("context", n.0, &e.map);
+    for (n, map) in &server.neighbor_maps {
+        check("context", n.0, map);
     }
     for (n, map) in server.cache.iter() {
         check("cache", n.0, map);
@@ -261,8 +261,8 @@ pub fn check_negative_cache(server: &ServerState) -> Vec<String> {
                 ));
             }
         }
-        for (n, e) in &server.neighbor_maps {
-            if e.map.contains(h) && e.map.len() > 1 {
+        for (n, map) in &server.neighbor_maps {
+            if map.contains(h) && map.len() > 1 {
                 v.push(format!(
                     "server {}: context map for node {} lists dead host {} alongside others",
                     server.id.0, n.0, h.0
@@ -320,8 +320,8 @@ pub fn check_cut_delivery(side: &[bool], from: ServerId, to: ServerId) -> Vec<St
 }
 
 /// Lease freshness (DESIGN.md §14): lease stamps are bookkeeping about the
-/// *past* — no stored record, context entry, or cache entry may carry a
-/// stamp from the future. Stamps are maintained unconditionally, so this
+/// *past* — no stored record or cache entry may carry a stamp from the
+/// future. Stamps are maintained unconditionally, so this
 /// checker runs whether or not leases are enabled.
 pub fn check_lease_freshness(server: &ServerState, now: f64) -> Vec<String> {
     let mut v = Vec::new();
@@ -331,14 +331,6 @@ pub fn check_lease_freshness(server: &ServerState, now: f64) -> Vec<String> {
             v.push(format!(
                 "server {}: record for node {} leased at {} > now {}",
                 server.id.0, n.0, rec.lease_at, now
-            ));
-        }
-    }
-    for (n, e) in &server.neighbor_maps {
-        if e.lease_at > now + eps {
-            v.push(format!(
-                "server {}: context lease for node {} stamped {} > now {}",
-                server.id.0, n.0, e.lease_at, now
             ));
         }
     }
@@ -511,15 +503,10 @@ mod tests {
     use crate::context::round_robin_fleet;
     use crate::meta::Meta;
     use crate::records::NodeRecord;
-    use crate::server::ContextEntry;
 
     fn fixture() -> (Namespace, ServerState) {
         let (f, mut servers) = round_robin_fleet(balanced_tree(2, 4), Config::paper_default(4));
         (f.ns.clone(), servers.swap_remove(0))
-    }
-
-    fn context_entry(map: NodeMap) -> ContextEntry {
-        ContextEntry { map, lease_at: 0.0 }
     }
 
     fn non_hosted(ns: &Namespace, s: &ServerState) -> NodeId {
@@ -539,7 +526,7 @@ mod tests {
         let fat = NodeMap::from_entries((0..=bound as u32).map(ServerId));
         assert!(fat.len() > bound);
         let far = non_hosted(&ns, &s);
-        s.neighbor_maps.insert(far, context_entry(fat));
+        s.neighbor_maps.insert(far, fat);
         let v = check_map_bounds(&s);
         assert_eq!(v.len(), 1);
         assert!(v[0].contains("R_map bound"), "{v:?}");
@@ -654,8 +641,7 @@ mod tests {
             .ids()
             .find(|&n| !s.hosts(n) && s.hosted_neighbor(n).is_none())
             .unwrap();
-        s.neighbor_maps
-            .insert(far, context_entry(NodeMap::singleton(ServerId(1))));
+        s.neighbor_maps.insert(far, NodeMap::singleton(ServerId(1)));
         let v = audit_server(&s);
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(v[0].contains("belongs to no hosted node"), "{v:?}");
@@ -703,13 +689,6 @@ mod tests {
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(v[0].contains("leased at"), "{v:?}");
         assert!(check_lease_freshness(&s, 5.0).is_empty(), "stamp == now ok");
-        // Future context-entry stamp.
-        let ctx = s.neighbor_maps.values_mut().next().unwrap();
-        ctx.lease_at = 7.0;
-        let v = check_lease_freshness(&s, 5.0);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert!(v[0].contains("context lease"), "{v:?}");
-        assert!(check_lease_freshness(&s, 7.0).is_empty(), "stamp == now ok");
     }
 
     #[test]

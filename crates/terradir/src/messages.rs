@@ -322,8 +322,8 @@ pub enum Message {
         /// The replying server.
         from: ServerId,
     },
-    /// Anti-entropy round opener (DESIGN.md §18; taciturn and hybrid
-    /// cultures): the gossiping server ships its gossip digest over
+    /// Anti-entropy round opener (DESIGN.md §18; taciturn culture):
+    /// the gossiping server ships its gossip digest over
     /// hosted names and stored-object versions to a namespace-neighbor
     /// peer. The receiver purges soft-state entries the digest disclaims
     /// (`purge_disclaimed`) and pulls back — via [`Message::GossipReply`]
@@ -339,7 +339,7 @@ pub enum Message {
         /// otherwise (`GossipState::wire_bytes`).
         wire: u64,
     },
-    /// Eager anti-entropy push (chatty and hybrid cultures): fresh
+    /// Eager anti-entropy push (chatty culture): fresh
     /// singleton advertisements for records the sender hosts, plus
     /// stored-object copies pre-filtered by the substrate to the
     /// receiver's replica sets. Records merge like [`Message::MapUpdate`],

@@ -22,7 +22,7 @@ use crate::config;
 use crate::flat::FlatMap;
 use crate::messages::{Message, ReplicaPayload};
 use crate::records::NodeRecord;
-use crate::server::{ContextEntry, Outgoing, ProtocolEvent, ServerState};
+use crate::server::{Outgoing, ProtocolEvent, ServerState};
 
 /// Profiled load information about other servers, bounded LRU-by-age.
 /// Kept sorted by server id; eviction and partner choice break every tie
@@ -479,23 +479,17 @@ impl ServerState {
                 if m.is_empty() {
                     continue;
                 }
-                // Shipped context is fresh evidence for the lease.
                 if let Some(mine) = self.neighbor_maps.get_mut(nb) {
-                    let mut merged = mine.map.merge(&m, self.fleet.cfg.r_map, rng);
+                    let mut merged = mine.merge(&m, self.fleet.cfg.r_map, rng);
                     // A tolerated sole dead entry in the existing map must
                     // not survive a merge that brings in live hosts.
                     for &h in self.negative.keys() {
                         merged.remove(h, false);
                     }
-                    mine.map = merged;
-                    mine.refresh_lease(now);
+                    *mine = merged;
                 } else {
                     m.truncate(self.fleet.cfg.r_map);
-                    let entry = ContextEntry {
-                        map: m,
-                        lease_at: now,
-                    };
-                    self.neighbor_maps.insert(*nb, entry);
+                    self.neighbor_maps.insert(*nb, m);
                 }
             }
             self.digest_dirty = true;

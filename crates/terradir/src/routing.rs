@@ -400,7 +400,7 @@ impl ServerState {
         let used_context_of = match kind {
             HopKind::Neighbor => {
                 if let Some(stored) = self.neighbor_maps.get_mut(&via) {
-                    stored.map = map;
+                    *stored = map;
                 }
                 self.hosted_neighbor(via)
             }
@@ -604,7 +604,7 @@ mod tests {
     use crate::config::Config;
     use crate::context::{round_robin_fleet, StatelessContext};
     use crate::messages::{Message, QueryPacket};
-    use crate::server::{ContextEntry, Outgoing};
+    use crate::server::Outgoing;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use terradir_namespace::{balanced_tree, Namespace, OwnerAssignment};
@@ -1245,10 +1245,8 @@ mod tests {
             NodeRecord::new(node, NodeMap::singleton(s.id), Meta::new(), 0.0),
         );
         for nb in s.fleet.ns.neighbors(node) {
-            s.neighbor_maps.get_or_insert_with(nb, || ContextEntry {
-                map: NodeMap::singleton(asg.owner(nb)),
-                lease_at: 0.0,
-            });
+            s.neighbor_maps
+                .get_or_insert_with(nb, || NodeMap::singleton(asg.owner(nb)));
         }
     }
 
@@ -1412,8 +1410,8 @@ mod tests {
             .iter()
             .rfind(|c| !ns.root_path(target).contains(c))
             .unwrap();
-        for (&n, e) in &mut s.neighbor_maps {
-            e.map = NodeMap::singleton(ServerId(if n == child { 9 } else { 1 }));
+        for (&n, m) in &mut s.neighbor_maps {
+            *m = NodeMap::singleton(ServerId(if n == child { 9 } else { 1 }));
         }
         let choices = assert_builds_agree(&s, &[target], &[&[ServerId(1)]]);
         assert!(choices.iter().all(|c| matches!(
@@ -1431,8 +1429,8 @@ mod tests {
         assert_builds_agree(s, &targets, &[&[], &[ServerId(0), ServerId(1)]]);
         // Every map a stale self-pointer: nothing is usable.
         let id = s.id;
-        for e in s.neighbor_maps.values_mut() {
-            e.map = NodeMap::singleton(id);
+        for (_, m) in &mut s.neighbor_maps {
+            *m = NodeMap::singleton(id);
         }
         let choices = assert_builds_agree(s, &targets, &[&[]]);
         assert!(!choices.is_empty());

@@ -102,7 +102,7 @@ pub enum ProtocolEvent {
     /// This server's lease sweep evicted stale soft state (DESIGN.md
     /// §14).
     LeaseExpired {
-        /// Replica records, context maps, and cache entries evicted.
+        /// Replica records and cache entries evicted.
         count: u64,
     },
     /// A data fetch finished (step two of the two-step access).
@@ -150,9 +150,10 @@ pub struct ServerState {
     /// Soft-state replicas (bounded by `R_fact · |owned|`).
     pub(crate) replicas: DetHashMap<NodeId, NodeRecord>,
     /// Maps for the topological neighbors of every hosted node (the
-    /// routing *context* guaranteeing incremental progress), each with
-    /// its lease stamp.
-    pub(crate) neighbor_maps: FlatMap<NodeId, ContextEntry>,
+    /// routing *context* guaranteeing incremental progress). They carry
+    /// no lease: each lives exactly as long as a hosted node it belongs
+    /// to (DESIGN.md §14).
+    pub(crate) neighbor_maps: FlatMap<NodeId, NodeMap>,
     /// LRU route cache (pointer state, no context).
     pub(crate) cache: RouteCache,
     /// Freshest inverse-mapping digest per remote server.
@@ -200,39 +201,16 @@ pub struct ServerState {
     pub(crate) route_scratch: crate::routing::RouteScratch,
 }
 
-/// One routing-context map plus its lease stamp (DESIGN.md §14): the
-/// stamp is refreshed on fresh evidence or routing use. It is always
-/// maintained (stamping is pure bookkeeping); the sweep only acts on it
-/// when `Config::leases` is enabled.
-#[derive(Debug, Clone)]
-pub(crate) struct ContextEntry {
-    pub(crate) map: NodeMap,
-    pub(crate) lease_at: f64,
-}
-
-impl ContextEntry {
-    /// Renews the lease to `now`; stamps never move backwards.
-    pub(crate) fn refresh_lease(&mut self, now: f64) {
-        if now > self.lease_at {
-            self.lease_at = now;
-        }
-    }
-}
-
 /// The static bootstrap context of `owned`: a map for every topological
-/// neighbor, pointing at its true owner and stamped `now`.
+/// neighbor, pointing at its true owner.
 fn bootstrap_context(
     fleet: &StatelessContext,
     owned: impl Iterator<Item = NodeId>,
-    now: f64,
-    maps: &mut FlatMap<NodeId, ContextEntry>,
+    maps: &mut FlatMap<NodeId, NodeMap>,
 ) {
     for node in owned {
         for nb in fleet.ns.neighbors(node) {
-            maps.get_or_insert_with(nb, || ContextEntry {
-                map: NodeMap::singleton(fleet.assignment.owner(nb)),
-                lease_at: now,
-            });
+            maps.get_or_insert_with(nb, || NodeMap::singleton(fleet.assignment.owner(nb)));
         }
     }
 }
@@ -262,7 +240,7 @@ impl ServerState {
         }
         let mut neighbor_maps = FlatMap::default();
         let owned_ids = fleet.assignment.owned_by(id).iter().copied();
-        bootstrap_context(fleet, owned_ids, 0.0, &mut neighbor_maps);
+        bootstrap_context(fleet, owned_ids, &mut neighbor_maps);
         let digest = build_digest(
             ns,
             id,
@@ -426,7 +404,7 @@ impl ServerState {
 
     /// The stored map for a topological neighbor of a hosted node, if any.
     pub fn neighbor_map(&self, node: NodeId) -> Option<&NodeMap> {
-        self.neighbor_maps.get(&node).map(|e| &e.map)
+        self.neighbor_maps.get(&node)
     }
 
     /// Whether this server keeps the full routing context for `node`
@@ -574,7 +552,7 @@ impl ServerState {
                 records,
                 objects,
             } => {
-                // Chatty/hybrid eager push: records merge exactly like
+                // Chatty eager push: records merge exactly like
                 // MapUpdates, objects exactly like write propagation.
                 for (node, map) in &records {
                     self.absorb_mapping(*node, *map, now, rng);
@@ -630,35 +608,7 @@ impl ServerState {
             return;
         }
         let newly = self.negative.insert(host, now).is_none();
-        let r_map = self.fleet.cfg.r_map;
-        let my_id = self.id;
-        for rec in self.owned.values_mut().chain(self.replicas.values_mut()) {
-            if rec.map.contains(host) {
-                rec.map.remove(host, true);
-                if rec.map.is_empty() || !rec.map.contains(my_id) {
-                    rec.map.advertise(my_id, r_map);
-                }
-            }
-        }
-        for e in self.neighbor_maps.values_mut() {
-            e.map.remove(host, false);
-        }
-        let emptied: Vec<NodeId> = self
-            .cache
-            .iter()
-            .filter(|(_, m)| m.contains(host))
-            .map(|(n, _)| n)
-            .collect(); // xtask: allow(alloc): negative-caching sweep, runs only on host death
-        for n in emptied {
-            let mut drop_entry = false;
-            if let Some(m) = self.cache.get_mut(n) {
-                m.remove(host, true);
-                drop_entry = m.is_empty();
-            }
-            if drop_entry {
-                self.cache.remove(n);
-            }
-        }
+        self.evict_host(host, |_| true);
         self.digest_store.forget(host);
         self.known_loads.forget(host);
         // A replication session probing the dead partner aborts on the
@@ -710,18 +660,11 @@ impl ServerState {
             rec.map.remove(stale, false);
             return;
         }
-        if let Some(e) = self.neighbor_maps.get_mut(&node) {
-            e.map.remove(stale, false);
+        if let Some(m) = self.neighbor_maps.get_mut(&node) {
+            m.remove(stale, false);
             return;
         }
-        let mut drop_entry = false;
-        if let Some(m) = self.cache.get_mut(node) {
-            m.remove(stale, true);
-            drop_entry = m.is_empty();
-        }
-        if drop_entry {
-            self.cache.remove(node);
-        }
+        self.cache.remove_host(node, stale);
     }
 
     /// Misroute repair, digest purge (DESIGN.md §14): the NACK's digest
@@ -733,38 +676,38 @@ impl ServerState {
         if from == self.id {
             return;
         }
-        let my_id = self.id;
-        let r_map = self.fleet.cfg.r_map;
         let fleet = Arc::clone(&self.fleet);
-        let ns = &fleet.ns;
+        self.evict_host(from, |n| !digest.test(fleet.ns.name(n).as_str()));
+    }
+
+    /// Removes `host` from every stored map for a node `disclaimed`
+    /// names, in a fixed order: hosted records (a record left without
+    /// its self entry re-advertises self), then context maps (which keep
+    /// a sole last-resort entry rather than lose their context), then
+    /// cache entries (dropped once empty).
+    fn evict_host(&mut self, host: ServerId, disclaimed: impl Fn(NodeId) -> bool) {
+        let (my_id, r_map) = (self.id, self.fleet.cfg.r_map);
         for rec in self.owned.values_mut().chain(self.replicas.values_mut()) {
-            if rec.map.contains(from) && !digest.test(ns.name(rec.node).as_str()) {
-                rec.map.remove(from, true);
+            if rec.map.contains(host) && disclaimed(rec.node) {
+                rec.map.remove(host, true);
                 if rec.map.is_empty() || !rec.map.contains(my_id) {
                     rec.map.advertise(my_id, r_map);
                 }
             }
         }
-        for (&n, e) in &mut self.neighbor_maps {
-            if e.map.contains(from) && !digest.test(ns.name(n).as_str()) {
-                e.map.remove(from, false);
+        for (&n, m) in &mut self.neighbor_maps {
+            if m.contains(host) && disclaimed(n) {
+                m.remove(host, false);
             }
         }
-        let stale_cached: Vec<NodeId> = self
+        let stale: Vec<NodeId> = self
             .cache
             .iter()
-            .filter(|&(n, m)| m.contains(from) && !digest.test(ns.name(n).as_str()))
+            .filter(|&(n, m)| m.contains(host) && disclaimed(n))
             .map(|(n, _)| n)
-            .collect(); // xtask: allow(alloc): misroute repair sweep, a handful per repair
-        for n in stale_cached {
-            let mut drop_entry = false;
-            if let Some(m) = self.cache.get_mut(n) {
-                m.remove(from, true);
-                drop_entry = m.is_empty();
-            }
-            if drop_entry {
-                self.cache.remove(n);
-            }
+            .collect(); // xtask: allow(alloc): host-eviction sweep, runs on host death or a digest purge
+        for n in stale {
+            self.cache.remove_host(n, host);
         }
     }
 
@@ -1054,8 +997,8 @@ impl ServerState {
         if incoming.is_empty() {
             return;
         }
-        if let Some(e) = self.neighbor_maps.get_mut(&node) {
-            let mut merged = e.map.merge(&incoming, r_map, rng);
+        if let Some(m) = self.neighbor_maps.get_mut(&node) {
+            let mut merged = m.merge(&incoming, r_map, rng);
             merged.remove(my_id, true);
             // The *existing* map may hold a negatively cached host as its
             // tolerated sole entry; once the merge brings in live hosts,
@@ -1064,9 +1007,8 @@ impl ServerState {
                 merged.remove(h, false);
             }
             if !merged.is_empty() {
-                e.map = merged;
+                *m = merged;
             }
-            e.refresh_lease(now);
             return;
         }
         if self.fleet.cfg.caching {
@@ -1083,16 +1025,17 @@ impl ServerState {
         }
     }
 
-    /// Renews the lease of whatever soft-state structure tracks `node`
-    /// (refresh-on-use; DESIGN.md §14). Stamps are pure bookkeeping, so
-    /// this never perturbs routing, LRU order, or accounting.
+    /// Renews the lease of whatever leased structure tracks `node`
+    /// (refresh-on-use; DESIGN.md §14): a hosted record or a cache entry.
+    /// A context map carries no lease but still shadows the cache entry
+    /// for its node. Stamps are pure bookkeeping, so this never perturbs
+    /// routing, LRU order, or accounting.
     fn refresh_lease_of(&mut self, node: NodeId, now: f64) {
         if let Some(rec) = self.host_record_mut(node) {
             rec.refresh_lease(now);
             return;
         }
-        if let Some(e) = self.neighbor_maps.get_mut(&node) {
-            e.refresh_lease(now);
+        if self.neighbor_maps.contains_key(&node) {
             return;
         }
         self.cache.refresh_lease(node, now);
@@ -1142,11 +1085,10 @@ impl ServerState {
     }
 
     /// The lazy lease sweep (DESIGN.md §14), riding the periodic
-    /// maintenance tick: evicts replica records, neighbor-context maps,
-    /// and cache entries whose lease stamp is older than `leases.ttl`.
-    /// Owned records are authoritative and exempt; context maps still
-    /// required by a hosted node's routing context are restamped instead
-    /// of evicted (routing totality outranks freshness).
+    /// maintenance tick: evicts replica records and cache entries whose
+    /// lease stamp is older than `leases.ttl`. Owned records are
+    /// authoritative and exempt; context maps carry no lease and go with
+    /// the last hosted node they belong to (`remove_replica`).
     fn sweep_leases(&mut self, now: f64, out: &mut Vec<Outgoing>) {
         let ttl = self.fleet.cfg.leases.ttl;
         let mut expired: u64 = 0;
@@ -1160,23 +1102,6 @@ impl ServerState {
         victims.sort_unstable();
         for v in victims {
             self.remove_replica(v, out);
-            expired += 1;
-        }
-        let mut stale_ctx: Vec<NodeId> = self
-            .neighbor_maps
-            .iter()
-            .filter(|&(_, e)| now - e.lease_at > ttl)
-            .map(|(&n, _)| n)
-            .collect(); // xtask: allow(alloc): periodic maintenance sweep, not per event
-        stale_ctx.sort_unstable();
-        for n in stale_ctx {
-            if self.hosted_neighbor(n).is_some() {
-                if let Some(e) = self.neighbor_maps.get_mut(&n) {
-                    e.lease_at = now;
-                }
-                continue;
-            }
-            self.neighbor_maps.remove(&n);
             expired += 1;
         }
         expired += self.cache.sweep_expired(now, ttl) as u64;
@@ -1337,7 +1262,7 @@ impl ServerState {
             rec.lease_at = now;
         }
         let owned = self.owned.keys().copied();
-        bootstrap_context(&self.fleet, owned, now, &mut self.neighbor_maps);
+        bootstrap_context(&self.fleet, owned, &mut self.neighbor_maps);
         self.cache = RouteCache::new(if self.fleet.cfg.caching {
             self.fleet.cfg.cache_slots
         } else {
@@ -1640,10 +1565,8 @@ mod tests {
             NodeRecord::new(far, NodeMap::singleton(ServerId(0)), Meta::new(), 0.0),
         );
         for nb in ns.neighbors(far) {
-            s.neighbor_maps.get_or_insert_with(nb, || ContextEntry {
-                map: NodeMap::singleton(f.assignment.owner(nb)),
-                lease_at: 0.0,
-            });
+            s.neighbor_maps
+                .get_or_insert_with(nb, || NodeMap::singleton(f.assignment.owner(nb)));
         }
         let mut out = Vec::new();
         s.remove_replica(far, &mut out);
@@ -1878,6 +1801,37 @@ mod tests {
         assert!(k.contains(stale), "digest hit is conservatively kept");
     }
 
+    /// Both host-eviction triggers, negative caching and a digest purge,
+    /// leave every map somewhere to point: a hosted record that had lost
+    /// its self entry (a replicate ack's advertise can push it off a full
+    /// map) re-advertises self once the evicted host leaves it, and a
+    /// context map keeps a sole evicted host as its last resort.
+    #[test]
+    fn host_eviction_readvertises_self_and_keeps_last_resort_context() {
+        let mut cfg = Config::paper_default(4);
+        cfg.retry.enabled = true;
+        let f = fleet(cfg);
+        let ns = &f.ns;
+        let (me, gone, other) = (ServerId(0), ServerId(2), ServerId(3));
+        let own = f.assignment.owned_by(me)[0];
+        let ctx = ns.neighbors(own).next().unwrap();
+        let claimed = ns.ids().find(|&n| n != own && n != ctx).unwrap();
+        let digest = build_digest(ns, gone, [claimed].iter(), 8, 0.01, 1);
+        for purge in [false, true] {
+            let mut s = ServerState::new(me, &f);
+            s.owned.get_mut(&own).unwrap().map = NodeMap::from_entries([gone, other]);
+            s.neighbor_maps.insert(ctx, NodeMap::singleton(gone));
+            if purge {
+                s.purge_disclaimed(gone, &digest);
+            } else {
+                s.mark_host_dead(1.0, gone, &mut Vec::new());
+            }
+            let rec = s.host_record(own).unwrap();
+            assert_eq!(rec.map.entries(), &[me, other], "purge={purge}");
+            assert_eq!(s.neighbor_map(ctx).unwrap().entries(), &[gone]);
+        }
+    }
+
     #[test]
     fn roles_on_config_alone_gates_replica_admission() {
         // The live runtime builds each server from the fleet constructor
@@ -1942,8 +1896,8 @@ mod tests {
         assert_eq!(s.replica_count(), 0, "expired replica swept");
         assert!(s.cache.peek(cached).is_none(), "expired cache entry swept");
         assert_eq!(s.owned_count(), owned_before, "owned records are exempt");
-        // Context maps required by owned nodes survive (restamped, not
-        // evicted) — routing totality outranks freshness.
+        // Context maps carry no lease: those of owned nodes survive
+        // every sweep, so routing stays total.
         for node in s.owned_ids().collect::<Vec<_>>() {
             assert!(s.has_context(node));
         }

@@ -170,9 +170,6 @@ pub struct System {
     store_targets: Vec<ServerId>,
     /// Reusable object-payload scratch for gossip pushes and pull replies.
     gossip_objects: Vec<(NodeId, crate::storage::StoredObject)>,
-    /// Reusable changed-node snapshot for the hybrid culture's eager push
-    /// (taken before the digest reseal clears per-node change tracking).
-    gossip_changed: Vec<NodeId>,
     /// Reusable key-rendering buffer for pull selection.
     gossip_key_buf: String,
 }
@@ -379,7 +376,6 @@ impl System {
             next_read_id: 0,
             store_targets,
             gossip_objects: Vec::new(),
-            gossip_changed: Vec::new(),
             gossip_key_buf: String::new(),
             shared: fleet,
         };
@@ -921,9 +917,7 @@ impl System {
     /// - **taciturn** ships the gossip digest, priced per peer from the
     ///   sender's delta-window tally; each receiver purges the soft state
     ///   the digest disclaims and pulls back only the object versions it
-    ///   shows missing or older;
-    /// - **hybrid** is taciturn plus an eager push of the keys changed
-    ///   since the last round (bounded by `gossip.window`).
+    ///   shows missing or older.
     ///
     /// Never armed while gossip is disabled, and then the only
     /// randomness drawn is the per-server peer shuffle.
@@ -979,7 +973,7 @@ impl System {
             }
             match culture {
                 GossipCulture::Chatty => {
-                    self.gossip_push(id, &peers, None);
+                    self.gossip_push(id, &peers);
                     // Chatty never reseals the digest, so per-node
                     // change tracking would grow without bound and
                     // the post-reset flag would re-burst every round
@@ -991,25 +985,6 @@ impl System {
                 }
                 GossipCulture::Taciturn => {
                     self.gossip_send_digest(id, &peers);
-                }
-                GossipCulture::Hybrid => {
-                    // Snapshot the change set before the digest
-                    // reseal clears it; the eager push covers exactly
-                    // those keys. (A reset emptied it — the fresh
-                    // snapshot digest carries that signal instead.)
-                    let mut changed = std::mem::take(&mut self.gossip_changed);
-                    changed.clear();
-                    if let Some(c) = self.ctxs.get(i) {
-                        changed.extend(c.server.gossip.changed.iter().copied());
-                    }
-                    changed.sort_unstable();
-                    changed.dedup();
-                    changed.truncate(self.shared.cfg.gossip.window as usize);
-                    self.gossip_send_digest(id, &peers);
-                    if !changed.is_empty() {
-                        self.gossip_push(id, &peers, Some(&changed));
-                    }
-                    self.gossip_changed = changed;
                 }
             }
         }
@@ -1048,12 +1023,11 @@ impl System {
         }
     }
 
-    /// The eager push arm: singleton hosting advertisements plus object
-    /// copies, membership-filtered per peer so no server ends up holding
-    /// a copy outside its objects' replica sets. `changed = None` pushes
-    /// everything the server hosts (chatty); `Some(nodes)` restricts the
-    /// payload to that sorted change set (hybrid).
-    fn gossip_push(&mut self, id: ServerId, peers: &[ServerId], changed: Option<&[NodeId]>) {
+    /// The chatty push: singleton hosting advertisements for everything
+    /// the server hosts plus its object copies, membership-filtered per
+    /// peer so no server ends up holding a copy outside its objects'
+    /// replica sets.
+    fn gossip_push(&mut self, id: ServerId, peers: &[ServerId]) {
         let mut targets = std::mem::take(&mut self.store_targets);
         let mut objects = std::mem::take(&mut self.gossip_objects);
         for &peer in peers {
@@ -1064,34 +1038,18 @@ impl System {
             // to retire. Chatty advertises its whole hosted set, replica
             // ads included — deliberately profligate, and the ads go
             // stale the moment a crash resets the pusher's replicas.
-            // Hybrid's eager push sticks to *owned* nodes: ownership is
-            // the static assignment, so those ads can never go stale,
-            // and its digest already retires everything else.
             let records: Vec<(NodeId, NodeMap)> = match self.ctxs.get(id.index()).map(|c| &c.server)
             {
-                Some(s) => match changed {
-                    None => s
-                        .owned_ids()
-                        .chain(s.replica_ids())
-                        .map(|n| (n, NodeMap::singleton(id)))
-                        .collect(), // xtask: allow(alloc): each push message owns its payload
-                    Some(nodes) => nodes
-                        .iter()
-                        .copied()
-                        .filter(|&n| self.shared.assignment.owner(n) == id)
-                        .map(|n| (n, NodeMap::singleton(id)))
-                        .collect(), // xtask: allow(alloc): each push message owns its payload
-                },
+                Some(s) => s
+                    .owned_ids()
+                    .chain(s.replica_ids())
+                    .map(|n| (n, NodeMap::singleton(id)))
+                    .collect(), // xtask: allow(alloc): each push message owns its payload
                 None => Vec::new(),
             };
             objects.clear();
             if let Some(s) = self.ctxs.get(id.index()).map(|c| &c.server) {
                 for (node, obj) in s.stored_objects() {
-                    if let Some(nodes) = changed {
-                        if nodes.binary_search(&node).is_err() {
-                            continue;
-                        }
-                    }
                     self.shared.replica_targets(node, &mut targets);
                     if targets.contains(&peer) {
                         objects.push((node, obj));
@@ -2418,22 +2376,14 @@ mod tests {
             sys.run_until(12.0);
             format!("{:?}", sys.stats())
         };
-        for culture in [
-            GossipCulture::Chatty,
-            GossipCulture::Taciturn,
-            GossipCulture::Hybrid,
-        ] {
+        for culture in [GossipCulture::Chatty, GossipCulture::Taciturn] {
             assert_eq!(run(culture), run(culture), "replay diverged: {culture:?}");
         }
     }
 
     #[test]
     fn gossip_cultures_exchange_bytes_and_audit_clean() {
-        for culture in [
-            GossipCulture::Chatty,
-            GossipCulture::Taciturn,
-            GossipCulture::Hybrid,
-        ] {
+        for culture in [GossipCulture::Chatty, GossipCulture::Taciturn] {
             let mut sys = small_system(|c| {
                 c.gossip.enabled = true;
                 c.gossip.culture = culture;

@@ -64,7 +64,8 @@ fn r_map_of_one_stays_bounded() {
 
 /// `leases.ttl = 0`: every maintenance pass expires every unused piece of
 /// soft state on the spot. Routing must survive on owned records and
-/// freshly restamped context maps, and the freshness checker must agree.
+/// their context maps, which carry no lease, and the freshness checker
+/// must agree.
 #[test]
 fn zero_ttl_leases_run_clean() {
     let mut cfg = Config::paper_default(8).with_seed(13);

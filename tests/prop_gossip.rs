@@ -106,12 +106,11 @@ proptest! {
     #[test]
     fn gossip_runs_replay_bitwise(
         seed in 0u64..500,
-        culture_ix in 0usize..3,
+        culture_ix in 0usize..2,
         fanout in 1u32..5,
         window in 1u32..48,
     ) {
-        let culture =
-            [GossipCulture::Chatty, GossipCulture::Taciturn, GossipCulture::Hybrid][culture_ix];
+        let culture = [GossipCulture::Chatty, GossipCulture::Taciturn][culture_ix];
         let (stats_a, audit_a) = gossip_run(seed, culture, fanout, window);
         let (stats_b, audit_b) = gossip_run(seed, culture, fanout, window);
         prop_assert_eq!(audit_a, 0, "audit violations in first run");
